@@ -65,7 +65,10 @@ def cmd_eval(args) -> int:
     alg = catalog_lookup(args.algebra)
     text = args.formula
     if text is None:
-        text = Path(args.formula_file).read_text(encoding="utf-8")
+        try:
+            text = Path(args.formula_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.formula_file}: {exc}") from None
     parsed = formula.parse(text)
     assignment = _parse_assignment(args.assign or "")
     value = formula.evaluate(parsed, alg, assignment)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import formula as fm
@@ -58,6 +59,11 @@ class PureNEEncoding:
     aux_w: tuple[str, ...]
     aux_q: dict[Fraction, str]       # empty in the expressible variant
     variant: str                     # "EXPRESSIBLE" | "WEAKLY_EXPRESSIBLE"
+
+    @cached_property
+    def gamma_program(self) -> fm.Program:
+        """Gamma, compiled once for every profile."""
+        return fm.Program([self.gamma], self.game.algebra)
 
 
 def _gamma_conjuncts(lg: LogicalGame, plug) -> list[fm.Formula]:
@@ -143,7 +149,7 @@ def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:
     assignment = enc.game.assignment(profile)
     for a, name in enc.aux_q.items():
         assignment[name] = a
-    return fm.evaluate(enc.gamma, enc.game.algebra, assignment) == ONE
+    return enc.gamma_program.run(assignment)[0] == ONE
 
 
 def decide_pure_ne(lg: LogicalGame,
@@ -282,24 +288,23 @@ def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
                    ) -> tuple[bool, list[tuple[str, Fraction]]]:
     """Evaluate the mixed-equilibrium formula at a rational profile.
 
-    Returns the verdict (formula value 1) and a trace of conjunct values.
+    Returns the verdict (formula value 1) and a trace of conjunct values,
+    both from one run of one program over the conjuncts and the formula.
     """
     if enc is None:
         enc = build_mixed_encoding(lg, alg)
     assignment = enc.assignment(profile)
-    trace = []
+    names, roots = [], []
     for i in range(lg.n_players):
-        trace.append((f"probdistr_{i + 1}",
-                      fm.evaluate(enc.prob_distr[i], enc.algebra, assignment)))
-        trace.append((f"expected_{i + 1}",
-                      fm.evaluate(enc.expected[i], enc.algebra, assignment)))
+        names += [f"probdistr_{i + 1}", f"expected_{i + 1}"]
+        roots += [enc.prob_distr[i], enc.expected[i]]
         for rank, dev in enumerate(enc.expected_dev[i]):
-            conjunct = App("imp", (dev, enc.expected[i]))
-            trace.append((f"dev_{i + 1}_{rank}",
-                          fm.evaluate(conjunct, enc.algebra, assignment)))
-    value = fm.evaluate(enc.full, enc.algebra, assignment)
-    trace.append(("formula", value))
-    return value == ONE, trace
+            names.append(f"dev_{i + 1}_{rank}")
+            roots.append(App("imp", (dev, enc.expected[i])))
+    names.append("formula")
+    roots.append(enc.full)
+    values = fm.Program(roots, enc.algebra).run(assignment)
+    return values[-1] == ONE, list(zip(names, values))
 
 
 def format_trace(trace) -> str:

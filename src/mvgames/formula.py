@@ -8,9 +8,17 @@ as aliases for the lattice bounds.  Precedence, loosest to tightest:
 < `~`,`D` (prefix).  The printer emits a fully parenthesized canonical form;
 printing then parsing is the identity.
 
-Formulas are immutable and may share subterms; evaluation and substitution
-memoize on node identity so DAG-shaped formulas cost their node count, not
-their tree size.
+Formulas are immutable and may share subterms.  Every traversal -- the
+printer, free variables, substitution and compilation -- walks the DAG once
+per distinct node, iteratively, so neither sharing nor depth is a problem.
+
+Evaluation compiles formulas once per algebra into a `Program`: nodes are
+hash-consed by structure (a tree-expanded formula regains its sharing),
+negation is lowered to `x -> 0` where the algebra has no native one,
+constants and connectives are checked against the algebra, and constant
+subterms are folded.  The program then runs for many assignments.  Folding
+happens inside the program only: formula objects, and so the printed text,
+never change, and an error the formula would raise is never folded away.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import ARITY, ONE, ZERO, Algebra, as_truth_value
 from .errors import InputError, SemanticError
@@ -170,88 +178,92 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def implication(self) -> Formula:
-        left = self.additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("->", "=>"):
-            self.advance()
-            right = self.implication()  # right-associative
-            return App(_BINARY_TOKENS[tok.text], (left, right))
-        return left
-
-    def additive(self) -> Formula:
-        out = self.multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("\\/", "+", "-"):
-                self.advance()
-                out = App(_BINARY_TOKENS[tok.text], (out, self.multiplicative()))
-            else:
-                return out
-
-    def multiplicative(self) -> Formula:
-        out = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("/\\", "&", "*"):
-                self.advance()
-                out = App(_BINARY_TOKENS[tok.text], (out, self.unary()))
-            else:
-                return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "~":
-            self.advance()
-            return App("neg", (self.unary(),))
-        if tok.kind == "op" and tok.text == "D":
-            self.advance()
-            return App("delta", (self.unary(),))
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "const":
-            self.advance()
-            return Const(tok.value)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.implication()
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
-                self.fail("expected ')'")
-            self.advance()
-            return inner
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+_PRECEDENCE = {"->": 0, "=>": 0, "\\/": 1, "+": 1, "-": 1, "/\\": 2, "&": 2, "*": 2}
+_PREFIX = {"~": "neg", "D": "delta"}
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    result = parser.implication()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail(f"trailing input {trailing.text!r}")
-    return result
+    """Operator-precedence parse over explicit stacks: nesting depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+    operands: list[Formula] = []
+    pending: list[str] = []     # "(", prefix and binary operator tokens
+    open_parens = 0
+    expect_operand = True
+
+    def reduce():
+        tok = pending.pop()
+        if tok in _PREFIX:
+            operands[-1] = App(_PREFIX[tok], (operands[-1],))
+        else:
+            right = operands.pop()
+            operands[-1] = App(_BINARY_TOKENS[tok], (operands[-1], right))
+
+    for tok in _tokenize(text):
+        if expect_operand:
+            if tok.kind == "var":
+                operands.append(Var(tok.text))
+                expect_operand = False
+            elif tok.kind == "const":
+                operands.append(Const(tok.value))
+                expect_operand = False
+            elif tok.kind == "op" and tok.text in ("~", "D", "("):
+                pending.append(tok.text)
+                open_parens += tok.text == "("
+            else:
+                raise ParseError(
+                    f"expected a formula, found {tok.text or 'end of input'!r}",
+                    tok.line, tok.column)
+            continue
+        prec = _PRECEDENCE.get(tok.text) if tok.kind == "op" else None
+        if prec is not None:
+            # Prefix operators bind tightest; -> and => (level 0) associate
+            # to the right, every other level to the left.
+            while pending and pending[-1] != "(" and (
+                    pending[-1] in _PREFIX or _PRECEDENCE[pending[-1]] > prec
+                    or _PRECEDENCE[pending[-1]] == prec > 0):
+                reduce()
+            pending.append(tok.text)
+            expect_operand = True
+            continue
+        while pending and pending[-1] != "(":
+            reduce()
+        if open_parens:
+            if not (tok.kind == "op" and tok.text == ")"):
+                raise ParseError("expected ')'", tok.line, tok.column)
+            pending.pop()
+            open_parens -= 1
+        elif tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    return operands[0]
+
+
+# --- traversal ---------------------------------------------------------------
+
+def _post_order(roots: Iterable[Formula]) -> Iterator[Formula]:
+    """Each distinct node (by identity) reachable from `roots`, after its
+    arguments, arguments left to right.  Iterative, so depth is unbounded;
+    on the stack, a 1-tuple (node,) marks a node whose arguments are done."""
+    seen: set[int] = set()
+    mark = seen.add
+    stack: list = list(roots)[::-1]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if type(node) is tuple:
+            yield node[0]
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        mark(key)
+        if type(node) is App:
+            push((node,))
+            args = node.args
+            if len(args) == 2:
+                push(args[1])
+            push(args[0])
+        else:
+            yield node
 
 
 # --- printing ----------------------------------------------------------------
@@ -261,130 +273,201 @@ _OP_TOKEN = {name: tok for tok, name in _BINARY_TOKENS.items()}
 
 def to_text(f: Formula) -> str:
     """Fully parenthesized canonical form; parse(to_text(f)) == f."""
-    memo: dict[int, str] = {}
-
-    def render(node: Formula) -> str:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            text = node.name
-        elif isinstance(node, Const):
+    text: dict[int, str] = {}
+    for node in _post_order([f]):
+        if type(node) is Var:
+            out = node.name
+        elif type(node) is Const:
             if node.value == ZERO:
-                text = "0"
+                out = "0"
             elif node.value == ONE:
-                text = "1"
+                out = "1"
             else:
-                text = f"c({node.value})"
+                out = f"c({node.value})"
         elif node.op == "neg":
-            text = "~" + render(node.args[0])
+            out = "~" + text[id(node.args[0])]
         elif node.op == "delta":
-            text = "D " + render(node.args[0])
+            out = "D " + text[id(node.args[0])]
         else:
             left, right = node.args
-            text = f"({render(left)} {_OP_TOKEN[node.op]} {render(right)})"
-        memo[key] = text
-        return text
-
-    return render(f)
+            out = f"({text[id(left)]} {_OP_TOKEN[node.op]} {text[id(right)]})"
+        text[id(node)] = out
+    return text[id(f)]
 
 
 # --- semantics ---------------------------------------------------------------
+
+# Identities that hold in every catalog algebra: x op a = a (absorbing a)
+# and x op u = x (unit u), for either argument order.
+_ABSORBING = {"and": ZERO, "or": ONE, "and_strong": ZERO, "oplus": ONE, "odot": ZERO}
+_UNIT = {"and": ONE, "or": ZERO, "and_strong": ONE, "oplus": ZERO, "odot": ONE}
+
+
+def _fold_identity(op, args, x, y, one):
+    """The node that `op` applied to nodes `args` with values x, y (None
+    where not constant, exactly one constant) reduces to, or None; `one` is
+    the node of ONE."""
+    if op == "imp":
+        return one if (x is not None and x == ZERO) or (y is not None and y == ONE) \
+            else None
+    if op not in _UNIT:
+        return None
+    value, constant, other = (x, args[0], args[1]) if x is not None else (y, args[1], args[0])
+    if value == _ABSORBING[op]:
+        return constant
+    if value == _UNIT[op]:
+        return other
+    return None
+
+
+def _as_binary(fn):
+    return lambda x, _: fn(x)
+
+
+class Program:
+    """Formulas compiled for one algebra; `run` evaluates them all at once.
+
+    Compilation walks the DAG once.  Structurally equal subterms become one
+    slot; ~ becomes x -> 0 where the algebra lacks a native negation; every
+    constant is checked against the domain and every connective against the
+    signature; subterms with constant arguments are folded, as are the
+    identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
+    x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
+    have their variables checked by `run`, so folding hides no error.
+    """
+
+    def __init__(self, roots: Sequence[Formula], alg: Algebra):
+        self.algebra = alg
+        ops = alg.ops
+        known: list = []        # per compiled node: its value if constant, else None
+        shape: list = []        # per compiled node: None, a variable name, or (fn, args)
+        # Hash-consing: a variable's name, a constant's (numerator,
+        # denominator) and a connective's (op, *argument nodes) map to the
+        # node they compiled to, folded or not.
+        consed: dict = {}
+        ref: dict[int, int] = {}
+
+        def new(value, what) -> int:
+            known.append(value)
+            shape.append(what)
+            return len(shape) - 1
+
+        def constant(value) -> int:
+            key = (value.numerator, value.denominator)
+            index = consed.get(key)
+            if index is None:
+                index = consed[key] = new(value, None)
+            return index
+
+        one = constant(ONE)
+        for f in _post_order(roots):
+            if type(f) is Var:
+                index = consed.get(f.name)
+                if index is None:
+                    index = consed[f.name] = new(None, f.name)
+                ref[id(f)] = index
+                continue
+            if type(f) is Const:
+                if not alg.contains(f.value):
+                    raise SemanticError(f"constant {f.value} outside the domain of {alg.id}")
+                ref[id(f)] = constant(f.value)
+                continue
+            op, fn, fargs = f.op, ops.get(f.op), f.args
+            args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
+                (ref[id(fargs[0])], ref[id(fargs[1])])
+            if fn is None:
+                if op != "neg" or "imp" not in ops:
+                    raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
+                op, fn = "imp", ops["imp"]
+                args += (constant(ZERO),)
+            key = (op, *args)
+            index = consed.get(key)
+            if index is None:
+                x, y = known[args[0]], known[args[-1]]
+                if x is not None and y is not None:
+                    index = constant(fn(x, y) if len(args) == 2 else fn(x))
+                elif x is not None or y is not None:
+                    index = _fold_identity(op, args, x, y, one)
+                if index is None:
+                    index = new(None, (fn, args))
+                consed[key] = index
+            ref[id(f)] = index
+        roots = [ref[id(f)] for f in roots]
+        live = [False] * len(shape)
+        for r in roots:
+            live[r] = True
+        for index in range(len(shape) - 1, -1, -1):
+            if live[index] and type(shape[index]) is tuple:
+                for a in shape[index][1]:
+                    live[a] = True
+        self._slots = known         # constants in place; run fills the rest
+        self._variables = [(what, index) for index, what in enumerate(shape)
+                           if type(what) is str]
+        self._code = []         # (fn, result slot, argument slots), topologically
+        for index, what in enumerate(shape):
+            if live[index] and type(what) is tuple:
+                fn, args = what
+                self._code.append((fn if len(args) == 2 else _as_binary(fn),
+                                   index, args[0], args[-1]))
+        self._roots = roots
+
+    def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
+        """Value of each root under the assignment, which must give every
+        variable of the formulas, folded away or not, a value in the domain."""
+        alg = self.algebra
+        values = list(self._slots)
+        for name, index in self._variables:
+            try:
+                value = assignment[name]
+            except KeyError:
+                raise SemanticError(f"unknown variable {name!r}") from None
+            if not alg.contains(value):
+                raise SemanticError(
+                    f"assignment {name} = {value} outside the domain of {alg.id}")
+            values[index] = value
+        for fn, out, a, b in self._code:
+            values[out] = fn(values[a], values[b])
+        return [values[r] for r in self._roots]
+
 
 def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fraction:
     """Compositional value of `f` in `alg` under the assignment.
 
     Constants must lie in the algebra's domain; connectives must be in the
     signature, except that ~ may be expanded to its definition x -> 0 when
-    the algebra lacks a native negation (Godel algebras).
+    the algebra lacks a native negation (Godel algebras).  To evaluate the
+    same formulas under many assignments, compile them once with `Program`.
     """
-    memo: dict[int, Fraction] = {}
-
-    def walk(node: Formula) -> Fraction:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            try:
-                value = assignment[node.name]
-            except KeyError:
-                raise SemanticError(f"unknown variable {node.name!r}") from None
-            if not alg.contains(value):
-                raise SemanticError(
-                    f"assignment {node.name} = {value} outside the domain of {alg.id}")
-        elif isinstance(node, Const):
-            value = node.value
-            if not alg.contains(value):
-                raise SemanticError(
-                    f"constant {value} outside the domain of {alg.id}")
-        else:
-            op = ops.get(node.op)
-            args = node.args
-            if op is None:
-                if node.op == "neg" and "imp" in ops:
-                    value = ops["imp"](walk(args[0]), ZERO)
-                else:
-                    raise SemanticError(
-                        f"connective {node.op!r} not in signature of {alg.id}")
-            elif len(args) == 2:
-                value = op(walk(args[0]), walk(args[1]))
-            else:
-                value = op(walk(args[0]))
-        memo[key] = value
-        return value
-
-    ops = alg.ops
-    return walk(f)
+    return Program([f], alg).run(assignment)[0]
 
 
 def free_variables(f: Formula) -> list[str]:
     """Variable names in first-occurrence, left-to-right order."""
-    seen: set[str] = set()
-    visited: set[int] = set()
-    out: list[str] = []
-
-    def walk(node: Formula):
-        key = id(node)
-        if key in visited:
-            return
-        visited.add(key)
-        if isinstance(node, Var):
-            if node.name not in seen:
-                seen.add(node.name)
-                out.append(node.name)
-        elif isinstance(node, App):
-            for a in node.args:
-                walk(a)
-
-    walk(f)
-    return out
+    return list(dict.fromkeys(node.name for node in _post_order([f])
+                              if type(node) is Var))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneous substitution; variables outside the mapping are unchanged."""
     if not mapping:
         return f
-    memo: dict[int, Formula] = {}
-
-    def walk(node: Formula) -> Formula:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
+    image: dict[int, Formula] = {}
+    for node in _post_order([f]):
+        if type(node) is App:
+            args = node.args
+            first = image[id(args[0])]
+            if len(args) == 1:
+                result = node if first is args[0] else App(node.op, (first,))
+            else:
+                second = image[id(args[1])]
+                result = node if first is args[0] and second is args[1] \
+                    else App(node.op, (first, second))
+        elif type(node) is Var:
             result = mapping.get(node.name, node)
-        elif isinstance(node, Const):
-            result = node
         else:
-            new_args = tuple(walk(a) for a in node.args)
-            result = node if all(a is b for a, b in zip(new_args, node.args)) \
-                else App(node.op, new_args)
-        memo[key] = result
-        return result
-
-    return walk(f)
+            result = node
+        image[id(node)] = result
+    return image[id(f)]
 
 
 def substitute_values(f: Formula, values: Mapping[str, Fraction]) -> Formula:

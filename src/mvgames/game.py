@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import formula as fm
@@ -122,6 +123,11 @@ class LogicalGame:
     def n_players(self) -> int:
         return len(self.variables)
 
+    @cached_property
+    def payoff_program(self) -> fm.Program:
+        """The payoff formulas, compiled once for every profile."""
+        return fm.Program(self.payoff_formulas, self.algebra)
+
     @property
     def all_variables(self) -> tuple[str, ...]:
         return tuple(v for block in self.variables for v in block)
@@ -149,8 +155,7 @@ def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ..
     for i, tup in enumerate(profile):
         if tuple(tup) not in lg.strategies[i]:
             raise SemanticError(f"{tuple(tup)} is not a strategy of player {i + 1}")
-    e = lg.assignment(profile)
-    return tuple(fm.evaluate(phi, lg.algebra, e) for phi in lg.payoff_formulas)
+    return tuple(lg.payoff_program.run(lg.assignment(profile)))
 
 
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
@@ -309,9 +314,16 @@ def profile_from_json(doc, counts: Sequence[int]) -> MixedProfile:
         raise InputError("mixed profile must list one map per player")
     vectors = []
     for i, (entry, count) in enumerate(zip(doc, counts)):
+        if not isinstance(entry, dict):
+            raise InputError(f"player {i + 1}: expected a map of strategy ids "
+                             f"to probabilities")
         vector = [Fraction(0)] * count
         for key, text in entry.items():
-            k = int(key)
+            try:
+                k = int(key)
+            except ValueError:
+                raise InputError(f"player {i + 1}: strategy id {key!r} is not an "
+                                 f"integer") from None
             if not 0 <= k < count:
                 raise InputError(f"player {i + 1}: strategy id {k} out of range")
             vector[k] = parse_rational(text)

@@ -195,3 +195,31 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "oracle", "pure",
                        "--game", str(tmp_path / "missing.json"))
     assert code == 2 and "input error" in err
+
+
+def test_eval_unreadable_formula_file_is_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "eval", "--algebra", "STD_L",
+                       "--formula-file", str(tmp_path / "missing.txt"))
+    assert code == 2 and "input error" in err
+    code, _, err = run(capsys, "eval", "--algebra", "STD_L",
+                       "--formula-file", str(tmp_path))     # a directory
+    assert code == 2 and "input error" in err
+
+
+def _mixed_verify(capsys, tmp_path, profile):
+    run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps(profile), encoding="utf-8")
+    return run(capsys, "oracle", "mixed-verify",
+               "--game", str(tmp_path / "mp" / "game.json"),
+               "--profile", str(profile_path))
+
+
+def test_profile_with_non_integer_strategy_id_is_input_error(capsys, tmp_path):
+    code, _, err = _mixed_verify(capsys, tmp_path, [{"a": "1"}, {"0": "1"}])
+    assert code == 2 and "input error" in err and "'a'" in err
+
+
+def test_profile_with_non_map_player_entry_is_input_error(capsys, tmp_path):
+    code, _, err = _mixed_verify(capsys, tmp_path, [["1"], {"0": "1"}])
+    assert code == 2 and "input error" in err and "player 1" in err

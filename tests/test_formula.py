@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgames import (App, Const, Var, apply, catalog_lookup, evaluate,
                      free_variables, parse, substitute, to_text)
 from mvgames.errors import SemanticError
-from mvgames.formula import ParseError, substitute_values
+from mvgames.formula import ParseError, _tokenize, substitute_values
 from conftest import random_formula, random_fraction
 
 STD_QL = catalog_lookup("STD_QL")
@@ -155,3 +157,96 @@ def test_substitution_lemma(seed):
 def test_substitute_values_checks_range():
     with pytest.raises(SemanticError):
         substitute_values(parse("v"), {"v": Fraction(3, 2)})
+
+
+def test_parse_deep_nesting():
+    assert parse("(" * 500 + "c(1/2)" + ")" * 500) == Const(Fraction(1, 2))
+    deep = parse("~" * 5000 + "v")
+    assert evaluate(deep, STD_QL, {"v": Fraction(1, 3)}) == Fraction(1, 3)
+    chain = parse(" -> ".join(["v"] * 5000))              # right-nested
+    assert to_text(chain) == "(v -> " * 4999 + "v" + ")" * 4999
+
+
+def reference_parse(text):
+    """Recursive-descent parser for the grammar, kept as the reference the
+    package's explicit-stack parser must agree with, errors included."""
+    tokens, pos = _tokenize(text), 0
+    binary = {"/\\": "and", "\\/": "or", "->": "imp", "=>": "imp_pi",
+              "&": "and_strong", "+": "oplus", "-": "ominus", "*": "odot"}
+
+    def peek_op(*texts):
+        return tokens[pos].kind == "op" and tokens[pos].text in texts
+
+    def fail(message):
+        raise ParseError(message, tokens[pos].line, tokens[pos].column)
+
+    def level(ops, operand):
+        nonlocal pos
+        out = operand()
+        while peek_op(*ops):
+            pos += 1
+            out = App(binary[tokens[pos - 1].text], (out, operand()))
+        return out
+
+    def implication():
+        nonlocal pos
+        left = level(("\\/", "+", "-"), lambda: level(("/\\", "&", "*"), unary))
+        if peek_op("->", "=>"):
+            pos += 1
+            return App(binary[tokens[pos - 1].text], (left, implication()))
+        return left
+
+    def unary():
+        nonlocal pos
+        if peek_op("~", "D"):
+            pos += 1
+            return App("neg" if tokens[pos - 1].text == "~" else "delta", (unary(),))
+        tok = tokens[pos]
+        if tok.kind in ("var", "const"):
+            pos += 1
+            return Var(tok.text) if tok.kind == "var" else Const(tok.value)
+        if peek_op("("):
+            pos += 1
+            inner = implication()
+            if not peek_op(")"):
+                fail("expected ')'")
+            pos += 1
+            return inner
+        fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+
+    result = implication()
+    if tokens[pos].kind != "end":
+        fail(f"trailing input {tokens[pos].text!r}")
+    return result
+
+
+OPERANDS = ["a", "b", "0", "1", "c(1/2)"]
+PREFIX = ["~", "D", "("]
+BINARY = ["/\\", "\\/", "->", "=>", "&", "+", "-", "*"]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_parse_agrees_with_reference_parser(data):
+    # Mostly well-formed token streams, with one token in ten drawn at random.
+    parts, expect_operand, depth = [], True, 0
+    for _ in range(data.draw(st.integers(0, 16))):
+        if data.draw(st.integers(0, 9)) == 0:
+            tok = data.draw(st.sampled_from(OPERANDS + PREFIX + BINARY + [")"]))
+        elif expect_operand:
+            tok = data.draw(st.sampled_from(OPERANDS + PREFIX))
+        else:
+            tok = data.draw(st.sampled_from(BINARY + [")"] * depth))
+        expect_operand = tok in PREFIX or tok in BINARY
+        depth += (tok == "(") - (tok == ")")
+        parts.append(tok + data.draw(st.sampled_from([" ", "", "\n"])))
+    text = "".join(parts) + ")" * data.draw(st.integers(0, max(depth, 0)))
+    try:
+        expected = reference_parse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.line, info.value.column) == \
+            (str(exc), exc.line, exc.column)
+    else:
+        assert parse(text) == expected

@@ -173,6 +173,36 @@ def test_logical_game_file_round_trip():
            [payoff(NT.logical, p) for p in NT.logical.profiles()]
 
 
+def test_large_vi_logical_game_file_round_trip():
+    from mvgames import represent_rational_qg_delta
+    rng = random.Random(22)
+    source = make_game((22, 22), lambda p: [F(rng.randint(0, 4), 4) for _ in p])
+    lg = represent_rational_qg_delta(source).target
+    doc = lgame_to_json(lg)
+    again = lgame_from_json(doc)
+    assert lgame_to_json(again) == doc
+    for profile in [next(lg.profiles()), (lg.strategies[0][-1], lg.strategies[1][7])]:
+        assert payoff(again, profile) == payoff(lg, profile)
+
+
+def test_deep_payoff_formula_is_stack_safe():
+    # disj_all nests left-deep, one level per disjunct: 5000 levels.
+    from mvgames.formula import App, Const, Var, disj_all, to_text
+    steps = 5000
+    payoffs = tuple(disj_all(App("and", (Var(name), Const(F(k, steps))))
+                             for k in range(steps)) for name in ("x", "y"))
+    lg = LogicalGame(catalog_lookup("STD_QG"), (("x",), ("y",)),
+                     (_t(0, 1), _t(0, 1)), payoffs)
+    top = F(steps - 1, steps)
+    assert payoff(lg, ((F(1),), (F(0),))) == (top, 0)
+    assert pure_equilibria_check(lg, ((F(1),), (F(1),)))
+    doc = lgame_to_json(lg)
+    assert doc["payoff_formulas"][0] == to_text(payoffs[0])
+    assert doc["payoff_formulas"][0].startswith("(" * steps)
+    again = lgame_from_json(doc)
+    assert payoff(again, ((F(0),), (F(1),))) == (0, top)
+
+
 def test_profile_file_round_trip():
     profile = MixedProfile(((F(1, 2), F(0), F(1, 2)), (F(1), F(0), F(0))))
     doc = profile_to_json(profile)

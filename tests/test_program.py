@@ -1,0 +1,181 @@
+"""The compiled formula program against a plain recursive evaluator.
+
+`reference` below is the textbook compositional semantics, written here and
+not imported from the package: it folds nothing, shares nothing and raises
+the same `SemanticError` messages.  Random formulas over every catalog
+algebra family, rich in the constants 0 and 1, make every folding rule of
+`Program` fire; the program must agree with `reference` on every value and
+on every error.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvgames import App, Const, Var, catalog_lookup, evaluate, parse, to_text
+from mvgames.equilibria import build_mixed_encoding, check_mixed_ne
+from mvgames.errors import SemanticError
+from mvgames.formula import Program
+from mvgames.game import MixedProfile
+from conftest import random_distribution, random_logical_game
+
+F = Fraction
+ZERO, ONE = F(0), F(1)
+NAMES = ("x", "y", "z")
+ALGEBRAS = [catalog_lookup(name) for name in (
+    "BOOL2", "G_3", "G_4_C", "G_4_C_DELTA", "L_3", "L_4_C", "STD_L", "STD_L_DELTA",
+    "STD_QL", "STD_QL_DELTA", "STD_G", "STD_QG", "STD_QG_DELTA", "STD_PL",
+    "STD_PL_DELTA", "STD_QPL_DELTA", "STD_LPI", "STD_LPIH")]
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def reference(f, alg, env):
+    if isinstance(f, Var):
+        if f.name not in env:
+            raise SemanticError(f"unknown variable {f.name!r}")
+        if not alg.contains(env[f.name]):
+            raise SemanticError(
+                f"assignment {f.name} = {env[f.name]} outside the domain of {alg.id}")
+        return env[f.name]
+    if isinstance(f, Const):
+        if not alg.contains(f.value):
+            raise SemanticError(f"constant {f.value} outside the domain of {alg.id}")
+        return f.value
+    args = [reference(a, alg, env) for a in f.args]
+    if f.op in alg.ops:
+        return alg.ops[f.op](*args)
+    if f.op == "neg" and "imp" in alg.ops:
+        return alg.ops["imp"](args[0], ZERO)
+    raise SemanticError(f"connective {f.op!r} not in signature of {alg.id}")
+
+
+def values_of(alg):
+    if alg.is_finite:
+        return list(alg.domain_elements())
+    return [ZERO, ONE, F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(2, 5)]
+
+
+def formulas(alg):
+    leaves = st.one_of(st.sampled_from([Var(n) for n in NAMES]),
+                       st.sampled_from([Const(ZERO), Const(ONE)]),
+                       st.sampled_from(values_of(alg)).map(Const))
+    ops = set(alg.ops) | {"neg"}
+    unary = sorted(op for op in ops if op in ("neg", "delta"))
+    binary = sorted(ops - set(unary))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(binary), children, children).map(
+                lambda t: App(t[0], (t[1], t[2]))),
+            st.tuples(st.sampled_from(unary), children).map(lambda t: App(t[0], (t[1],))))
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+@st.composite
+def cases(draw):
+    alg = draw(st.sampled_from(ALGEBRAS))
+    roots = draw(st.lists(formulas(alg), min_size=1, max_size=3))
+    env = {n: draw(st.sampled_from(values_of(alg))) for n in NAMES}
+    return alg, roots, env
+
+
+@PROPERTY
+@given(cases())
+def test_program_matches_reference(case):
+    alg, roots, env = case
+    expected = [reference(f, alg, env) for f in roots]
+    assert Program(roots, alg).run(env) == expected
+    assert [evaluate(f, alg, env) for f in roots] == expected
+    # Reloaded text has no sharing left; hash-consing must not change values.
+    assert Program([parse(to_text(f)) for f in roots], alg).run(env) == expected
+
+
+@PROPERTY
+@given(cases(), st.sampled_from(NAMES))
+def test_program_raises_what_reference_raises(case, missing):
+    alg, roots, env = case
+    del env[missing]
+    try:
+        expected = [reference(f, alg, env) for f in roots]
+    except SemanticError as exc:
+        with pytest.raises(SemanticError) as info:
+            Program(roots, alg).run(env)
+        assert str(info.value) == str(exc)
+    else:
+        assert Program(roots, alg).run(env) == expected
+
+
+L4 = catalog_lookup("L_4")
+X = Var("x")
+
+
+@pytest.mark.parametrize("op, constant, on_left, result", [
+    ("and", ZERO, False, ZERO), ("and", ONE, True, X),
+    ("or", ZERO, True, X), ("or", ONE, False, ONE),
+    ("and_strong", ZERO, True, ZERO), ("and_strong", ONE, False, X),
+    ("oplus", ZERO, False, X), ("oplus", ONE, True, ONE),
+    ("odot", ZERO, True, ZERO), ("odot", ONE, False, X),
+    ("imp", ZERO, True, ONE), ("imp", ONE, False, ONE),
+])
+def test_each_identity_folds(op, constant, on_left, result):
+    alg = catalog_lookup("STD_QPL_DELTA")
+    args = (Const(constant), X) if on_left else (X, Const(constant))
+    program = Program([App(op, args)], alg)
+    assert program._code == []
+    env = {"x": F(2, 7)}
+    assert program.run(env) == [env["x"] if result is X else result]
+
+
+# The error-carrying subterm s sits where folding discards it: s /\ 0,
+# s -> 1 and 0 -> s all fold to a constant without looking at s.
+SHAPES = {
+    "s /\\ 0": lambda s: App("and", (s, Const(ZERO))),
+    "s -> 1": lambda s: App("imp", (s, Const(ONE))),
+    "0 -> s": lambda s: App("imp", (Const(ZERO), s)),
+}
+ERRORS = {
+    "unknown variable": (Var("ghost"), "unknown variable 'ghost'"),
+    "assignment outside the domain": (Var("y"), "assignment y = 1/3 outside the domain of L_4"),
+    "constant outside the domain": (App("or", (X, Const(F(1, 3)))),
+                                    "constant 1/3 outside the domain of L_4"),
+    "connective outside the signature": (App("odot", (X, X)),
+                                         "connective 'odot' not in signature of L_4"),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("error", ERRORS)
+def test_folding_hides_no_error(shape, error):
+    subterm, message = ERRORS[error]
+    f = SHAPES[shape](subterm)
+    env = {"x": F(1, 4), "y": F(1, 3)}
+    for attempt in (lambda: evaluate(f, L4, env),
+                    lambda: Program([Var("x"), f], L4).run(env),
+                    lambda: reference(f, L4, env)):
+        with pytest.raises(SemanticError) as info:
+            attempt()
+        assert str(info.value) == message
+
+
+def test_mixed_trace_equals_separate_evaluations(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        lg = random_logical_game(rng)
+        enc = build_mixed_encoding(lg)
+        profile = MixedProfile(tuple(random_distribution(rng, len(block))
+                                     for block in lg.strategies))
+        env = enc.assignment(profile)
+        roots = []
+        for i in range(lg.n_players):
+            roots += [(f"probdistr_{i + 1}", enc.prob_distr[i]),
+                      (f"expected_{i + 1}", enc.expected[i])]
+            roots += [(f"dev_{i + 1}_{rank}", App("imp", (dev, enc.expected[i])))
+                      for rank, dev in enumerate(enc.expected_dev[i])]
+        roots.append(("formula", enc.full))
+        ok, trace = check_mixed_ne(lg, profile, enc=enc)
+        assert trace == [(name, evaluate(f, enc.algebra, env)) for name, f in roots]
+        assert ok == (trace[-1][1] == ONE)
