@@ -5,21 +5,21 @@ and their equilibrium encodings, game representations, and brute-force
 oracles that cross-check everything.
 """
 
-from .algebra import (Algebra, Connective, TruthValue, apply, catalog_lookup,
-                      format_rational, is_subreduct, parse_rational)
+from .algebra import (Algebra, apply, catalog_lookup, format_rational, is_subreduct,
+                      parse_rational)
 from .chars import characteristic, mcnaughton_hat, pseudo_char, zeta
 from .corpus import CorpusBundle, love_and_hate, matching_pennies, new_technology, vickrey
-from .equilibria import (MixedNEEncoding, PureNEEncoding, build_expected_payoff,
-                         build_gamma, build_gamma_weak, build_mixed_encoding,
-                         build_prob_distr, check_mixed_ne, decide_pure_ne)
+from .equilibria import (MixedNEEncoding, PureNEEncoding, build_gamma, build_gamma_weak,
+                         build_mixed_encoding, build_prob_distr, check_mixed_ne,
+                         decide_pure_ne)
 from .errors import EngineError, InputError, SemanticError
 from .formula import (App, Const, Formula, Var, evaluate, free_variables, parse,
                       substitute, to_text)
 from .game import (GameFlags, LogicalGame, MixedProfile, StrategicGame, classify,
                    dirac, logical_to_strategic, payoff, pure_equilibria_check,
                    relevant_elements)
-from .oracle import (EquilibriumReport, MixedCandidate, affine_invariance_check,
-                     expected_payoffs, find_mixed_2p, pure_ne_scan, verify_mixed)
+from .oracle import (MixedCandidate, affine_invariance_check, expected_payoffs,
+                     find_mixed_2p, pure_ne_scan, verify_mixed)
 from .represent import (Affine, Representation, Table, VerificationReport,
                         represent_binary_boolean, represent_binary_chain,
                         represent_binary_general, represent_general,

@@ -23,8 +23,6 @@ from typing import Callable, Optional
 
 from .errors import InputError, SemanticError
 
-TruthValue = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -45,14 +43,10 @@ ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Connective:
-    name: str
-    arity: int
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'm/n' or integer shorthand 'k' into an exact rational."""
+    if not isinstance(text, str):
+        raise InputError(f"bad rational literal {text!r}: expected a string like '1/2'")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,10 +94,6 @@ def _imp_bool(x, y):
 
 def _neg_luk(x):
     return ONE - x
-
-
-def _neg_godel(x):
-    return ONE if x == ZERO else ZERO
 
 
 def _and_strong(x, y):
@@ -168,9 +158,6 @@ class Algebra:
     @property
     def connectives(self) -> frozenset[str]:
         return frozenset(self.ops)
-
-    def signature(self) -> frozenset[Connective]:
-        return frozenset(Connective(n, ARITY[n]) for n in self.ops)
 
     def contains(self, value: Fraction) -> bool:
         if not ZERO <= value <= ONE:

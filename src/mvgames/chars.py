@@ -52,6 +52,15 @@ def pseudo_char(alg: Algebra, a: Fraction, variable: str = "x") -> Formula:
     raise SemanticError(f"no pseudo-characteristic formula for {a} in {alg.id}")
 
 
+def has_pseudo_char(alg: Algebra, a: Fraction) -> bool:
+    """Does some one-variable formula pin the value `a` (see `pseudo_char`)?"""
+    try:
+        pseudo_char(alg, a)
+    except SemanticError:
+        return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _hat_cached(m: int, n: int, variable: str) -> Formula:
     v = Var(variable)

@@ -3,8 +3,10 @@
 Verbs: eval, corpus, represent, verify-representation, pure-ne, mixed-check,
 and the oracle family (pure, mixed-verify, mixed-find).  Exit codes are a
 stable contract: 0 success / SAT / verification true, 1 UNSAT / false,
-2 malformed input, 3 semantic error.  All emitted rationals are lowest-terms
-"m/n" with integers printed bare; emitted files re-parse to equal values.
+2 malformed input, 3 semantic error, 4 internal error (a bug, reported as
+one "internal error:" line on stderr, never a verdict).  All emitted
+rationals are lowest-terms "m/n" with integers printed bare; emitted files
+re-parse to equal values.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _load_lgame(path) -> game.LogicalGame:
 
 def _load_any_game(path):
     doc = game.load_json(path)
-    if "algebra" in doc:
+    if isinstance(doc, dict) and "algebra" in doc:
         return game.lgame_from_json(doc)
     return game.game_from_json(doc)
 
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ class PureNEEncoding:
     game: LogicalGame
     gamma: fm.Formula
     existence: fm.Formula
-    aux_w: tuple[str, ...]
     aux_q: dict[Fraction, str]       # empty in the expressible variant
     variant: str                     # "EXPRESSIBLE" | "WEAKLY_EXPRESSIBLE"
 
@@ -78,7 +77,7 @@ def _gamma_conjuncts(lg: LogicalGame, plug) -> list[fm.Formula]:
     return conjuncts
 
 
-def _membership(lg: LogicalGame, taken: set[str]) -> fm.Formula:
+def _membership(lg: LogicalGame) -> fm.Formula:
     """\\/ over profiles s of /\\ chi_{s_i^j}(v_i^j): pins v to some profile."""
     chi_at: dict[tuple[str, Fraction], fm.Formula] = {}
     for block in lg.variables:
@@ -100,12 +99,9 @@ def build_gamma(lg: LogicalGame) -> PureNEEncoding:
     if not flags.expressible:
         raise SemanticError(
             f"game over {lg.algebra.id} is not expressible; use build_gamma_weak")
-    taken = set(lg.all_variables)
-    aux_w = tuple(_fresh(f"w_{j + 1}", taken)
-                  for j in range(max(len(b) for b in lg.variables)))
     gamma = conj_all(_gamma_conjuncts(lg, lambda value: Const(value)))
-    existence = gamma if flags.full else App("and", (_membership(lg, taken), gamma))
-    return PureNEEncoding(lg, gamma, existence, aux_w, {}, "EXPRESSIBLE")
+    existence = gamma if flags.full else App("and", (_membership(lg), gamma))
+    return PureNEEncoding(lg, gamma, existence, {}, "EXPRESSIBLE")
 
 
 def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
@@ -114,9 +110,6 @@ def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
     if not flags.weakly_expressible:
         raise SemanticError(f"game over {lg.algebra.id} is not weakly expressible")
     taken = set(lg.all_variables)
-    aux_w = tuple(_fresh(f"w_{j + 1}", taken)
-                  for j in range(max(len(b) for b in lg.variables)))
-    taken.update(aux_w)
     aux_q = {}
     for a in relevant_elements(lg):
         aux_q[a] = _q_name(a, taken)
@@ -125,15 +118,8 @@ def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
                          for a in sorted(aux_q))
     body = conj_all(_gamma_conjuncts(lg, lambda value: Var(aux_q[value])))
     gamma = App("and", (chi_block, body))
-    existence = gamma if flags.full else App("and", (_membership(lg, taken), gamma))
-    return PureNEEncoding(lg, gamma, existence, aux_w, aux_q, "WEAKLY_EXPRESSIBLE")
-
-
-def build_existence(lg: LogicalGame, enc: Optional[PureNEEncoding] = None) -> fm.Formula:
-    """Formula satisfiable iff the game has a pure Nash equilibrium."""
-    if enc is None:
-        enc = build_encoding(lg)
-    return enc.existence
+    existence = gamma if flags.full else App("and", (_membership(lg), gamma))
+    return PureNEEncoding(lg, gamma, existence, aux_q, "WEAKLY_EXPRESSIBLE")
 
 
 def build_encoding(lg: LogicalGame) -> PureNEEncoding:
@@ -274,12 +260,6 @@ def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> Mixe
         player_conjuncts.append(conj_all([prob_distr[i]] + implications))
     return MixedNEEncoding(lg, alg, prob_vars, prob_distr, tuple(expected),
                            tuple(expected_dev), conj_all(player_conjuncts))
-
-
-def build_expected_payoff(lg: LogicalGame, player: int,
-                          alg: Optional[Algebra] = None) -> fm.Formula:
-    """E_i over the probability variables, strategy constants substituted."""
-    return build_mixed_encoding(lg, alg).expected[player]
 
 
 def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,

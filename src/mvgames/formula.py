@@ -51,14 +51,6 @@ class App:
 Formula = Union[Var, Const, App]
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def const(value) -> Const:
-    return Const(as_truth_value(Fraction(value)))
-
-
 def app(op: str, *args: Formula) -> App:
     if op not in ARITY:
         raise SemanticError(f"unknown connective {op!r}")

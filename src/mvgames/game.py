@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import formula as fm
 from .algebra import Algebra, catalog_lookup, format_rational, parse_rational
+from .chars import has_pseudo_char
 from .errors import InputError, SemanticError
 
 Profile = tuple[int, ...]
@@ -164,19 +165,9 @@ def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
     return tuple(sorted(found))
 
 
-def has_pseudo_char(alg: Algebra, a: Fraction) -> bool:
-    """Catalog knowledge: does a one-variable formula pin the value `a`?"""
-    if not alg.contains(a):
-        return False
-    if a in (Fraction(0), Fraction(1)) or alg.has_constant(a):
-        return True
-    return alg.family == "mv"
-
-
 @dataclass(frozen=True)
 class GameFlags:
     basic: bool
-    finite: bool
     full: Optional[bool]       # None: undecidable over an infinite domain
     expressible: bool
     weakly_expressible: bool
@@ -193,7 +184,7 @@ def classify(lg: LogicalGame) -> GameFlags:
                    for block, vs in zip(lg.strategies, lg.variables))
     else:
         full = None
-    return GameFlags(basic=basic, finite=True, full=full,
+    return GameFlags(basic=basic, full=full,
                      expressible=expressible, weakly_expressible=weakly)
 
 
@@ -264,8 +255,8 @@ def game_from_json(doc: dict) -> StrategicGame:
     try:
         n = int(doc["players"])
         names = tuple(tuple(block) for block in doc["strategies"])
-        rows = doc["payoffs"]
-    except (KeyError, TypeError) as exc:
+        rows = list(doc["payoffs"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad strategic-game document: {exc}") from None
     if len(names) != n:
         raise InputError("strategies must list one block per player")
@@ -275,7 +266,7 @@ def game_from_json(doc: dict) -> StrategicGame:
         raise InputError(f"expected {len(profiles)} payoff rows, got {len(rows)}")
     payoffs = {}
     for profile, row in zip(profiles, rows):
-        if len(row) != n:
+        if not isinstance(row, list) or len(row) != n:
             raise InputError(f"payoff row for {profile} must have {n} entries")
         payoffs[profile] = tuple(parse_rational(v) for v in row)
     return StrategicGame(names, payoffs)
@@ -295,6 +286,8 @@ def lgame_from_json(doc: dict) -> LogicalGame:
     try:
         alg = catalog_lookup(doc["algebra"])
         variables = tuple(tuple(block) for block in doc["variables"])
+        if not all(isinstance(name, str) for block in variables for name in block):
+            raise InputError("variable names must be strings")
         strategies = tuple(
             tuple(tuple(parse_rational(x) for x in tup) for tup in block)
             for block in doc["strategies"])
@@ -335,7 +328,7 @@ def load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
 
 

@@ -160,13 +160,6 @@ class MixedCandidate:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    pure: list[Profile]
-    mixed_candidates: list[MixedCandidate]
-    method: str                       # "DEVIATION_SCAN" | "SUPPORT_ENUM"
-
-
 def _indifference_candidates(payoff_row, own_support, other_support):
     """Vectors over the opponent's support making `own_support` indifferent.
 
@@ -254,14 +247,6 @@ def _scatter(values, support, count):
 
 def _dot(payoff_fn, own, other_vector):
     return sum(payoff_fn(own, j) * q for j, q in enumerate(other_vector) if q != 0)
-
-
-def equilibrium_report(game: Game) -> EquilibriumReport:
-    table = _as_table(game)
-    pure = pure_ne_scan(table)
-    if table.n_players == 2:
-        return EquilibriumReport(pure, find_mixed_2p(table), "SUPPORT_ENUM")
-    return EquilibriumReport(pure, [], "DEVIATION_SCAN")
 
 
 def transform_payoffs(game: StrategicGame, slopes: Sequence[Fraction],

@@ -97,6 +97,8 @@ class Representation:
     g: Transform
 
     def __post_init__(self):
+        if not len(self.coding) == self.source.n_players == self.target.n_players:
+            raise SemanticError("source, target and coding: one entry per player")
         for i, table in enumerate(self.coding):
             if len(table) != self.source.strategy_counts[i]:
                 raise SemanticError(f"player {i + 1}: coding must cover every strategy")
@@ -151,7 +153,7 @@ def verify_representation(rep: Representation) -> VerificationReport:
     return VerificationReport(True, affine)
 
 
-# --- helpers ------------------------------------------------------------------
+# --- the construction ---------------------------------------------------------
 
 def _binary_range(game: StrategicGame) -> tuple[Fraction, Fraction]:
     values = game.payoff_values()
@@ -168,16 +170,14 @@ def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _digit_width(count: int, base: int) -> int:
-    width = 0
-    while base ** width < count:
-        width += 1
-    return width
-
-
-def _player_variables(game: StrategicGame, widths: Sequence[int]) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(f"v{i + 1}_{j + 1}" for j in range(widths[i]))
-                 for i in range(game.n_players))
+def _digit_widths(game: StrategicGame, base: int) -> list[int]:
+    widths = []
+    for count in game.strategy_counts:
+        width = 0
+        while base ** width < count:
+            width += 1
+        widths.append(width)
+    return widths
 
 
 def _delta_table(alg, variables, coding) -> dict[tuple[str, Fraction], fm.Formula]:
@@ -192,22 +192,64 @@ def _delta_table(alg, variables, coding) -> dict[tuple[str, Fraction], fm.Formul
     return table
 
 
-def _profile_conjunct(variables, encoded, delta_at) -> fm.Formula:
-    """/\\ over all players and digits of delta_{digit}(variable)."""
-    parts = []
-    for block, tup in zip(variables, encoded):
-        for name, value in zip(block, tup):
-            parts.append(delta_at[name, value])
-    return conj_all(parts)
+def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
+              widths: Sequence[int], g: Transform, disjunct) -> Representation:
+    """The construction behind every constructor.
+
+    Strategy s of player i is coded by widths[i] base-len(elements) digits,
+    one variable per digit (v1_1, v1_2, ... for player 1).  phi_i is the
+    disjunction over all profiles of disjunct(i, profile, conjunct), where
+    conjunct pins the profile's code by characteristic formulas; profiles
+    for which `disjunct` returns None are left out.
+    """
+    base = len(elements)
+    variables = tuple(tuple(f"v{i + 1}_{j + 1}" for j in range(width))
+                      for i, width in enumerate(widths))
+    coding = tuple(
+        tuple(tuple(elements[d] for d in _digits(s, base, widths[i])) for s in range(count))
+        for i, count in enumerate(game.strategy_counts))
+    delta_at = _delta_table(alg, variables, coding)
+    formulas = []
+    for i in range(game.n_players):
+        disjuncts = []
+        for profile in game.profiles():
+            conjunct = conj_all(delta_at[name, value]
+                                for block, s, table in zip(variables, profile, coding)
+                                for name, value in zip(block, table[s]))
+            part = disjunct(i, profile, conjunct)
+            if part is not None:
+                disjuncts.append(part)
+        formulas.append(disj_all(disjuncts))
+    target = LogicalGame(alg, variables, coding, tuple(formulas))
+    return Representation(game, target, coding, g)
+
+
+def _binary_on_algebra(game, alg, elements, widths, a, b) -> Representation:
+    """phi_i is the disjunction of the conjuncts of the profiles paying i b."""
+    return _dnf_game(game, alg, elements, widths, Affine(b - a, a),
+                     lambda i, profile, conjunct:
+                     conjunct if game.payoff(profile, i) == b else None)
+
+
+def _basic_game(game, alg, anchors, g, value_formula=None) -> Representation:
+    """Basic game coding strategy s by anchors[s]: phi_i is the disjunction
+    over profiles of (value_formula(i, profile) /\\ conjunct), by default
+    the constant g^-1(f_i(profile))."""
+    if value_formula is None:
+        def value_formula(i, profile):
+            return Const(g.inverse(game.payoff(profile, i)))
+    return _dnf_game(game, alg, anchors, [1] * game.n_players, g,
+                     lambda i, profile, conjunct:
+                     App("and", (value_formula(i, profile), conjunct)))
 
 
 def _rational_payoff_setup(game: StrategicGame):
+    """Sorted payoff values, their common denominator q, and q * (max - min)."""
     values = game.payoff_values()
     if len(values) < 2:
         raise SemanticError("payoff transform needs at least 2 distinct payoff values")
     q = lcm(*[v.denominator for v in values])
-    numerators = [v * q for v in values]
-    return values, q, numerators
+    return values, q, int((values[-1] - values[0]) * q)
 
 
 # --- binary-payoff constructors ------------------------------------------------
@@ -215,21 +257,8 @@ def _rational_payoff_setup(game: StrategicGame):
 def represent_binary_boolean(game: StrategicGame) -> Representation:
     """Binary payoffs -> expressible Boolean game, ceil(log2 |S_i|) variables each."""
     a, b = _binary_range(game)
-    alg = catalog_lookup("BOOL2")
-    widths = [_digit_width(c, 2) for c in game.strategy_counts]
-    variables = _player_variables(game, widths)
-    coding = tuple(
-        tuple(tuple(map(Fraction, _digits(s, 2, widths[i]))) for s in range(count))
-        for i, count in enumerate(game.strategy_counts))
-    delta_at = _delta_table(alg, variables, coding)
-    formulas = []
-    for i in range(game.n_players):
-        winning = [
-            _profile_conjunct(variables, [coding[k][s] for k, s in enumerate(profile)], delta_at)
-            for profile in game.profiles() if game.payoff(profile, i) == b]
-        formulas.append(disj_all(winning))
-    target = LogicalGame(alg, variables, coding, tuple(formulas))
-    return Representation(game, target, coding, Affine(b - a, a))
+    return _binary_on_algebra(game, catalog_lookup("BOOL2"), [Fraction(0), Fraction(1)],
+                              _digit_widths(game, 2), a, b)
 
 
 def represent_binary_chain(game: StrategicGame) -> Representation:
@@ -238,8 +267,9 @@ def represent_binary_chain(game: StrategicGame) -> Representation:
     m = max(game.strategy_counts) - 1
     if m < 1:
         raise SemanticError("chain representation needs a player with >= 2 strategies")
-    alg = catalog_lookup("L_n", m)
-    return _binary_on_algebra(game, alg, [Fraction(k, m) for k in range(m + 1)], a, b)
+    return _binary_on_algebra(game, catalog_lookup("L_n", m),
+                              [Fraction(k, m) for k in range(m + 1)],
+                              [1] * game.n_players, a, b)
 
 
 def represent_binary_general(game: StrategicGame, m: int, alg: Algebra,
@@ -256,94 +286,42 @@ def represent_binary_general(game: StrategicGame, m: int, alg: Algebra,
     elements = [Fraction(x) for x in elements]
     if len(elements) != m + 1 or len(set(elements)) != m + 1:
         raise SemanticError(f"need {m + 1} distinct elements, got {elements}")
-    return _binary_on_algebra(game, alg, elements, a, b, base=m + 1)
-
-
-def _binary_on_algebra(game, alg, elements, a, b, base=None) -> Representation:
-    if base is None:
-        base = len(elements)
-        widths = [1] * game.n_players
-    else:
-        widths = [_digit_width(c, base) for c in game.strategy_counts]
-    variables = _player_variables(game, widths)
-    coding = tuple(
-        tuple(tuple(elements[d] for d in _digits(s, base, widths[i])) for s in range(count))
-        for i, count in enumerate(game.strategy_counts))
-    delta_at = _delta_table(alg, variables, coding)
-    formulas = []
-    for i in range(game.n_players):
-        winning = [
-            _profile_conjunct(variables, [coding[k][s] for k, s in enumerate(profile)], delta_at)
-            for profile in game.profiles() if game.payoff(profile, i) == b]
-        formulas.append(disj_all(winning))
-    target = LogicalGame(alg, variables, coding, tuple(formulas))
-    return Representation(game, target, coding, Affine(b - a, a))
+    return _binary_on_algebra(game, alg, elements, _digit_widths(game, m + 1), a, b)
 
 
 # --- rational-payoff constructors ----------------------------------------------
 
-def _value_dnf(game: StrategicGame, alg: Algebra, variables, coding,
-               value_formula) -> tuple[fm.Formula, ...]:
-    """phi_i = \\/ over all profiles of (value_formula(i, s) /\\ profile conjunct)."""
-    delta_at = _delta_table(alg, variables, coding)
-    formulas = []
-    for i in range(game.n_players):
-        disjuncts = []
-        for profile in game.profiles():
-            encoded = [coding[k][s] for k, s in enumerate(profile)]
-            conjunct = _profile_conjunct(variables, encoded, delta_at)
-            disjuncts.append(App("and", (value_formula(i, profile), conjunct)))
-        formulas.append(disj_all(disjuncts))
-    return tuple(formulas)
-
-
 def represent_rational_qg_delta(game: StrategicGame) -> Representation:
     """Rational payoffs -> basic expressible game over the rational-constant
     Godel algebra with delta."""
-    values = game.payoff_values()
-    if len(values) < 2:
-        raise SemanticError("payoff transform needs at least 2 distinct payoff values")
+    values, _, _ = _rational_payoff_setup(game)
     m = max(game.strategy_counts) - 1
     if m < 1:
         raise SemanticError("representation needs a player with >= 2 strategies")
-    alg = catalog_lookup("STD_QG_DELTA")
-    g = Affine(values[-1] - values[0], values[0])
-    variables = _player_variables(game, [1] * game.n_players)
-    coding = tuple(tuple((Fraction(s, m),) for s in range(count))
-                   for count in game.strategy_counts)
-    formulas = _value_dnf(game, alg, variables, coding,
-                          lambda i, s: Const(g.inverse(game.payoff(s, i))))
-    target = LogicalGame(alg, variables, coding, formulas)
-    return Representation(game, target, coding, g)
+    return _basic_game(game, catalog_lookup("STD_QG_DELTA"),
+                       [Fraction(s, m) for s in range(m + 1)],
+                       Affine(values[-1] - values[0], values[0]))
 
 
 def represent_rational_gmc_delta(game: StrategicGame, m: Optional[int] = None) -> Representation:
     """Rational payoffs p_j/q -> basic expressible game over the Godel chain
     G_m with constants and delta, g(x) = (m x + p_1)/q."""
-    values, q, numerators = _rational_payoff_setup(game)
-    span = int(numerators[-1] - numerators[0])
+    values, q, span = _rational_payoff_setup(game)
     bound = max(span, max(game.strategy_counts) - 1)
     if m is None:
         m = bound
     elif m < bound:
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
-    alg = catalog_lookup("G_n_C_DELTA", m)
-    g = Affine(Fraction(m, q), Fraction(numerators[0], q))
-    variables = _player_variables(game, [1] * game.n_players)
-    coding = tuple(tuple((Fraction(s, m),) for s in range(count))
-                   for count in game.strategy_counts)
-    formulas = _value_dnf(game, alg, variables, coding,
-                          lambda i, s: Const(g.inverse(game.payoff(s, i))))
-    target = LogicalGame(alg, variables, coding, formulas)
-    return Representation(game, target, coding, g)
+    return _basic_game(game, catalog_lookup("G_n_C_DELTA", m),
+                       [Fraction(s, m) for s in range(m + 1)],
+                       Affine(Fraction(m, q), values[0]))
 
 
 def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Representation:
     """Rational payoffs p_j/q -> basic weakly expressible game on a prime
     chain L_m; payoff values enter through the zeta gadget, so no truth
     constants are needed."""
-    values, q, numerators = _rational_payoff_setup(game)
-    span = int(numerators[-1] - numerators[0])
+    values, q, span = _rational_payoff_setup(game)
     bound = max([span] + [c + 1 for c in game.strategy_counts])
     if m is None:
         m = bound
@@ -353,11 +331,7 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
         raise SemanticError(f"chain size m = {m} is not prime")
     elif m < bound:
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
-    alg = catalog_lookup("L_n", m)
-    g = Affine(Fraction(m, q), Fraction(numerators[0], q))
-    variables = _player_variables(game, [1] * game.n_players)
-    coding = tuple(tuple((Fraction(s + 1, m),) for s in range(count))
-                   for count in game.strategy_counts)
+    g = Affine(Fraction(m, q), values[0])
     zeta_at: dict[tuple, fm.Formula] = {}   # shared across disjuncts
 
     def value_formula(i, profile):
@@ -366,12 +340,11 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
         key = (i, anchor, target_value)
         if key not in zeta_at:
             zeta_at[key] = fm.substitute(zeta(m, anchor, target_value),
-                                         {"x": Var(variables[i][0])})
+                                         {"x": Var(f"v{i + 1}_1")})   # i's one variable
         return zeta_at[key]
 
-    formulas = _value_dnf(game, alg, variables, coding, value_formula)
-    target = LogicalGame(alg, variables, coding, formulas)
-    return Representation(game, target, coding, g)
+    return _basic_game(game, catalog_lookup("L_n", m),
+                       [Fraction(s + 1, m) for s in range(m - 1)], g, value_formula)
 
 
 def represent_general(game: StrategicGame, alg: Algebra,
@@ -397,14 +370,7 @@ def represent_general(game: StrategicGame, alg: Algebra,
     for b in bs:
         if not alg.has_constant(b):
             raise SemanticError(f"{alg.id} has no truth constant for {b}")
-    g = Table(tuple(zip(bs[:len(values)], values)))
-    variables = _player_variables(game, [1] * game.n_players)
-    coding = tuple(tuple((anchors[s],) for s in range(count))
-                   for count in game.strategy_counts)
-    formulas = _value_dnf(game, alg, variables, coding,
-                          lambda i, s: Const(g.inverse(game.payoff(s, i))))
-    target = LogicalGame(alg, variables, coding, formulas)
-    return Representation(game, target, coding, g)
+    return _basic_game(game, alg, anchors, Table(tuple(zip(bs[:len(values)], values))))
 
 
 # --- serialization --------------------------------------------------------------
@@ -437,6 +403,6 @@ def representation_from_json(doc: dict, source: StrategicGame,
             raise InputError(f"unknown transform kind {g_doc['kind']!r}")
         coding = tuple(tuple(tuple(parse_rational(x) for x in tup) for tup in table)
                        for table in doc["c"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad representation document: {exc}") from None
     return Representation(source, target, coding, g)

@@ -223,3 +223,52 @@ def test_profile_with_non_integer_strategy_id_is_input_error(capsys, tmp_path):
 def test_profile_with_non_map_player_entry_is_input_error(capsys, tmp_path):
     code, _, err = _mixed_verify(capsys, tmp_path, [["1"], {"0": "1"}])
     assert code == 2 and "input error" in err and "player 1" in err
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_rational_as_json_number_is_input_error(capsys, tmp_path):
+    game = {"players": 2, "strategies": [["a"], ["b"]], "payoffs": [[1, 0]]}
+    code, _, err = run(capsys, "oracle", "pure",
+                       "--game", _write_json(tmp_path, "g.json", game))
+    assert code == 2 and "input error" in err and "bad rational literal 1" in err
+    code, _, err = _mixed_verify(capsys, tmp_path, [{"0": 1}, {"0": "1"}])
+    assert code == 2 and "input error" in err and "bad rational literal 1" in err
+
+
+def test_malformed_game_documents_are_input_errors(capsys, tmp_path):
+    base = {"players": 1, "strategies": [["a"]], "payoffs": [["0"]]}
+    for key, value in (("payoffs", 5), ("payoffs", [5]), ("players", "x")):
+        doc = dict(base, **{key: value})
+        code, _, err = run(capsys, "oracle", "pure",
+                           "--game", _write_json(tmp_path, "g.json", doc))
+        assert code == 2 and err.startswith("input error:"), (key, value, err)
+    code, _, err = run(capsys, "oracle", "pure",
+                       "--game", _write_json(tmp_path, "seven.json", 7))
+    assert code == 2 and err.startswith("input error:")
+
+
+def test_unreadable_json_is_input_error(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"players": "\xff"}')
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for path in (not_utf8, too_deep):
+        code, _, err = run(capsys, "oracle", "pure", "--game", str(path))
+        assert code == 2 and err.startswith("input error: cannot read"), err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    from mvgames import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_eval", boom)
+    code, out, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "v")
+    assert code == 4 and out == ""
+    assert err.strip() == "internal error: RuntimeError: boom"

@@ -1,0 +1,71 @@
+"""Emitted bytes of every representation constructor, pinned by digest.
+
+Each constructor runs on a few fixed seeded games; the logical-game and
+representation documents it emits are serialized canonically and hashed.
+A refactor of the constructors must leave every digest unchanged.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from mvgames import catalog_lookup
+from mvgames.game import lgame_to_json
+from mvgames.represent import (represent_binary_boolean, represent_binary_chain,
+                               represent_binary_general, represent_general,
+                               represent_rational_gmc_delta, represent_rational_lm,
+                               represent_rational_qg_delta, representation_to_json)
+from conftest import random_binary_game, random_rational_game
+
+F = Fraction
+SEEDS = (1, 2, 3, 4)
+
+CONSTRUCTORS = {
+    "ab_i": lambda binary, rational: represent_binary_boolean(binary),
+    "ab_ii": lambda binary, rational: represent_binary_chain(binary),
+    "ab_iii": lambda binary, rational: represent_binary_general(
+        binary, 2, catalog_lookup("L_n", 2)),
+    "ab_iii_elements": lambda binary, rational: represent_binary_general(
+        binary, 1, catalog_lookup("STD_QG_DELTA"), [F(0), F(1, 2)]),
+    "vi": lambda binary, rational: represent_rational_qg_delta(rational),
+    "vi_gmc": lambda binary, rational: represent_rational_gmc_delta(rational),
+    "vi_gmc_m": lambda binary, rational: represent_rational_gmc_delta(rational, 13),
+    "vi_lm": lambda binary, rational: represent_rational_lm(rational),
+    "vii": lambda binary, rational: represent_general(
+        rational, catalog_lookup("L_n_C", 5), [F(k, 5) for k in range(4)],
+        [F(k, 5) for k in range(6)]),
+}
+
+DIGESTS = {
+    "ab_i": "3950c7d6cfcb5b9619226440fd8e602390fac243656588fe2d33d6a20b9aa16e",
+    "ab_ii": "b6308aac652c00294c1e272ec49f24f489670fc51b007fd0cdfe30dc0e4fc9d3",
+    "ab_iii": "92001be434632b60150b89f8414b639058bc0ee2daaac2cb0480b44223588482",
+    "ab_iii_elements": "5a19a83c5e17a47499c53c1f58fce7a4f4ea41553469d363cbdd2243b31ff675",
+    "vi": "c6a6556f5970ef8038f3ec6afddfe06e484f14965a449223850bc5e731a88fe3",
+    "vi_gmc": "706a08db724e3de0a268a3f11c933906cef34d4cca7e235d209ce4a6b6227b4a",
+    "vi_gmc_m": "7460a88240ae911a0d5627de9a1204e89dc9251601020a80c245fa16eed4573a",
+    "vi_lm": "9d6c80853dbd6cdaa0934017d96e1e7f1b7619d8e95afda20d3667ea9bd1162f",
+    "vii": "8987f08161de695d7c1194da83184b156bb8cd11bb677afa4863a0751230df9f",
+}
+
+
+def _games(seed):
+    rng = random.Random(seed)
+    return random_binary_game(rng), random_rational_game(rng)
+
+
+def _digest(build) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rep = build(*_games(seed))
+        doc = [lgame_to_json(rep.target), representation_to_json(rep)]
+        h.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(CONSTRUCTORS))
+def test_emitted_bytes_are_pinned(method):
+    assert _digest(CONSTRUCTORS[method]) == DIGESTS[method]
