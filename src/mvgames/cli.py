@@ -3,10 +3,10 @@
 Verbs: eval, corpus, represent, verify-representation, pure-ne, mixed-check,
 and the oracle family (pure, mixed-verify, mixed-find).  Exit codes are a
 stable contract: 0 success / SAT / verification true, 1 UNSAT / false,
-2 malformed input, 3 semantic error, 4 internal error (a bug, reported as
-one "internal error:" line on stderr, never a verdict).  All emitted
-rationals are lowest-terms "m/n" with integers printed bare; emitted files
-re-parse to equal values.
+2 malformed input or a file that cannot be read or written, 3 semantic
+error, 4 internal error (a bug, reported as one "internal error:" line on
+stderr, never a verdict).  All emitted rationals are lowest-terms "m/n"
+with integers printed bare; emitted files re-parse to equal values.
 """
 
 from __future__ import annotations
@@ -92,7 +92,10 @@ def cmd_corpus(args) -> int:
     else:
         raise InputError(f"unknown corpus entry {args.name!r}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
     game.dump_json(game.game_to_json(bundle.strategic), out / "game.json")
     written = ["game.json"]
     if bundle.logical is not None:
@@ -154,8 +157,7 @@ def cmd_pure_ne(args) -> int:
     lg = _load_lgame(args.lgame)
     enc = equilibria.build_gamma_weak(lg) if args.weak else equilibria.build_encoding(lg)
     if args.emit_formula:
-        Path(args.emit_formula).write_text(formula.to_text(enc.existence) + "\n",
-                                           encoding="utf-8")
+        game.write_text(args.emit_formula, formula.to_text(enc.existence) + "\n")
     profiles, sat = equilibria.decide_pure_ne(lg, enc)
     for profile in profiles:
         print(_print_logical_profile(profile))
@@ -168,8 +170,7 @@ def cmd_mixed_check(args) -> int:
     target = catalog_lookup(args.algebra) if args.algebra else None
     enc = equilibria.build_mixed_encoding(lg, target)
     if args.emit_formula:
-        Path(args.emit_formula).write_text(formula.to_text(enc.full) + "\n",
-                                           encoding="utf-8")
+        game.write_text(args.emit_formula, formula.to_text(enc.full) + "\n")
     counts = [len(block) for block in lg.strategies]
     profile = game.profile_from_json(game.load_json(args.profile), counts)
     ok, trace = equilibria.check_mixed_ne(lg, profile, enc=enc)

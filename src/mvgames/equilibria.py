@@ -65,13 +65,14 @@ class PureNEEncoding:
         return fm.Program([self.gamma], self.game.algebra)
 
 
-def _gamma_conjuncts(lg: LogicalGame, plug) -> list[fm.Formula]:
-    """One conjunct per (player, strategy): phi_i(plugged) -> phi_i(v)."""
+def _gamma_conjuncts(lg: LogicalGame, node_at: dict) -> list[fm.Formula]:
+    """One conjunct per (player, strategy s): phi_i(node_at[s]) -> phi_i(v),
+    where node_at maps each value in s to the node plugged in for it."""
     conjuncts = []
     for i, phi in enumerate(lg.payoff_formulas):
         names = lg.variables[i]
         for strategy in lg.strategies[i]:
-            deviated = fm.substitute(phi, {name: plug(value)
+            deviated = fm.substitute(phi, {name: node_at[value]
                                            for name, value in zip(names, strategy)})
             conjuncts.append(App("imp", (deviated, phi)))
     return conjuncts
@@ -79,18 +80,13 @@ def _gamma_conjuncts(lg: LogicalGame, plug) -> list[fm.Formula]:
 
 def _membership(lg: LogicalGame) -> fm.Formula:
     """\\/ over profiles s of /\\ chi_{s_i^j}(v_i^j): pins v to some profile."""
-    chi_at: dict[tuple[str, Fraction], fm.Formula] = {}
-    for block in lg.variables:
-        for name in block:
-            for a in relevant_elements(lg):
-                chi_at[name, a] = pseudo_char(lg.algebra, a, name)
-    disjuncts = []
-    for profile in lg.profiles():
-        parts = []
-        for block, tup in zip(lg.variables, profile):
-            parts.extend(chi_at[name, value] for name, value in zip(block, tup))
-        disjuncts.append(conj_all(parts))
-    return disj_all(disjuncts)
+    relevant = relevant_elements(lg)
+    chi_at = {(name, a): pseudo_char(lg.algebra, a, name)
+              for block in lg.variables for name in block for a in relevant}
+    return disj_all(conj_all(chi_at[name, value]
+                             for block, tup in zip(lg.variables, profile)
+                             for name, value in zip(block, tup))
+                    for profile in lg.profiles())
 
 
 def build_gamma(lg: LogicalGame) -> PureNEEncoding:
@@ -99,7 +95,7 @@ def build_gamma(lg: LogicalGame) -> PureNEEncoding:
     if not flags.expressible:
         raise SemanticError(
             f"game over {lg.algebra.id} is not expressible; use build_gamma_weak")
-    gamma = conj_all(_gamma_conjuncts(lg, lambda value: Const(value)))
+    gamma = conj_all(_gamma_conjuncts(lg, {a: Const(a) for a in relevant_elements(lg)}))
     existence = gamma if flags.full else App("and", (_membership(lg), gamma))
     return PureNEEncoding(lg, gamma, existence, {}, "EXPRESSIBLE")
 
@@ -116,7 +112,7 @@ def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
         taken.add(aux_q[a])
     chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a])
                          for a in sorted(aux_q))
-    body = conj_all(_gamma_conjuncts(lg, lambda value: Var(aux_q[value])))
+    body = conj_all(_gamma_conjuncts(lg, {a: Var(name) for a, name in aux_q.items()}))
     gamma = App("and", (chi_block, body))
     existence = gamma if flags.full else App("and", (_membership(lg), gamma))
     return PureNEEncoding(lg, gamma, existence, aux_q, "WEAKLY_EXPRESSIBLE")
@@ -226,32 +222,25 @@ def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> Mixe
         taken.update(names)
         prob_vars.append(names)
     prob_vars = tuple(prob_vars)
+    prob = [[Var(name) for name in block] for block in prob_vars]
 
-    substituted = {}   # profile of ranks -> payoff formulas with constants plugged in
-    for ranks in itertools.product(*[range(len(b)) for b in lg.strategies]):
-        values = {}
-        for i, rank in enumerate(ranks):
-            values.update(zip(lg.variables[i], lg.strategies[i][rank]))
-        substituted[ranks] = tuple(fm.substitute_values(phi, values)
-                                   for phi in lg.payoff_formulas)
-
+    # One pass over the profiles in rank order: i's payoff with the profile's
+    # constants plugged in, times everyone's probabilities in expected[i] and
+    # times the others' in the deviation sum for i's strategy.
     n = lg.n_players
-    expected = []
-    expected_dev = []
-    for i in range(n):
-        terms = [App("odot", (substituted[ranks][i],
-                              odot_all(Var(prob_vars[j][ranks[j]]) for j in range(n))))
-                 for ranks in sorted(substituted)]
-        expected.append(oplus_all(terms))
-        deviations = []
-        for a_rank in range(len(lg.strategies[i])):
-            dev_terms = [
-                App("odot", (substituted[ranks][i],
-                             odot_all(Var(prob_vars[j][ranks[j]])
-                                      for j in range(n) if j != i)))
-                for ranks in sorted(substituted) if ranks[i] == a_rank]
-            deviations.append(oplus_all(dev_terms))
-        expected_dev.append(tuple(deviations))
+    terms = [[] for _ in range(n)]
+    dev_terms = [[[] for _ in block] for block in lg.strategies]
+    for ranks in itertools.product(*[range(len(b)) for b in lg.strategies]):
+        values = {name: Const(x) for i, rank in enumerate(ranks)
+                  for name, x in zip(lg.variables[i], lg.strategies[i][rank])}
+        for i, phi in enumerate(lg.payoff_formulas):
+            plugged = fm.substitute(phi, values)
+            terms[i].append(App("odot", (plugged, odot_all(
+                prob[j][ranks[j]] for j in range(n)))))
+            dev_terms[i][ranks[i]].append(App("odot", (plugged, odot_all(
+                prob[j][ranks[j]] for j in range(n) if j != i))))
+    expected = [oplus_all(parts) for parts in terms]
+    expected_dev = [tuple(oplus_all(parts) for parts in devs) for devs in dev_terms]
 
     prob_distr = tuple(build_prob_distr(block) for block in prob_vars)
     player_conjuncts = []
@@ -263,7 +252,6 @@ def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> Mixe
 
 
 def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
-                   alg: Optional[Algebra] = None,
                    enc: Optional[MixedNEEncoding] = None,
                    ) -> tuple[bool, list[tuple[str, Fraction]]]:
     """Evaluate the mixed-equilibrium formula at a rational profile.
@@ -272,7 +260,7 @@ def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
     both from one run of one program over the conjuncts and the formula.
     """
     if enc is None:
-        enc = build_mixed_encoding(lg, alg)
+        enc = build_mixed_encoding(lg)
     assignment = enc.assignment(profile)
     names, roots = [], []
     for i in range(lg.n_players):

@@ -461,7 +461,3 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
         image[id(node)] = result
     return image[id(f)]
 
-
-def substitute_values(f: Formula, values: Mapping[str, Fraction]) -> Formula:
-    """Substitute rational constants for variables."""
-    return substitute(f, {name: Const(as_truth_value(v)) for name, v in values.items()})

@@ -61,15 +61,9 @@ class StrategicGame:
     def payoff(self, profile: Profile, player: int) -> Fraction:
         return self.payoffs[tuple(profile)][player]
 
-    def payoff_values(self, player: Optional[int] = None) -> tuple[Fraction, ...]:
-        """Sorted distinct payoff values, of one player or of all players."""
-        values = set()
-        for vec in self.payoffs.values():
-            if player is None:
-                values.update(vec)
-            else:
-                values.add(vec[player])
-        return tuple(sorted(values))
+    def payoff_values(self) -> tuple[Fraction, ...]:
+        """Sorted distinct payoff values of all players."""
+        return tuple(sorted({v for vec in self.payoffs.values() for v in vec}))
 
 
 def make_game(counts: Sequence[int], payoff_fn, names=None) -> StrategicGame:
@@ -229,9 +223,6 @@ class MixedProfile:
     def prob(self, player: int, strategy: int) -> Fraction:
         return self.probabilities[player][strategy]
 
-    def support(self, player: int) -> tuple[int, ...]:
-        return tuple(k for k, p in enumerate(self.probabilities[player]) if p > 0)
-
 
 def dirac(counts: Sequence[int], profile: Profile) -> MixedProfile:
     """The mixed profile concentrated at one pure profile."""
@@ -332,7 +323,14 @@ def load_json(path) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def dump_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -17,8 +17,10 @@ only assumes characteristic formulas for enough "strategy anchors" and truth
 constants for enough "payoff anchors".
 
 Payoff formulas come out as the literal disjunctive normal form over
-characteristic conjuncts, without minimization; identical delta subformulas
-are shared, so the DNF is compact as a DAG.
+characteristic conjuncts, without minimization.  Each characteristic
+formula is built once per (variable, element), directly on its variable,
+and each profile's conjunct is built once and shared by every player's
+formula, so the DNF is compact as a DAG.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from . import formula as fm
 from .algebra import Algebra, catalog_lookup, format_rational, parse_rational
 from .chars import characteristic, is_prime, zeta
 from .errors import InputError, SemanticError
 from .game import LogicalGame, StrategicGame, ValueTuple, payoff
-from .formula import App, Const, Var, conj_all, disj_all
+from .formula import App, Const, Formula, conj_all, disj_all
 
 
 @dataclass(frozen=True)
@@ -180,18 +181,6 @@ def _digit_widths(game: StrategicGame, base: int) -> list[int]:
     return widths
 
 
-def _delta_table(alg, variables, coding) -> dict[tuple[str, Fraction], fm.Formula]:
-    """Characteristic formulas instantiated per (variable, element), shared."""
-    needed = sorted({x for block in coding for tup in block for x in tup})
-    deltas = {x: characteristic(alg, x) for x in needed}
-    table = {}
-    for block in variables:
-        for name in block:
-            for x in needed:
-                table[name, x] = fm.substitute(deltas[x], {"x": Var(name)})
-    return table
-
-
 def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
               widths: Sequence[int], g: Transform, disjunct) -> Representation:
     """The construction behind every constructor.
@@ -208,18 +197,17 @@ def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
     coding = tuple(
         tuple(tuple(elements[d] for d in _digits(s, base, widths[i])) for s in range(count))
         for i, count in enumerate(game.strategy_counts))
-    delta_at = _delta_table(alg, variables, coding)
+    needed = sorted({x for block in coding for tup in block for x in tup})
+    delta_at = {(name, x): characteristic(alg, x, name)
+                for block in variables for name in block for x in needed}
+    conjuncts = [(profile, conj_all(delta_at[name, value]
+                                    for block, s, table in zip(variables, profile, coding)
+                                    for name, value in zip(block, table[s])))
+                 for profile in game.profiles()]
     formulas = []
     for i in range(game.n_players):
-        disjuncts = []
-        for profile in game.profiles():
-            conjunct = conj_all(delta_at[name, value]
-                                for block, s, table in zip(variables, profile, coding)
-                                for name, value in zip(block, table[s]))
-            part = disjunct(i, profile, conjunct)
-            if part is not None:
-                disjuncts.append(part)
-        formulas.append(disj_all(disjuncts))
+        parts = (disjunct(i, profile, conjunct) for profile, conjunct in conjuncts)
+        formulas.append(disj_all(part for part in parts if part is not None))
     target = LogicalGame(alg, variables, coding, tuple(formulas))
     return Representation(game, target, coding, g)
 
@@ -332,15 +320,14 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
     elif m < bound:
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
     g = Affine(Fraction(m, q), values[0])
-    zeta_at: dict[tuple, fm.Formula] = {}   # shared across disjuncts
+    zeta_at: dict[tuple, Formula] = {}   # shared across disjuncts
 
     def value_formula(i, profile):
         anchor = Fraction(profile[i] + 1, m)
         target_value = g.inverse(game.payoff(profile, i))
         key = (i, anchor, target_value)
         if key not in zeta_at:
-            zeta_at[key] = fm.substitute(zeta(m, anchor, target_value),
-                                         {"x": Var(f"v{i + 1}_1")})   # i's one variable
+            zeta_at[key] = zeta(m, anchor, target_value, f"v{i + 1}_1")   # i's one variable
         return zeta_at[key]
 
     return _basic_game(game, catalog_lookup("L_n", m),

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 
 from mvgames import parse
 from mvgames.cli import main
@@ -272,3 +273,28 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "v")
     assert code == 4 and out == ""
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+UNWRITABLE = {
+    "represent-lgame": ("represent", "--game", "{game}", "--method", "ab_i",
+                        "--out-lgame", "{nowhere}", "--out-rep", "{ok}"),
+    "represent-rep": ("represent", "--game", "{game}", "--method", "ab_i",
+                      "--out-lgame", "{ok}", "--out-rep", "{nowhere}"),
+    "pure-ne": ("pure-ne", "--lgame", "{lgame}", "--emit-formula", "{nowhere}"),
+    "mixed-check": ("mixed-check", "--lgame", "{lgame}", "--profile", "{profile}",
+                    "--emit-formula", "{nowhere}"),
+    "corpus": ("corpus", "matching_pennies", "--out", "{profile}/sub"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_path_is_input_error(capsys, tmp_path, case):
+    run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
+    paths = {"game": str(tmp_path / "mp" / "game.json"),
+             "lgame": str(tmp_path / "lgame.json"), "ok": str(tmp_path / "ok.json"),
+             "nowhere": str(tmp_path / "missing-dir" / "out"),
+             "profile": _write_json(tmp_path, "p.json", [{"0": "1/2", "1": "1/2"}] * 2)}
+    run(capsys, "represent", "--game", paths["game"], "--method", "ab_i",
+        "--out-lgame", paths["lgame"], "--out-rep", paths["ok"])
+    code, _, err = run(capsys, *[arg.format(**paths) for arg in UNWRITABLE[case]])
+    assert code == 2 and err.startswith("input error: cannot write"), err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvgames import (App, Const, Var, apply, catalog_lookup, evaluate,
                      free_variables, parse, substitute, to_text)
 from mvgames.errors import SemanticError
-from mvgames.formula import ParseError, _tokenize, substitute_values
+from mvgames.formula import ParseError, _tokenize
 from conftest import random_formula, random_fraction
 
 STD_QL = catalog_lookup("STD_QL")
@@ -152,11 +152,6 @@ def test_substitution_lemma(seed):
         left = evaluate(substitute(f, {"v": psi}), STD_QL, env)
         right = evaluate(f, STD_QL, dict(env, v=evaluate(psi, STD_QL, env)))
         assert left == right
-
-
-def test_substitute_values_checks_range():
-    with pytest.raises(SemanticError):
-        substitute_values(parse("v"), {"v": Fraction(3, 2)})
 
 
 def test_parse_deep_nesting():
