@@ -120,6 +120,23 @@ def _delta(x):
     return ONE if x == ONE else ZERO
 
 
+# Integer twins, keyed by function identity like is_subreduct: on numerators
+# a, b over D, `INTEGER_TWINS[op](D)` returns the integer D * op(a/D, b/D)
+# (see `formula`).  `_odot` and `_imp_pi` multiply and divide: no twin.
+INTEGER_TWINS = {
+    _and: lambda D: lambda a, b: a if a <= b else b,
+    _or: lambda D: lambda a, b: b if a <= b else a,
+    _imp_luk: lambda D: lambda a, b: D if a <= b else D - a + b,
+    _imp_godel: lambda D: lambda a, b: D if a <= b else b,
+    _imp_bool: lambda D: lambda a, b: D - a if D - a > b else b,
+    _neg_luk: lambda D: lambda a: D - a,
+    _and_strong: lambda D: lambda a, b: a + b - D if a + b > D else 0,
+    _oplus: lambda D: lambda a, b: a + b if a + b < D else D,
+    _ominus: lambda D: lambda a, b: a - b if a > b else 0,
+    _delta: lambda D: lambda a: D if a == D else 0,
+}
+
+
 _MV_OPS = {
     "and": _and,
     "or": _or,

@@ -30,7 +30,12 @@ def _parse_assignment(text: str) -> dict[str, Fraction]:
         if "=" not in item:
             raise InputError(f"bad assignment entry {item!r}, expected name=value")
         name, value = item.split("=", 1)
-        out[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if not name:
+            raise InputError(f"bad assignment entry {item!r}: empty variable name")
+        if name in out:
+            raise InputError(f"variable {name!r} assigned more than once")
+        out[name] = parse_rational(value)
     return out
 
 

@@ -19,6 +19,13 @@ constants and connectives are checked against the algebra, and constant
 subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
+
+A program whose live code neither multiplies nor divides (no `odot` or
+`imp_pi`) runs on integer numerators over one denominator D.  The
+Lukasiewicz connectives are piecewise linear with integer coefficients
+(McNaughton, 1951) and the Godel, Boolean and delta ones return an argument,
+0 or 1, so on values over D each returns a value over D: its integer twin
+(`algebra.INTEGER_TWINS`) computes D times that value exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +33,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import ARITY, ONE, ZERO, Algebra, as_truth_value
+from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
 from .errors import InputError, SemanticError
 
 
@@ -326,6 +334,10 @@ class Program:
     identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
     x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
     have their variables checked by `run`, so folding hides no error.
+
+    When every live connective has an integer twin, `run` scales constants
+    and assignment to numerators over a common denominator D, runs the same
+    instructions on the twins and returns `Fraction(n, D)` for each root.
     """
 
     def __init__(self, roots: Sequence[Formula], alg: Algebra):
@@ -396,19 +408,26 @@ class Program:
         self._variables = [(what, index) for index, what in enumerate(shape)
                            if type(what) is str]
         self._code = []         # (fn, result slot, argument slots), topologically
+        self._ops = []          # each instruction's interpretation, unwrapped
         for index, what in enumerate(shape):
             if live[index] and type(what) is tuple:
                 fn, args = what
+                self._ops.append(fn)
                 self._code.append((fn if len(args) == 2 else _as_binary(fn),
                                    index, args[0], args[-1]))
         self._roots = roots
+        # Every constant's denominator divides `_scale`; None keeps the
+        # Fraction ops, for a live connective without an integer twin.
+        self._scale = lcm(*(v.denominator for v in known if v is not None)) \
+            if all(fn in INTEGER_TWINS for fn in self._ops) else None
+        self._kernel = None     # the last (D, twin code, constant numerators)
 
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
         variable of the formulas, folded away or not, a value in the domain."""
         alg = self.algebra
-        values = list(self._slots)
-        for name, index in self._variables:
+        given = []
+        for name, _ in self._variables:
             try:
                 value = assignment[name]
             except KeyError:
@@ -416,10 +435,26 @@ class Program:
             if not alg.contains(value):
                 raise SemanticError(
                     f"assignment {name} = {value} outside the domain of {alg.id}")
+            given.append(value)
+        scale, code, slots = 1, self._code, self._slots
+        if self._scale is not None:
+            kernel, d = self._kernel, lcm(*(v.denominator for v in given))
+            if kernel is None or kernel[0] % d:
+                scale = lcm(self._scale, d)
+                twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
+                kernel = self._kernel = (scale, [
+                    (twin[op] if fn is op else _as_binary(twin[op]), out, a, b)
+                    for op, (fn, out, a, b) in zip(self._ops, self._code)], [
+                    v if v is None else v.numerator * (scale // v.denominator)
+                    for v in slots])
+            scale, code, slots = kernel
+            given = [v.numerator * (scale // v.denominator) for v in given]
+        values = list(slots)
+        for (_, index), value in zip(self._variables, given):
             values[index] = value
-        for fn, out, a, b in self._code:
+        for fn, out, a, b in code:
             values[out] = fn(values[a], values[b])
-        return [values[r] for r in self._roots]
+        return [Fraction(values[r], scale) for r in self._roots]
 
 
 def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fraction:

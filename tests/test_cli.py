@@ -38,6 +38,18 @@ def test_eval_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("assign, message", [
+    ("x=1/2,x=1/3", "'x' assigned more than once"),
+    ("x=1/2, x =1/3", "'x' assigned more than once"),
+    ("=1", "empty variable name"),
+    ("x=1, =1/2", "empty variable name"),
+])
+def test_eval_ambiguous_assignment_is_input_error(capsys, assign, message):
+    code, out, err = run(capsys, "eval", "--algebra", "STD_L",
+                         "--formula", "x", "--assign", assign)
+    assert code == 2 and out == "" and message in err
+
+
 def test_eval_formula_file(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("c(1/2) + c(1/4)\n", encoding="utf-8")

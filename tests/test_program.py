@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgames import App, Const, Var, catalog_lookup, evaluate, parse, to_text
+from mvgames.algebra import INTEGER_TWINS
 from mvgames.equilibria import build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
 from mvgames.formula import Program
@@ -107,6 +108,61 @@ def test_program_raises_what_reference_raises(case, missing):
         assert str(info.value) == str(exc)
     else:
         assert Program(roots, alg).run(env) == expected
+
+
+@pytest.mark.parametrize("op", sorted(INTEGER_TWINS, key=lambda fn: fn.__name__),
+                         ids=lambda fn: fn.__name__)
+@PROPERTY
+@given(st.sampled_from([1, 2, 12, 1000003]).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))))
+def test_integer_twin_is_the_scaled_op(op, case):
+    d, a, b = case
+    twin = INTEGER_TWINS[op](d)
+    if op.__code__.co_argcount == 1:
+        pairs = [(twin(a), op(F(a, d))), (twin(b), op(F(b, d)))]
+    else:
+        pairs = [(twin(a, b), op(F(a, d), F(b, d)))]
+    for got, value in pairs:
+        assert type(got) is int and got == d * value
+
+
+# Runs of one program whose assignments' denominators change from run to
+# run; L_4_C takes chain elements, and the product algebras keep their
+# Fraction ops wherever odot or => stays live.
+STEPS = {name: [F(1, 3), F(2, 7), F(1, 1000003), F(1, 3)]
+         for name in ("STD_QG_DELTA", "STD_QL_DELTA", "STD_PL", "STD_LPI")}
+STEPS["L_4_C"] = [F(1, 4), F(1, 2), ONE, F(3, 4), F(1, 4)]
+
+
+def run_steps(program, alg, roots):
+    for value in STEPS[alg.id]:
+        env = {"x": value, "y": ONE - value, "z": ONE}
+        got = program.run(env)
+        assert got == [reference(f, alg, env) for f in roots]
+        assert all(type(v) is Fraction for v in got)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(STEPS)).flatmap(lambda name: st.tuples(
+    st.just(catalog_lookup(name)),
+    st.lists(formulas(catalog_lookup(name)), min_size=1, max_size=3))))
+def test_program_follows_changing_denominators(case):
+    alg, roots = case
+    run_steps(Program(roots, alg), alg, roots)
+
+
+@pytest.mark.parametrize("name, text, product_live", [
+    ("STD_PL", "(x * y) \\/ z", True),
+    ("STD_PL", "((x * 0) \\/ y) + (x * 1)", False),
+    ("STD_PL", "(c(1/2) * c(2/3)) -> x", False),
+    ("STD_LPI", "(x => y) /\\ x", True),
+    ("STD_LPI", "(c(1/2) => c(1/3)) + (x & ~y)", False),
+])
+def test_product_connectives_keep_fraction_ops_only_while_live(name, text, product_live):
+    alg, roots = catalog_lookup(name), [parse(text)]
+    program = Program(roots, alg)
+    assert (program._scale is None) == product_live
+    run_steps(program, alg, roots)
 
 
 L4 = catalog_lookup("L_4")
