@@ -13,7 +13,7 @@ from .equilibria import (MixedNEEncoding, PureNEEncoding, build_gamma, build_gam
                          build_mixed_encoding, build_prob_distr, check_mixed_ne,
                          decide_pure_ne)
 from .errors import EngineError, InputError, SemanticError
-from .formula import (App, Const, Formula, Var, evaluate, free_variables, parse,
+from .formula import (App, Const, Formula, Subst, Var, evaluate, free_variables, parse,
                       substitute, to_text)
 from .game import (GameFlags, LogicalGame, MixedProfile, StrategicGame, classify,
                    dirac, logical_to_strategic, payoff, pure_equilibria_check,

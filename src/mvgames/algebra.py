@@ -42,13 +42,23 @@ ARITY = {
     "delta": 1,
 }
 
+# Python's int/str digit limit: `Fraction` would expand a longer exponent
+# in full, and could not print a longer numerator or denominator.
+MAX_DIGITS = 4300
+_TOO_LONG, _EXPONENT = 10 ** MAX_DIGITS, re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'm/n' or integer shorthand 'k' into an exact rational."""
+    """Parse 'm/n', integer shorthand 'k' or a decimal such as '2.5e-3' into
+    an exact rational; exponents and parts are bounded by MAX_DIGITS."""
     if not isinstance(text, str):
         raise InputError(f"bad rational literal {text!r}: expected a string like '1/2'")
     try:
-        return Fraction(text.strip())
+        exp = _EXPONENT.search(text)
+        value = None if exp and abs(int(exp[1])) > MAX_DIGITS else Fraction(text.strip())
+        if value is None or max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+            raise ValueError(f"exponent or digits beyond {MAX_DIGITS}")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {text!r}: {exc}") from None
 

@@ -37,7 +37,7 @@ from .algebra import ONE, Algebra, catalog_lookup, format_rational, is_subreduct
 from .chars import pseudo_char
 from .errors import SemanticError
 from .game import LogicalGame, MixedProfile, ValueTuple, classify, relevant_elements
-from .formula import App, Const, Var, conj_all, disj_all, odot_all, oplus_all
+from .formula import App, Const, Subst, Var, conj_all, disj_all, odot_all, oplus_all
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -67,14 +67,16 @@ class PureNEEncoding:
 
 def _gamma_conjuncts(lg: LogicalGame, node_at: dict) -> list[fm.Formula]:
     """One conjunct per (player, strategy s): phi_i(node_at[s]) -> phi_i(v),
-    where node_at maps each value in s to the node plugged in for it."""
+    where node_at maps each value in s to the node plugged in for it; as
+    `Subst`s, every conjunct deviating to one profile shares phi_i's run."""
     conjuncts = []
     for i, phi in enumerate(lg.payoff_formulas):
         names = lg.variables[i]
+        played = Subst(phi, ())
         for strategy in lg.strategies[i]:
-            deviated = fm.substitute(phi, {name: node_at[value]
-                                           for name, value in zip(names, strategy)})
-            conjuncts.append(App("imp", (deviated, phi)))
+            deviated = Subst(phi, tuple((name, node_at[value])
+                                        for name, value in zip(names, strategy)))
+            conjuncts.append(App("imp", (deviated, played)))
     return conjuncts
 
 
@@ -231,10 +233,10 @@ def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> Mixe
     terms = [[] for _ in range(n)]
     dev_terms = [[[] for _ in block] for block in lg.strategies]
     for ranks in itertools.product(*[range(len(b)) for b in lg.strategies]):
-        values = {name: Const(x) for i, rank in enumerate(ranks)
-                  for name, x in zip(lg.variables[i], lg.strategies[i][rank])}
+        values = tuple((name, Const(x)) for i, rank in enumerate(ranks)
+                       for name, x in zip(lg.variables[i], lg.strategies[i][rank]))
         for i, phi in enumerate(lg.payoff_formulas):
-            plugged = fm.substitute(phi, values)
+            plugged = Subst(phi, values)
             terms[i].append(App("odot", (plugged, odot_all(
                 prob[j][ranks[j]] for j in range(n)))))
             dev_terms[i][ranks[i]].append(App("odot", (plugged, odot_all(

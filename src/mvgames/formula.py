@@ -6,7 +6,7 @@ Grammar tokens: `/\\` (and), `\\/` (or), `->` (imp), `=>` (imp_pi),
 as aliases for the lattice bounds.  Precedence, loosest to tightest:
 `->`,`=>` (right-associative) < `\\/`,`+`,`-` (left) < `/\\`,`&`,`*` (left)
 < `~`,`D` (prefix).  The printer emits a fully parenthesized canonical form;
-printing then parsing is the identity.
+printing then parsing is the identity, once each `Subst` is carried out.
 
 Formulas are immutable and may share subterms.  Every traversal -- the
 printer, free variables, substitution and compilation -- walks the DAG once
@@ -19,6 +19,8 @@ constants and connectives are checked against the algebra, and constant
 subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
+An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
+for its literal copy: a program compiles the body once and calls it, memoized.
 
 A program whose live code neither multiplies nor divides (no `odot` or
 `imp_pi`) runs on integer numerators over one denominator D.  The
@@ -56,7 +58,13 @@ class App:
     args: tuple["Formula", ...]
 
 
-Formula = Union[Var, Const, App]
+@dataclass(frozen=True)
+class Subst:
+    body: "Formula"
+    bindings: tuple[tuple[str, "Formula"], ...]     # (name, formula) pairs
+
+
+Formula = Union[Var, Const, App, Subst]
 
 
 def app(op: str, *args: Formula) -> App:
@@ -272,7 +280,11 @@ _OP_TOKEN = {name: tok for tok, name in _BINARY_TOKENS.items()}
 
 
 def to_text(f: Formula) -> str:
-    """Fully parenthesized canonical form; parse(to_text(f)) == f."""
+    """Fully parenthesized canonical form; parse(to_text(f)) == substitute(f, {})."""
+    return _text(f)
+
+
+def _text(f: Formula) -> str:
     text: dict[int, str] = {}
     for node in _post_order([f]):
         if type(node) is Var:
@@ -284,6 +296,8 @@ def to_text(f: Formula) -> str:
                 out = "1"
             else:
                 out = f"c({node.value})"
+        elif type(node) is Subst:
+            out = _text(substitute(node, {}))
         elif node.op == "neg":
             out = "~" + text[id(node.args[0])]
         elif node.op == "delta":
@@ -333,7 +347,11 @@ class Program:
     signature; subterms with constant arguments are folded, as are the
     identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
     x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
-    have their variables checked by `run`, so folding hides no error.
+    have their variables checked by `run`, so folding hides no error.  Each
+    `Subst` body is compiled once into a sub-program, called on the bound
+    variables and constants and the body's other variables: before the
+    instructions, on the caller's D, memoized on those inputs, and folded
+    if all are constant.  Other `Subst`s call their literal copy's program.
 
     When every live connective has an integer twin, `run` scales constants
     and assignment to numerators over a common denominator D, runs the same
@@ -344,12 +362,13 @@ class Program:
         self.algebra = alg
         ops = alg.ops
         known: list = []        # per compiled node: its value if constant, else None
-        shape: list = []        # per compiled node: None, a variable name, or (fn, args)
+        shape: list = []        # per node: None, a variable name, (fn or sub-program, args)
         # Hash-consing: a variable's name, a constant's (numerator,
         # denominator) and a connective's (op, *argument nodes) map to the
         # node they compiled to, folded or not.
         consed: dict = {}
         ref: dict[int, int] = {}
+        subs: dict[int, Program] = {}   # id(body) -> its sub-program
 
         def new(value, what) -> int:
             known.append(value)
@@ -363,18 +382,41 @@ class Program:
                 index = consed[key] = new(value, None)
             return index
 
+        def variable(name) -> int:
+            index = consed.get(name)
+            if index is None:
+                index = consed[name] = new(None, name)
+            return index
+
+        def call(node: Subst) -> int:
+            body, bound, sub = node.body, dict(node.bindings), None
+            if all(type(v) is Var or type(v) is Const and alg.contains(v.value)
+                   for v in bound.values()):
+                try:
+                    sub = subs.get(id(body)) or subs.setdefault(id(body), Program([body], alg))
+                except SemanticError:
+                    pass
+            if sub is None:     # the literal copy's program raises what the copy raises
+                bound, sub = {}, Program([substitute(node, {})], alg)
+            args = [variable(v.name) if type(v) is Var else constant(v.value)
+                    for v in (bound.get(name, Var(name)) for name, _ in sub._variables)]
+            if all(known[a] is not None for a in args):
+                return constant(sub.run({name: known[a] for (name, _), a
+                                         in zip(sub._variables, args)})[0])
+            return new(None, (sub, tuple(args)))
+
         one = constant(ONE)
         for f in _post_order(roots):
             if type(f) is Var:
-                index = consed.get(f.name)
-                if index is None:
-                    index = consed[f.name] = new(None, f.name)
-                ref[id(f)] = index
+                ref[id(f)] = variable(f.name)
                 continue
             if type(f) is Const:
                 if not alg.contains(f.value):
                     raise SemanticError(f"constant {f.value} outside the domain of {alg.id}")
                 ref[id(f)] = constant(f.value)
+                continue
+            if type(f) is Subst:
+                ref[id(f)] = call(f)
                 continue
             op, fn, fargs = f.op, ops.get(f.op), f.args
             args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
@@ -409,52 +451,72 @@ class Program:
                            if type(what) is str]
         self._code = []         # (fn, result slot, argument slots), topologically
         self._ops = []          # each instruction's interpretation, unwrapped
+        self._calls = [(what[0], index, what[1]) for index, what in enumerate(shape)
+                       if live[index] and type(what) is tuple and type(what[0]) is Program]
         for index, what in enumerate(shape):
-            if live[index] and type(what) is tuple:
+            if live[index] and type(what) is tuple and type(what[0]) is not Program:
                 fn, args = what
                 self._ops.append(fn)
                 self._code.append((fn if len(args) == 2 else _as_binary(fn),
                                    index, args[0], args[-1]))
         self._roots = roots
-        # Every constant's denominator divides `_scale`; None keeps the
-        # Fraction ops, for a live connective without an integer twin.
-        self._scale = lcm(*(v.denominator for v in known if v is not None)) \
-            if all(fn in INTEGER_TWINS for fn in self._ops) else None
-        self._kernel = None     # the last (D, twin code, constant numerators)
+        # Every constant's denominator, here and in the sub-programs called,
+        # divides `_scale`; None keeps the Fraction ops, as in those.
+        scales = [sub._scale for sub, _, _ in self._calls]
+        self._scale = lcm(*(v.denominator for v in known if v is not None), *scales) \
+            if None not in scales and all(fn in INTEGER_TWINS for fn in self._ops) else None
+        self._kernel = None     # the last (D, code, constants) built
+        self._memo: dict = {}   # a sub-program's root value by (D, *inputs)
+        self._checked: set[Fraction] = set()    # assigned values known to be in the domain
+
+    def _execute(self, scale, inputs) -> list:
+        """Root values on `inputs`: numerators over `scale`, or Fractions for None."""
+        kernel = self._kernel
+        if kernel is None or kernel[0] != scale:
+            code, slots = self._code, self._slots
+            if scale is not None:
+                twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
+                code = [(twin[op] if fn is op else _as_binary(twin[op]), out, a, b)
+                        for op, (fn, out, a, b) in zip(self._ops, code)]
+                slots = [v if v is None else v.numerator * (scale // v.denominator)
+                         for v in slots]
+            kernel = self._kernel = (scale, code, slots)
+        values = list(kernel[2])
+        for (_, index), value in zip(self._variables, inputs):
+            values[index] = value
+        for sub, out, args in self._calls:
+            key = (scale, *[values[a] for a in args])
+            value = sub._memo.get(key)
+            if value is None:
+                value = sub._memo[key] = sub._execute(scale, key[1:])[0]
+            values[out] = value
+        for fn, out, a, b in kernel[1]:
+            values[out] = fn(values[a], values[b])
+        return [values[r] for r in self._roots]
 
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
         variable of the formulas, folded away or not, a value in the domain."""
-        alg = self.algebra
+        alg, checked = self.algebra, self._checked
         given = []
         for name, _ in self._variables:
             try:
                 value = assignment[name]
             except KeyError:
                 raise SemanticError(f"unknown variable {name!r}") from None
-            if not alg.contains(value):
-                raise SemanticError(
-                    f"assignment {name} = {value} outside the domain of {alg.id}")
+            if type(value) is not Fraction or value not in checked:
+                if not alg.contains(value):
+                    raise SemanticError(
+                        f"assignment {name} = {value} outside the domain of {alg.id}")
+                if type(value) is Fraction:
+                    checked.add(value)
             given.append(value)
-        scale, code, slots = 1, self._code, self._slots
+        scale = None
         if self._scale is not None:
-            kernel, d = self._kernel, lcm(*(v.denominator for v in given))
-            if kernel is None or kernel[0] % d:
-                scale = lcm(self._scale, d)
-                twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
-                kernel = self._kernel = (scale, [
-                    (twin[op] if fn is op else _as_binary(twin[op]), out, a, b)
-                    for op, (fn, out, a, b) in zip(self._ops, self._code)], [
-                    v if v is None else v.numerator * (scale // v.denominator)
-                    for v in slots])
-            scale, code, slots = kernel
+            d, kernel = lcm(*(v.denominator for v in given)), self._kernel
+            scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._scale, d)
             given = [v.numerator * (scale // v.denominator) for v in given]
-        values = list(slots)
-        for (_, index), value in zip(self._variables, given):
-            values[index] = value
-        for fn, out, a, b in code:
-            values[out] = fn(values[a], values[b])
-        return [Fraction(values[r], scale) for r in self._roots]
+        return [Fraction(v, scale or 1) for v in self._execute(scale, given)]
 
 
 def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -470,14 +532,18 @@ def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fr
 
 def free_variables(f: Formula) -> list[str]:
     """Variable names in first-occurrence, left-to-right order."""
-    return list(dict.fromkeys(node.name for node in _post_order([f])
-                              if type(node) is Var))
+    names: dict[str, None] = {}
+    for node in _post_order([f]):
+        if type(node) is Var:
+            names[node.name] = None
+        elif type(node) is Subst:
+            names.update(dict.fromkeys(free_variables(substitute(node, {}))))
+    return list(names)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Simultaneous substitution; variables outside the mapping are unchanged."""
-    if not mapping:
-        return f
+    """Simultaneous substitution; variables outside the mapping are unchanged.
+    Every `Subst` is carried out, so the result holds none."""
     image: dict[int, Formula] = {}
     for node in _post_order([f]):
         if type(node) is App:
@@ -491,6 +557,8 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
                     else App(node.op, (first, second))
         elif type(node) is Var:
             result = mapping.get(node.name, node)
+        elif type(node) is Subst:
+            result = substitute(substitute(node.body, dict(node.bindings)), mapping)
         else:
             result = node
         image[id(node)] = result

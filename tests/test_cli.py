@@ -50,6 +50,19 @@ def test_eval_ambiguous_assignment_is_input_error(capsys, assign, message):
     assert code == 2 and out == "" and message in err
 
 
+# Fraction expands exponent notation in full: 1e99999999 never finished,
+# and 1e4300 parsed to a value too long to print (exit 4).
+@pytest.mark.parametrize("value, code, out", [
+    ("1e99999999", 2, ""), ("1e-99999999", 2, ""), ("1E+4301", 2, ""), ("1e4300", 2, ""),
+    ("0.5", 0, "1/2"), ("1e-1", 0, "1/10"), ("2.5e-3", 0, "1/400"),
+])
+def test_eval_rational_literal_exponents(capsys, value, code, out):
+    got, stdout, err = run(capsys, "eval", "--algebra", "STD_QL",
+                           "--formula", "x", "--assign", f"x={value}")
+    assert got == code and stdout.strip() == out
+    assert ("bad rational literal" in err) == (code == 2)
+
+
 def test_eval_formula_file(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("c(1/2) + c(1/4)\n", encoding="utf-8")
@@ -236,6 +249,11 @@ def test_profile_with_non_integer_strategy_id_is_input_error(capsys, tmp_path):
 def test_profile_with_non_map_player_entry_is_input_error(capsys, tmp_path):
     code, _, err = _mixed_verify(capsys, tmp_path, [["1"], {"0": "1"}])
     assert code == 2 and "input error" in err and "player 1" in err
+
+
+def test_profile_with_huge_exponent_is_input_error(capsys, tmp_path):
+    code, _, err = _mixed_verify(capsys, tmp_path, [{"0": "1e99999999"}, {"0": "1"}])
+    assert code == 2 and "beyond 4300" in err
 
 
 def _write_json(tmp_path, name, doc):

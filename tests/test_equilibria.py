@@ -12,9 +12,10 @@ from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      logical_to_strategic, love_and_hate, matching_pennies,
                      new_technology, parse, pure_ne_scan,
                      represent_binary_boolean, verify_mixed)
-from mvgames.equilibria import (build_encoding, build_gamma, build_gamma_weak,
-                                build_mixed_encoding, build_prob_distr,
-                                lift_algebra_for_mixed, satisfies_gamma)
+from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
+                                build_gamma, build_gamma_weak, build_mixed_encoding,
+                                build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
+from mvgames.formula import substitute
 from mvgames.errors import SemanticError
 from conftest import random_distribution, random_logical_game
 
@@ -278,3 +279,48 @@ def test_check_mixed_agrees_with_oracle_on_random_profiles(seed):
             assert verdict == verify_mixed(table, profile)
             agree_true += verdict
     assert agree_true > 20       # both directions of the equivalence exercised
+
+
+# The encodings hold explicit substitutions; materialized, they are the
+# literal encodings, and both must give the same answers.
+
+def _literal_gamma(enc):
+    return PureNEEncoding(enc.game, substitute(enc.gamma, {}),
+                          substitute(enc.existence, {}), enc.aux_q, enc.variant)
+
+
+def _literal_mixed(enc):
+    return MixedNEEncoding(enc.game, enc.algebra, enc.prob_vars, enc.prob_distr,
+                           tuple(substitute(e, {}) for e in enc.expected),
+                           tuple(tuple(substitute(d, {}) for d in devs)
+                                 for devs in enc.expected_dev),
+                           substitute(enc.full, {}))
+
+
+def test_gamma_routes_decide_as_literal_encodings(battery_representations):
+    routes = set()
+    for index, (method, rep) in enumerate(battery_representations):
+        lg = rep.target
+        encodings = [build_encoding(lg)]
+        if encodings[0].variant == "EXPRESSIBLE" and index % 10 == 0:
+            encodings.append(build_gamma_weak(lg))
+        for enc in encodings:
+            routes.add(enc.variant)
+            assert decide_pure_ne(lg, enc) == decide_pure_ne(lg, _literal_gamma(enc)), method
+    assert routes == {"EXPRESSIBLE", "WEAKLY_EXPRESSIBLE"}
+
+
+def test_mixed_check_as_literal_encoding(seed, battery_representations):
+    rng = random.Random(seed)
+    games = [random_logical_game(rng) for _ in range(30)] + [
+        rep.target for index, (method, rep) in enumerate(battery_representations)
+        if method in ("ab_i", "ab_ii", "ab_iii", "vii") and index % 20 == 0]
+    for lg in games:
+        enc = build_mixed_encoding(lg)
+        literal = _literal_mixed(enc)
+        counts = [len(block) for block in lg.strategies]
+        profiles = [MixedProfile(tuple(random_distribution(rng, c) for c in counts)),
+                    dirac(counts, tuple(rng.randrange(c) for c in counts))]
+        for profile in profiles:
+            assert check_mixed_ne(lg, profile, enc=enc) == \
+                check_mixed_ne(lg, profile, enc=literal)

@@ -75,6 +75,7 @@ def test_lgame_from_json(doc):
 @given(json_values | st.lists(st.dictionaries(st.sampled_from(["0", "1", "2", "a", " 1"]),
                                               scalars, max_size=3), max_size=3),
        st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@example([{"0": "1e99999999"}, {"0": "1"}], [2, 2])
 def test_profile_from_json(doc, counts):
     _only_contract_errors(profile_from_json, doc, counts)
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import App, Const, Var, catalog_lookup, evaluate, parse, to_text
+from mvgames import (App, Const, Subst, Var, catalog_lookup, evaluate, free_variables,
+                     parse, substitute, to_text)
 from mvgames.algebra import INTEGER_TWINS
 from mvgames.equilibria import build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
@@ -235,3 +236,111 @@ def test_mixed_trace_equals_separate_evaluations(seed):
         ok, trace = check_mixed_ne(lg, profile, enc=enc)
         assert trace == [(name, evaluate(f, enc.algebra, env)) for name, f in roots]
         assert ok == (trace[-1][1] == ONE)
+
+
+# --- explicit substitution -----------------------------------------------------
+# A Subst must behave as its literal copy, substitute(f, {}): the same
+# text, free variables, values and errors, whether its bindings are
+# constants, variables or compound formulas (copied), however Substs nest
+# and however many of them share a body.
+
+def substituted(alg, pool):
+    """Formulas with Subst nodes over the bodies in `pool`, shared by
+    identity.  Binding constants may lie outside a chain's domain and
+    connectives may include odot, outside most signatures."""
+    leaves = st.one_of(st.sampled_from([Var(n) for n in NAMES]),
+                       st.sampled_from(values_of(alg) + [F(2, 5)]).map(Const))
+    binary = sorted(set(alg.ops) - {"neg", "delta"}) + ["odot"]
+
+    def extend(children):
+        bindings = st.dictionaries(st.sampled_from(NAMES), st.one_of(leaves, leaves, children),
+                                   max_size=3)
+        return st.one_of(
+            st.tuples(st.sampled_from(pool) | children, bindings).map(
+                lambda t: Subst(t[0], tuple(t[1].items()))),
+            st.tuples(st.sampled_from(binary), children, children).map(
+                lambda t: App(t[0], (t[1], t[2]))))
+
+    return st.recursive(st.sampled_from(pool) | leaves, extend, max_leaves=8)
+
+
+@st.composite
+def subst_cases(draw):
+    alg = draw(st.sampled_from(ALGEBRAS))
+    pool = draw(st.lists(formulas(alg), min_size=1, max_size=2))
+    pool.append(App("imp", (pool[0], App("or", (Var("x"), Var("y"))))))
+    roots = draw(st.lists(substituted(alg, pool), min_size=1, max_size=3))
+    calls = st.dictionaries(st.sampled_from(NAMES), st.sampled_from([Var(n) for n in NAMES])
+                            | st.sampled_from(values_of(alg)).map(Const), max_size=2)
+    roots += [Subst(body, tuple(draw(calls).items())) for body in pool]
+    env = {n: draw(st.sampled_from(values_of(alg))) for n in NAMES}
+    return alg, roots, env
+
+
+def outcome(roots, alg, env):
+    try:
+        return Program(roots, alg).run(env)
+    except SemanticError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(subst_cases(), st.sampled_from(NAMES + (None,)))
+def test_subst_behaves_as_its_literal_copy(case, missing):
+    alg, roots, env = case
+    literal = [substitute(f, {}) for f in roots]
+    assert [to_text(f) for f in roots] == [to_text(f) for f in literal]
+    assert [parse(to_text(f)) for f in roots] == literal
+    assert [free_variables(f) for f in roots] == [free_variables(f) for f in literal]
+    if missing is not None:
+        del env[missing]
+    # A live x * y keeps the Fraction ops; without odot and => every
+    # program runs on the integer kernel.
+    for extra in ([App("odot", (Var("x"), Var("y")))] if "odot" in alg.ops else [], []):
+        got = outcome(roots + extra, alg, env)
+        assert got == outcome(literal + extra, alg, env)
+        if type(got) is str:
+            continue
+        assert got == [reference(f, alg, env) for f in literal + extra]
+        assert all(type(v) is Fraction for v in got)
+        if extra or not {"odot", "imp_pi"} & set(alg.ops):
+            assert (Program(roots + extra, alg)._scale is None) == bool(extra)
+
+
+W, GHOST = Var("w"), Var("ghost")
+QUARTER = Const(F(1, 4))
+SUBST_ERRORS = {
+    "binding constant outside the domain": (
+        Subst(App("or", (X, W)), (("w", Const(F(1, 3))),)),
+        "constant 1/3 outside the domain of L_4"),
+    "connective outside the signature in the body": (
+        Subst(App("or", (W, App("odot", (X, X)))), (("w", QUARTER),)),
+        "connective 'odot' not in signature of L_4"),
+    "unassigned free variable of the body": (
+        Subst(App("and", (W, GHOST)), (("w", QUARTER),)),
+        "unknown variable 'ghost'"),
+    # The copy's first error in its own order, not the body's or the bindings'.
+    "binding constant before the body's connective": (
+        Subst(App("and", (W, App("odot", (X, X)))), (("w", Const(F(1, 3))),)),
+        "constant 1/3 outside the domain of L_4"),
+    "body's connective before the binding constant": (
+        Subst(App("and", (App("odot", (X, X)), W)), (("w", Const(F(1, 3))),)),
+        "connective 'odot' not in signature of L_4"),
+    "bound variable before the body's free one": (
+        Subst(App("and", (X, GHOST)), (("x", Var("phantom")),)),
+        "unknown variable 'phantom'"),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("error", SUBST_ERRORS)
+def test_subst_raises_what_its_copy_raises(shape, error):
+    subst, message = SUBST_ERRORS[error]
+    f = SHAPES[shape](subst)
+    env = {"x": F(1, 4), "y": F(1, 3)}
+    for attempt in (lambda: Program([Var("x"), f], L4).run(env),
+                    lambda: Program([Var("x"), substitute(f, {})], L4).run(env),
+                    lambda: evaluate(f, L4, env)):
+        with pytest.raises(SemanticError) as info:
+            attempt()
+        assert str(info.value) == message
