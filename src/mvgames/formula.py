@@ -5,8 +5,10 @@ Grammar tokens: `/\\` (and), `\\/` (or), `->` (imp), `=>` (imp_pi),
 `*` (odot), `D` (delta, prefix), `c(m/n)` rational constants with `0` and `1`
 as aliases for the lattice bounds.  Precedence, loosest to tightest:
 `->`,`=>` (right-associative) < `\\/`,`+`,`-` (left) < `/\\`,`&`,`*` (left)
-< `~`,`D` (prefix).  The printer emits a fully parenthesized canonical form;
-printing then parsing is the identity, once each `Subst` is carried out.
+< `~`,`D` (prefix).  Whitespace, newlines included, may come between tokens
+and inside `c(m/n)`; a `ParseError` gives the 1-based line and column.  The
+printer emits a fully parenthesized canonical form; printing then parsing
+is the identity, once each `Subst` is carried out.
 
 Formulas are immutable and may share subterms.  Every traversal -- the
 printer, free variables, substitution and compilation -- walks the DAG once
@@ -114,12 +116,16 @@ class ParseError(InputError):
         self.column = column
 
 
+# Each match is whitespace, then a token, the end of the text or a character
+# that starts no token (`bad`): nothing is skipped, and no space read twice.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<const>c\(\s*-?\d+\s*(?:/\s*\d+\s*)?\))
-      | (?P<op>/\\|\\/|->|=>|[~&+\-*()])
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    r"""\s*(?:
+        (?P<const>c\(\s*-?\d+\s*(?:/\s*\d+\s*)?\))
+      | (?P<op>/\\|\\/|->|=>|[~&+\-*()]|D(?![A-Za-z0-9_]))
+      | (?P<var>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<num>\d+)
+      | (?P<end>\Z)
+      | (?P<bad>\S))
     """,
     re.VERBOSE,
 )
@@ -130,60 +136,34 @@ _BINARY_TOKENS = {
 }
 
 
-@dataclass
-class _Token:
-    kind: str       # "op" | "var" | "const" | "end"
-    text: str
-    value: object
-    line: int
-    column: int
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """The error at character `offset` of `text`, with its line and column."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, lexeme, value, offset) per token, kind "op", "var", "const" or
+    "end"; lexing all first puts a lex error before any parse error."""
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "ws":
-            for ch in lexeme:
-                if ch == "\n":
-                    line, col = line + 1, 1
-                else:
-                    col += 1
-            pos = m.end()
-            continue
+        lexeme, offset, value = m.group(kind), m.start(kind), None
         if kind == "const":
-            body = lexeme[2:-1].replace(" ", "")
             try:
-                value = as_truth_value(Fraction(body))
+                value = as_truth_value(Fraction("".join(lexeme[2:-1].split())))
             except (SemanticError, ValueError, ZeroDivisionError):
-                raise ParseError(f"constant {lexeme} not a rational in [0,1]",
-                                 line, col) from None
-            tokens.append(_Token("const", lexeme, value, line, col))
+                raise _error(f"constant {lexeme} not a rational in [0,1]",
+                             text, offset) from None
         elif kind == "num":
-            if lexeme == "0":
-                tokens.append(_Token("const", lexeme, ZERO, line, col))
-            elif lexeme == "1":
-                tokens.append(_Token("const", lexeme, ONE, line, col))
-            else:
-                raise ParseError(f"bare number {lexeme}: write c({lexeme}/n)",
-                                 line, col)
-        elif kind == "name":
-            if lexeme == "D":
-                tokens.append(_Token("op", "D", None, line, col))
-            else:
-                tokens.append(_Token("var", lexeme, None, line, col))
-        else:
-            tokens.append(_Token("op", lexeme, None, line, col))
-        col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("end", "", None, line, col))
-    return tokens
+            if lexeme not in ("0", "1"):
+                raise _error(f"bare number {lexeme}: write c({lexeme}/n)", text, offset)
+            kind, value = "const", ZERO if lexeme == "0" else ONE
+        elif kind == "bad":
+            raise _error(f"unexpected character {lexeme!r}", text, offset)
+        tokens.append((kind, lexeme, value, offset))
+        if kind == "end":
+            return tokens
 
 
 _PRECEDENCE = {"->": 0, "=>": 0, "\\/": 1, "+": 1, "-": 1, "/\\": 2, "&": 2, "*": 2}
@@ -206,23 +186,19 @@ def parse(text: str) -> Formula:
             right = operands.pop()
             operands[-1] = App(_BINARY_TOKENS[tok], (operands[-1], right))
 
-    for tok in _tokenize(text):
+    for kind, lexeme, value, offset in _tokenize(text):
         if expect_operand:
-            if tok.kind == "var":
-                operands.append(Var(tok.text))
+            if kind == "var" or kind == "const":
+                operands.append(Var(lexeme) if kind == "var" else Const(value))
                 expect_operand = False
-            elif tok.kind == "const":
-                operands.append(Const(tok.value))
-                expect_operand = False
-            elif tok.kind == "op" and tok.text in ("~", "D", "("):
-                pending.append(tok.text)
-                open_parens += tok.text == "("
+            elif lexeme in ("~", "D", "("):
+                pending.append(lexeme)
+                open_parens += lexeme == "("
             else:
-                raise ParseError(
-                    f"expected a formula, found {tok.text or 'end of input'!r}",
-                    tok.line, tok.column)
+                raise _error(f"expected a formula, found {lexeme or 'end of input'!r}",
+                             text, offset)
             continue
-        prec = _PRECEDENCE.get(tok.text) if tok.kind == "op" else None
+        prec = _PRECEDENCE.get(lexeme)
         if prec is not None:
             # Prefix operators bind tightest; -> and => (level 0) associate
             # to the right, every other level to the left.
@@ -230,18 +206,18 @@ def parse(text: str) -> Formula:
                     pending[-1] in _PREFIX or _PRECEDENCE[pending[-1]] > prec
                     or _PRECEDENCE[pending[-1]] == prec > 0):
                 reduce()
-            pending.append(tok.text)
+            pending.append(lexeme)
             expect_operand = True
             continue
         while pending and pending[-1] != "(":
             reduce()
         if open_parens:
-            if not (tok.kind == "op" and tok.text == ")"):
-                raise ParseError("expected ')'", tok.line, tok.column)
+            if lexeme != ")":
+                raise _error("expected ')'", text, offset)
             pending.pop()
             open_parens -= 1
-        elif tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        elif kind != "end":
+            raise _error(f"trailing input {lexeme!r}", text, offset)
     return operands[0]
 
 
@@ -449,22 +425,17 @@ class Program:
         self._slots = known         # constants in place; run fills the rest
         self._variables = [(what, index) for index, what in enumerate(shape)
                            if type(what) is str]
-        self._code = []         # (fn, result slot, argument slots), topologically
-        self._ops = []          # each instruction's interpretation, unwrapped
-        self._calls = [(what[0], index, what[1]) for index, what in enumerate(shape)
-                       if live[index] and type(what) is tuple and type(what[0]) is Program]
-        for index, what in enumerate(shape):
-            if live[index] and type(what) is tuple and type(what[0]) is not Program:
-                fn, args = what
-                self._ops.append(fn)
-                self._code.append((fn if len(args) == 2 else _as_binary(fn),
-                                   index, args[0], args[-1]))
+        # (fn or sub-program, result slot, argument slots), topologically
+        code = [(what[0], index, what[1]) for index, what in enumerate(shape)
+                if live[index] and type(what) is tuple]
+        self._calls = [i for i in code if type(i[0]) is Program]
+        self._code = [i for i in code if type(i[0]) is not Program]
         self._roots = roots
         # Every constant's denominator, here and in the sub-programs called,
         # divides `_scale`; None keeps the Fraction ops, as in those.
         scales = [sub._scale for sub, _, _ in self._calls]
         self._scale = lcm(*(v.denominator for v in known if v is not None), *scales) \
-            if None not in scales and all(fn in INTEGER_TWINS for fn in self._ops) else None
+            if None not in scales and all(i[0] in INTEGER_TWINS for i in self._code) else None
         self._kernel = None     # the last (D, code, constants) built
         self._memo: dict = {}   # a sub-program's root value by (D, *inputs)
         self._checked: set[Fraction] = set()    # assigned values known to be in the domain
@@ -473,13 +444,13 @@ class Program:
         """Root values on `inputs`: numerators over `scale`, or Fractions for None."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
-            code, slots = self._code, self._slots
+            slots, twin = self._slots, {}
             if scale is not None:
                 twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
-                code = [(twin[op] if fn is op else _as_binary(twin[op]), out, a, b)
-                        for op, (fn, out, a, b) in zip(self._ops, code)]
                 slots = [v if v is None else v.numerator * (scale // v.denominator)
                          for v in slots]
+            code = [(twin.get(fn, fn) if len(args) == 2 else _as_binary(twin.get(fn, fn)),
+                     out, args[0], args[-1]) for fn, out, args in self._code]
             kernel = self._kernel = (scale, code, slots)
         values = list(kernel[2])
         for (_, index), value in zip(self._variables, inputs):

@@ -244,11 +244,13 @@ def game_to_json(game: StrategicGame) -> dict:
 
 def game_from_json(doc: dict) -> StrategicGame:
     try:
-        n = int(doc["players"])
+        n = doc["players"]
         names = tuple(tuple(block) for block in doc["strategies"])
         rows = list(doc["payoffs"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad strategic-game document: {exc}") from None
+    if type(n) is not int:
+        raise InputError("players must be a JSON integer")
     if len(names) != n:
         raise InputError("strategies must list one block per player")
     counts = [len(block) for block in names]
@@ -302,23 +304,29 @@ def profile_from_json(doc, counts: Sequence[int]) -> MixedProfile:
             raise InputError(f"player {i + 1}: expected a map of strategy ids "
                              f"to probabilities")
         vector = [Fraction(0)] * count
+        ids = {str(k): k for k in range(count)}     # as profile_to_json writes them
         for key, text in entry.items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise InputError(f"player {i + 1}: strategy id {key!r} is not an "
-                                 f"integer") from None
-            if not 0 <= k < count:
-                raise InputError(f"player {i + 1}: strategy id {k} out of range")
-            vector[k] = parse_rational(text)
+            if key not in ids:
+                raise InputError(f"player {i + 1}: strategy id {key!r} not in 0..{count - 1}")
+            vector[ids[key]] = parse_rational(text)
         vectors.append(tuple(vector))
     return MixedProfile(tuple(vectors))
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_json(path) -> dict:
+    """A JSON document; an object that names one key twice is malformed."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
 

@@ -256,6 +256,33 @@ def test_profile_with_huge_exponent_is_input_error(capsys, tmp_path):
     assert code == 2 and "beyond 4300" in err
 
 
+@pytest.mark.parametrize("profile", [
+    '[{"0": "0", "0": "1"}, {"0": "1"}]',       # one key twice: the last would win
+    '[{"0": "0", "00": "1"}, {"0": "1"}]',      # strategy 0 under two spellings
+    '[{"+0": "1"}, {"0": "1"}]',
+    '[{" 1 ": "1"}, {"0": "1"}]',
+    '[{"\\u0661": "1"}, {"0": "1"}]',          # ARABIC-INDIC DIGIT ONE
+])
+def test_profile_naming_a_strategy_twice_or_by_alias_is_input_error(capsys, tmp_path,
+                                                                     profile):
+    run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
+    (tmp_path / "profile.json").write_text(profile, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "mixed-verify",
+                         "--game", str(tmp_path / "mp" / "game.json"),
+                         "--profile", str(tmp_path / "profile.json"))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+@pytest.mark.parametrize("players", [2.9, True, "2"])
+def test_player_count_must_be_a_json_integer(capsys, tmp_path, players):
+    n = int(players)
+    doc = {"players": players, "strategies": [["a", "b"]] * n,
+           "payoffs": [["0"] * n] * 2 ** n}
+    code, out, err = run(capsys, "oracle", "pure",
+                         "--game", _write_json(tmp_path, "g.json", doc))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
 def _write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,6 +1,9 @@
 """Formula grammar, printer round-trips, and compositional semantics."""
 
 import random
+import re
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 
 from mvgames import (App, Const, Var, apply, catalog_lookup, evaluate,
                      free_variables, parse, substitute, to_text)
+from mvgames.algebra import as_truth_value
 from mvgames.errors import SemanticError
-from mvgames.formula import ParseError, _tokenize
+from mvgames.formula import ParseError
 from conftest import random_formula, random_fraction
 
 STD_QL = catalog_lookup("STD_QL")
@@ -53,6 +57,34 @@ def test_parse_error_reports_position():
         parse("v1 /\\\n  & v2")
     assert info.value.line == 2
     assert info.value.column == 3
+
+
+def test_parse_whitespace_inside_constants():
+    assert parse("c(1\t/2)") == parse("c( 1 /\n2 )") == Const(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    # A constant spanning lines moves the line count past it.
+    ("c(\n1/2)\n/\\ #", "unexpected character '#'", 3, 4),
+    # The whole text is lexed before it is parsed: a lex error comes first.
+    ("v1 ) #", "unexpected character '#'", 1, 6),
+    ("v1 ~ 2", "bare number 2: write c(2/n)", 1, 6),
+    ("( c(3/2)", "constant c(3/2) not a rational in [0,1]", 1, 3),
+])
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line, info.value.column) == \
+        (f"{message} (line {line}, column {column})", line, column)
+
+
+def test_parse_is_linear_in_trailing_whitespace():
+    # Quadratic lexing would take tens of seconds on the first text and
+    # hours on the second: fail on the first rather than hang on the second.
+    for spaces, seconds in ((20_000, 1), (10**6, 5)):
+        start = time.perf_counter()
+        assert parse("v" + " " * spaces) == Var("v")
+        assert time.perf_counter() - start < seconds
 
 
 def test_print_parse_round_trip(seed):
@@ -162,10 +194,62 @@ def test_parse_deep_nesting():
     assert to_text(chain) == "(v -> " * 4999 + "v" + ")" * 4999
 
 
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<const>c\(\s*-?\d+\s*(?:/\s*\d+\s*)?\))
+      | (?P<op>/\\|\\/|->|=>|[~&+\-*()])
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<num>\d+)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class Token:
+    kind: str       # "op" | "var" | "const" | "end"
+    text: str
+    value: object
+    line: int
+    column: int
+
+
+def reference_tokenize(text):
+    """Token by token, moving the line and column over every character read,
+    whitespace and lexemes alike; independent of the package's lexer."""
+    tokens, pos, line, col = [], 0, 1, 1
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "const":
+            try:
+                value = as_truth_value(Fraction(re.sub(r"\s", "", lexeme[2:-1])))
+            except (SemanticError, ValueError, ZeroDivisionError):
+                raise ParseError(f"constant {lexeme} not a rational in [0,1]",
+                                 line, col) from None
+            tokens.append(Token("const", lexeme, value, line, col))
+        elif kind == "num":
+            if lexeme not in ("0", "1"):
+                raise ParseError(f"bare number {lexeme}: write c({lexeme}/n)",
+                                 line, col)
+            tokens.append(Token("const", lexeme, Fraction(lexeme), line, col))
+        elif kind == "name":
+            tokens.append(Token("op" if lexeme == "D" else "var", lexeme, None, line, col))
+        elif kind == "op":
+            tokens.append(Token("op", lexeme, None, line, col))
+        for ch in lexeme:
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+        pos = m.end()
+    tokens.append(Token("end", "", None, line, col))
+    return tokens
+
+
 def reference_parse(text):
     """Recursive-descent parser for the grammar, kept as the reference the
     package's explicit-stack parser must agree with, errors included."""
-    tokens, pos = _tokenize(text), 0
+    tokens, pos = reference_tokenize(text), 0
     binary = {"/\\": "and", "\\/": "or", "->": "imp", "=>": "imp_pi",
               "&": "and_strong", "+": "oplus", "-": "ominus", "*": "odot"}
 
@@ -215,7 +299,7 @@ def reference_parse(text):
     return result
 
 
-OPERANDS = ["a", "b", "0", "1", "c(1/2)"]
+OPERANDS = ["a", "b", "0", "1", "c(1/2)", "c( 1 /\n2 )", "c(1\t/ 3)", "c(\n1/2)"]
 PREFIX = ["~", "D", "("]
 BINARY = ["/\\", "\\/", "->", "=>", "&", "+", "-", "*"]
 

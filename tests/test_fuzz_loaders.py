@@ -54,6 +54,8 @@ def _only_contract_errors(load, *args):
                                 "strategies": _nested(2, st.text(max_size=2)),
                                 "payoffs": _nested(2)}))
 @example({"players": 1, "strategies": [["a"]], "payoffs": [5]})
+@example({"players": 2.9, "strategies": [["a"], ["b"]], "payoffs": [["0", "0"]]})
+@example({"players": True, "strategies": [["a"]], "payoffs": [["0"]]})
 def test_game_from_json(doc):
     _only_contract_errors(game_from_json, doc)
 
@@ -76,6 +78,8 @@ def test_lgame_from_json(doc):
                                               scalars, max_size=3), max_size=3),
        st.lists(st.integers(1, 3), min_size=1, max_size=3))
 @example([{"0": "1e99999999"}, {"0": "1"}], [2, 2])
+@example([{"0": "0", "00": "1"}, {"0": "1"}], [2, 2])
+@example([{"+0": "1", " 1 ": "0", "\u0661": "0"}, {"0": "1"}], [2, 2])
 def test_profile_from_json(doc, counts):
     _only_contract_errors(profile_from_json, doc, counts)
 
