@@ -120,10 +120,10 @@ class ParseError(InputError):
 # that starts no token (`bad`): nothing is skipped, and no space read twice.
 _TOKEN_RE = re.compile(
     r"""\s*(?:
-        (?P<const>c\(\s*-?\d+\s*(?:/\s*\d+\s*)?\))
+        (?P<const>c\(\s*-?[0-9]+\s*(?:/\s*[0-9]+\s*)?\))
       | (?P<op>/\\|\\/|->|=>|[~&+\-*()]|D(?![A-Za-z0-9_]))
       | (?P<var>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<num>\d+)
+      | (?P<num>[0-9]+)
       | (?P<end>\Z)
       | (?P<bad>\S))
     """,

@@ -7,6 +7,10 @@ which suffices for finite games), and a 2-player mixed-equilibrium finder by
 support enumeration over exact rational linear systems.  Logical games are
 accepted everywhere by first collapsing them to their payoff tables.
 
+The finder runs on integers until a candidate passes its tests: each
+player's payoffs are scaled once to integer numerators, and each support
+system is solved by fraction-free Gauss-Jordan elimination (Bareiss), which
+reaches the same reduced row echelon form as rational elimination.
 Degenerate support systems are solved parametrically; one rational
 representative per solution face is emitted and flagged.  The finder is
 complete for nondegenerate games; n-player mixed-equilibrium search is out
@@ -18,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import SemanticError
@@ -99,56 +104,75 @@ def verify_mixed(game: Game, profile: MixedProfile) -> bool:
 
 @dataclass
 class LinearSolution:
-    particular: list[Fraction]
-    nullspace: list[list[Fraction]]
+    """The solutions `particular + span(nullspace)`, stored fraction-free:
+    each vector is a list of integer numerators over `denominator` > 0."""
+    numerators: list[int]
+    directions: list[list[int]]
+    denominator: int
 
     @property
     def unique(self) -> bool:
-        return not self.nullspace
+        return not self.directions
+
+    @property
+    def particular(self) -> list[Fraction]:
+        return [Fraction(x, self.denominator) for x in self.numerators]
+
+    @property
+    def nullspace(self) -> list[list[Fraction]]:
+        return [[Fraction(x, self.denominator) for x in d] for d in self.directions]
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> Optional[LinearSolution]:
-    """Solve A x = b exactly over the rationals.
+def solve_linear(rows: Sequence[Sequence[Union[int, Fraction]]],
+                 rhs: Sequence[Union[int, Fraction]]) -> Optional[LinearSolution]:
+    """Solve A x = b exactly over the rationals; entries are ints or Fractions.
 
     Returns None when inconsistent; otherwise a particular solution plus a
-    basis of the nullspace (empty iff the solution is unique).
+    basis of the nullspace (empty iff the solution is unique), read off the
+    reduced row echelon form.  Rows are scaled to integers, and fraction-free
+    Gauss-Jordan elimination (Bareiss) ends at d times that form, d the last
+    pivot, with every entry an integer minor on the way.
     """
-    m = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = []
+    for row in ([*row, b] for row, b in zip(rows, rhs)):
+        common = lcm(*(x.denominator for x in row))
+        m.append([int(x * common) for x in row])
     n_rows = len(m)
     n_cols = len(rows[0]) if n_rows else 0
     pivot_cols = []
+    previous = 1
     r = 0
     for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if m[k][c] != 0), None)
+        pivot = next((k for k in range(r, n_rows) if m[k][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
+        top = m[r]
+        scale = top[c]
         for k in range(n_rows):
-            if k != r and m[k][c] != 0:
+            if k != r:
                 factor = m[k][c]
-                m[k] = [x - factor * y for x, y in zip(m[k], m[r])]
+                m[k] = [(scale * x - factor * y) // previous for x, y in zip(m[k], top)]
+        previous = scale
         pivot_cols.append(c)
         r += 1
         if r == n_rows:
             break
-    for k in range(r, n_rows):
-        if m[k][n_cols] != 0:
-            return None
-    particular = [Fraction(0)] * n_cols
+    if any(m[k][n_cols] for k in range(r, n_rows)):
+        return None
+    sign = -1 if previous < 0 else 1
+    particular = [0] * n_cols
     for row, c in zip(m, pivot_cols):
-        particular[c] = row[n_cols]
+        particular[c] = sign * row[n_cols]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     nullspace = []
     for free in free_cols:
-        vector = [Fraction(0)] * n_cols
-        vector[free] = Fraction(1)
+        vector = [0] * n_cols
+        vector[free] = sign * previous
         for row, c in zip(m, pivot_cols):
-            vector[c] = -row[free]
+            vector[c] = -sign * row[free]
         nullspace.append(vector)
-    return LinearSolution(particular, nullspace)
+    return LinearSolution(particular, nullspace, sign * previous)
 
 
 # --- 2-player support enumeration ---------------------------------------------
@@ -160,36 +184,40 @@ class MixedCandidate:
     degenerate: bool
 
 
-def _indifference_candidates(payoff_row, own_support, other_support):
+def _indifference_candidates(payoffs, level, own_support, other_support):
     """Vectors over the opponent's support making `own_support` indifferent.
 
     Unknowns: opponent probabilities on the support plus the common payoff
-    level u.  Yields (vector, level, degenerate) candidates; degenerate ones
+    level u, whose column holds -`level`, so u is unscaled.  Yields
+    (numerators, denominator > 0, degenerate) candidates; degenerate ones
     come from rank-deficient systems, one representative per free direction.
     """
     k = len(other_support)
-    rows = []
-    rhs = []
-    for i in own_support:
-        rows.append([payoff_row(i, j) for j in other_support] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    solution = solve_linear(rows, rhs)
+    rows = [[payoffs[i][j] for j in other_support] + [-level] for i in own_support]
+    rows.append([1] * k + [0])
+    solution = solve_linear(rows, [0] * len(own_support) + [1])
     if solution is None:
         return
+    point, denominator = solution.numerators, solution.denominator
     if solution.unique:
-        yield solution.particular[:k], solution.particular[k], False
+        yield point, denominator, False
         return
-    # Rank-deficient: sample the affine solution space at a few rational
-    # points; invalid samples are filtered by the caller's checks.
-    samples = [solution.particular]
-    for direction in solution.nullspace:
-        for step in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 4)):
-            samples.append([p + step * d
-                            for p, d in zip(solution.particular, direction)])
-    for point in samples:
-        yield point[:k], point[k], True
+    # Rank-deficient: sample the affine solution space at steps 1, -1, 1/2, 1/4
+    # (over 4 * denominator); invalid samples are filtered by the caller's checks.
+    yield [4 * x for x in point], 4 * denominator, True
+    for direction in solution.directions:
+        for step in (4, -4, 2, 1):
+            yield ([4 * x + step * d for x, d in zip(point, direction)],
+                   4 * denominator, True)
+
+
+def _best_response_to(payoffs, level, point, own_support, other_support) -> bool:
+    """Whether the opponent mix in `point` (numerators, then u) is positive
+    and no strategy outside `own_support` earns more than u against it."""
+    *mix, u = point
+    return all(x > 0 for x in mix) and not any(
+        sum(row[j] * x for j, x in zip(other_support, mix)) > level * u
+        for i, row in enumerate(payoffs) if i not in own_support)
 
 
 def find_mixed_2p(game: Game) -> list[MixedCandidate]:
@@ -199,12 +227,13 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     if table.n_players != 2:
         raise SemanticError("support enumeration handles exactly 2 players")
     counts = table.strategy_counts
-
-    def row_payoff(i, j):
-        return table.payoffs[(i, j)][0]
-
-    def col_payoff(j, i):
-        return table.payoffs[(i, j)][1]
+    # Each player's payoffs as integer numerators over their lcm, the level.
+    row_level, col_level = (lcm(*(v[i].denominator for v in table.payoffs.values()))
+                            for i in (0, 1))
+    row_payoffs = [[int(table.payoffs[(i, j)][0] * row_level) for j in range(counts[1])]
+                   for i in range(counts[0])]
+    col_payoffs = [[int(table.payoffs[(i, j)][1] * col_level) for i in range(counts[0])]
+                   for j in range(counts[1])]
 
     found: dict[tuple, MixedCandidate] = {}
     supports1 = [s for size in range(1, counts[0] + 1)
@@ -213,24 +242,19 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
                  for s in itertools.combinations(range(counts[1]), size)]
     for sup1 in supports1:
         for sup2 in supports2:
-            for q, u, deg_q in _indifference_candidates(row_payoff, sup1, sup2):
-                if any(x <= 0 for x in q):
+            for q, q_den, deg_q in _indifference_candidates(row_payoffs, row_level,
+                                                            sup1, sup2):
+                if not _best_response_to(row_payoffs, row_level, q, sup1, sup2):
                     continue
-                full_q = _scatter(q, sup2, counts[1])
-                if any(_dot(row_payoff, i, full_q) > u for i in range(counts[0])
-                       if i not in sup1):
-                    continue
-                for p, w, deg_p in _indifference_candidates(col_payoff, sup2, sup1):
-                    if any(x <= 0 for x in p):
+                for p, p_den, deg_p in _indifference_candidates(col_payoffs, col_level,
+                                                                sup2, sup1):
+                    if not _best_response_to(col_payoffs, col_level, p, sup2, sup1):
                         continue
-                    full_p = _scatter(p, sup1, counts[0])
-                    if any(_dot(col_payoff, j, full_p) > w for j in range(counts[1])
-                           if j not in sup2):
-                        continue
-                    profile = MixedProfile((tuple(full_p), tuple(full_q)))
+                    profile = MixedProfile((_scatter(p, p_den, sup1, counts[0]),
+                                            _scatter(q, q_den, sup2, counts[1])))
                     if not verify_mixed(table, profile):
                         continue
-                    key = (tuple(full_p), tuple(full_q))
+                    key = profile.probabilities
                     degenerate = deg_q or deg_p
                     if key not in found or found[key].degenerate and not degenerate:
                         found[key] = MixedCandidate(
@@ -238,15 +262,11 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     return [found[key] for key in sorted(found)]
 
 
-def _scatter(values, support, count):
+def _scatter(numerators, denominator, support, count) -> tuple[Fraction, ...]:
     full = [Fraction(0)] * count
-    for value, index in zip(values, support):
-        full[index] = value
-    return full
-
-
-def _dot(payoff_fn, own, other_vector):
-    return sum(payoff_fn(own, j) * q for j, q in enumerate(other_vector) if q != 0)
+    for value, index in zip(numerators, support):
+        full[index] = Fraction(value, denominator)
+    return tuple(full)
 
 
 def transform_payoffs(game: StrategicGame, slopes: Sequence[Fraction],

@@ -31,6 +31,8 @@ def test_eval_examples(capsys):
 def test_eval_exit_codes(capsys):
     code, _, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "v & &")
     assert code == 2 and "input error" in err
+    code, _, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "c(١/٢)")
+    assert code == 2 and "unexpected character" in err
     code, _, err = run(capsys, "eval", "--algebra", "L_4",
                        "--formula", "c(1/3)")
     assert code == 3
@@ -188,6 +190,35 @@ def test_mixed_check_cli(capsys, tmp_path):
                        "--lgame", str(tmp_path / "lh" / "lgame.json"),
                        "--profile", str(profile_path))
     assert code == 1 and "not a mixed Nash equilibrium" in out
+
+
+# A degenerate 4x4 game: payoffs from three levels, drawn with a seeded RNG.
+DEGENERATE_4X4 = [["1/3", "-1"], ["1/2", "1/3"], ["1/3", "1/2"], ["1/3", "-1"],
+                  ["1/2", "1/3"], ["1/2", "1/3"], ["1/3", "1/3"], ["-1", "-1"],
+                  ["1/3", "1/3"], ["1/3", "1/2"], ["-1", "1/3"], ["1/2", "1/3"],
+                  ["1/3", "1/2"], ["1/2", "1/2"], ["1/3", "1/2"], ["1/2", "-1"]]
+
+
+def test_oracle_mixed_find_degenerate_output(capsys, tmp_path):
+    game_file = tmp_path / "game.json"
+    game_file.write_text(json.dumps({
+        "players": 2, "strategies": [["a", "b", "c", "d"]] * 2,
+        "payoffs": DEGENERATE_4X4}), encoding="utf-8")
+    code, out, _ = run(capsys, "oracle", "mixed-find", "--game", str(game_file))
+    assert code == 0
+    assert out == """\
+3:1 | 2:1  payoffs 1/3,1/2
+3:1 | 1:1  payoffs 1/2,1/2
+1:1 | 2:1  payoffs 1/3,1/3
+1:1 | 1:1  payoffs 1/2,1/3
+1:1 | 0:1/2,1:1/2  payoffs 1/2,1/3 DEGENERATE
+1:1 | 0:3/4,1:1/4  payoffs 1/2,1/3 DEGENERATE
+1:1 | 0:1  payoffs 1/2,1/3
+0:1/2,3:1/2 | 2:1  payoffs 1/3,1/2 DEGENERATE
+0:3/4,3:1/4 | 2:1  payoffs 1/3,1/2 DEGENERATE
+0:1 | 2:1  payoffs 1/3,1/2
+10 mixed equilibria
+"""
 
 
 def test_oracle_cli(capsys, tmp_path):

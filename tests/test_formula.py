@@ -70,6 +70,10 @@ def test_parse_whitespace_inside_constants():
     ("v1 ) #", "unexpected character '#'", 1, 6),
     ("v1 ~ 2", "bare number 2: write c(2/n)", 1, 6),
     ("( c(3/2)", "constant c(3/2) not a rational in [0,1]", 1, 3),
+    # m and n in c(m/n) are ASCII digits; other Unicode digits start no token.
+    ("c(١/٢)", "unexpected character '١'", 1, 3),
+    ("c(1/\t١ )", "unexpected character '/'", 1, 4),
+    ("v /\\\n  c(٣/4)", "unexpected character '٣'", 2, 5),
 ])
 def test_parse_error_message_and_position(text, message, line, column):
     with pytest.raises(ParseError) as info:
@@ -196,10 +200,10 @@ def test_parse_deep_nesting():
 
 _REFERENCE_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<const>c\(\s*-?\d+\s*(?:/\s*\d+\s*)?\))
+      | (?P<const>c\(\s*-?[0-9]+\s*(?:/\s*[0-9]+\s*)?\))
       | (?P<op>/\\|\\/|->|=>|[~&+\-*()])
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<num>\d+)
+      | (?P<num>[0-9]+)
     """,
     re.VERBOSE,
 )
@@ -299,7 +303,8 @@ def reference_parse(text):
     return result
 
 
-OPERANDS = ["a", "b", "0", "1", "c(1/2)", "c( 1 /\n2 )", "c(1\t/ 3)", "c(\n1/2)"]
+OPERANDS = ["a", "b", "0", "1", "c(1/2)", "c( 1 /\n2 )", "c(1\t/ 3)", "c(\n1/2)",
+            "c(١/2)"]
 PREFIX = ["~", "D", "("]
 BINARY = ["/\\", "\\/", "->", "=>", "&", "+", "-", "*"]
 

@@ -1,9 +1,12 @@
 """Brute-force oracle: scans, exact expectations, support enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgames import (MixedProfile, affine_invariance_check, dirac,
                      expected_payoffs, find_mixed_2p, love_and_hate,
@@ -11,8 +14,8 @@ from mvgames import (MixedProfile, affine_invariance_check, dirac,
                      verify_mixed, vickrey)
 from mvgames.errors import SemanticError
 from mvgames.game import make_game
-from mvgames.oracle import solve_linear
-from conftest import random_rational_game
+from mvgames.oracle import MixedCandidate, solve_linear
+from conftest import PAYOFF_POOL, random_rational_game
 
 F = Fraction
 
@@ -168,3 +171,169 @@ def test_degenerate_game_flagged():
     candidates = find_mixed_2p(game)
     assert candidates
     assert any(c.degenerate for c in candidates)
+
+
+# --- reference: the Fraction solver and enumeration loop ----------------------
+
+def reference_solve_linear(rows, rhs):
+    """Gauss-Jordan over Fractions: (particular, nullspace) read off the
+    reduced row echelon form, or None when inconsistent."""
+    m = [list(map(F, row)) + [F(b)] for row, b in zip(rows, rhs)]
+    n_rows = len(m)
+    n_cols = len(rows[0]) if n_rows else 0
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((k for k in range(r, n_rows) if m[k][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        scale = m[r][c]
+        m[r] = [x / scale for x in m[r]]
+        for k in range(n_rows):
+            if k != r and m[k][c] != 0:
+                factor = m[k][c]
+                m[k] = [x - factor * y for x, y in zip(m[k], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    for k in range(r, n_rows):
+        if m[k][n_cols] != 0:
+            return None
+    particular = [F(0)] * n_cols
+    for row, c in zip(m, pivot_cols):
+        particular[c] = row[n_cols]
+    nullspace = []
+    for free in (c for c in range(n_cols) if c not in pivot_cols):
+        vector = [F(0)] * n_cols
+        vector[free] = F(1)
+        for row, c in zip(m, pivot_cols):
+            vector[c] = -row[free]
+        nullspace.append(vector)
+    return particular, nullspace
+
+
+def _reference_candidates(payoff, own_support, other_support):
+    k = len(other_support)
+    rows = [[payoff(i, j) for j in other_support] + [F(-1)] for i in own_support]
+    rows.append([F(1)] * k + [F(0)])
+    solution = reference_solve_linear(rows, [F(0)] * len(own_support) + [F(1)])
+    if solution is None:
+        return
+    particular, nullspace = solution
+    if not nullspace:
+        yield particular[:k], particular[k], False
+        return
+    samples = [particular]
+    for direction in nullspace:
+        for step in (F(1), F(-1), F(1, 2), F(1, 4)):
+            samples.append([p + step * d for p, d in zip(particular, direction)])
+    for point in samples:
+        yield point[:k], point[k], True
+
+
+def reference_find_mixed_2p(table):
+    """Support enumeration on the Fraction solver, checks in Fractions."""
+    counts = table.strategy_counts
+
+    def row_payoff(i, j):
+        return table.payoffs[(i, j)][0]
+
+    def col_payoff(j, i):
+        return table.payoffs[(i, j)][1]
+
+    def scatter(values, support, count):
+        full = [F(0)] * count
+        for value, index in zip(values, support):
+            full[index] = value
+        return full
+
+    def dot(payoff, own, other_vector):
+        return sum(payoff(own, j) * q for j, q in enumerate(other_vector) if q != 0)
+
+    found = {}
+    supports1 = [s for size in range(1, counts[0] + 1)
+                 for s in itertools.combinations(range(counts[0]), size)]
+    supports2 = [s for size in range(1, counts[1] + 1)
+                 for s in itertools.combinations(range(counts[1]), size)]
+    for sup1 in supports1:
+        for sup2 in supports2:
+            for q, u, deg_q in _reference_candidates(row_payoff, sup1, sup2):
+                if any(x <= 0 for x in q):
+                    continue
+                full_q = scatter(q, sup2, counts[1])
+                if any(dot(row_payoff, i, full_q) > u for i in range(counts[0])
+                       if i not in sup1):
+                    continue
+                for p, w, deg_p in _reference_candidates(col_payoff, sup2, sup1):
+                    if any(x <= 0 for x in p):
+                        continue
+                    full_p = scatter(p, sup1, counts[0])
+                    if any(dot(col_payoff, j, full_p) > w for j in range(counts[1])
+                           if j not in sup2):
+                        continue
+                    profile = MixedProfile((tuple(full_p), tuple(full_q)))
+                    if not verify_mixed(table, profile):
+                        continue
+                    key = (tuple(full_p), tuple(full_q))
+                    degenerate = deg_q or deg_p
+                    if key not in found or found[key].degenerate and not degenerate:
+                        found[key] = MixedCandidate(
+                            profile, expected_payoffs(table, profile), degenerate)
+    return [found[key] for key in sorted(found)]
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b with A drawn from a random low-rank rational basis, some
+    columns zeroed and some right-hand sides pushed off the column space."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(n_rows, n_cols)))
+    basis = [[draw(rationals) for _ in range(n_cols)] for _ in range(rank)]
+    zeroed = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols // 2))
+    rows = []
+    for _ in range(n_rows):
+        weights = [draw(rationals) for _ in range(rank)]
+        rows.append([F(0) if c in zeroed else sum((w * b[c] for w, b in zip(weights, basis)), F(0))
+                     for c in range(n_cols)])
+    x = [draw(rationals) for _ in range(n_cols)]
+    rhs = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, n_rows - 1))] += draw(rationals.filter(bool))
+    if draw(st.booleans()):      # integral entries as ints
+        rows = [[int(a) if a.denominator == 1 else a for a in row] for row in rows]
+        rhs = [int(b) if b.denominator == 1 else b for b in rhs]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_solve_linear_matches_reference(system):
+    rows, rhs = system
+    expected = reference_solve_linear(rows, rhs)
+    solution = solve_linear(rows, rhs)
+    if expected is None:
+        assert solution is None
+    else:
+        assert (solution.particular, solution.nullspace) == expected
+        assert solution.unique == (not expected[1])
+
+
+def test_find_mixed_matches_reference_on_degenerate_games(seed):
+    # Payoffs from two or three levels make many support systems rank-deficient.
+    rng = random.Random(seed)
+    games = [matching_pennies().strategic, original_matching_pennies()]
+    for _ in range(40):
+        levels = rng.sample(PAYOFF_POOL, rng.randint(2, 3))
+        counts = (rng.randint(1, 4), rng.randint(1, 4))
+        games.append(make_game(counts, lambda p: (rng.choice(levels), rng.choice(levels))))
+    degenerate = 0
+    for game in games:
+        found = find_mixed_2p(game)
+        assert found == reference_find_mixed_2p(game)
+        degenerate += any(c.degenerate for c in found)
+    assert degenerate >= 10
