@@ -116,16 +116,16 @@ class ParseError(InputError):
         self.column = column
 
 
-# Each match is whitespace, then a token, the end of the text or a character
-# that starts no token (`bad`): nothing is skipped, and no space read twice.
+# Each match is space, tab, CR or LF, then a token, the end of the text or a
+# character that starts no token (`bad`): nothing skipped, no space read twice.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<const>c\(\s*-?[0-9]+\s*(?:/\s*[0-9]+\s*)?\))
+    r"""[ \t\r\n]*(?:
+        (?P<const>c\([ \t\r\n]*-?[0-9]+[ \t\r\n]*(?:/[ \t\r\n]*[0-9]+[ \t\r\n]*)?\))
       | (?P<op>/\\|\\/|->|=>|[~&+\-*()]|D(?![A-Za-z0-9_]))
       | (?P<var>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<num>[0-9]+)
       | (?P<end>\Z)
-      | (?P<bad>\S))
+      | (?P<bad>[^ \t\r\n]))
     """,
     re.VERBOSE,
 )
@@ -151,7 +151,7 @@ def _tokenize(text: str) -> list[tuple]:
         lexeme, offset, value = m.group(kind), m.start(kind), None
         if kind == "const":
             try:
-                value = as_truth_value(Fraction("".join(lexeme[2:-1].split())))
+                value = as_truth_value(Fraction(re.sub(r"[ \t\r\n]", "", lexeme[2:-1])))
             except (SemanticError, ValueError, ZeroDivisionError):
                 raise _error(f"constant {lexeme} not a rational in [0,1]",
                              text, offset) from None

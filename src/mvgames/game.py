@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from . import formula as fm
@@ -254,11 +255,10 @@ def game_from_json(doc: dict) -> StrategicGame:
     if len(names) != n:
         raise InputError("strategies must list one block per player")
     counts = [len(block) for block in names]
-    profiles = list(itertools.product(*[range(c) for c in counts]))
-    if len(rows) != len(profiles):
-        raise InputError(f"expected {len(profiles)} payoff rows, got {len(rows)}")
+    if len(rows) != prod(counts):
+        raise InputError(f"expected {prod(counts)} payoff rows, got {len(rows)}")
     payoffs = {}
-    for profile, row in zip(profiles, rows):
+    for profile, row in zip(itertools.product(*[range(c) for c in counts]), rows):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"payoff row for {profile} must have {n} entries")
         payoffs[profile] = tuple(parse_rational(v) for v in row)

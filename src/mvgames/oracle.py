@@ -1,11 +1,12 @@
 """Brute-force game-theoretic ground truth, independent of the formula engine.
 
 Everything here works on plain payoff tables with exact rational arithmetic:
-pure equilibria by exhaustive unilateral-deviation scanning, mixed-profile
-verification through exact expected payoffs (checking pure deviations only,
-which suffices for finite games), and a 2-player mixed-equilibrium finder by
-support enumeration over exact rational linear systems.  Logical games are
-accepted everywhere by first collapsing them to their payoff tables.
+pure equilibria by exhaustive unilateral-deviation scanning, a mixed
+profile's expected payoffs and verdict (checking pure deviations only, which
+suffices for finite games) from one pass over the payoff table, and a
+2-player mixed-equilibrium finder by support enumeration over exact rational
+linear systems.  Logical games are accepted everywhere by first collapsing
+them to their payoff tables.
 
 The finder runs on integers until a candidate passes its tests: each
 player's payoffs are scaled once to integer numerators, and each support
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .errors import SemanticError
@@ -49,55 +50,39 @@ def pure_ne_scan(game: Game) -> list[Profile]:
     return out
 
 
+def _payoff_sums(table: StrategicGame,
+                 profile: MixedProfile) -> tuple[tuple[Fraction, ...], bool]:
+    """Each player's expected payoff under `profile`, and whether no pure
+    deviation pays any player more, from one pass over the payoff table.
+
+    Row i holds player i's expected payoff after switching to each pure
+    strategy s: payoff times the other players' probabilities, summed over
+    the profiles in which i plays s, skipping terms of zero weight.  Player
+    i's expected payoff is i's own probabilities times that row.
+    """
+    probabilities = profile.probabilities
+    if tuple(len(v) for v in probabilities) != table.strategy_counts:
+        raise SemanticError("mixed profile does not match the game's strategy counts")
+    rows = [[Fraction(0)] * c for c in table.strategy_counts]
+    for pure, values in table.payoffs.items():
+        weights = [vector[s] for vector, s in zip(probabilities, pure)]
+        for i, s in enumerate(pure):
+            others = weights[:i] + weights[i + 1:]
+            if all(others):
+                rows[i][s] += values[i] * prod(others)
+    expected = tuple(sum(p * v for p, v in zip(vector, row))
+                     for vector, row in zip(probabilities, rows))
+    return expected, all(max(row) <= value for row, value in zip(rows, expected))
+
+
 def expected_payoffs(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected payoff per player under a mixed profile."""
-    table = _as_table(game)
-    if tuple(len(v) for v in profile.probabilities) != table.strategy_counts:
-        raise SemanticError("mixed profile does not match the game's strategy counts")
-    totals = [Fraction(0)] * table.n_players
-    for pure, values in table.payoffs.items():
-        weight = Fraction(1)
-        for i, s in enumerate(pure):
-            weight *= profile.prob(i, s)
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        for i in range(table.n_players):
-            totals[i] += values[i] * weight
-    return tuple(totals)
-
-
-def deviation_payoff(game: Game, profile: MixedProfile, player: int,
-                     strategy: int) -> Fraction:
-    """Expected payoff of `player` after switching to the pure `strategy`."""
-    table = _as_table(game)
-    counts = table.strategy_counts
-    total = Fraction(0)
-    others = [range(c) if j != player else (strategy,) for j, c in enumerate(counts)]
-    for pure in itertools.product(*others):
-        weight = Fraction(1)
-        for j, s in enumerate(pure):
-            if j == player:
-                continue
-            weight *= profile.prob(j, s)
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        total += table.payoffs[pure][player] * weight
-    return total
+    return _payoff_sums(_as_table(game), profile)[0]
 
 
 def verify_mixed(game: Game, profile: MixedProfile) -> bool:
     """Mixed-equilibrium check: no profitable pure deviation for any player."""
-    table = _as_table(game)
-    base = expected_payoffs(table, profile)
-    for i in range(table.n_players):
-        for s in range(table.strategy_counts[i]):
-            if deviation_payoff(table, profile, i, s) > base[i]:
-                return False
-    return True
+    return _payoff_sums(_as_table(game), profile)[1]
 
 
 # --- exact linear algebra ------------------------------------------------------
@@ -252,13 +237,13 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
                         continue
                     profile = MixedProfile((_scatter(p, p_den, sup1, counts[0]),
                                             _scatter(q, q_den, sup2, counts[1])))
-                    if not verify_mixed(table, profile):
+                    values, stable = _payoff_sums(table, profile)
+                    if not stable:
                         continue
                     key = profile.probabilities
                     degenerate = deg_q or deg_p
                     if key not in found or found[key].degenerate and not degenerate:
-                        found[key] = MixedCandidate(
-                            profile, expected_payoffs(table, profile), degenerate)
+                        found[key] = MixedCandidate(profile, values, degenerate)
     return [found[key] for key in sorted(found)]
 
 

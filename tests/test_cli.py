@@ -1,6 +1,7 @@
 """CLI verbs, file round-trips, and the exit-code contract."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,8 @@ def test_eval_exit_codes(capsys):
     assert code == 2 and "input error" in err
     code, _, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "c(١/٢)")
     assert code == 2 and "unexpected character" in err
+    code, _, err = run(capsys, "eval", "--algebra", "STD_L", "--formula", "v /\\ \u3000w")
+    assert code == 2 and "unexpected character '\\u3000' (line 1, column 6)" in err
     code, _, err = run(capsys, "eval", "--algebra", "L_4",
                        "--formula", "c(1/3)")
     assert code == 3
@@ -339,6 +342,18 @@ def test_malformed_game_documents_are_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "oracle", "pure",
                        "--game", _write_json(tmp_path, "seven.json", 7))
     assert code == 2 and err.startswith("input error:")
+
+
+def test_payoff_row_count_is_checked_before_profiles_are_listed(capsys, tmp_path):
+    # 10**12 profiles: listing them before counting the rows never finishes.
+    doc = {"players": 3, "strategies": [[f"s{k}" for k in range(10_000)]] * 3,
+           "payoffs": []}
+    path = _write_json(tmp_path, "huge.json", doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "pure", "--game", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "expected 1000000000000 payoff rows, got 0" in err
 
 
 def test_unreadable_json_is_input_error(capsys, tmp_path):

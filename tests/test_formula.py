@@ -60,7 +60,8 @@ def test_parse_error_reports_position():
 
 
 def test_parse_whitespace_inside_constants():
-    assert parse("c(1\t/2)") == parse("c( 1 /\n2 )") == Const(Fraction(1, 2))
+    assert parse("c(1\t/2)") == parse("c( 1 /\n2 )") == parse("c(1\r\n/ 2)") == \
+        Const(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("text, message, line, column", [
@@ -74,6 +75,14 @@ def test_parse_whitespace_inside_constants():
     ("c(١/٢)", "unexpected character '١'", 1, 3),
     ("c(1/\t١ )", "unexpected character '/'", 1, 4),
     ("v /\\\n  c(٣/4)", "unexpected character '٣'", 2, 5),
+    # Whitespace is space, tab, CR and LF; other Unicode spaces start no token,
+    # and a line separator (U+2028) does not start a line.
+    ("c(1/\u00a02)", "unexpected character '/'", 1, 4),
+    ("c(1\u00a0/2)", "unexpected character '\\xa0'", 1, 4),
+    ("v /\\ \u3000w", "unexpected character '\\u3000'", 1, 6),
+    ("v\u2028/\\ #", "unexpected character '\\u2028'", 1, 2),
+    ("v /\\\n\u2028w", "unexpected character '\\u2028'", 2, 1),
+    ("c(1\x0b/2)", "unexpected character '\\x0b'", 1, 4),
 ])
 def test_parse_error_message_and_position(text, message, line, column):
     with pytest.raises(ParseError) as info:
@@ -199,8 +208,8 @@ def test_parse_deep_nesting():
 
 
 _REFERENCE_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<const>c\(\s*-?[0-9]+\s*(?:/\s*[0-9]+\s*)?\))
+    r"""(?P<ws>[ \t\r\n]+)
+      | (?P<const>c\([ \t\r\n]*-?[0-9]+[ \t\r\n]*(?:/[ \t\r\n]*[0-9]+[ \t\r\n]*)?\))
       | (?P<op>/\\|\\/|->|=>|[~&+\-*()])
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<num>[0-9]+)
@@ -229,7 +238,7 @@ def reference_tokenize(text):
         kind, lexeme = m.lastgroup, m.group()
         if kind == "const":
             try:
-                value = as_truth_value(Fraction(re.sub(r"\s", "", lexeme[2:-1])))
+                value = as_truth_value(Fraction(re.sub(r"[ \t\r\n]", "", lexeme[2:-1])))
             except (SemanticError, ValueError, ZeroDivisionError):
                 raise ParseError(f"constant {lexeme} not a rational in [0,1]",
                                  line, col) from None
@@ -304,7 +313,7 @@ def reference_parse(text):
 
 
 OPERANDS = ["a", "b", "0", "1", "c(1/2)", "c( 1 /\n2 )", "c(1\t/ 3)", "c(\n1/2)",
-            "c(١/2)"]
+            "c(١/2)", "c(1\r\n/2)", "c(1/\u00a02)", "b\u2028"]
 PREFIX = ["~", "D", "("]
 BINARY = ["/\\", "\\/", "->", "=>", "&", "+", "-", "*"]
 

@@ -173,6 +173,98 @@ def test_degenerate_game_flagged():
     assert any(c.degenerate for c in candidates)
 
 
+# --- reference: one loop per expected payoff and per pure deviation ----------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def reference_expected_payoffs(table, profile):
+    """Expected payoff per player: each profile weighted by its probability."""
+    if tuple(len(v) for v in profile.probabilities) != table.strategy_counts:
+        raise SemanticError("mixed profile does not match the game's strategy counts")
+    totals = [F(0)] * table.n_players
+    for pure, values in table.payoffs.items():
+        weight = F(1)
+        for i, s in enumerate(pure):
+            weight *= profile.prob(i, s)
+            if weight == 0:
+                break
+        if weight == 0:
+            continue
+        for i in range(table.n_players):
+            totals[i] += values[i] * weight
+    return tuple(totals)
+
+
+def reference_deviation_payoff(table, profile, player, strategy):
+    """Expected payoff of `player` after switching to the pure `strategy`."""
+    total = F(0)
+    others = [range(c) if j != player else (strategy,)
+              for j, c in enumerate(table.strategy_counts)]
+    for pure in itertools.product(*others):
+        weight = F(1)
+        for j, s in enumerate(pure):
+            if j == player:
+                continue
+            weight *= profile.prob(j, s)
+            if weight == 0:
+                break
+        if weight == 0:
+            continue
+        total += table.payoffs[pure][player] * weight
+    return total
+
+
+def reference_verify_mixed(table, profile):
+    """No pure deviation pays any player more than the expected payoff."""
+    base = reference_expected_payoffs(table, profile)
+    return not any(reference_deviation_payoff(table, profile, i, s) > base[i]
+                   for i in range(table.n_players)
+                   for s in range(table.strategy_counts[i]))
+
+
+@st.composite
+def mixed_profiles(draw, counts):
+    """Probability vectors from small integer weights, zeros included."""
+    vectors = []
+    for c in counts:
+        weights = draw(st.lists(st.integers(0, 3), min_size=c, max_size=c)
+                       .filter(any))
+        vectors.append(tuple(F(w, sum(weights)) for w in weights))
+    return MixedProfile(tuple(vectors))
+
+
+@st.composite
+def games_with_profiles(draw):
+    """1-3 player games on a pool of one to three rational payoff levels (few
+    levels make ties and equilibria common), with a profile that mostly, but
+    not always, matches the game's strategy counts."""
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    levels = draw(st.lists(rationals, min_size=1, max_size=3))
+    payoffs = {p: tuple(draw(st.sampled_from(levels)) for _ in counts)
+               for p in itertools.product(*map(range, counts))}
+    game = make_game(counts, payoffs.__getitem__)
+    if draw(st.integers(0, 9)) == 0:
+        counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    return game, draw(mixed_profiles(counts))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(games_with_profiles())
+def test_payoff_sums_match_reference_loops(case):
+    game, profile = case
+    try:
+        expected = reference_expected_payoffs(game, profile)
+    except SemanticError as exc:
+        for check in (expected_payoffs, verify_mixed):
+            with pytest.raises(SemanticError) as info:
+                check(game, profile)
+            assert str(info.value) == str(exc)
+        return
+    assert expected_payoffs(game, profile) == expected
+    assert verify_mixed(game, profile) == reference_verify_mixed(game, profile)
+
+
 # --- reference: the Fraction solver and enumeration loop ----------------------
 
 def reference_solve_linear(rows, rhs):
@@ -274,17 +366,14 @@ def reference_find_mixed_2p(table):
                            if j not in sup2):
                         continue
                     profile = MixedProfile((tuple(full_p), tuple(full_q)))
-                    if not verify_mixed(table, profile):
+                    if not reference_verify_mixed(table, profile):
                         continue
                     key = (tuple(full_p), tuple(full_q))
                     degenerate = deg_q or deg_p
                     if key not in found or found[key].degenerate and not degenerate:
                         found[key] = MixedCandidate(
-                            profile, expected_payoffs(table, profile), degenerate)
+                            profile, reference_expected_payoffs(table, profile), degenerate)
     return [found[key] for key in sorted(found)]
-
-
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
