@@ -16,8 +16,7 @@ from .errors import EngineError, InputError, SemanticError
 from .formula import (App, Const, Formula, Subst, Var, evaluate, free_variables, parse,
                       substitute, to_text)
 from .game import (GameFlags, LogicalGame, MixedProfile, StrategicGame, classify,
-                   dirac, logical_to_strategic, payoff, pure_equilibria_check,
-                   relevant_elements)
+                   dirac, logical_to_strategic, payoff, relevant_elements)
 from .oracle import (MixedCandidate, affine_invariance_check, expected_payoffs,
                      find_mixed_2p, pure_ne_scan, verify_mixed)
 from .represent import (Affine, Representation, Table, VerificationReport,

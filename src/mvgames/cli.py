@@ -58,14 +58,6 @@ def _load_any_game(path):
     return game.game_from_json(doc)
 
 
-def _format_value_tuple(tup) -> str:
-    return ",".join(format_rational(x) for x in tup) or "()"
-
-
-def _print_logical_profile(profile) -> str:
-    return " ".join(_format_value_tuple(tup) for tup in profile)
-
-
 # --- verbs ---------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
@@ -165,15 +157,14 @@ def cmd_pure_ne(args) -> int:
         game.write_text(args.emit_formula, formula.to_text(enc.existence) + "\n")
     profiles, sat = equilibria.decide_pure_ne(lg, enc)
     for profile in profiles:
-        print(_print_logical_profile(profile))
+        print(" ".join(map(game.format_strategy, profile)))
     print("SAT" if sat else "UNSAT")
     return 0 if sat else 1
 
 
 def cmd_mixed_check(args) -> int:
     lg = _load_lgame(args.lgame)
-    target = catalog_lookup(args.algebra) if args.algebra else None
-    enc = equilibria.build_mixed_encoding(lg, target)
+    enc = equilibria.build_mixed_encoding(lg)
     if args.emit_formula:
         game.write_text(args.emit_formula, formula.to_text(enc.full) + "\n")
     counts = [len(block) for block in lg.strategies]
@@ -190,8 +181,7 @@ def cmd_oracle_pure(args) -> int:
     equilibria_found = oracle.pure_ne_scan(g)
     if isinstance(g, game.LogicalGame):
         for ids in equilibria_found:
-            print(_print_logical_profile(
-                tuple(g.strategies[i][k] for i, k in enumerate(ids))))
+            print(" ".join(game.format_strategy(g.strategies[i][k]) for i, k in enumerate(ids)))
     else:
         for ids in equilibria_found:
             print(" ".join(map(str, ids)))
@@ -281,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed-check", help="check a mixed profile via the encoding")
     p.add_argument("--lgame", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--algebra", help="target product algebra for the lift")
     p.add_argument("--emit-formula")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_mixed_check)

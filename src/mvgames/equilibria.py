@@ -41,14 +41,12 @@ from .formula import App, Const, Subst, Var, conj_all, disj_all, odot_all, oplus
 
 
 def _fresh(base: str, taken: set[str]) -> str:
+    """`base`, prefixed with underscores until it is not taken; then taken."""
     name = base
     while name in taken:
         name = "_" + name
+    taken.add(name)
     return name
-
-
-def _q_name(a: Fraction, taken: set[str]) -> str:
-    return _fresh(f"q_{a.numerator}_{a.denominator}", taken)
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,29 @@ def _membership(lg: LogicalGame) -> fm.Formula:
                     for profile in lg.profiles())
 
 
+def _build_pure(lg: LogicalGame, full: Optional[bool], weak: bool) -> PureNEEncoding:
+    """Gamma and existence, plugging in for each relevant element a its truth
+    constant, or on the weak route a fresh q_a pinned to a by a chi block."""
+    relevant, taken = relevant_elements(lg), set(lg.all_variables)
+    aux_q = {a: _fresh(f"q_{a.numerator}_{a.denominator}", taken)
+             for a in relevant} if weak else {}
+    gamma = conj_all(_gamma_conjuncts(
+        lg, {a: Var(aux_q[a]) if weak else Const(a) for a in relevant}))
+    if weak:
+        chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a]) for a in relevant)
+        gamma = App("and", (chi_block, gamma))
+    existence = gamma if full else App("and", (_membership(lg), gamma))
+    return PureNEEncoding(lg, gamma, existence, aux_q,
+                          "WEAKLY_EXPRESSIBLE" if weak else "EXPRESSIBLE")
+
+
 def build_gamma(lg: LogicalGame) -> PureNEEncoding:
     """Constant-substitution encoding; needs a truth constant per relevant element."""
     flags = classify(lg)
     if not flags.expressible:
         raise SemanticError(
             f"game over {lg.algebra.id} is not expressible; use build_gamma_weak")
-    gamma = conj_all(_gamma_conjuncts(lg, {a: Const(a) for a in relevant_elements(lg)}))
-    existence = gamma if flags.full else App("and", (_membership(lg), gamma))
-    return PureNEEncoding(lg, gamma, existence, {}, "EXPRESSIBLE")
+    return _build_pure(lg, flags.full, weak=False)
 
 
 def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
@@ -107,33 +119,18 @@ def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
     flags = classify(lg)
     if not flags.weakly_expressible:
         raise SemanticError(f"game over {lg.algebra.id} is not weakly expressible")
-    taken = set(lg.all_variables)
-    aux_q = {}
-    for a in relevant_elements(lg):
-        aux_q[a] = _q_name(a, taken)
-        taken.add(aux_q[a])
-    chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a])
-                         for a in sorted(aux_q))
-    body = conj_all(_gamma_conjuncts(lg, {a: Var(name) for a, name in aux_q.items()}))
-    gamma = App("and", (chi_block, body))
-    existence = gamma if flags.full else App("and", (_membership(lg), gamma))
-    return PureNEEncoding(lg, gamma, existence, aux_q, "WEAKLY_EXPRESSIBLE")
+    return _build_pure(lg, flags.full, weak=True)
 
 
 def build_encoding(lg: LogicalGame) -> PureNEEncoding:
     """Constant route when available, otherwise the auxiliary-variable route."""
-    flags = classify(lg)
-    if flags.expressible:
-        return build_gamma(lg)
-    return build_gamma_weak(lg)
+    return build_gamma(lg) if classify(lg).expressible else build_gamma_weak(lg)
 
 
 def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:
     """Evaluate gamma at the profile (q_a pinned to a in the weak variant)."""
-    assignment = enc.game.assignment(profile)
-    for a, name in enc.aux_q.items():
-        assignment[name] = a
-    return enc.gamma_program.run(assignment)[0] == ONE
+    pinned = {name: a for a, name in enc.aux_q.items()}
+    return enc.gamma_program.run(enc.game.assignment(profile) | pinned)[0] == ONE
 
 
 def decide_pure_ne(lg: LogicalGame,
@@ -176,7 +173,7 @@ class MixedNEEncoding:
     prob_vars: tuple[tuple[str, ...], ...]        # per player, lexicographic
     prob_distr: tuple[fm.Formula, ...]
     expected: tuple[fm.Formula, ...]
-    expected_dev: tuple[tuple[fm.Formula, ...], ...]
+    trace: tuple[tuple[str, fm.Formula], ...]     # probdistr_i, expected_i, dev_i_r, formula
     full: fm.Formula
 
     def assignment(self, profile: MixedProfile) -> dict[str, Fraction]:
@@ -191,11 +188,12 @@ class MixedNEEncoding:
 
 
 def lift_algebra_for_mixed(lg: LogicalGame) -> Algebra:
-    """Smallest catalog expansion of the standard PL-algebra that contains
-    the game's algebra as a subreduct and a constant per relevant element.
-    A game already over a product algebra keeps its own algebra."""
+    """First catalog expansion of the standard PL-algebra, smallest first, that
+    contains the game's algebra as a subreduct and a constant per relevant element.
+    A game already over a product algebra keeps its own algebra.  Candidates
+    agree on every shared connective, so the formula never depends on which."""
     candidates = [lg.algebra] + [catalog_lookup(name) for name in
-                                 ("STD_PL", "STD_PL_DELTA", "STD_QPL_DELTA")]
+                                 ("STD_PL", "STD_PL_DELTA", "STD_QPL_DELTA", "STD_LPIH")]
     for candidate in candidates:
         if "odot" not in candidate.ops or candidate.family != "mv":
             continue
@@ -207,23 +205,11 @@ def lift_algebra_for_mixed(lg: LogicalGame) -> Algebra:
         f"no catalog product-algebra expansion accommodates {lg.algebra.id}")
 
 
-def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> MixedNEEncoding:
-    if alg is None:
-        alg = lift_algebra_for_mixed(lg)
-    else:
-        if "odot" not in alg.ops:
-            raise SemanticError(f"{alg.id} lacks the product connective")
-        if not is_subreduct(lg.algebra, alg):
-            raise SemanticError(f"{lg.algebra.id} is not a subreduct of {alg.id}")
-        if not all(alg.has_constant(a) for a in relevant_elements(lg)):
-            raise SemanticError(f"{alg.id} lacks constants for the relevant elements")
+def build_mixed_encoding(lg: LogicalGame) -> MixedNEEncoding:
+    alg = lift_algebra_for_mixed(lg)
     taken = set(lg.all_variables)
-    prob_vars = []
-    for i, block in enumerate(lg.strategies):
-        names = tuple(_fresh(f"p_{i + 1}__{rank}", taken) for rank in range(len(block)))
-        taken.update(names)
-        prob_vars.append(names)
-    prob_vars = tuple(prob_vars)
+    prob_vars = tuple(tuple(_fresh(f"p_{i + 1}__{rank}", taken) for rank in range(len(block)))
+                      for i, block in enumerate(lg.strategies))
     prob = [[Var(name) for name in block] for block in prob_vars]
 
     # One pass over the profiles in rank order: i's payoff with the profile's
@@ -241,16 +227,18 @@ def build_mixed_encoding(lg: LogicalGame, alg: Optional[Algebra] = None) -> Mixe
                 prob[j][ranks[j]] for j in range(n)))))
             dev_terms[i][ranks[i]].append(App("odot", (plugged, odot_all(
                 prob[j][ranks[j]] for j in range(n) if j != i))))
-    expected = [oplus_all(parts) for parts in terms]
-    expected_dev = [tuple(oplus_all(parts) for parts in devs) for devs in dev_terms]
+    expected = tuple(oplus_all(parts) for parts in terms)
 
     prob_distr = tuple(build_prob_distr(block) for block in prob_vars)
-    player_conjuncts = []
+    trace, player_conjuncts = [], []
     for i in range(n):
-        implications = [App("imp", (dev, expected[i])) for dev in expected_dev[i]]
-        player_conjuncts.append(conj_all([prob_distr[i]] + implications))
-    return MixedNEEncoding(lg, alg, prob_vars, prob_distr, tuple(expected),
-                           tuple(expected_dev), conj_all(player_conjuncts))
+        deviations = [App("imp", (oplus_all(parts), expected[i])) for parts in dev_terms[i]]
+        trace += [(f"probdistr_{i + 1}", prob_distr[i]), (f"expected_{i + 1}", expected[i])]
+        trace += [(f"dev_{i + 1}_{rank}", dev) for rank, dev in enumerate(deviations)]
+        player_conjuncts.append(conj_all([prob_distr[i]] + deviations))
+    full = conj_all(player_conjuncts)
+    trace.append(("formula", full))
+    return MixedNEEncoding(lg, alg, prob_vars, prob_distr, expected, tuple(trace), full)
 
 
 def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
@@ -258,22 +246,13 @@ def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
                    ) -> tuple[bool, list[tuple[str, Fraction]]]:
     """Evaluate the mixed-equilibrium formula at a rational profile.
 
-    Returns the verdict (formula value 1) and a trace of conjunct values,
-    both from one run of one program over the conjuncts and the formula.
+    Returns the verdict (formula value 1) and the value of each of the
+    encoding's trace roots, all from one run of one program.
     """
     if enc is None:
         enc = build_mixed_encoding(lg)
-    assignment = enc.assignment(profile)
-    names, roots = [], []
-    for i in range(lg.n_players):
-        names += [f"probdistr_{i + 1}", f"expected_{i + 1}"]
-        roots += [enc.prob_distr[i], enc.expected[i]]
-        for rank, dev in enumerate(enc.expected_dev[i]):
-            names.append(f"dev_{i + 1}_{rank}")
-            roots.append(App("imp", (dev, enc.expected[i])))
-    names.append("formula")
-    roots.append(enc.full)
-    values = fm.Program(roots, enc.algebra).run(assignment)
+    names, roots = zip(*enc.trace)
+    values = fm.Program(roots, enc.algebra).run(enc.assignment(profile))
     return values[-1] == ONE, list(zip(names, values))
 
 

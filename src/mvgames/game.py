@@ -183,18 +183,6 @@ def classify(lg: LogicalGame) -> GameFlags:
                      expressible=expressible, weakly_expressible=weakly)
 
 
-def pure_equilibria_check(lg: LogicalGame, profile: Sequence[ValueTuple]) -> bool:
-    """Exhaustive unilateral-deviation check at one profile."""
-    profile = tuple(map(tuple, profile))
-    current = payoff(lg, profile)
-    for i in range(lg.n_players):
-        for alternative in lg.strategies[i]:
-            deviated = profile[:i] + (alternative,) + profile[i + 1:]
-            if payoff(lg, deviated)[i] > current[i]:
-                return False
-    return True
-
-
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
     """Forget the logical structure: strategy ids are lexicographic ranks."""
     counts = [len(block) for block in lg.strategies]
@@ -202,9 +190,13 @@ def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
     for ids in itertools.product(*[range(c) for c in counts]):
         profile = tuple(lg.strategies[i][k] for i, k in enumerate(ids))
         payoffs[ids] = payoff(lg, profile)
-    names = tuple(tuple(",".join(map(format_rational, tup)) or "()" for tup in block)
-                  for block in lg.strategies)
+    names = tuple(tuple(map(format_strategy, block)) for block in lg.strategies)
     return StrategicGame(names, payoffs)
+
+
+def format_strategy(tup: ValueTuple) -> str:
+    """A value tuple as comma-separated rationals; the empty tuple as "()"."""
+    return ",".join(map(format_rational, tup)) or "()"
 
 
 @dataclass(frozen=True)
@@ -220,9 +212,6 @@ class MixedProfile:
             if sum(vector) != 1:
                 raise SemanticError(
                     f"player {i + 1}: probabilities sum to {sum(vector)}, not 1")
-
-    def prob(self, player: int, strategy: int) -> Fraction:
-        return self.probabilities[player][strategy]
 
 
 def dirac(counts: Sequence[int], profile: Profile) -> MixedProfile:
@@ -246,12 +235,16 @@ def game_to_json(game: StrategicGame) -> dict:
 def game_from_json(doc: dict) -> StrategicGame:
     try:
         n = doc["players"]
-        names = tuple(tuple(block) for block in doc["strategies"])
+        blocks = doc["strategies"]
         rows = list(doc["payoffs"])
+        if not all(isinstance(block, list) and all(isinstance(name, str) for name in block)
+                   for block in blocks):
+            raise InputError("every strategy block must be a JSON array of strings")
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad strategic-game document: {exc}") from None
     if type(n) is not int:
         raise InputError("players must be a JSON integer")
+    names = tuple(map(tuple, blocks))
     if len(names) != n:
         raise InputError("strategies must list one block per player")
     counts = [len(block) for block in names]
@@ -278,9 +271,16 @@ def lgame_to_json(lg: LogicalGame) -> dict:
 def lgame_from_json(doc: dict) -> LogicalGame:
     try:
         alg = catalog_lookup(doc["algebra"])
-        variables = tuple(tuple(block) for block in doc["variables"])
-        if not all(isinstance(name, str) for block in variables for name in block):
-            raise InputError("variable names must be strings")
+        blocks = doc["variables"]
+        if not all(isinstance(block, list) for block in blocks):
+            raise InputError("every variable block must be a JSON array")
+        variables = tuple(map(tuple, blocks))
+        for name in itertools.chain(*variables):
+            if not _reads_back(name):
+                raise InputError(f"variable name {name!r} does not parse as that variable")
+        if not all(isinstance(block, list) and all(isinstance(tup, list) for tup in block)
+                   for block in doc["strategies"]):
+            raise InputError("every strategy must be a JSON array within a JSON array")
         strategies = tuple(
             tuple(tuple(parse_rational(x) for x in tup) for tup in block)
             for block in doc["strategies"])
@@ -288,6 +288,14 @@ def lgame_from_json(doc: dict) -> LogicalGame:
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad logical-game document: {exc}") from None
     return LogicalGame(alg, variables, strategies, formulas)
+
+
+def _reads_back(name) -> bool:
+    """Is `name` a string the formula grammar reads back as that variable?"""
+    try:
+        return isinstance(name, str) and fm.parse(name) == fm.Var(name)
+    except fm.ParseError:
+        return False
 
 
 def profile_to_json(profile: MixedProfile) -> list[dict]:

@@ -401,3 +401,58 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, case):
         "--out-lgame", paths["lgame"], "--out-rep", paths["ok"])
     code, _, err = run(capsys, *[arg.format(**paths) for arg in UNWRITABLE[case]])
     assert code == 2 and err.startswith("input error: cannot write"), err
+
+
+# A loader must not iterate a string where it expects a JSON array: "ab"
+# would read as the two strategies a and b, "x" as the block ("x",).
+
+def test_strategy_block_given_as_a_string_is_input_error(capsys, tmp_path):
+    doc = {"players": 2, "strategies": ["ab", "cd"], "payoffs": [["0", "0"]] * 4}
+    code, out, err = run(capsys, "oracle", "pure",
+                         "--game", _write_json(tmp_path, "g.json", doc))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+def test_strategy_names_must_be_strings(capsys, tmp_path):
+    doc = {"players": 2, "strategies": [[1, 2], [None, True]],
+           "payoffs": [["0", "1"], ["1", "0"], ["1", "0"], ["0", "1"]]}
+    code, out, err = run(capsys, "represent", "--game", _write_json(tmp_path, "g.json", doc),
+                         "--method", "ab_i", "--out-lgame", str(tmp_path / "lg.json"),
+                         "--out-rep", str(tmp_path / "rep.json"))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+def _lgame(variables):
+    return {"algebra": "L_2", "variables": variables,
+            "strategies": [[["0"], ["1"]], [["0"], ["1"]]],
+            "payoff_formulas": ["0", "0"]}
+
+
+def test_variable_block_given_as_a_string_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "pure-ne",
+                         "--lgame", _write_json(tmp_path, "lg.json", _lgame(["x", "y"])))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+def test_strategy_tuple_given_as_a_string_is_input_error(capsys, tmp_path):
+    doc = dict(_lgame([["x"], ["y"]]), strategies=[["0", "1"], ["0", "1"]])
+    code, out, err = run(capsys, "oracle", "pure",
+                         "--game", _write_json(tmp_path, "lg.json", doc))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+def test_variable_names_must_read_back_as_variables(capsys, tmp_path):
+    # emitted formulas name the variables; each name must parse back as itself
+    for name in ("a b", "D", "c(1/2)", "x)", ""):
+        path = _write_json(tmp_path, "lg.json", _lgame([[name], ["y"]]))
+        code, out, err = run(capsys, "pure-ne", "--lgame", path,
+                             "--emit-formula", str(tmp_path / "ex.txt"))
+        assert code == 2 and out == "" and err.startswith("input error:"), err
+        assert f"variable name {name!r}" in err
+    path = _write_json(tmp_path, "ok.json", _lgame([["x_1"], ["y"]]))
+    code, out, _ = run(capsys, "pure-ne", "--lgame", path,
+                       "--emit-formula", str(tmp_path / "ex.txt"))
+    assert code == 0 and out.splitlines()[-1] == "SAT"
+    code, out, _ = run(capsys, "eval", "--algebra", "L_2",
+                       "--formula-file", str(tmp_path / "ex.txt"), "--assign", "x_1=0,y=1")
+    assert code == 0 and out == "1\n"

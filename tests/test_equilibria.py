@@ -8,14 +8,14 @@ import pytest
 
 from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      check_mixed_ne, decide_pure_ne, dirac, evaluate,
-                     expected_payoffs, find_mixed_2p, free_variables,
+                     expected_payoffs, find_mixed_2p, free_variables, is_subreduct,
                      logical_to_strategic, love_and_hate, matching_pennies,
-                     new_technology, parse, pure_ne_scan,
+                     new_technology, parse, pure_ne_scan, relevant_elements,
                      represent_binary_boolean, verify_mixed)
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
                                 build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
-from mvgames.formula import substitute
+from mvgames.formula import Program, substitute
 from mvgames.errors import SemanticError
 from conftest import random_distribution, random_logical_game
 
@@ -154,10 +154,6 @@ def test_prob_distr_single_variable():
 def test_lift_algebra_choices():
     assert lift_algebra_for_mixed(MP_REP.target).id == "STD_PL"
     assert lift_algebra_for_mixed(LH.logical).id == "STD_QPL_DELTA"
-    with pytest.raises(SemanticError):
-        build_mixed_encoding(LH.logical, catalog_lookup("STD_QL"))  # no product
-    with pytest.raises(SemanticError):
-        build_mixed_encoding(LH.logical, catalog_lookup("STD_PL"))  # no constants
     # product-algebra games keep their own algebra
     lpih = LogicalGame(catalog_lookup("STD_LPIH"), (("v1",), ("v2",)),
                        (((F(1, 3),), (F(2, 3),)), ((F(0),), (F(1),))),
@@ -167,6 +163,61 @@ def test_lift_algebra_choices():
     point = dirac((2, 2), ranks)
     assert check_mixed_ne(lpih, point)[0] == \
         verify_mixed(logical_to_strategic(lpih), point)
+
+
+def test_lift_reaches_lpih_for_lpi_games_with_inner_values():
+    # STD_LPI has constants 0 and 1 only, and its product implication keeps
+    # it out of the PL algebras: STD_LPIH is the one expansion left.
+    lpi = LogicalGame(catalog_lookup("STD_LPI"), (("v1",), ("v2",)),
+                      (((F(0),), (F(1, 2),)), ((F(0),), (F(1),))),
+                      (parse("v1 => v2"), parse("v1 * ~v2")))
+    assert lift_algebra_for_mixed(lpi).id == "STD_LPIH"
+    table = logical_to_strategic(lpi)
+    counts = table.strategy_counts
+    profiles = [dirac(counts, ranks) for ranks in table.profiles()]
+    profiles.append(MixedProfile(((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)))))
+    verdicts = [check_mixed_ne(lpi, profile)[0] for profile in profiles]
+    assert verdicts == [verify_mixed(table, profile) for profile in profiles]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_lift_rejects_algebras_without_product_expansion():
+    g4c = LogicalGame(catalog_lookup("G_4_C"), (("v1",), ("v2",)),
+                      (((F(1, 4),), (F(1),)), ((F(0),), (F(3, 4),))),
+                      (parse("v1 -> v2"), parse("v1 & v2")))
+    with pytest.raises(SemanticError,
+                       match="^no catalog product-algebra expansion accommodates G_4_C$"):
+        build_mixed_encoding(g4c)
+
+
+PRODUCT_ALGEBRAS = [catalog_lookup(name) for name in
+                    ("STD_PL", "STD_PL_DELTA", "STD_QPL_DELTA", "STD_LPI", "STD_LPIH")]
+
+
+def test_mixed_check_is_the_same_in_every_accommodating_algebra(seed, battery_representations):
+    # Every catalog product algebra that holds the game's algebra as a
+    # subreduct, with a constant per relevant element, gives the same values.
+    rng = random.Random(seed)
+    games = [NT.logical, LH.logical, MP_REP.target, love_and_hate(2, 2).logical]
+    games += [random_logical_game(rng) for _ in range(10)]
+    games += [rep.target for index, (method, rep) in enumerate(battery_representations)
+              if method in ("ab_i", "ab_ii", "ab_iii", "vii") and index % 20 == 0]
+    choices = 0
+    for lg in games:
+        enc = build_mixed_encoding(lg)
+        counts = [len(block) for block in lg.strategies]
+        profile = MixedProfile(tuple(random_distribution(rng, c) for c in counts))
+        checked = check_mixed_ne(lg, profile, enc=enc)[1]
+        roots = [root for _, root in enc.trace]
+        accommodating = [alg for alg in PRODUCT_ALGEBRAS
+                         if is_subreduct(lg.algebra, alg)
+                         and all(alg.has_constant(a) for a in relevant_elements(lg))]
+        assert enc.algebra in accommodating or enc.algebra is lg.algebra
+        for alg in accommodating:
+            values = Program(roots, alg).run(enc.assignment(profile))
+            assert list(zip([name for name, _ in enc.trace], values)) == checked, alg.id
+        choices += len(accommodating) > 1
+    assert choices > 20
 
 
 def test_expected_payoff_matching_pennies_uniform():
@@ -292,8 +343,7 @@ def _literal_gamma(enc):
 def _literal_mixed(enc):
     return MixedNEEncoding(enc.game, enc.algebra, enc.prob_vars, enc.prob_distr,
                            tuple(substitute(e, {}) for e in enc.expected),
-                           tuple(tuple(substitute(d, {}) for d in devs)
-                                 for devs in enc.expected_dev),
+                           tuple((name, substitute(root, {})) for name, root in enc.trace),
                            substitute(enc.full, {}))
 
 

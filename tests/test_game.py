@@ -7,7 +7,7 @@ import pytest
 
 from mvgames import (LogicalGame, MixedProfile, StrategicGame, catalog_lookup,
                      classify, dirac, logical_to_strategic, new_technology,
-                     parse, payoff, pure_equilibria_check, pure_ne_scan,
+                     parse, payoff, pure_ne_scan,
                      relevant_elements, verify_mixed)
 from mvgames.errors import SemanticError
 from mvgames.game import (game_from_json, game_to_json, lgame_from_json,
@@ -84,9 +84,9 @@ def test_classify_infinite_domain_full_unknown():
     assert flags.expressible   # relevant set {0,1} has constants
 
 
-def test_pure_equilibria_check_nt():
-    assert pure_equilibria_check(NT.logical, _t(1, 1, 1))
-    assert not pure_equilibria_check(NT.logical, _t(0, 0, 0))
+def test_pure_ne_scan_logical_nt():
+    # strategy ranks: (1, 1, 1) plays the values 1, 1, 1
+    assert pure_ne_scan(NT.logical) == [(1, 1, 1)]
 
 
 def test_single_strategy_profile_is_equilibrium():
@@ -94,7 +94,7 @@ def test_single_strategy_profile_is_equilibrium():
     lg = LogicalGame(alg, (("v1",), ("v2",)),
                      (((F(1, 2),),), ((F(1, 4),),)),
                      (parse("v1"), parse("v2")))
-    assert pure_equilibria_check(lg, ((F(1, 2),), (F(1, 4),)))
+    assert pure_ne_scan(lg) == [(0, 0)]
 
 
 def test_variable_blocks_must_be_disjoint():
@@ -195,7 +195,7 @@ def test_deep_payoff_formula_is_stack_safe():
                      (_t(0, 1), _t(0, 1)), payoffs)
     top = F(steps - 1, steps)
     assert payoff(lg, ((F(1),), (F(0),))) == (top, 0)
-    assert pure_equilibria_check(lg, ((F(1),), (F(1),)))
+    assert pure_ne_scan(lg) == [(1, 1)]
     doc = lgame_to_json(lg)
     assert doc["payoff_formulas"][0] == to_text(payoffs[0])
     assert doc["payoff_formulas"][0].startswith("(" * steps)

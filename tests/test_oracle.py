@@ -186,7 +186,7 @@ def reference_expected_payoffs(table, profile):
     for pure, values in table.payoffs.items():
         weight = F(1)
         for i, s in enumerate(pure):
-            weight *= profile.prob(i, s)
+            weight *= profile.probabilities[i][s]
             if weight == 0:
                 break
         if weight == 0:
@@ -206,7 +206,7 @@ def reference_deviation_payoff(table, profile, player, strategy):
         for j, s in enumerate(pure):
             if j == player:
                 continue
-            weight *= profile.prob(j, s)
+            weight *= profile.probabilities[j][s]
             if weight == 0:
                 break
         if weight == 0:

@@ -21,7 +21,8 @@ from mvgames.algebra import INTEGER_TWINS
 from mvgames.equilibria import build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
 from mvgames.formula import Program
-from mvgames.game import MixedProfile
+from mvgames.game import MixedProfile, logical_to_strategic
+from mvgames.oracle import expected_payoffs
 from conftest import random_distribution, random_logical_game
 
 F = Fraction
@@ -226,16 +227,28 @@ def test_mixed_trace_equals_separate_evaluations(seed):
         profile = MixedProfile(tuple(random_distribution(rng, len(block))
                                      for block in lg.strategies))
         env = enc.assignment(profile)
-        roots = []
-        for i in range(lg.n_players):
-            roots += [(f"probdistr_{i + 1}", enc.prob_distr[i]),
-                      (f"expected_{i + 1}", enc.expected[i])]
-            roots += [(f"dev_{i + 1}_{rank}", App("imp", (dev, enc.expected[i])))
-                      for rank, dev in enumerate(enc.expected_dev[i])]
-        roots.append(("formula", enc.full))
         ok, trace = check_mixed_ne(lg, profile, enc=enc)
-        assert trace == [(name, evaluate(f, enc.algebra, env)) for name, f in roots]
+        # names and order, spelled out here
+        names = []
+        for i, block in enumerate(lg.strategies):
+            names += [f"probdistr_{i + 1}", f"expected_{i + 1}"]
+            names += [f"dev_{i + 1}_{rank}" for rank in range(len(block))]
+        assert [name for name, _ in trace] == names + ["formula"]
+        # each value as its root evaluated on its own
+        assert trace == [(name, evaluate(f, enc.algebra, env)) for name, f in enc.trace]
         assert ok == (trace[-1][1] == ONE)
+        # dev_i_r is the implication "i's payoff after deviating to r ->
+        # i's expected payoff", with the payoffs from the payoff table
+        table = logical_to_strategic(lg)
+        values = dict(trace)
+        for i, (block, expected) in enumerate(zip(lg.strategies,
+                                                  expected_payoffs(table, profile))):
+            assert values[f"expected_{i + 1}"] == expected
+            for rank in range(len(block)):
+                vectors = list(profile.probabilities)
+                vectors[i] = tuple(ONE if k == rank else ZERO for k in range(len(block)))
+                deviated = expected_payoffs(table, MixedProfile(tuple(vectors)))[i]
+                assert values[f"dev_{i + 1}_{rank}"] == min(ONE, ONE - deviated + expected)
 
 
 # --- explicit substitution -----------------------------------------------------
