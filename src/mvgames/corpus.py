@@ -37,10 +37,6 @@ class CorpusBundle:
     representation: Optional[Representation]
 
 
-def _lattice_min(left: Formula, right: Formula) -> Formula:
-    return App("and", (left, right))
-
-
 # --- New Technology -------------------------------------------------------------
 
 def new_technology(c: Fraction = Fraction(1)) -> CorpusBundle:
@@ -61,9 +57,9 @@ def new_technology(c: Fraction = Fraction(1)) -> CorpusBundle:
     variables = (("v1",), ("v2",), ("v3",))
 
     def payoff_formula(own: str, other1: str, other2: str) -> Formula:
-        gain = app("oplus", half, _lattice_min(half, Var(own)))
-        loss = app("oplus", _lattice_min(quarter, Var(other1)),
-                   _lattice_min(quarter, Var(other2)))
+        gain = app("oplus", half, App("and", (half, Var(own))))
+        loss = app("oplus", App("and", (quarter, Var(other1))),
+                   App("and", (quarter, Var(other2))))
         return app("ominus", gain, loss)
 
     formulas = (payoff_formula("v1", "v2", "v3"),
@@ -95,7 +91,7 @@ def _circle_gap(x: Fraction, y: Fraction) -> Fraction:
 
 def _eta(x: Formula, y: Formula) -> Formula:
     theta = App("or", (app("neg", app("imp", x, y)), app("neg", app("imp", y, x))))
-    tent = _lattice_min(theta, app("neg", theta))
+    tent = App("and", (theta, app("neg", theta)))
     return App("oplus", (tent, tent))
 
 
@@ -173,8 +169,8 @@ def vickrey(values: Sequence[Fraction], t: Fraction, step: Fraction) -> CorpusBu
             app("delta", app("imp", top_bid, all_vars[i])),
             app("neg", app("delta", app("imp", all_vars[i], earlier)))))
         r_i = Const((t + values[i]) / (2 * t))
-        gain = app("oplus", half, _lattice_min(iota, app("ominus", r_i, kappa)))
-        loss = _lattice_min(iota, app("ominus", kappa, r_i))
+        gain = app("oplus", half, App("and", (iota, app("ominus", r_i, kappa))))
+        loss = App("and", (iota, app("ominus", kappa, r_i)))
         formulas.append(app("ominus", gain, loss))
 
     def encode(bid: Fraction) -> Fraction:

@@ -171,8 +171,6 @@ class MixedNEEncoding:
     game: LogicalGame
     algebra: Algebra                              # expands STD_PL
     prob_vars: tuple[tuple[str, ...], ...]        # per player, lexicographic
-    prob_distr: tuple[fm.Formula, ...]
-    expected: tuple[fm.Formula, ...]
     trace: tuple[tuple[str, fm.Formula], ...]     # probdistr_i, expected_i, dev_i_r, formula
     full: fm.Formula
 
@@ -238,7 +236,7 @@ def build_mixed_encoding(lg: LogicalGame) -> MixedNEEncoding:
         player_conjuncts.append(conj_all([prob_distr[i]] + deviations))
     full = conj_all(player_conjuncts)
     trace.append(("formula", full))
-    return MixedNEEncoding(lg, alg, prob_vars, prob_distr, expected, tuple(trace), full)
+    return MixedNEEncoding(lg, alg, prob_vars, tuple(trace), full)
 
 
 def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,

@@ -22,7 +22,8 @@ subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
 An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
-for its literal copy: a program compiles the body once and calls it, memoized.
+for its literal copy: a program compiles the body once and calls it, memoized;
+the printer prints the body under its bindings' texts.
 
 A program whose live code neither multiplies nor divides (no `odot` or
 `imp_pi`) runs on integer numerators over one denominator D.  The
@@ -257,14 +258,16 @@ _OP_TOKEN = {name: tok for tok, name in _BINARY_TOKENS.items()}
 
 def to_text(f: Formula) -> str:
     """Fully parenthesized canonical form; parse(to_text(f)) == substitute(f, {})."""
-    return _text(f)
+    return _text(f, {})
 
 
-def _text(f: Formula) -> str:
+def _text(f: Formula, env: dict[str, str]) -> str:
+    """The text of `f` with each variable printed as env.get(name, name); a
+    `Subst` prints its body under its bindings' texts, never its literal copy."""
     text: dict[int, str] = {}
     for node in _post_order([f]):
         if type(node) is Var:
-            out = node.name
+            out = env.get(node.name, node.name)
         elif type(node) is Const:
             if node.value == ZERO:
                 out = "0"
@@ -273,7 +276,8 @@ def _text(f: Formula) -> str:
             else:
                 out = f"c({node.value})"
         elif type(node) is Subst:
-            out = _text(substitute(node, {}))
+            out = _text(node.body, env | {name: _text(binding, env)
+                                          for name, binding in node.bindings})
         elif node.op == "neg":
             out = "~" + text[id(node.args[0])]
         elif node.op == "delta":

@@ -137,14 +137,6 @@ class LogicalGame:
             out.update(zip(block, tup))
         return out
 
-    def strategy_index(self, player: int, strategy: ValueTuple) -> int:
-        """Lexicographic rank of a strategy tuple in the player's ordered set."""
-        try:
-            return self.strategies[player].index(tuple(strategy))
-        except ValueError:
-            raise SemanticError(
-                f"{tuple(strategy)} is not a strategy of player {player + 1}") from None
-
 
 def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ...]:
     """Per-player formula values at the strategy profile."""
@@ -162,14 +154,12 @@ def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class GameFlags:
-    basic: bool
     full: Optional[bool]       # None: undecidable over an infinite domain
     expressible: bool
     weakly_expressible: bool
 
 
 def classify(lg: LogicalGame) -> GameFlags:
-    basic = all(len(block) == 1 for block in lg.variables)
     relevant = relevant_elements(lg)
     expressible = all(lg.algebra.has_constant(a) for a in relevant)
     weakly = expressible or all(has_pseudo_char(lg.algebra, a) for a in relevant)
@@ -179,8 +169,7 @@ def classify(lg: LogicalGame) -> GameFlags:
                    for block, vs in zip(lg.strategies, lg.variables))
     else:
         full = None
-    return GameFlags(basic=basic, full=full,
-                     expressible=expressible, weakly_expressible=weakly)
+    return GameFlags(full=full, expressible=expressible, weakly_expressible=weakly)
 
 
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
@@ -223,6 +212,17 @@ def dirac(counts: Sequence[int], profile: Profile) -> MixedProfile:
 
 # --- file formats ------------------------------------------------------------
 
+def json_array(value, what: str, depth: int = 1) -> list:
+    """`value`, checked to be JSON arrays nested `depth` deep.  Python would
+    read a string there as its characters, so a string is an input error."""
+    level = [value]
+    for _ in range(depth):
+        if not all(type(v) is list for v in level):
+            raise InputError(f"{what} must be a JSON array{' of arrays' * (depth - 1)}")
+        level = [x for v in level for x in v]
+    return value
+
+
 def game_to_json(game: StrategicGame) -> dict:
     return {
         "players": game.n_players,
@@ -235,11 +235,10 @@ def game_to_json(game: StrategicGame) -> dict:
 def game_from_json(doc: dict) -> StrategicGame:
     try:
         n = doc["players"]
-        blocks = doc["strategies"]
-        rows = list(doc["payoffs"])
-        if not all(isinstance(block, list) and all(isinstance(name, str) for name in block)
-                   for block in blocks):
-            raise InputError("every strategy block must be a JSON array of strings")
+        blocks = json_array(doc["strategies"], "strategies", 2)
+        rows = json_array(doc["payoffs"], "payoffs", 2)
+        if not all(isinstance(name, str) for block in blocks for name in block):
+            raise InputError("every strategy name must be a JSON string")
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad strategic-game document: {exc}") from None
     if type(n) is not int:
@@ -252,7 +251,7 @@ def game_from_json(doc: dict) -> StrategicGame:
         raise InputError(f"expected {prod(counts)} payoff rows, got {len(rows)}")
     payoffs = {}
     for profile, row in zip(itertools.product(*[range(c) for c in counts]), rows):
-        if not isinstance(row, list) or len(row) != n:
+        if len(row) != n:
             raise InputError(f"payoff row for {profile} must have {n} entries")
         payoffs[profile] = tuple(parse_rational(v) for v in row)
     return StrategicGame(names, payoffs)
@@ -271,20 +270,13 @@ def lgame_to_json(lg: LogicalGame) -> dict:
 def lgame_from_json(doc: dict) -> LogicalGame:
     try:
         alg = catalog_lookup(doc["algebra"])
-        blocks = doc["variables"]
-        if not all(isinstance(block, list) for block in blocks):
-            raise InputError("every variable block must be a JSON array")
-        variables = tuple(map(tuple, blocks))
+        variables = tuple(map(tuple, json_array(doc["variables"], "variables", 2)))
         for name in itertools.chain(*variables):
             if not _reads_back(name):
                 raise InputError(f"variable name {name!r} does not parse as that variable")
-        if not all(isinstance(block, list) and all(isinstance(tup, list) for tup in block)
-                   for block in doc["strategies"]):
-            raise InputError("every strategy must be a JSON array within a JSON array")
-        strategies = tuple(
-            tuple(tuple(parse_rational(x) for x in tup) for tup in block)
-            for block in doc["strategies"])
-        formulas = tuple(fm.parse(text) for text in doc["payoff_formulas"])
+        strategies = tuple(tuple(tuple(map(parse_rational, tup)) for tup in block)
+                           for block in json_array(doc["strategies"], "strategies", 3))
+        formulas = tuple(map(fm.parse, json_array(doc["payoff_formulas"], "payoff_formulas")))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad logical-game document: {exc}") from None
     return LogicalGame(alg, variables, strategies, formulas)
@@ -304,7 +296,7 @@ def profile_to_json(profile: MixedProfile) -> list[dict]:
 
 
 def profile_from_json(doc, counts: Sequence[int]) -> MixedProfile:
-    if not isinstance(doc, list) or len(doc) != len(counts):
+    if len(json_array(doc, "mixed profile")) != len(counts):
         raise InputError("mixed profile must list one map per player")
     vectors = []
     for i, (entry, count) in enumerate(zip(doc, counts)):

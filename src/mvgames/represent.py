@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 from .algebra import Algebra, catalog_lookup, format_rational, parse_rational
 from .chars import characteristic, is_prime, zeta
 from .errors import InputError, SemanticError
-from .game import LogicalGame, StrategicGame, ValueTuple, payoff
+from .game import LogicalGame, StrategicGame, ValueTuple, json_array, payoff
 from .formula import App, Const, Formula, conj_all, disj_all
 
 
@@ -385,11 +385,11 @@ def representation_from_json(doc: dict, source: StrategicGame,
             g = Affine(parse_rational(g_doc["a"]), parse_rational(g_doc["b"]))
         elif g_doc["kind"] == "table":
             g = Table(tuple((parse_rational(x), parse_rational(y))
-                            for x, y in g_doc["points"]))
+                            for x, y in json_array(g_doc["points"], "points", 2)))
         else:
             raise InputError(f"unknown transform kind {g_doc['kind']!r}")
         coding = tuple(tuple(tuple(parse_rational(x) for x in tup) for tup in table)
-                       for table in doc["c"])
+                       for table in json_array(doc["c"], "c", 3))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad representation document: {exc}") from None
     return Representation(source, target, coding, g)

@@ -225,7 +225,7 @@ def test_acceptance_09_expected_payoff_exactness(seed):
             env = enc.assignment(profile)
             exact = expected_payoffs(table, profile)
             for i in range(lg.n_players):
-                assert evaluate(enc.expected[i], enc.algebra, env) == exact[i]
+                assert evaluate(dict(enc.trace)[f"expected_{i + 1}"], enc.algebra, env) == exact[i]
             verdict = check_mixed_ne(lg, profile, enc=enc)[0]
             assert verdict == verify_mixed(table, profile)
             both[verdict] += 1

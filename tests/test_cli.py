@@ -441,6 +441,30 @@ def test_strategy_tuple_given_as_a_string_is_input_error(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("input error:"), err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("c", [["0", "1"], ["0", "1"]]),                   # ["0"], ["1"] as strings
+    ("g", {"kind": "table", "points": ["00", "11"]}),   # ["0", "0"], ["1", "1"]
+])
+def test_representation_sidecar_given_strings_is_input_error(capsys, tmp_path, key, value):
+    # matching pennies represented by ab_i, then its sidecar spoiled
+    run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
+    game_file, lgame_file = str(tmp_path / "mp" / "game.json"), str(tmp_path / "lg.json")
+    run(capsys, "represent", "--game", game_file, "--method", "ab_i",
+        "--out-lgame", lgame_file, "--out-rep", str(tmp_path / "rep.json"))
+    doc = dict(load_json(tmp_path / "rep.json"), **{key: value})
+    code, out, err = run(capsys, "verify-representation", "--game", game_file,
+                         "--lgame", lgame_file, "--rep", _write_json(tmp_path, "rep.json", doc))
+    assert code == 2 and out == "" and err.startswith("input error:"), err
+
+
+def test_payoff_formulas_given_as_a_string_is_input_error(capsys, tmp_path):
+    # "xy" would read as the two payoff formulas x and y
+    path = _write_json(tmp_path, "lg.json", dict(_lgame([["x"], ["y"]]), payoff_formulas="xy"))
+    for argv in (("pure-ne", "--lgame", path), ("oracle", "pure", "--game", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("input error:"), (argv, err)
+
+
 def test_variable_names_must_read_back_as_variables(capsys, tmp_path):
     # emitted formulas name the variables; each name must parse back as itself
     for name in ("a b", "D", "c(1/2)", "x)", ""):

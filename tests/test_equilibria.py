@@ -224,8 +224,8 @@ def test_expected_payoff_matching_pennies_uniform():
     enc = build_mixed_encoding(MP_REP.target)
     uniform = MixedProfile(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
     env = enc.assignment(uniform)
-    assert evaluate(enc.expected[0], enc.algebra, env) == F(1, 2)
-    assert evaluate(enc.expected[1], enc.algebra, env) == F(1, 2)
+    assert evaluate(dict(enc.trace)["expected_1"], enc.algebra, env) == F(1, 2)
+    assert evaluate(dict(enc.trace)["expected_2"], enc.algebra, env) == F(1, 2)
 
 
 def test_expected_payoff_dirac_equals_formula_value(seed):
@@ -241,7 +241,7 @@ def test_expected_payoff_dirac_equals_formula_value(seed):
         from mvgames import payoff
         values = payoff(lg, profile)
         for i in range(lg.n_players):
-            assert evaluate(enc.expected[i], enc.algebra, env) == values[i]
+            assert evaluate(dict(enc.trace)[f"expected_{i + 1}"], enc.algebra, env) == values[i]
 
 
 def test_check_mixed_matching_pennies():
@@ -266,7 +266,7 @@ def test_check_mixed_love_and_hate_family():
         assert ok
         assert verify_mixed(table, profile)
         env = enc.assignment(profile)
-        assert evaluate(enc.expected[0], enc.algebra, env) == \
+        assert evaluate(dict(enc.trace)["expected_1"], enc.algebra, env) == \
             expected_payoffs(table, profile)[0] == F(1, 2)
 
 
@@ -341,8 +341,7 @@ def _literal_gamma(enc):
 
 
 def _literal_mixed(enc):
-    return MixedNEEncoding(enc.game, enc.algebra, enc.prob_vars, enc.prob_distr,
-                           tuple(substitute(e, {}) for e in enc.expected),
+    return MixedNEEncoding(enc.game, enc.algebra, enc.prob_vars,
                            tuple((name, substitute(root, {})) for name, root in enc.trace),
                            substitute(enc.full, {}))
 

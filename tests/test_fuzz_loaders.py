@@ -69,6 +69,8 @@ def test_game_from_json(doc):
                                 "payoff_formulas": _nested(1)}))
 @example({"algebra": "BOOL2", "variables": [[["v"]]], "strategies": [[["1"]]],
           "payoff_formulas": ["1"]})
+@example({"algebra": "BOOL2", "variables": [["a"], ["b"]],
+          "strategies": [[["0"], ["1"]], [["0"], ["1"]]], "payoff_formulas": "ab"})
 def test_lgame_from_json(doc):
     _only_contract_errors(lgame_from_json, doc)
 
@@ -97,6 +99,9 @@ KINDS = st.sampled_from(["affine", "table"]) | scalars
 @example({"g": {"kind": "affine", "a": "1", "b": "0"},
           "c": [[["0"], ["1"]], [["0"], ["1"]], [["0"]]]})
 @example({"g": {"kind": "table", "points": [["0", "0", "1"]]}, "c": []})
+@example({"g": {"kind": "affine", "a": "1", "b": "0"}, "c": [["0", "1"], ["0", "1"]]})
+@example({"g": {"kind": "table", "points": ["00", "11"]},
+          "c": [[["0"], ["1"]], [["0"], ["1"]]]})
 def test_representation_from_json(doc):
     _only_contract_errors(representation_from_json, doc, REP.source, REP.target)
 

@@ -59,7 +59,7 @@ def test_relevant_elements():
 
 def test_classify_nt():
     flags = classify(NT.logical)
-    assert flags.basic and flags.expressible
+    assert flags.expressible
     assert flags.full is False
     assert flags.weakly_expressible
 

@@ -202,7 +202,7 @@ def transport_profile(rep, profile: MixedProfile) -> MixedProfile:
     for i, vector in enumerate(profile.probabilities):
         image = [F(0)] * len(vector)
         for s, prob in enumerate(vector):
-            image[rep.target.strategy_index(i, rep.coding[i][s])] = prob
+            image[rep.target.strategies[i].index(rep.coding[i][s])] = prob
         vectors.append(tuple(image))
     return MixedProfile(tuple(vectors))
 
@@ -224,7 +224,7 @@ def test_mixed_equilibria_transfer_for_affine_reps(seed):
         for candidate in find_mixed_2p(target_table):
             back = MixedProfile(tuple(
                 tuple(candidate.profile.probabilities[i]
-                      [rep.target.strategy_index(i, rep.coding[i][s])]
+                      [rep.target.strategies[i].index(rep.coding[i][s])]
                       for s in range(len(rep.coding[i])))
                 for i in range(2)))
             assert verify_mixed(game, back)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvgames import catalog_lookup
+from mvgames import catalog_lookup, formula
 from mvgames.equilibria import build_encoding, build_gamma_weak, build_mixed_encoding
 from mvgames.formula import to_text
 from mvgames.game import lgame_to_json
@@ -109,4 +109,15 @@ def _encoding_digest(targets, build) -> str:
 
 @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
 def test_encoding_bytes_are_pinned(encoding):
+    assert _encoding_digest(*ENCODINGS[encoding]) == ENCODING_DIGESTS[encoding]
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_encodings_print_without_literal_copies(encoding, monkeypatch):
+    # The printer reads each explicit substitution in place: with
+    # `substitute` unavailable the encodings still print the pinned bytes.
+    def no_copy(*args):
+        raise AssertionError("the printer built a literal copy")
+
+    monkeypatch.setattr(formula, "substitute", no_copy)
     assert _encoding_digest(*ENCODINGS[encoding]) == ENCODING_DIGESTS[encoding]
