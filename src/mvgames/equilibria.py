@@ -60,7 +60,7 @@ class PureNEEncoding:
     @cached_property
     def gamma_program(self) -> fm.Program:
         """Gamma, compiled once for every profile."""
-        return fm.Program([self.gamma], self.game.algebra)
+        return fm.Program([self.gamma], self.game.algebra, self.game.payoff_table)
 
 
 def _gamma_conjuncts(lg: LogicalGame, node_at: dict) -> list[fm.Formula]:
@@ -245,12 +245,15 @@ def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
     """Evaluate the mixed-equilibrium formula at a rational profile.
 
     Returns the verdict (formula value 1) and the value of each of the
-    encoding's trace roots, all from one run of one program.
+    encoding's trace roots, all from one run of one program.  Payoff values
+    come from the game's payoff table, computed in the game's algebra; they
+    are those of the lifted algebra, of which the game's is a subreduct.
     """
     if enc is None:
         enc = build_mixed_encoding(lg)
     names, roots = zip(*enc.trace)
-    values = fm.Program(roots, enc.algebra).run(enc.assignment(profile))
+    values = fm.Program(roots, enc.algebra, enc.game.payoff_table).run(
+        enc.assignment(profile))
     return values[-1] == ONE, list(zip(names, values))
 
 

@@ -22,8 +22,9 @@ subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
 An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
-for its literal copy: a program compiles the body once and calls it, memoized;
-the printer prints the body under its bindings' texts.
+for its literal copy: a program reads the body's value from a `Table`, a memo
+keyed on the body's own variables (Michie, 1968) that runs the body only on a
+miss; the printer prints the body under its bindings' texts.
 
 A program whose live code neither multiplies nor divides (no `odot` or
 `imp_pi`) runs on integer numerators over one denominator D.  The
@@ -38,8 +39,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
 from .errors import InputError, SemanticError
@@ -328,27 +331,28 @@ class Program:
     identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
     x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
     have their variables checked by `run`, so folding hides no error.  Each
-    `Subst` body is compiled once into a sub-program, called on the bound
-    variables and constants and the body's other variables: before the
-    instructions, on the caller's D, memoized on those inputs, and folded
-    if all are constant.  Other `Subst`s call their literal copy's program.
+    `Subst` reads its body's value from a `Table`, before the instructions
+    and on the caller's D, or folds it: `table` (a logical game's payoff
+    table, whose unbound names become variables here) for its formulas, a
+    table compiled here for other bodies, the literal copy's if neither fits.
 
     When every live connective has an integer twin, `run` scales constants
     and assignment to numerators over a common denominator D, runs the same
     instructions on the twins and returns `Fraction(n, D)` for each root.
     """
 
-    def __init__(self, roots: Sequence[Formula], alg: Algebra):
+    def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None):
         self.algebra = alg
         ops = alg.ops
         known: list = []        # per compiled node: its value if constant, else None
-        shape: list = []        # per node: None, a variable name, (fn or sub-program, args)
+        shape: list = []        # per node: None, a variable name, (fn or table, args)
         # Hash-consing: a variable's name, a constant's (numerator,
         # denominator) and a connective's (op, *argument nodes) map to the
         # node they compiled to, folded or not.
         consed: dict = {}
         ref: dict[int, int] = {}
-        subs: dict[int, Program] = {}   # id(body) -> its sub-program
+        # id(body) -> (its table, its index there): `table`'s, or one compiled here
+        shared = {} if table is None else {id(f): (table, i) for i, f in enumerate(table.formulas)}
 
         def new(value, what) -> int:
             known.append(value)
@@ -369,21 +373,26 @@ class Program:
             return index
 
         def call(node: Subst) -> int:
-            body, bound, sub = node.body, dict(node.bindings), None
-            if all(type(v) is Var or type(v) is Const and alg.contains(v.value)
-                   for v in bound.values()):
-                try:
-                    sub = subs.get(id(body)) or subs.setdefault(id(body), Program([body], alg))
-                except SemanticError:
-                    pass
-            if sub is None:     # the literal copy's program raises what the copy raises
-                bound, sub = {}, Program([substitute(node, {})], alg)
-            args = [variable(v.name) if type(v) is Var else constant(v.value)
-                    for v in (bound.get(name, Var(name)) for name, _ in sub._variables)]
-            if all(known[a] is not None for a in args):
-                return constant(sub.run({name: known[a] for (name, _), a
-                                         in zip(sub._variables, args)})[0])
-            return new(None, (sub, tuple(args)))
+            body, bound = node.body, dict(node.bindings)
+            try:    # the table of the body, if it compiles and takes these bindings
+                if id(body) not in shared:
+                    shared[id(body)] = Table([body], alg), 0
+                served, i = shared[id(body)]
+                inputs = [bound.get(name, Var(name)) for name in served.names]
+                fits = served.program and all(
+                    type(v) is Var and served.algebra is alg
+                    or type(v) is Const and served.algebra.contains(v.value) for v in inputs)
+            except SemanticError:
+                fits = False
+            if not fits:    # the literal copy's program raises what the copy raises
+                served, i = Table([substitute(node, {})], alg), 0
+                inputs = [Var(name) for name in served.names]
+            slots = tuple(variable(v.name) if type(v) is Var else constant(v.value)
+                          for v in inputs)
+            if all(known[s] is not None for s in slots):
+                values = [known[s] for s in slots]
+                return constant(served.at(pairs(values), values)[i])
+            return new(None, (served, slots, i))
 
         one = constant(ONE)
         for f in _post_order(roots):
@@ -429,19 +438,18 @@ class Program:
         self._slots = known         # constants in place; run fills the rest
         self._variables = [(what, index) for index, what in enumerate(shape)
                            if type(what) is str]
-        # (fn or sub-program, result slot, argument slots), topologically
-        code = [(what[0], index, what[1]) for index, what in enumerate(shape)
+        # (fn or table, result slot, argument slots[, formula index]), topologically
+        code = [(what[0], index, *what[1:]) for index, what in enumerate(shape)
                 if live[index] and type(what) is tuple]
-        self._calls = [i for i in code if type(i[0]) is Program]
-        self._code = [i for i in code if type(i[0]) is not Program]
+        self._calls = [i for i in code if type(i[0]) is Table]
+        self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
-        # Every constant's denominator, here and in the sub-programs called,
+        # Every constant's denominator, here and in the tables called,
         # divides `_scale`; None keeps the Fraction ops, as in those.
-        scales = [sub._scale for sub, _, _ in self._calls]
+        scales = [c[0].program._scale for c in self._calls]
         self._scale = lcm(*(v.denominator for v in known if v is not None), *scales) \
             if None not in scales and all(i[0] in INTEGER_TWINS for i in self._code) else None
-        self._kernel = None     # the last (D, code, constants) built
-        self._memo: dict = {}   # a sub-program's root value by (D, *inputs)
+        self._kernel = None     # the last (D, code, constants, calls) built
         self._checked: set[Fraction] = set()    # assigned values known to be in the domain
 
     def _execute(self, scale, inputs) -> list:
@@ -455,15 +463,20 @@ class Program:
                          for v in slots]
             code = [(twin.get(fn, fn) if len(args) == 2 else _as_binary(twin.get(fn, fn)),
                      out, args[0], args[-1]) for fn, out, args in self._code]
-            kernel = self._kernel = (scale, code, slots)
+            # (the table's entries over D, its key's slots, result slot, table, ...)
+            calls = [(table.memo.setdefault(scale, [{} for _ in table.formulas])[i],
+                      _picker([args[p] for p in table.positions[i]]), out, table, i, args)
+                     for table, out, args, i in self._calls]
+            kernel = self._kernel = (scale, code, slots, calls)
         values = list(kernel[2])
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
-        for sub, out, args in self._calls:
-            key = (scale, *[values[a] for a in args])
-            value = sub._memo.get(key)
+        for memo, pick, out, table, i, args in kernel[3]:
+            key = pick(values)
+            value = memo.get(key)
             if value is None:
-                value = sub._memo[key] = sub._execute(scale, key[1:])[0]
+                full = [values[a] for a in args]
+                value = memo[key] = table.at(pairs(full, scale), full, scale)[i]
             values[out] = value
         for fn, out, a, b in kernel[1]:
             values[out] = fn(values[a], values[b])
@@ -492,6 +505,72 @@ class Program:
             scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._scale, d)
             given = [v.numerator * (scale // v.denominator) for v in given]
         return [Fraction(v, scale or 1) for v in self._execute(scale, given)]
+
+
+def _picker(positions: Sequence[int]):
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
+def pairs(values: Iterable, scale=None) -> list[int]:
+    """Each value's lowest-terms (numerator, denominator), flattened; for a
+    `scale` the values are numerators over it."""
+    exact = values if scale is None else (Fraction(n, scale) for n in values)
+    return [x for v in exact for x in (v.numerator, v.denominator)]
+
+
+class Table:
+    """Formulas' values in one algebra, memoized per formula on the exact
+    values of its own variables (Michie's memo functions, 1968).  An input
+    gives a value to each of `names`; `inputs[i]` names formula i's
+    variables.  A miss runs the program of all the formulas once and fills
+    every entry.  `memo[D]` indexes numerators over D in front of the exact
+    entries, so a program on the integer kernel hits without a `Fraction`."""
+
+    def __init__(self, formulas: Sequence[Formula], alg: Algebra,
+                 names: Optional[Sequence[str]] = None, inputs: Sequence[Sequence[str]] = ()):
+        self.formulas, self.algebra = tuple(formulas), alg
+        if names is None:   # one formula, its variables in the order its program reads them
+            names = [name for name, _ in self.program._variables]
+            inputs = [names]
+        self.names = tuple(names)
+        position = {name: k for k, name in enumerate(self.names)}
+        self.positions = [[position[name] for name in own] for own in inputs]
+        self._own = [_picker(own) for own in self.positions]
+        self._picks = [_picker([k for p in own for k in (2 * p, 2 * p + 1)])
+                       for own in self.positions]
+        self._exact = [{} for _ in self.formulas]    # per formula: input pairs -> value
+        self.memo: dict = {}    # D (None: Fractions) -> per formula: input -> value over D
+
+    @cached_property
+    def program(self) -> Program:
+        """All the formulas, compiled on first need."""
+        return Program(self.formulas, self.algebra)
+
+    def at(self, key: Sequence[int], values: Sequence, scale=None) -> tuple:
+        """Every formula's value at an input: `key` its `pairs`, `values` its
+        values as numerators over `scale` (Fractions for None), the form the
+        results take.  With a `scale`, a miss runs on the numerators as they
+        are and fills the index `memo[scale]` too."""
+        out = [memo.get(pick(key)) for memo, pick in zip(self._exact, self._picks)]
+        if None in out:
+            if scale is None:
+                out = self.program.run(dict(zip(self.names, values)))
+            else:
+                out = [Fraction(v, scale) for v in self.program._execute(
+                    scale, [values[k] for k in self._reads])]
+            for memo, pick, value in zip(self._exact, self._picks, out):
+                memo[pick(key)] = value
+        if scale is None:
+            return tuple(out)
+        out = tuple(v.numerator * (scale // v.denominator) for v in out)
+        for memo, pick, value in zip(self.memo[scale], self._own, out):
+            memo[pick(values)] = value
+        return out
+
+    @cached_property
+    def _reads(self) -> list[int]:
+        """The position in an input of each variable of `program`."""
+        return [self.names.index(name) for name, _ in self.program._variables]
 
 
 def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fraction:

@@ -17,7 +17,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from typing import Iterator, Optional, Sequence
 
@@ -88,6 +87,8 @@ class LogicalGame:
 
     def __post_init__(self):
         n = len(self.variables)
+        if n == 0:
+            raise SemanticError("a game needs at least one player")
         if not (n == len(self.strategies) == len(self.payoff_formulas)):
             raise SemanticError("variables, strategies, payoff_formulas: one entry per player")
         flat = [v for block in self.variables for v in block]
@@ -108,21 +109,21 @@ class LogicalGame:
                         raise SemanticError(
                             f"strategy component {component} outside the domain of "
                             f"{self.algebra.id}")
-        allowed = set(flat)
-        for i, phi in enumerate(self.payoff_formulas):
-            extra = set(fm.free_variables(phi)) - allowed
+        allowed, inputs = set(flat), [fm.free_variables(phi) for phi in self.payoff_formulas]
+        for i, names in enumerate(inputs):
+            extra = set(names) - allowed
             if extra:
                 raise SemanticError(
                     f"payoff formula of player {i + 1} uses unknown variables {sorted(extra)}")
+        # The payoff values that `payoff`, gamma and the mixed check all read,
+        # and each strategy's `pairs`, its part of a key there.
+        object.__setattr__(self, "payoff_table",
+                           fm.Table(self.payoff_formulas, self.algebra, flat, inputs))
+        object.__setattr__(self, "_keys", [{t: fm.pairs(t) for t in b} for b in self.strategies])
 
     @property
     def n_players(self) -> int:
         return len(self.variables)
-
-    @cached_property
-    def payoff_program(self) -> fm.Program:
-        """The payoff formulas, compiled once for every profile."""
-        return fm.Program(self.payoff_formulas, self.algebra)
 
     @property
     def all_variables(self) -> tuple[str, ...]:
@@ -140,10 +141,16 @@ class LogicalGame:
 
 def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ...]:
     """Per-player formula values at the strategy profile."""
+    if len(profile) != lg.n_players:
+        raise SemanticError(f"a profile needs {lg.n_players} strategies, got {len(profile)}")
+    key, values = [], []
     for i, tup in enumerate(profile):
-        if tuple(tup) not in lg.strategies[i]:
+        part = lg._keys[i].get(tuple(tup))
+        if part is None:
             raise SemanticError(f"{tuple(tup)} is not a strategy of player {i + 1}")
-    return tuple(lg.payoff_program.run(lg.assignment(profile)))
+        key += part
+        values += tup
+    return lg.payoff_table.at(key, values)
 
 
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:

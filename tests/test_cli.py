@@ -480,3 +480,14 @@ def test_variable_names_must_read_back_as_variables(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--algebra", "L_2",
                        "--formula-file", str(tmp_path / "ex.txt"), "--assign", "x_1=0,y=1")
     assert code == 0 and out == "1\n"
+
+
+def test_zero_player_logical_game_is_rejected_by_every_verb(capsys, tmp_path):
+    path = _write_json(tmp_path, "lg.json", {"algebra": "L_2", "variables": [],
+                                             "strategies": [], "payoff_formulas": []})
+    profile = _write_json(tmp_path, "profile.json", [])
+    for argv in (("pure-ne", "--lgame", path),
+                 ("mixed-check", "--lgame", path, "--profile", profile),
+                 ("oracle", "pure", "--game", path)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: a game needs at least one player\n"), argv

@@ -1,0 +1,116 @@
+"""The payoff table a logical game shares between `payoff`, gamma and the
+mixed check.
+
+Whichever consumer fills the table first, every answer is the one a fresh
+game gives; a consumer that finds the table full runs no payoff program of
+its own; and the errors are those of the game without a table.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from mvgames import (LogicalGame, MixedProfile, Subst, Var, catalog_lookup,
+                     check_mixed_ne, decide_pure_ne, logical_to_strategic, love_and_hate,
+                     new_technology, parse, payoff, verify_representation)
+from mvgames.equilibria import PureNEEncoding, build_encoding, satisfies_gamma
+from mvgames.errors import SemanticError
+from mvgames.formula import Program, substitute
+from conftest import random_distribution
+
+F = Fraction
+LH44 = love_and_hate(4, 4)
+NT = new_technology(F(1))
+
+
+def _fresh(lg):
+    """An equal game with a table of its own, still empty."""
+    return LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+
+
+def _answers(lg, profiles):
+    """Gamma's answer and the mixed check's at each profile, or its error
+    where no product algebra accommodates the game."""
+    mixed = []
+    for profile in profiles:
+        try:
+            mixed.append(check_mixed_ne(lg, profile))
+        except SemanticError as exc:
+            mixed.append(str(exc))
+    return decide_pure_ne(lg), mixed
+
+
+def _cases(battery_representations):
+    yield LH44.representation
+    yield NT.representation         # three players
+    for index, (_, rep) in enumerate(battery_representations):
+        if index % 25 == 0:
+            yield rep
+
+
+def test_answers_do_not_depend_on_who_fills_the_table(seed, battery_representations):
+    rng = random.Random(seed)
+    for rep in _cases(battery_representations):
+        counts = [len(block) for block in rep.target.strategies]
+        profiles = [MixedProfile(tuple(random_distribution(rng, c) for c in counts))]
+        cold = _answers(_fresh(rep.target), profiles)
+        after_verify = dataclasses.replace(rep, target=_fresh(rep.target))
+        assert verify_representation(after_verify).ok
+        after_table = _fresh(rep.target)
+        logical_to_strategic(after_table)
+        for lg in (after_verify.target, after_table):
+            assert _answers(lg, profiles) == cold
+
+
+def _programs_run(monkeypatch):
+    ran = []
+    execute = Program._execute
+
+    def spy(self, scale, inputs):
+        ran.append(self)
+        return execute(self, scale, inputs)
+
+    monkeypatch.setattr(Program, "_execute", spy)
+    return ran
+
+
+@pytest.mark.parametrize("rep", [LH44.representation, NT.representation],
+                         ids=["love_and_hate", "new_technology"])
+def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
+    rep = dataclasses.replace(rep, target=_fresh(rep.target))
+    assert verify_representation(rep).ok
+    enc = build_encoding(rep.target)
+    ran = _programs_run(monkeypatch)
+    decide_pure_ne(rep.target, enc)
+    assert ran and all(program is enc.gamma_program for program in ran)
+
+
+def test_cold_decide_runs_each_payoff_once_per_own_input(monkeypatch):
+    # Each phi_i of love_and_hate(4, 4) reads 2 of the 4 variables: 25 inputs.
+    lg = _fresh(LH44.logical)
+    enc = build_encoding(lg)
+    ran = _programs_run(monkeypatch)
+    decide_pure_ne(lg, enc)
+    assert len([p for p in ran if p is not enc.gamma_program]) <= 25 * lg.n_players
+
+
+def test_payoff_checks_the_profile_before_the_table():
+    lg = _fresh(NT.logical)
+    logical_to_strategic(lg)
+    with pytest.raises(SemanticError, match=r"\(Fraction\(1, 2\),\) is not a strategy "
+                                            r"of player 2"):
+        payoff(lg, ((F(1),), (F(1, 2),), (F(1),)))
+
+
+def test_binding_outside_the_game_algebra_raises_what_the_copy_raises():
+    l4 = catalog_lookup("L_4")
+    lg = LogicalGame(l4, (("x",), ("y",)), (((F(0),), (F(1),)),) * 2,
+                     (parse("x & y"), parse("x -> y")))
+    logical_to_strategic(lg)
+    call = Subst(lg.payoff_formulas[0], (("x", Var("y")), ("y", parse("c(1/3)"))))
+    for gamma in (call, substitute(call, {})):
+        enc = PureNEEncoding(lg, gamma, gamma, {}, "EXPRESSIBLE")
+        with pytest.raises(SemanticError, match="constant 1/3 outside the domain of L_4"):
+            satisfies_gamma(enc, ((F(0),), (F(1),)))
