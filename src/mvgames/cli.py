@@ -3,15 +3,18 @@
 Verbs: eval, corpus, represent, verify-representation, pure-ne, mixed-check,
 and the oracle family (pure, mixed-verify, mixed-find).  Exit codes are a
 stable contract: 0 success / SAT / verification true, 1 UNSAT / false,
-2 malformed input or a file that cannot be read or written, 3 semantic
-error, 4 internal error (a bug, reported as one "internal error:" line on
-stderr, never a verdict).  All emitted rationals are lowest-terms "m/n"
-with integers printed bare; emitted files re-parse to equal values.
+2 malformed input or a file that cannot be read or written (standard
+output too, when its reader closes it early), 3 semantic error, 4 internal
+error (a bug, reported as one "internal error:" line on stderr, never a
+verdict).  All emitted rationals are lowest-terms "m/n" with integers
+printed bare; emitted files re-parse to equal values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -298,7 +301,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout left early; keep the flush at exit off its pipe.
+        with contextlib.suppress(OSError, ValueError):   # captured: no real fd
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        print(f"input error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

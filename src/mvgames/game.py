@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -339,10 +341,17 @@ def load_json(path) -> dict:
 
 
 def write_text(path, text: str) -> None:
-    """Write a UTF-8 file; a path that cannot be written is an input error."""
+    """Write a UTF-8 file in place; a path that cannot be written is an input error.
+
+    A regular file is cut after the new text, not emptied first: on ext4
+    (auto_da_alloc) the next rewrite of an emptied file waits for its I/O.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 

@@ -1,11 +1,16 @@
 """CLI verbs, file round-trips, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mvgames
 from mvgames import parse
 from mvgames.cli import main
 from mvgames.game import (game_from_json, lgame_from_json, load_json,
@@ -387,6 +392,9 @@ UNWRITABLE = {
     "mixed-check": ("mixed-check", "--lgame", "{lgame}", "--profile", "{profile}",
                     "--emit-formula", "{nowhere}"),
     "corpus": ("corpus", "matching_pennies", "--out", "{profile}/sub"),
+    "pure-ne-directory": ("pure-ne", "--lgame", "{lgame}", "--emit-formula", "{dir}"),
+    "represent-directory": ("represent", "--game", "{game}", "--method", "ab_i",
+                            "--out-lgame", "{dir}", "--out-rep", "{ok}"),
 }
 
 
@@ -395,7 +403,7 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, case):
     run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
     paths = {"game": str(tmp_path / "mp" / "game.json"),
              "lgame": str(tmp_path / "lgame.json"), "ok": str(tmp_path / "ok.json"),
-             "nowhere": str(tmp_path / "missing-dir" / "out"),
+             "nowhere": str(tmp_path / "missing-dir" / "out"), "dir": str(tmp_path),
              "profile": _write_json(tmp_path, "p.json", [{"0": "1/2", "1": "1/2"}] * 2)}
     run(capsys, "represent", "--game", paths["game"], "--method", "ab_i",
         "--out-lgame", paths["lgame"], "--out-rep", paths["ok"])
@@ -491,3 +499,48 @@ def test_zero_player_logical_game_is_rejected_by_every_verb(capsys, tmp_path):
                  ("oracle", "pure", "--game", path)):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "error: a game needs at least one player\n"), argv
+
+
+# --- standard output as a file ----------------------------------------------------
+
+def _cli(*argv, stdout=subprocess.PIPE, buffered=True):
+    """Run the CLI in a fresh interpreter, so its real fd 1 is what we give it."""
+    src = str(Path(mvgames.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "mvgames.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_emit_formula_to_devices(capsys, tmp_path):
+    run(capsys, "corpus", "new_technology", "--out", str(tmp_path / "nt"))
+    lgame, emitted = str(tmp_path / "nt" / "lgame.json"), tmp_path / "existence.txt"
+    code, out, _ = run(capsys, "pure-ne", "--lgame", lgame, "--emit-formula", str(emitted))
+    assert code == 0 and out == "1 1 1\nSAT\n"
+    code, out, _ = run(capsys, "pure-ne", "--lgame", lgame, "--emit-formula", os.devnull)
+    assert code == 0 and out == "1 1 1\nSAT\n"
+    piped = _cli("pure-ne", "--lgame", lgame, "--emit-formula", "/dev/stdout")
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == emitted.read_bytes() + b"1 1 1\nSAT\n"
+
+
+# Buffered, the pipe fails when main flushes stdout (or, unchecked, at
+# interpreter exit); unbuffered, it fails at the verb's first print.
+@pytest.mark.skipif(os.name != "posix", reason="pipe semantics")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_is_an_unwritable_file(capsys, tmp_path, buffered):
+    run(capsys, "corpus", "love_and_hate", "--n", "4", "--m", "4", "--out", str(tmp_path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _cli("oracle", "pure", "--game", str(tmp_path / "lgame.json"),
+                      stdout=write_end, buffered=buffered)
+    finally:
+        os.close(write_end)
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert err.startswith("input error: cannot write standard output") and err.count("\n") == 1
+    assert "internal error" not in err and "Exception ignored" not in err

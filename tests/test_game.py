@@ -1,6 +1,10 @@
 """Game data model: payoffs, classification, invariances, file round-trips."""
 
+import builtins
+import json
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
@@ -10,9 +14,9 @@ from mvgames import (LogicalGame, MixedProfile, StrategicGame, catalog_lookup,
                      parse, payoff, pure_ne_scan,
                      relevant_elements, verify_mixed)
 from mvgames.errors import SemanticError
-from mvgames.game import (game_from_json, game_to_json, lgame_from_json,
-                          lgame_to_json, make_game, profile_from_json,
-                          profile_to_json)
+from mvgames.game import (dump_json, game_from_json, game_to_json, lgame_from_json,
+                          lgame_to_json, load_json, make_game, profile_from_json,
+                          profile_to_json, write_text)
 from conftest import random_rational_game
 
 F = Fraction
@@ -235,3 +239,56 @@ def test_dirac_equilibria_agree_with_pure(seed):
         for profile in game.profiles():
             assert verify_mixed(game, dirac(game.strategy_counts, profile)) == \
                 (profile in pure)
+
+
+# --- output files are rewritten in place ---------------------------------------
+
+def test_rewrite_with_shorter_text_leaves_exactly_the_new_bytes(tmp_path):
+    from mvgames import love_and_hate
+    path = tmp_path / "lgame.json"
+    dump_json(lgame_to_json(love_and_hate(4, 4).logical), path)
+    doc = lgame_to_json(NT.logical)
+    new_bytes = (json.dumps(doc, indent=2) + "\n").encode()
+    assert path.stat().st_size > 2 * len(new_bytes)
+    dump_json(doc, path)
+    assert path.read_bytes() == new_bytes
+    assert lgame_to_json(lgame_from_json(load_json(path))) == doc
+
+
+@pytest.mark.skipif(os.name != "posix", reason="inodes, modes and symlinks")
+def test_rewrite_keeps_the_inode_mode_and_links(tmp_path):
+    path, hard, soft = tmp_path / "out.txt", tmp_path / "hard.txt", tmp_path / "soft.txt"
+    write_text(path, "a first, longer version\n")
+    os.chmod(path, 0o640)
+    os.link(path, hard)
+    soft.symlink_to(path)
+    inode = path.stat().st_ino
+    write_text(path, "zweite\n")
+    write_text(soft, "dritte \u00e4\n")
+    assert soft.is_symlink() and path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() == hard.read_bytes() == "dritte \u00e4\n".encode("utf-8")
+
+
+def test_write_text_never_truncates_on_open(tmp_path, monkeypatch):
+    # Emptying a file on open makes ext4 (auto_da_alloc) start its writeback
+    # at close, and the next rewrite of that file waits for the disk.
+    calls = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        calls.append(("os.open", flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        calls.append(("open", mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    for text in ("one longer line\n", "short\n"):
+        write_text(tmp_path / "out.txt", text)
+    opened = [flags for how, flags in calls if how == "os.open"]
+    assert opened and not any(flags & os.O_TRUNC for flags in opened), calls
+    assert not any(how == "open" and "w" in mode for how, mode in calls), calls
+    assert (tmp_path / "out.txt").read_bytes() == b"short\n"
