@@ -297,6 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point `stream`'s fd at the null device, so its flush at exit succeeds."""
+    with contextlib.suppress(OSError, ValueError):   # captured: no real fd
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(message: str) -> None:
+    """`message` on stderr; a stderr closed (None) or broken loses it, not the exit code."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except (OSError, ValueError):
+            _to_devnull(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -305,20 +320,17 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
-        # The reader of stdout left early; keep the flush at exit off its pipe.
-        with contextlib.suppress(OSError, ValueError):   # captured: no real fd
-            stdout = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
-        print(f"input error: cannot write standard output: {exc}", file=sys.stderr)
+        _to_devnull(sys.stdout)     # the reader of stdout left early
+        _report(f"input error: cannot write standard output: {exc}")
         return 2
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _report(f"input error: {exc}")
         return 2
     except SemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 3
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"internal error: {type(exc).__name__}: {exc}")
         return 4
 
 

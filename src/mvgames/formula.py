@@ -10,12 +10,13 @@ and inside `c(m/n)`; a `ParseError` gives the 1-based line and column.  The
 printer emits a fully parenthesized canonical form; printing then parsing
 is the identity, once each `Subst` is carried out.
 
-Formulas are immutable and may share subterms.  Every traversal -- the
-printer, free variables, substitution and compilation -- walks the DAG once
-per distinct node, iteratively, so neither sharing nor depth is a problem.
+Formulas are immutable and may share subterms; `parse` shares every
+repeated one.  Every traversal -- the printer, free variables, substitution
+and compilation -- walks the DAG once per distinct node, iteratively, so
+neither sharing nor depth is a problem.
 
 Evaluation compiles formulas once per algebra into a `Program`: nodes are
-hash-consed by structure (a tree-expanded formula regains its sharing),
+hash-consed by structure (a formula built without sharing gains it),
 negation is lowered to `x -> 0` where the algebra has no native one,
 constants and connectives are checked against the algebra, and constant
 subterms are folded.  The program then runs for many assignments.  Folding
@@ -148,17 +149,21 @@ def _error(message: str, text: str, offset: int) -> ParseError:
 
 def _tokenize(text: str) -> list[tuple]:
     """(kind, lexeme, value, offset) per token, kind "op", "var", "const" or
-    "end"; lexing all first puts a lex error before any parse error."""
-    tokens = []
+    "end"; lexing all first puts a lex error before any parse error.  Each
+    distinct constant lexeme is read and checked once, at its first occurrence."""
+    tokens, constants = [], {}
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         lexeme, offset, value = m.group(kind), m.start(kind), None
         if kind == "const":
-            try:
-                value = as_truth_value(Fraction(re.sub(r"[ \t\r\n]", "", lexeme[2:-1])))
-            except (SemanticError, ValueError, ZeroDivisionError):
-                raise _error(f"constant {lexeme} not a rational in [0,1]",
-                             text, offset) from None
+            value = constants.get(lexeme)
+            if value is None:
+                try:
+                    value = constants[lexeme] = as_truth_value(
+                        Fraction(re.sub(r"[ \t\r\n]", "", lexeme[2:-1])))
+                except (SemanticError, ValueError, ZeroDivisionError):
+                    raise _error(f"constant {lexeme} not a rational in [0,1]",
+                                 text, offset) from None
         elif kind == "num":
             if lexeme not in ("0", "1"):
                 raise _error(f"bare number {lexeme}: write c({lexeme}/n)", text, offset)
@@ -176,24 +181,35 @@ _PREFIX = {"~": "neg", "D": "delta"}
 
 def parse(text: str) -> Formula:
     """Operator-precedence parse over explicit stacks: nesting depth is
-    bounded by memory, not by the interpreter's recursion limit."""
+    bounded by memory, not by the interpreter's recursion limit.  Equal
+    subterms are one object (hash-consing; Filliatre and Conchon, 2006), so
+    a formula printed as a tree reloads as the DAG it was printed from."""
     operands: list[Formula] = []
     pending: list[str] = []     # "(", prefix and binary operator tokens
     open_parens = 0
     expect_operand = True
+    # (kind, lexeme) or (token, *argument ids) -> node; holding every node keeps ids unique
+    consed: dict[tuple, Formula] = {}
 
     def reduce():
         tok = pending.pop()
         if tok in _PREFIX:
-            operands[-1] = App(_PREFIX[tok], (operands[-1],))
+            key, args = (tok, id(operands[-1])), (operands[-1],)
         else:
             right = operands.pop()
-            operands[-1] = App(_BINARY_TOKENS[tok], (operands[-1], right))
+            key, args = (tok, id(operands[-1]), id(right)), (operands[-1], right)
+        node = consed.get(key)
+        if node is None:
+            node = consed[key] = App(_PREFIX.get(tok) or _BINARY_TOKENS[tok], args)
+        operands[-1] = node
 
     for kind, lexeme, value, offset in _tokenize(text):
         if expect_operand:
             if kind == "var" or kind == "const":
-                operands.append(Var(lexeme) if kind == "var" else Const(value))
+                node = consed.get((kind, lexeme))
+                if node is None:
+                    node = consed[kind, lexeme] = Var(lexeme) if kind == "var" else Const(value)
+                operands.append(node)
                 expect_operand = False
             elif lexeme in ("~", "D", "("):
                 pending.append(lexeme)
@@ -585,13 +601,16 @@ def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fr
 
 
 def free_variables(f: Formula) -> list[str]:
-    """Variable names in first-occurrence, left-to-right order."""
+    """Variable names in first-occurrence, left-to-right order; a `Subst` is
+    read in place, each bound name of its body giving its binding's names."""
     names: dict[str, None] = {}
     for node in _post_order([f]):
         if type(node) is Var:
             names[node.name] = None
         elif type(node) is Subst:
-            names.update(dict.fromkeys(free_variables(substitute(node, {}))))
+            bound = dict(node.bindings)
+            for name in free_variables(node.body):
+                names.update(dict.fromkeys(free_variables(bound.get(name, Var(name)))))
     return list(names)
 
 

@@ -501,17 +501,18 @@ def test_zero_player_logical_game_is_rejected_by_every_verb(capsys, tmp_path):
         assert (code, out, err) == (3, "", "error: a game needs at least one player\n"), argv
 
 
-# --- standard output as a file ----------------------------------------------------
+# --- standard output and error as files -------------------------------------------
 
-def _cli(*argv, stdout=subprocess.PIPE, buffered=True):
-    """Run the CLI in a fresh interpreter, so its real fd 1 is what we give it."""
+def _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True,
+         entry=("-m", "mvgames.cli"), **kw):
+    """Run the CLI in a fresh interpreter, so its real fds 1 and 2 are what we give it."""
     src = str(Path(mvgames.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "mvgames.cli", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    return subprocess.run([sys.executable, *entry, *argv], env=env,
+                          stdout=stdout, stderr=stderr, timeout=120, **kw)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
@@ -544,3 +545,26 @@ def test_closed_stdout_is_an_unwritable_file(capsys, tmp_path, buffered):
     assert result.returncode == 2, err
     assert err.startswith("input error: cannot write standard output") and err.count("\n") == 1
     assert "internal error" not in err and "Exception ignored" not in err
+
+
+# With nowhere to report an error, the exit code alone must still tell an
+# input error (2) and a semantic error (3) from UNSAT (1).
+@pytest.mark.skipif(os.name != "posix", reason="pipe semantics")
+@pytest.mark.parametrize("closed", ["pipe", "at start-up", "after start-up"])
+@pytest.mark.parametrize("formula, algebra, code", [("v", "NOPE", 2), ("c(1/3)", "L_4", 3)])
+def test_closed_stderr_keeps_the_exit_code(closed, formula, algebra, code):
+    argv = ("eval", "--algebra", algebra, "--formula", formula)
+    if closed == "pipe":        # nobody reads it: EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _cli(*argv, stderr=write_end)
+        finally:
+            os.close(write_end)
+    elif closed == "at start-up":   # as `2>&-` leaves it: sys.stderr is None
+        result = _cli(*argv, stderr=None, preexec_fn=lambda: os.close(2))
+    else:                           # sys.stderr is set, its writes fail with EBADF
+        main_without_fd2 = ("import os, sys; os.close(2); from mvgames.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))")
+        result = _cli(*argv, stderr=None, entry=("-c", main_without_fd2))
+    assert (result.returncode, result.stdout) == (code, b"")

@@ -1,5 +1,6 @@
 """Formula grammar, printer round-trips, and compositional semantics."""
 
+import json
 import random
 import re
 import time
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (App, Const, Var, apply, catalog_lookup, evaluate,
+from mvgames import (App, Const, Subst, Var, apply, catalog_lookup, evaluate,
                      free_variables, parse, substitute, to_text)
 from mvgames.algebra import as_truth_value
 from mvgames.errors import SemanticError
-from mvgames.formula import ParseError
-from conftest import random_formula, random_fraction
+from mvgames import formula
+from mvgames.formula import ParseError, _post_order
+from mvgames.game import lgame_from_json, lgame_to_json
+from conftest import random_formula, random_fraction, random_logical_game
 
 STD_QL = catalog_lookup("STD_QL")
 STD_QPL_DELTA = catalog_lookup("STD_QPL_DELTA")
@@ -71,6 +74,9 @@ def test_parse_whitespace_inside_constants():
     ("v1 ) #", "unexpected character '#'", 1, 6),
     ("v1 ~ 2", "bare number 2: write c(2/n)", 1, 6),
     ("( c(3/2)", "constant c(3/2) not a rational in [0,1]", 1, 3),
+    # Each constant lexeme is checked once, and fails where it first occurs.
+    ("v + c(3/2) /\\ c(3/2)", "constant c(3/2) not a rational in [0,1]", 1, 5),
+    ("c(1/2) + c(1/2) -> c(3/2)", "constant c(3/2) not a rational in [0,1]", 1, 20),
     # m and n in c(m/n) are ASCII digits; other Unicode digits start no token.
     ("c(١/٢)", "unexpected character '١'", 1, 3),
     ("c(1/\t١ )", "unexpected character '/'", 1, 4),
@@ -156,6 +162,41 @@ def test_free_variables_order():
     assert free_variables(parse(r"v2 /\ v1 /\ v2")) == ["v2", "v1"]
     assert free_variables(parse("c(1/2)")) == []
     assert free_variables(parse(r"(x -> y) & (z \/ x)")) == ["x", "y", "z"]
+
+
+def test_free_variables_read_each_subst_in_place(monkeypatch):
+    def no_copy(*args):
+        raise AssertionError("free_variables built a literal copy")
+
+    monkeypatch.setattr(formula, "substitute", no_copy)
+    body = parse(r"(y /\ x) -> (z \/ x)")
+    f = Subst(body, (("x", parse("b -> a")), ("z", Const(Fraction(1, 2))), ("w", Var("q"))))
+    assert free_variables(f) == ["y", "b", "a"]
+    assert free_variables(App("and", (Var("a"), Subst(f, (("b", Var("c")),))))) == \
+        ["a", "y", "c"]
+
+
+def test_free_variables_agree_with_the_literal_copy(battery_representations):
+    # Each encoding against its literal copy, on the corpus and on every
+    # ninth battery representation (nine is prime to the seven constructors).
+    from mvgames import love_and_hate, new_technology, vickrey
+    from mvgames.equilibria import build_encoding, build_gamma_weak, build_mixed_encoding
+    F = Fraction
+    corpus = [new_technology(F(1)), love_and_hate(2, 4),
+              vickrey([F(1, 2), F(1, 4)], F(1), F(1, 4))]
+    games = [b.logical for b in corpus] + [rep.target for _, rep in battery_representations[::9]]
+    checked = {}
+    for lg in games:
+        for name, build in (("existence", lambda: build_encoding(lg).existence),
+                            ("existence_weak", lambda: build_gamma_weak(lg).existence),
+                            ("mixed", lambda: build_mixed_encoding(lg).full)):
+            try:
+                f = build()
+            except SemanticError:   # the route's preconditions do not hold
+                continue
+            assert free_variables(f) == free_variables(substitute(f, {}))
+            checked[name] = checked.get(name, 0) + 1
+    assert min(checked.values(), default=0) >= 10 and len(checked) == 3, checked
 
 
 def test_locality(seed):
@@ -343,3 +384,73 @@ def test_parse_agrees_with_reference_parser(data):
             (str(exc), exc.line, exc.column)
     else:
         assert parse(text) == expected
+
+
+# --- sharing: parse returns a maximally shared DAG ----------------------------
+
+def _structural_classes(f) -> int:
+    """The number of distinct subterms of `f` up to structural equality,
+    counted by value, whatever object sharing the formula has."""
+    classes, of = {}, {}
+    for node in _post_order([f]):
+        if type(node) is App:
+            key = (node.op, *(of[id(a)] for a in node.args))
+        else:
+            key = ("var", node.name) if type(node) is Var else ("const", node.value)
+        of[id(node)] = classes.setdefault(key, len(classes))
+    return len(classes)
+
+
+def test_parse_shares_equal_subterms():
+    f = parse(r"(x /\ y) \/ (x /\ y)")
+    assert f.args[0] is f.args[1]
+    g = parse(r"c(1/2) + (v -> c(1/2))")
+    assert g.args[0] is g.args[1].args[1] and g.args[0] == Const(Fraction(1, 2))
+    chain = parse(" -> ".join(["v"] * 5000))
+    assert len(list(_post_order([chain]))) == _structural_classes(chain) == 5000
+
+
+def test_parse_reads_each_constant_lexeme_once(monkeypatch):
+    seen = []
+
+    def counting(value):
+        seen.append(value)
+        return as_truth_value(value)
+
+    monkeypatch.setattr(formula, "as_truth_value", counting)
+    f = parse("c(0) + c(1/2) * (c(0) -> c(1/2) /\\ c( 1/2))")
+    assert seen == [0, Fraction(1, 2), Fraction(1, 2)]      # c( 1/2) is its own lexeme
+    assert f == parse("0 + c(1/2) * (0 -> c(1/2) /\\ c(1/2))")
+
+
+def test_reloaded_vi_lm_payoff_is_the_dag_it_was_printed_from():
+    from mvgames.represent import represent_rational_lm
+    from conftest import _fill_payoffs, PAYOFF_POOL
+    rng = random.Random(4)
+    game = _fill_payoffs(rng, (4, 4), rng.sample(PAYOFF_POOL, 5), 2)
+    lg = represent_rational_lm(game).target
+    reloaded = lgame_from_json(json.loads(json.dumps(lgame_to_json(lg))))
+    for built, again in zip(lg.payoff_formulas, reloaded.payoff_formulas):
+        assert again == built
+        distinct = len(list(_post_order([again])))
+        assert distinct == _structural_classes(again) <= len(list(_post_order([built])))
+
+
+def _pinned_texts():
+    """Every text whose digest `test_represent_bytes` pins: each constructor's
+    payoff formulas and each printed encoding, per seed."""
+    import test_represent_bytes as pinned
+    for seed in pinned.SEEDS:
+        for build in pinned.CONSTRUCTORS.values():
+            yield from lgame_to_json(build(*pinned._games(seed)).target)["payoff_formulas"]
+        for targets, build in pinned.ENCODINGS.values():
+            lgs = [pinned.CONSTRUCTORS[m](*pinned._games(seed)).target for m in targets]
+            lgs.append(random_logical_game(random.Random(seed)))
+            yield from (to_text(build(lg)) for lg in lgs)
+
+
+def test_pinned_texts_print_back_from_their_parse():
+    for text in _pinned_texts():
+        again = parse(text)
+        assert to_text(again) == text
+        assert len(list(_post_order([again]))) == _structural_classes(again)
