@@ -4,10 +4,11 @@ Verbs: eval, corpus, represent, verify-representation, pure-ne, mixed-check,
 and the oracle family (pure, mixed-verify, mixed-find).  Exit codes are a
 stable contract: 0 success / SAT / verification true, 1 UNSAT / false,
 2 malformed input or a file that cannot be read or written (standard
-output too, when its reader closes it early), 3 semantic error, 4 internal
-error (a bug, reported as one "internal error:" line on stderr, never a
-verdict).  All emitted rationals are lowest-terms "m/n" with integers
-printed bare; emitted files re-parse to equal values.
+output too, when its reader closes it early or it is closed at start-up),
+3 semantic error, 4 internal error (a bug, reported as one "internal
+error:" line on stderr, never a verdict).  All emitted rationals are
+lowest-terms "m/n" with integers printed bare; emitted files re-parse to
+equal values.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
+        if sys.stdout is None:      # fd 1 closed at start-up: every print was lost
+            _report("input error: cannot write standard output")
+            return 2
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:

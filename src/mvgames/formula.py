@@ -11,9 +11,13 @@ printer emits a fully parenthesized canonical form; printing then parsing
 is the identity, once each `Subst` is carried out.
 
 Formulas are immutable and may share subterms; `parse` shares every
-repeated one.  Every traversal -- the printer, free variables, substitution
-and compilation -- walks the DAG once per distinct node, iteratively, so
-neither sharing nor depth is a problem.
+repeated one, and parses each repeated parenthesized group once (the
+printer writes a shared subterm out where it occurs): a group whose text it
+has parsed before is that node, its text skipped unread.  Errors come from
+the plain path, which lexes the whole text before parsing it.  Every
+traversal -- the printer, free variables, substitution and compilation --
+walks the DAG once per distinct node, iteratively, so neither sharing nor
+depth is a problem.
 
 Evaluation compiles formulas once per algebra into a `Program`: nodes are
 hash-consed by structure (a formula built without sharing gains it),
@@ -40,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -147,12 +151,12 @@ def _error(message: str, text: str, offset: int) -> ParseError:
                       offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """(kind, lexeme, value, offset) per token, kind "op", "var", "const" or
-    "end"; lexing all first puts a lex error before any parse error.  Each
-    distinct constant lexeme is read and checked once, at its first occurrence."""
-    tokens, constants = [], {}
-    for m in _TOKEN_RE.finditer(text):
+def _lex(text: str, constants: dict, pos: int) -> Iterator[tuple]:
+    """(kind, lexeme, value, offset) per token from `pos` to the end token,
+    kind "op", "var", "const" or "end".  Each distinct constant lexeme is
+    read and checked once, at its first occurrence: `constants` maps each
+    one read to its value."""
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         lexeme, offset, value = m.group(kind), m.start(kind), None
         if kind == "const":
@@ -170,26 +174,61 @@ def _tokenize(text: str) -> list[tuple]:
             kind, value = "const", ZERO if lexeme == "0" else ONE
         elif kind == "bad":
             raise _error(f"unexpected character {lexeme!r}", text, offset)
-        tokens.append((kind, lexeme, value, offset))
+        yield kind, lexeme, value, offset
         if kind == "end":
-            return tokens
+            return
 
 
 _PRECEDENCE = {"->": 0, "=>": 0, "\\/": 1, "+": 1, "-": 1, "/\\": 2, "&": 2, "*": 2}
 _PREFIX = {"~": "neg", "D": "delta"}
+_KEY = 32       # a group's first bytes that name its bucket of parsed groups
+_SPEND = 16     # bytes the group path may compare and copy, per byte of text
+
+
+class _Spent(Exception):
+    """The group path compared and copied `_SPEND` bytes per byte of text."""
 
 
 def parse(text: str) -> Formula:
     """Operator-precedence parse over explicit stacks: nesting depth is
     bounded by memory, not by the interpreter's recursion limit.  Equal
     subterms are one object (hash-consing; Filliatre and Conchon, 2006), so
-    a formula printed as a tree reloads as the DAG it was printed from."""
+    a formula printed as a tree reloads as the DAG it was printed from.
+
+    The group path lexes as it reads, and a group whose text it has parsed
+    before is that node, its text skipped (a memo on content, where packrat
+    parsing has one on position; Ford, 2002).  On an error, or past
+    `_SPEND` bytes compared and copied per byte of text, it hands the text
+    to the plain path, which lexes all of it, then parses every token, and
+    so raises each error where and as it always has."""
+    consed: dict[tuple, Formula] = {}
+    lex = partial(_lex, text, {})
+    try:
+        return _shunt(text, consed, lex(0), lex)
+    except (ParseError, _Spent):
+        return _shunt(text, consed, list(lex(0)))
+
+
+def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formula:
+    """The operator-precedence loop over `tokens`.  Given `lex`, which
+    lexes from an offset on (the group path), a group parsed before is read
+    as its node, and the loop goes on over `lex` past its text.  `consed`
+    maps (kind, lexeme) or (token, *argument ids) to the one node for it;
+    holding every node keeps ids unique."""
     operands: list[Formula] = []
     pending: list[str] = []     # "(", prefix and binary operator tokens
-    open_parens = 0
+    opened: list[int] = []      # the offset of each open "("
+    # The groups parsed.  `nodes` maps a group's start offset to its node
+    # until its text is a key of `parsed` (text -> node).  `closed` holds the
+    # start and end offsets of the groups not yet in `heads`, which maps
+    # their first _KEY bytes to {length: start, or None once in `parsed`}.
+    # Both hold only ints, so the collector does not walk them.
+    nodes: dict[int, Formula] = {}
+    parsed: dict[str, Formula] = {}
+    closed: list[int] = []
+    heads: dict[str, dict[int, Optional[int]]] = {}
+    budget = _SPEND * len(text)
     expect_operand = True
-    # (kind, lexeme) or (token, *argument ids) -> node; holding every node keeps ids unique
-    consed: dict[tuple, Formula] = {}
 
     def reduce():
         tok = pending.pop()
@@ -203,42 +242,81 @@ def parse(text: str) -> Formula:
             node = consed[key] = App(_PREFIX.get(tok) or _BINARY_TOKENS[tok], args)
         operands[-1] = node
 
-    for kind, lexeme, value, offset in _tokenize(text):
-        if expect_operand:
-            if kind == "var" or kind == "const":
-                node = consed.get((kind, lexeme))
-                if node is None:
-                    node = consed[kind, lexeme] = Var(lexeme) if kind == "var" else Const(value)
-                operands.append(node)
-                expect_operand = False
-            elif lexeme in ("~", "D", "("):
+    def find(offset):
+        """(node, length) of the group parsed before whose text starts at
+        `offset`, or None.  Each group copied or compared spends its length."""
+        nonlocal budget
+        spans = iter(closed)
+        for start, end in zip(spans, spans):
+            heads.setdefault(text[start:start + _KEY], {})[end - start] = start
+        closed.clear()
+        sizes = heads.get(text[offset:offset + _KEY], {})
+        budget -= len(sizes)        # a byte compared per length tried
+        for size, start in reversed(sizes.items()):
+            if budget < 0:
+                raise _Spent
+            if text.startswith(")", offset + size - 1):
+                budget -= size if start is None else 2 * size
+                if start is not None:
+                    parsed[text[start:start + size]] = nodes.pop(start)
+                    sizes[size] = None
+                node = parsed.get(text[offset:offset + size])
+                if node is not None:
+                    return node, size
+        return None
+
+    while True:
+        for kind, lexeme, value, offset in tokens:
+            if expect_operand:
+                if kind == "var" or kind == "const":
+                    node = consed.get((kind, lexeme))
+                    if node is None:
+                        node = consed[kind, lexeme] = \
+                            Var(lexeme) if kind == "var" else Const(value)
+                    operands.append(node)
+                    expect_operand = False
+                elif lexeme == "(":
+                    found = lex and (closed or heads) and find(offset)
+                    if found:   # parsed before: its node, then on past its text
+                        node, size = found
+                        operands.append(node)
+                        expect_operand = False
+                        tokens = lex(offset + size)
+                        break
+                    pending.append(lexeme)
+                    opened.append(offset)
+                elif lexeme == "~" or lexeme == "D":
+                    pending.append(lexeme)
+                else:
+                    raise _error(f"expected a formula, found {lexeme or 'end of input'!r}",
+                                 text, offset)
+                continue
+            prec = _PRECEDENCE.get(lexeme)
+            if prec is not None:
+                # Prefix operators bind tightest; -> and => (level 0) associate
+                # to the right, every other level to the left.
+                while pending and pending[-1] != "(" and (
+                        pending[-1] in _PREFIX or _PRECEDENCE[pending[-1]] > prec
+                        or _PRECEDENCE[pending[-1]] == prec > 0):
+                    reduce()
                 pending.append(lexeme)
-                open_parens += lexeme == "("
-            else:
-                raise _error(f"expected a formula, found {lexeme or 'end of input'!r}",
-                             text, offset)
-            continue
-        prec = _PRECEDENCE.get(lexeme)
-        if prec is not None:
-            # Prefix operators bind tightest; -> and => (level 0) associate
-            # to the right, every other level to the left.
-            while pending and pending[-1] != "(" and (
-                    pending[-1] in _PREFIX or _PRECEDENCE[pending[-1]] > prec
-                    or _PRECEDENCE[pending[-1]] == prec > 0):
+                expect_operand = True
+                continue
+            while pending and pending[-1] != "(":
                 reduce()
-            pending.append(lexeme)
-            expect_operand = True
-            continue
-        while pending and pending[-1] != "(":
-            reduce()
-        if open_parens:
-            if lexeme != ")":
-                raise _error("expected ')'", text, offset)
-            pending.pop()
-            open_parens -= 1
-        elif kind != "end":
-            raise _error(f"trailing input {lexeme!r}", text, offset)
-    return operands[0]
+            if opened:
+                if lexeme != ")":
+                    raise _error("expected ')'", text, offset)
+                pending.pop()
+                start = opened.pop()
+                if lex:
+                    nodes[start] = operands[-1]
+                    closed.append(start)
+                    closed.append(offset + 1)
+            elif kind != "end":
+                raise _error(f"trailing input {lexeme!r}", text, offset)
+        else:
+            return operands[0]
 
 
 # --- traversal ---------------------------------------------------------------

@@ -81,6 +81,27 @@ def test_eval_formula_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "3/4"
 
 
+def _doubling(levels):
+    text = "v"
+    for _ in range(levels):
+        text = f"({text} \\/ {text})"
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "a" + "".join(f" /\\ v{i})" for i in range(5000)),    # 5000 distinct groups
+    "(" * 100_000 + "v" + ")" * 100_000,
+    _doubling(14),                                                       # 2^14 leaves
+], ids=["chain5000", "parens100k", "doubling14"])
+def test_eval_deep_formula_files(capsys, tmp_path, text):
+    path = tmp_path / "deep.txt"
+    path.write_text(text, encoding="utf-8")
+    assign = ",".join(["a=1/3", "v=1/3"] + [f"v{i}=1" for i in range(5000)] * ("v0" in text))
+    code, out, err = run(capsys, "eval", "--algebra", "STD_L", "--formula-file", str(path),
+                         "--assign", assign)
+    assert (code, out, err) == (0, "1/3\n", "")
+
+
 def test_corpus_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "new_technology", "--c", "1",
                        "--out", str(tmp_path / "nt"))
@@ -545,6 +566,16 @@ def test_closed_stdout_is_an_unwritable_file(capsys, tmp_path, buffered):
     assert result.returncode == 2, err
     assert err.startswith("input error: cannot write standard output") and err.count("\n") == 1
     assert "internal error" not in err and "Exception ignored" not in err
+
+
+# With fd 1 closed before start-up (`>&-`), sys.stdout is None and every
+# print is dropped: that is the unwritable file of the closed pipe above.
+@pytest.mark.skipif(os.name != "posix", reason="fd semantics")
+def test_stdout_closed_at_start_up_is_an_unwritable_file():
+    result = _cli("eval", "--algebra", "STD_L", "--formula", "v", "--assign", "v=1/2",
+                  stdout=None, preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == \
+        (2, b"input error: cannot write standard output\n")
 
 
 # With nowhere to report an error, the exit code alone must still tell an

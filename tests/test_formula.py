@@ -6,6 +6,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -48,8 +49,10 @@ def test_parse_whitespace_insensitive():
     assert parse("v1/\\v2") == parse("  v1   /\\   v2 ")
 
 
-@pytest.mark.parametrize("text", ["v1 & &", "(v1", "v1 )", "", "c(3/2)",
-                                  "c(1/2", "2", "v1 ~ v2", "# nope"])
+PARSE_ERRORS = ["v1 & &", "(v1", "v1 )", "", "c(3/2)", "c(1/2", "2", "v1 ~ v2", "# nope"]
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse(text)
@@ -67,7 +70,7 @@ def test_parse_whitespace_inside_constants():
         Const(Fraction(1, 2))
 
 
-@pytest.mark.parametrize("text, message, line, column", [
+ERROR_POSITIONS = [
     # A constant spanning lines moves the line count past it.
     ("c(\n1/2)\n/\\ #", "unexpected character '#'", 3, 4),
     # The whole text is lexed before it is parsed: a lex error comes first.
@@ -89,7 +92,10 @@ def test_parse_whitespace_inside_constants():
     ("v\u2028/\\ #", "unexpected character '\\u2028'", 1, 2),
     ("v /\\\n\u2028w", "unexpected character '\\u2028'", 2, 1),
     ("c(1\x0b/2)", "unexpected character '\\x0b'", 1, 4),
-])
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", ERROR_POSITIONS)
 def test_parse_error_message_and_position(text, message, line, column):
     with pytest.raises(ParseError) as info:
         parse(text)
@@ -454,3 +460,125 @@ def test_pinned_texts_print_back_from_their_parse():
         again = parse(text)
         assert to_text(again) == text
         assert len(list(_post_order([again]))) == _structural_classes(again)
+
+
+# --- the group path against the plain path -----------------------------------
+
+def _group_path(text):
+    """The group path alone, with no hand-off to the plain path."""
+    lex = partial(formula._lex, text, {})
+    return formula._shunt(text, {}, lex(0), lex)
+
+
+def _plain_path(text):
+    """The plain path alone: the whole text lexed, then every token parsed."""
+    return formula._shunt(text, {}, list(formula._lex(text, {}, 0)))
+
+
+def assert_paths_agree(text):
+    """Equal formulas with equal DAG node counts and printed text, or the
+    same error at the same position; the group path raises where the plain
+    path does, so its hand-off hides no error."""
+    try:
+        expected = _plain_path(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError):
+            _group_path(text)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.line, info.value.column) == \
+            (str(exc), exc.line, exc.column)
+        return
+    for got in (_group_path(text), parse(text)):
+        assert got == expected
+        assert len(list(_post_order([got]))) == len(list(_post_order([expected])))
+        assert to_text(got) == to_text(expected)
+
+
+def test_paths_agree_on_pinned_texts():
+    for text in _pinned_texts():
+        assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS + [case[0] for case in ERROR_POSITIONS])
+def test_paths_agree_on_error_cases(text):
+    assert_paths_agree(text)
+
+
+SPACES = ["", " ", "\n", "\t", "\r\n", "  \n "]
+# Groups of these long names share their first bytes and their length.
+LEAVES = ["a", "b", "v1", "0", "1", "c(1/2)", "c( 1 / 2 )", "c(\n1\t/3 )", "c(2/3)",
+          "a_name_long_enough_1", "a_name_long_enough_2"]
+# Characters no token starts with, lexemes that are not tokens, and tokens out of place.
+JUNK = ["#", "2", "c(3/2)", "c(1/2", " ", "(", ")", "/\\", "~", "-", "v w", "c(١/2)"]
+
+
+@st.composite
+def repeating_texts(draw):
+    """A formula text whose parts are built from earlier parts, the latest
+    most often, so that groups repeat, spaced at random; sometimes with junk
+    put in or a character cut."""
+    spaced = lambda text: draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+    parts = draw(st.lists(st.sampled_from(LEAVES), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 12))):
+        recent = st.sampled_from(parts[-3:])
+        if draw(st.integers(0, 4)) == 0:
+            parts.append(spaced(draw(st.sampled_from(PREFIX[:2]))) + draw(recent))
+        else:
+            op = spaced(draw(st.sampled_from(BINARY)))
+            parts.append(spaced("(" + draw(recent) + op + draw(recent) + ")"))
+    text = parts[-1]
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(BINARY)) + draw(st.sampled_from(parts))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.integers(0, 4))
+    if edit == 0:
+        text = text[:at] + draw(st.sampled_from(JUNK)) + text[at:]
+    elif edit == 1:
+        text = text[:at] + text[at + 1:]
+    return text
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(repeating_texts())
+def test_paths_agree_on_random_texts(text):
+    assert_paths_agree(text)
+
+
+# --- adversarial nesting: no recursion, and work that follows the DAG ---------
+
+def test_parse_left_nested_chain_of_distinct_groups():
+    f = parse("(" * 5000 + "a" + "".join(f" /\\ v{i})" for i in range(5000)))
+    nodes = list(_post_order([f]))
+    assert len(nodes) == 1 + 5000 + 5000        # a, v0..v4999 and 5000 conjunctions
+    assert sum(type(node) is App for node in nodes) == 5000
+
+
+def test_parse_parentheses_100000_deep():
+    assert parse("(" * 100_000 + "v" + ")" * 100_000) == Var("v")
+    with pytest.raises(ParseError) as info:
+        parse("(" * 100_000 + "v" + ")" * 99_999)
+    assert (info.value.line, info.value.column) == (1, 200_001)
+
+
+def test_group_path_hands_off_past_its_byte_cap():
+    # After a 5000-deep chain, whose groups share their first bytes, every
+    # distinct group opening with as many parentheses tries each of the
+    # chain's lengths: without the cap that work grows with the product.
+    chain = "(" * 5000 + "a" + "".join(f" /\\ v{i})" for i in range(5000))
+    text = " \\/ ".join([chain] + ["(" * 40 + f"b{j}" + ")" * 40 for j in range(3000)])
+    with pytest.raises(formula._Spent):
+        _group_path(text)
+    f = parse(text)
+    assert len(list(_post_order([f]))) == 10_001 + 3000 + 3000
+
+
+def test_parse_doubling_text_is_15_nodes():
+    text = "v"
+    for _ in range(14):
+        text = f"({text} \\/ {text})"
+    assert text.count("v") == 2 ** 14
+    f = parse(text)
+    nodes = list(_post_order([f]))
+    assert len(nodes) == 15 and sum(type(node) is App for node in nodes) == 14
+    assert evaluate(f, STD_QL, {"v": Fraction(1, 3)}) == Fraction(1, 3)
