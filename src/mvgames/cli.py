@@ -4,11 +4,11 @@ Verbs: eval, corpus, represent, verify-representation, pure-ne, mixed-check,
 and the oracle family (pure, mixed-verify, mixed-find).  Exit codes are a
 stable contract: 0 success / SAT / verification true, 1 UNSAT / false,
 2 malformed input or a file that cannot be read or written (standard
-output too, when its reader closes it early or it is closed at start-up),
-3 semantic error, 4 internal error (a bug, reported as one "internal
-error:" line on stderr, never a verdict).  All emitted rationals are
-lowest-terms "m/n" with integers printed bare; emitted files re-parse to
-equal values.
+output too, when its reader closes it early, its device is full or it is
+closed at start-up), 3 semantic error, 4 internal error (a bug, reported
+as one "internal error:" line on stderr, never a verdict).  All emitted
+rationals are lowest-terms "m/n" with integers printed bare; emitted files
+re-parse to equal values.
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def main(argv=None) -> int:
             return 2
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
-        _to_devnull(sys.stdout)     # the reader of stdout left early
+    except OSError as exc:          # stdout's: every other file's is an InputError
+        _to_devnull(sys.stdout)     # its reader left early, or its device is full
         _report(f"input error: cannot write standard output: {exc}")
         return 2
     except InputError as exc:

@@ -143,6 +143,7 @@ def decide_pure_ne(lg: LogicalGame,
     """
     if enc is None:
         enc = build_encoding(lg)
+    enc.game.payoff_table.fill(enc.game.strategies)
     found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
     return sorted(found), bool(found)
 

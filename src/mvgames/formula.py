@@ -45,6 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -53,23 +54,23 @@ from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
 from .errors import InputError, SemanticError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     op: str
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     body: "Formula"
     bindings: tuple[tuple[str, "Formula"], ...]     # (name, formula) pairs
@@ -576,6 +577,53 @@ class Program:
             values[out] = fn(values[a], values[b])
         return [values[r] for r in self._roots]
 
+    def _columns(self, scale, inputs) -> list:
+        """Root columns on `inputs`, one per variable, on the integer kernel
+        (columnar execution; Boncz et al., MonetDB/X100, 2005).  A column is
+        (default, {row: numerator over `scale`}), no exception equal to its
+        default.  An op computes the fewest rows its sides allow: the
+        exceptions of one whose default is its absorbing value, or its unit
+        (then updating the other's column, in place where that dies here),
+        else the union of both sides' exceptions."""
+        twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
+        ops = self.algebra.ops
+        absorbing, unit = ({ops[op]: v.numerator * scale for op, v in same.items() if op in ops}
+                           for same in (_ABSORBING, _UNIT))
+        values = [v if v is None else (v.numerator * (scale // v.denominator), {})
+                  for v in self._slots]
+        for (_, index), column in zip(self._variables, inputs):
+            values[index] = column
+        last = {a: k for k, (_, _, args) in enumerate(self._code) for a in args}
+        last.update((r, len(self._code)) for r in self._roots)
+        for k, (fn, out, args) in enumerate(self._code):
+            f, (x, xs), (y, ys) = twin[fn], values[args[0]], values[args[-1]]
+            if len(args) == 1:
+                d = f(x)
+                values[out] = d, {r: v for r, a in xs.items() if (v := f(a)) != d}
+            else:
+                d, cost, rows, kept = f(x, y), len(xs) + len(ys), None, None
+                for default, own, other in ((x, xs, args[1]), (y, ys, args[0])):
+                    if len(own) < cost and default in (absorbing.get(fn), unit.get(fn)):
+                        cost, rows = len(own), own
+                        kept = other if default == unit.get(fn) else None
+                if kept is None:
+                    rows = xs.keys() | ys.keys() if rows is None else rows
+                    values[out] = d, {r: v for r in rows
+                                      if (v := f(xs.get(r, x), ys.get(r, y))) != d}
+                else:   # d is the kept side's default
+                    column = values[kept][1]
+                    if last[kept] != k or args[0] == args[1]:
+                        column = dict(column)
+                    for r in rows:
+                        v = column[r] = f(xs.get(r, x), ys.get(r, y))
+                        if v == d:
+                            del column[r]
+                    values[out] = d, column
+            for a in args:
+                if last[a] == k:
+                    values[a] = None
+        return [values[r] for r in self._roots]
+
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
         variable of the formulas, folded away or not, a value in the domain."""
@@ -618,7 +666,8 @@ class Table:
     gives a value to each of `names`; `inputs[i]` names formula i's
     variables.  A miss runs the program of all the formulas once and fills
     every entry.  `memo[D]` indexes numerators over D in front of the exact
-    entries, so a program on the integer kernel hits without a `Fraction`."""
+    entries, so a program on the integer kernel hits without a `Fraction`;
+    `fill` computes every input of a product of strategy sets at once."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  names: Optional[Sequence[str]] = None, inputs: Sequence[Sequence[str]] = ()):
@@ -660,6 +709,39 @@ class Table:
         for memo, pick, value in zip(self.memo[scale], self._own, out):
             memo[pick(values)] = value
         return out
+
+    def fill(self, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> None:
+        """Fill an empty table at each input that takes a tuple of every block
+        (`names` lists their variables), where every formula reads every name
+        so that each input would miss, from one run of the program on
+        columns: the exact entries, and `memo[D]` for the D of a caller's run
+        on those values, the least scale of the program and the tuples.  Off
+        the integer kernel, with table calls or on any error, the misses fill
+        it, and raise what they always have."""
+        try:
+            if any(self._exact) or any(len(own) < len(self.names) for own in self.positions) \
+                    or self.program._scale is None or self.program._calls:
+                return
+            scale = lcm(self.program._scale,
+                        *(x.denominator for block in blocks for t in block for x in t))
+            rows = [[x for t in row for x in t] for row in product(*blocks)]
+            numerators = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+            columns = []
+            for k in self._reads:   # a variable's most frequent value is its default
+                column = [values[k] for values in numerators]
+                d = max(set(column), key=column.count)
+                columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
+            roots = self.program._columns(scale, columns)
+            exact = {v: Fraction(v, scale) for d, column in roots for v in (d, *column.values())}
+            memo = self.memo.setdefault(scale, [{} for _ in self.formulas])
+            for r, (row, values) in enumerate(zip(rows, numerators)):
+                key = pairs(row)
+                for (d, column), entries, index, pick, own in zip(
+                        roots, self._exact, memo, self._picks, self._own):
+                    entries[pick(key)] = exact[column.get(r, d)]
+                    index[own(values)] = column.get(r, d)
+        except Exception:   # noqa: BLE001 -- the misses raise it
+            pass
 
     @cached_property
     def _reads(self) -> list[int]:

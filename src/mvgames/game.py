@@ -184,6 +184,7 @@ def classify(lg: LogicalGame) -> GameFlags:
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
     """Forget the logical structure: strategy ids are lexicographic ranks."""
     counts = [len(block) for block in lg.strategies]
+    lg.payoff_table.fill(lg.strategies)
     payoffs = {}
     for ids in itertools.product(*[range(c) for c in counts]):
         profile = tuple(lg.strategies[i][k] for i, k in enumerate(ids))

@@ -89,7 +89,7 @@ def verify_mixed(game: Game, profile: MixedProfile) -> bool:
 
 @dataclass
 class LinearSolution:
-    """The solutions `particular + span(nullspace)`, stored fraction-free:
+    """The solutions `numerators + span(directions)`, stored fraction-free:
     each vector is a list of integer numerators over `denominator` > 0."""
     numerators: list[int]
     directions: list[list[int]]
@@ -98,14 +98,6 @@ class LinearSolution:
     @property
     def unique(self) -> bool:
         return not self.directions
-
-    @property
-    def particular(self) -> list[Fraction]:
-        return [Fraction(x, self.denominator) for x in self.numerators]
-
-    @property
-    def nullspace(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.denominator) for x in d] for d in self.directions]
 
 
 def solve_linear(rows: Sequence[Sequence[Union[int, Fraction]]],

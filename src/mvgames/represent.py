@@ -132,6 +132,7 @@ class VerificationReport:
 def verify_representation(rep: Representation) -> VerificationReport:
     """Exhaustively check f_i(s) = g(phi_i(c(s))) over all profiles and players."""
     affine = rep.is_affine()
+    rep.target.payoff_table.fill(rep.target.strategies)
     for profile in rep.source.profiles():
         encoded = rep.encode(profile)
         try:

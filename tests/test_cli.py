@@ -568,6 +568,19 @@ def test_closed_stdout_is_an_unwritable_file(capsys, tmp_path, buffered):
     assert "internal error" not in err and "Exception ignored" not in err
 
 
+# A full device fails the write with ENOSPC, not EPIPE: the same unwritable file.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("verb", ["pure-ne", "oracle"])
+def test_full_stdout_is_an_unwritable_file(capsys, tmp_path, verb):
+    run(capsys, "corpus", "new_technology", "--c", "1", "--out", str(tmp_path))
+    argv = ("pure-ne", "--lgame", str(tmp_path / "lgame.json")) if verb == "pure-ne" \
+        else ("oracle", "pure", "--game", str(tmp_path / "game.json"))
+    with open("/dev/full", "wb") as full:
+        result = _cli(*argv, stdout=full)
+    assert (result.returncode, result.stderr) == \
+        (2, b"input error: cannot write standard output: [Errno 28] No space left on device\n")
+
+
 # With fd 1 closed before start-up (`>&-`), sys.stdout is None and every
 # print is dropped: that is the unwritable file of the closed pipe above.
 @pytest.mark.skipif(os.name != "posix", reason="fd semantics")

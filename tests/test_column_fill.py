@@ -1,0 +1,134 @@
+"""`Table.fill` against the per-profile path it stands in for.
+
+On random logical games -- 1 to 3 players, 1 to 5 strategies each, a player
+with one strategy possibly controlling no variable -- whose payoff formulas
+each read every variable, one fill must leave exactly the entries that
+`payoff` at every profile (one `Program.run` per miss) and then a caller's
+run over D leave: the exact entries and the index `memo[D]`.  Where the
+program has no integer kernel (a live `*` or `=>`), or fails to compile,
+the fill leaves the table empty and the per-profile path raises as before.
+"""
+
+import itertools
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvgames import App, Const, LogicalGame, Var, catalog_lookup, free_variables, payoff
+from mvgames.errors import SemanticError
+from mvgames.formula import pairs
+from test_program import ALGEBRAS, values_of
+
+F = Fraction
+ZERO, ONE = F(0), F(1)
+BIG = 10 ** 30 + 57
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def constants_of(alg):
+    """Values, the lattice bounds twice as often; over D = 10^30+57 where the
+    domain is infinite."""
+    big = [] if alg.is_finite else [F(1, BIG), F(BIG - 1, BIG)]
+    return values_of(alg) + [ZERO, ONE] + big
+
+
+def formulas(alg, names):
+    leaves = st.one_of(st.sampled_from([Var(n) for n in names] or [Const(ONE)]),
+                       st.sampled_from(constants_of(alg)).map(Const))
+    ops = set(alg.ops) | {"neg"}
+    unary = sorted(op for op in ops if op in ("neg", "delta"))
+    binary = sorted(ops - set(unary))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(binary), children, children).map(
+                lambda t: App(t[0], (t[1], t[2]))),
+            st.tuples(st.sampled_from(unary), children).map(lambda t: App(t[0], (t[1],))))
+
+    return st.recursive(leaves, extend, max_leaves=16), st.sampled_from(binary)
+
+
+@st.composite
+def games(draw):
+    alg = draw(st.sampled_from(ALGEBRAS))
+    variables, strategies = [], []
+    for i in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(1, 5))
+        width = draw(st.integers(0 if count == 1 else 1, 2))
+        block = tuple(f"v{i + 1}_{j + 1}" for j in range(width))
+        tuples = st.tuples(*[st.sampled_from(values_of(alg))] * width)
+        variables.append(block)
+        strategies.append(draw(st.lists(tuples, min_size=1, max_size=count, unique=True)))
+    names = [name for block in variables for name in block]
+    formula, binary = formulas(alg, names)
+    shared, payoffs = draw(formula), []     # a subterm whose column outlives its first reader
+    for _ in variables:
+        phi = draw(formula)
+        if draw(st.booleans()):
+            phi = App(draw(binary), (phi, shared) if draw(st.booleans()) else (shared, phi))
+        for name in names:     # every formula reads every variable
+            if name not in free_variables(phi):
+                args = (phi, Var(name)) if draw(st.booleans()) else (Var(name), phi)
+                phi = App(draw(binary), args)
+        payoffs.append(phi)
+    return LogicalGame(alg, tuple(variables), tuple(strategies), tuple(payoffs))
+
+
+def _copy(lg):
+    return LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+
+
+def _per_profile(lg, scale):
+    """The table after `payoff` at every profile, then a run over `scale`
+    reading it at every profile; or the first error `payoff` raises."""
+    table = lg.payoff_table
+    table.memo[scale] = [{} for _ in table.formulas]
+    for profile in lg.profiles():
+        try:
+            payoff(lg, profile)
+        except SemanticError as exc:
+            return str(exc)
+        values = [x for t in profile for x in t]
+        table.at(pairs(values), [x.numerator * (scale // x.denominator) for x in values], scale)
+    return table
+
+
+@PROPERTY
+@given(games())
+def test_fill_leaves_the_entries_of_the_per_profile_path(lg):
+    filled = _copy(lg)
+    filled.payoff_table.fill(filled.strategies)
+    table = filled.payoff_table
+    try:
+        program = table.program
+    except SemanticError:
+        program = None
+    if program is None or program._scale is None:     # no integer kernel: no fill
+        assert table.memo == {} and table._exact == [{} for _ in table.formulas]
+        scale = 1
+    else:
+        scale = lcm(program._scale, *(x.denominator for block in lg.strategies
+                                      for t in block for x in t))
+        assert list(table.memo) == [scale]
+    reference = _per_profile(_copy(lg), scale)
+    if isinstance(reference, str):      # the per-profile path raises what it always has
+        with pytest.raises(SemanticError) as info:
+            for profile in filled.profiles():
+                payoff(filled, profile)
+        assert str(info.value) == reference
+    elif program is not None and program._scale is not None:
+        assert table._exact == reference._exact
+        assert table.memo == reference.memo
+
+
+def test_fill_leaves_a_live_product_to_the_misses():
+    pl = catalog_lookup("STD_PL")
+    halves = ((F(0),), (F(1, 2),), (F(1),))
+    lg = LogicalGame(pl, (("x",), ("y",)), (halves, halves),
+                     (App("odot", (Var("x"), Var("y"))), App("or", (Var("x"), Var("y")))))
+    lg.payoff_table.fill(lg.strategies)
+    assert lg.payoff_table.memo == {} and lg.payoff_table._exact == [{}, {}]
+    assert [payoff(lg, p) for p in itertools.product(halves, halves)][4] == (F(1, 4), F(1, 2))

@@ -20,6 +20,16 @@ from conftest import PAYOFF_POOL, random_rational_game
 F = Fraction
 
 
+def particular(solution):
+    """The particular solution of a `LinearSolution`, as Fractions."""
+    return [F(x, solution.denominator) for x in solution.numerators]
+
+
+def nullspace(solution):
+    """The nullspace basis of a `LinearSolution`, as Fractions."""
+    return [[F(x, solution.denominator) for x in d] for d in solution.directions]
+
+
 def original_matching_pennies():
     return make_game((2, 2), lambda p: (F(1), F(-1)) if p[0] == p[1] else (F(-1), F(1)),
                      names=[("h", "t")] * 2)
@@ -147,7 +157,7 @@ def test_affine_invariance_random(seed):
 def test_solve_linear_unique():
     solution = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
     assert solution.unique
-    assert solution.particular == [F(2), F(1)]
+    assert particular(solution) == [F(2), F(1)]
 
 
 def test_solve_linear_inconsistent():
@@ -157,10 +167,10 @@ def test_solve_linear_inconsistent():
 def test_solve_linear_underdetermined():
     solution = solve_linear([[F(1), F(1), F(0)]], [F(1)])
     assert not solution.unique
-    assert len(solution.nullspace) == 2
-    x = solution.particular
+    assert len(nullspace(solution)) == 2
+    x = particular(solution)
     assert x[0] + x[1] == 1
-    for direction in solution.nullspace:
+    for direction in nullspace(solution):
         shifted = [a + b for a, b in zip(x, direction)]
         assert shifted[0] + shifted[1] == 1
 
@@ -408,7 +418,7 @@ def test_solve_linear_matches_reference(system):
     if expected is None:
         assert solution is None
     else:
-        assert (solution.particular, solution.nullspace) == expected
+        assert (particular(solution), nullspace(solution)) == expected
         assert solution.unique == (not expected[1])
 
 

@@ -3,7 +3,9 @@ mixed check.
 
 Whichever consumer fills the table first, every answer is the one a fresh
 game gives; a consumer that finds the table full runs no payoff program of
-its own; and the errors are those of the game without a table.
+its own; and the errors are those of the game without a table.  Where each
+payoff formula reads every variable, verify and decide fill the table in
+one column run, and run no payoff program per profile.
 """
 
 import dataclasses
@@ -12,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from mvgames import (LogicalGame, MixedProfile, Subst, Var, catalog_lookup,
+from mvgames import (LogicalGame, MixedProfile, StrategicGame, Subst, Var, catalog_lookup,
                      check_mixed_ne, decide_pure_ne, logical_to_strategic, love_and_hate,
-                     new_technology, parse, payoff, verify_representation)
+                     new_technology, parse, payoff, represent_rational_qg_delta,
+                     verify_representation)
 from mvgames.equilibria import PureNEEncoding, build_encoding, satisfies_gamma
 from mvgames.errors import SemanticError
 from mvgames.formula import Program, substitute
@@ -114,3 +117,48 @@ def test_binding_outside_the_game_algebra_raises_what_the_copy_raises():
         enc = PureNEEncoding(lg, gamma, gamma, {}, "EXPRESSIBLE")
         with pytest.raises(SemanticError, match="constant 1/3 outside the domain of L_4"):
             satisfies_gamma(enc, ((F(0),), (F(1),)))
+
+
+def _vi(k, seed=6):
+    rng = random.Random(seed)
+    levels = [F(j, 4) for j in range(5)]
+    names = (tuple(f"s{i}" for i in range(k)),) * 2
+    source = StrategicGame(names, {(a, b): (rng.choice(levels), rng.choice(levels))
+                                   for a in range(k) for b in range(k)})
+    return represent_rational_qg_delta(source)
+
+
+def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
+    rep = _vi(6)
+    payoffs = rep.target.payoff_table.program
+    ran = _programs_run(monkeypatch)
+    assert verify_representation(rep).ok
+    lg = _fresh(rep.target)
+    enc = build_encoding(lg)
+    decide_pure_ne(lg, enc)
+    assert payoffs not in ran and lg.payoff_table.program not in ran
+    assert ran and all(program is enc.gamma_program for program in ran)
+
+
+def test_formulas_reading_some_variables_stay_on_the_per_profile_path(monkeypatch):
+    rep = dataclasses.replace(LH44.representation, target=_fresh(LH44.representation.target))
+    ran = _programs_run(monkeypatch)
+    assert verify_representation(rep).ok
+    assert rep.target.payoff_table.program in ran and rep.target.payoff_table.memo == {}
+
+
+def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
+    rep = _vi(6)
+    payoffs = dict(rep.source.payoffs)
+    payoffs[3, 2] = (payoffs[3, 2][0], payoffs[3, 2][1] + 1)
+    payoffs[4, 1] = (payoffs[4, 1][0] - 1, payoffs[4, 1][1])
+    source = StrategicGame(rep.source.strategy_names, payoffs)
+    filled = dataclasses.replace(rep, source=source, target=_fresh(rep.target))
+    per_profile = dataclasses.replace(rep, source=source, target=_fresh(rep.target))
+    payoff(per_profile.target, next(per_profile.target.profiles()))     # not empty: no fill
+    report = verify_representation(filled)
+    assert report == verify_representation(per_profile)
+    assert filled.target.payoff_table.memo and not per_profile.target.payoff_table.memo
+    assert report.counterexample[:2] == ((3, 2), 1)
+    assert report.message == f"profile (3, 2), player 2: g(phi) = {payoffs[3, 2][1] - 1} " \
+                             f"but f = {payoffs[3, 2][1]}"
