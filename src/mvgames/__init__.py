@@ -5,8 +5,7 @@ and their equilibrium encodings, game representations, and brute-force
 oracles that cross-check everything.
 """
 
-from .algebra import (Algebra, apply, catalog_lookup, format_rational, is_subreduct,
-                      parse_rational)
+from .algebra import Algebra, catalog_lookup, format_rational, is_subreduct, parse_rational
 from .chars import characteristic, mcnaughton_hat, pseudo_char, zeta
 from .corpus import CorpusBundle, love_and_hate, matching_pennies, new_technology, vickrey
 from .equilibria import (MixedNEEncoding, PureNEEncoding, build_gamma, build_gamma_weak,

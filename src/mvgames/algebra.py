@@ -212,23 +212,6 @@ class Algebra:
         return f"Algebra({self.id})"
 
 
-def apply(alg: Algebra, connective: str, args) -> Fraction:
-    """Apply a connective of `alg` to domain elements; result stays in domain."""
-    op = alg.ops.get(connective)
-    if op is None:
-        raise SemanticError(f"connective {connective!r} not in signature of {alg.id}")
-    args = tuple(args)
-    if len(args) != ARITY[connective]:
-        raise SemanticError(
-            f"{connective} expects {ARITY[connective]} arguments, got {len(args)}")
-    for a in args:
-        if not alg.contains(a):
-            raise SemanticError(f"argument {a} outside the domain of {alg.id}")
-    result = op(*args)
-    assert alg.contains(result), f"closure violated: {connective} on {args}"
-    return result
-
-
 # --- catalog ----------------------------------------------------------------
 
 _PARAMETRIC = re.compile(r"^([LG])_(\d+|n)(_C)?(_DELTA)?$")

@@ -86,12 +86,10 @@ def cmd_corpus(args) -> int:
         bundle = corpus_mod.matching_pennies()
     elif args.name == "love_and_hate":
         bundle = corpus_mod.love_and_hate(args.n, args.m)
-    elif args.name == "vickrey":
+    else:   # vickrey: argparse admits no other name
         bundle = corpus_mod.vickrey(_parse_rational_list(args.p),
                                     parse_rational(args.t),
                                     parse_rational(args.grid_step))
-    else:
-        raise InputError(f"unknown corpus entry {args.name!r}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -129,15 +127,13 @@ def cmd_represent(args) -> int:
         rep = represent.represent_rational_gmc_delta(source, args.m)
     elif method == "vi_lm":
         rep = represent.represent_rational_lm(source, args.m)
-    elif method == "vii":
+    else:   # vii: argparse admits no other method
         if args.algebra is None or not args.anchors or not args.payoff_anchors:
             raise InputError("vii needs --algebra, --anchors, and --payoff-anchors")
         rep = represent.represent_general(
             source, catalog_lookup(args.algebra),
             _parse_rational_list(args.anchors),
             _parse_rational_list(args.payoff_anchors))
-    else:
-        raise InputError(f"unknown method {method!r}")
     game.dump_json(game.lgame_to_json(rep.target), args.out_lgame)
     game.dump_json(represent.representation_to_json(rep), args.out_rep)
     report = represent.verify_representation(rep)

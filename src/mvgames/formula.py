@@ -13,11 +13,11 @@ is the identity, once each `Subst` is carried out.
 Formulas are immutable and may share subterms; `parse` shares every
 repeated one, and parses each repeated parenthesized group once (the
 printer writes a shared subterm out where it occurs): a group whose text it
-has parsed before is that node, its text skipped unread.  Errors come from
-the plain path, which lexes the whole text before parsing it.  Every
-traversal -- the printer, free variables, substitution and compilation --
-walks the DAG once per distinct node, iteratively, so neither sharing nor
-depth is a problem.
+has parsed before is that node, its text skipped unread.  A skipped group
+held no error, so an error is raised where a parse of every token raises
+it, a lex error anywhere before a parse error.  Every traversal -- the
+printer, free variables, substitution and compilation -- walks the DAG once
+per distinct node, iteratively, so neither sharing nor depth is a problem.
 
 Evaluation compiles formulas once per algebra into a `Program`: nodes are
 hash-consed by structure (a formula built without sharing gains it),
@@ -183,11 +183,7 @@ def _lex(text: str, constants: dict, pos: int) -> Iterator[tuple]:
 _PRECEDENCE = {"->": 0, "=>": 0, "\\/": 1, "+": 1, "-": 1, "/\\": 2, "&": 2, "*": 2}
 _PREFIX = {"~": "neg", "D": "delta"}
 _KEY = 32       # a group's first bytes that name its bucket of parsed groups
-_SPEND = 16     # bytes the group path may compare and copy, per byte of text
-
-
-class _Spent(Exception):
-    """The group path compared and copied `_SPEND` bytes per byte of text."""
+_SPEND = 16     # bytes group lookups may compare and copy, per byte of text
 
 
 def parse(text: str) -> Formula:
@@ -196,26 +192,28 @@ def parse(text: str) -> Formula:
     subterms are one object (hash-consing; Filliatre and Conchon, 2006), so
     a formula printed as a tree reloads as the DAG it was printed from.
 
-    The group path lexes as it reads, and a group whose text it has parsed
-    before is that node, its text skipped (a memo on content, where packrat
-    parsing has one on position; Ford, 2002).  On an error, or past
-    `_SPEND` bytes compared and copied per byte of text, it hands the text
-    to the plain path, which lexes all of it, then parses every token, and
-    so raises each error where and as it always has."""
-    consed: dict[tuple, Formula] = {}
+    It lexes as it reads, and a group whose text it has parsed before is
+    that node, its text skipped (a memo on content, where packrat parsing
+    has one on position; Ford, 2002).  A skipped group held no error, so an
+    error is raised where a parse of every token raises it; on a parse
+    error the text is lexed once more, so a lex error anywhere comes first."""
     lex = partial(_lex, text, {})
     try:
-        return _shunt(text, consed, lex(0), lex)
-    except (ParseError, _Spent):
-        return _shunt(text, consed, list(lex(0)))
+        return _shunt(text, lex)
+    except ParseError:
+        for _ in lex(0):
+            pass
+        raise
 
 
-def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formula:
-    """The operator-precedence loop over `tokens`.  Given `lex`, which
-    lexes from an offset on (the group path), a group parsed before is read
-    as its node, and the loop goes on over `lex` past its text.  `consed`
+def _shunt(text: str, lex) -> Formula:
+    """The operator-precedence loop over the tokens `lex` yields from an
+    offset on.  A group parsed before is read as its node, and the loop goes
+    on over `lex` past its text, until `_SPEND` bytes per byte of text have
+    been compared and copied: from then on it parses every token.  `consed`
     maps (kind, lexeme) or (token, *argument ids) to the one node for it;
     holding every node keeps ids unique."""
+    consed: dict[tuple, Formula] = {}
     operands: list[Formula] = []
     pending: list[str] = []     # "(", prefix and binary operator tokens
     opened: list[int] = []      # the offset of each open "("
@@ -255,7 +253,7 @@ def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formul
         budget -= len(sizes)        # a byte compared per length tried
         for size, start in reversed(sizes.items()):
             if budget < 0:
-                raise _Spent
+                break
             if text.startswith(")", offset + size - 1):
                 budget -= size if start is None else 2 * size
                 if start is not None:
@@ -266,6 +264,7 @@ def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formul
                     return node, size
         return None
 
+    tokens = lex(0)
     while True:
         for kind, lexeme, value, offset in tokens:
             if expect_operand:
@@ -277,7 +276,7 @@ def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formul
                     operands.append(node)
                     expect_operand = False
                 elif lexeme == "(":
-                    found = lex and (closed or heads) and find(offset)
+                    found = budget >= 0 and (closed or heads) and find(offset)
                     if found:   # parsed before: its node, then on past its text
                         node, size = found
                         operands.append(node)
@@ -310,7 +309,7 @@ def _shunt(text: str, consed: dict, tokens: Iterable[tuple], lex=None) -> Formul
                     raise _error("expected ')'", text, offset)
                 pending.pop()
                 start = opened.pop()
-                if lex:
+                if budget >= 0:
                     nodes[start] = operands[-1]
                     closed.append(start)
                     closed.append(offset + 1)
@@ -716,32 +715,33 @@ class Table:
         so that each input would miss, from one run of the program on
         columns: the exact entries, and `memo[D]` for the D of a caller's run
         on those values, the least scale of the program and the tuples.  Off
-        the integer kernel, with table calls or on any error, the misses fill
-        it, and raise what they always have."""
+        the integer kernel, with table calls or where the formulas do not
+        compile, the misses fill it, and raise what they always have."""
         try:
-            if any(self._exact) or any(len(own) < len(self.names) for own in self.positions) \
-                    or self.program._scale is None or self.program._calls:
-                return
-            scale = lcm(self.program._scale,
-                        *(x.denominator for block in blocks for t in block for x in t))
-            rows = [[x for t in row for x in t] for row in product(*blocks)]
-            numerators = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-            columns = []
-            for k in self._reads:   # a variable's most frequent value is its default
-                column = [values[k] for values in numerators]
-                d = max(set(column), key=column.count)
-                columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
-            roots = self.program._columns(scale, columns)
-            exact = {v: Fraction(v, scale) for d, column in roots for v in (d, *column.values())}
-            memo = self.memo.setdefault(scale, [{} for _ in self.formulas])
-            for r, (row, values) in enumerate(zip(rows, numerators)):
-                key = pairs(row)
-                for (d, column), entries, index, pick, own in zip(
-                        roots, self._exact, memo, self._picks, self._own):
-                    entries[pick(key)] = exact[column.get(r, d)]
-                    index[own(values)] = column.get(r, d)
-        except Exception:   # noqa: BLE001 -- the misses raise it
-            pass
+            program = self.program
+        except SemanticError:   # the misses raise it
+            return
+        if any(self._exact) or any(len(own) < len(self.names) for own in self.positions) \
+                or program._scale is None or program._calls:
+            return
+        scale = lcm(program._scale,
+                    *(x.denominator for block in blocks for t in block for x in t))
+        rows = [[x for t in row for x in t] for row in product(*blocks)]
+        numerators = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        columns = []
+        for k in self._reads:   # a variable's most frequent value is its default
+            column = [values[k] for values in numerators]
+            d = max(set(column), key=column.count)
+            columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
+        roots = program._columns(scale, columns)
+        exact = {v: Fraction(v, scale) for d, column in roots for v in (d, *column.values())}
+        memo = self.memo.setdefault(scale, [{} for _ in self.formulas])
+        for r, (row, values) in enumerate(zip(rows, numerators)):
+            key = pairs(row)
+            for (d, column), entries, index, pick, own in zip(
+                    roots, self._exact, memo, self._picks, self._own):
+                entries[pick(key)] = exact[column.get(r, d)]
+                index[own(values)] = column.get(r, d)
 
     @cached_property
     def _reads(self) -> list[int]:

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from mvgames import apply, catalog_lookup, is_subreduct
+from mvgames import catalog_lookup, is_subreduct
 from mvgames.algebra import ARITY, parse_rational, format_rational
-from mvgames.errors import InputError, SemanticError
+from mvgames.errors import InputError
 
 FINITE_IDS = [("BOOL2", None), ("L_n", 3), ("L_n", 4), ("L_n_C", 4),
               ("G_n", 4), ("G_n_C", 4), ("G_n_C_DELTA", 4)]
@@ -19,11 +19,11 @@ INFINITE_IDS = ["STD_L", "STD_L_DELTA", "STD_QL", "STD_QL_DELTA", "STD_G",
 def test_lukasiewicz_tables():
     alg = catalog_lookup("STD_L")
     x, y = Fraction(7, 10), Fraction(6, 10)
-    assert apply(alg, "and_strong", [x, y]) == Fraction(3, 10)
-    assert apply(alg, "imp", [x, y]) == Fraction(9, 10)
-    assert apply(alg, "neg", [x]) == Fraction(3, 10)
-    assert apply(alg, "oplus", [x, y]) == 1
-    assert apply(alg, "ominus", [x, y]) == Fraction(1, 10)
+    assert alg.ops["and_strong"](x, y) == Fraction(3, 10)
+    assert alg.ops["imp"](x, y) == Fraction(9, 10)
+    assert alg.ops["neg"](x) == Fraction(3, 10)
+    assert alg.ops["oplus"](x, y) == 1
+    assert alg.ops["ominus"](x, y) == Fraction(1, 10)
 
 
 def test_imp_reflexive_everywhere():
@@ -32,35 +32,21 @@ def test_imp_reflexive_everywhere():
         alg = catalog_lookup(alg_id)
         for _ in range(50):
             x = Fraction(rng.randint(0, 24), 24)
-            assert apply(alg, "imp", [x, x]) == 1
+            assert alg.ops["imp"](x, x) == 1
 
 
 def test_godel_and_product_tables():
-    assert apply(catalog_lookup("STD_G"), "imp",
-                 [Fraction(7, 10), Fraction(6, 10)]) == Fraction(6, 10)
-    assert apply(catalog_lookup("STD_PL"), "odot",
-                 [Fraction(2, 3), Fraction(3, 5)]) == Fraction(2, 5)
-    assert apply(catalog_lookup("STD_LPIH"), "imp_pi",
-                 [Fraction(1, 2), Fraction(1, 4)]) == Fraction(1, 2)
-    assert apply(catalog_lookup("STD_LPI"), "imp_pi",
-                 [Fraction(1, 4), Fraction(1, 2)]) == 1
+    assert catalog_lookup("STD_G").ops["imp"](
+        Fraction(7, 10), Fraction(6, 10)) == Fraction(6, 10)
+    assert catalog_lookup("STD_PL").ops["odot"](
+        Fraction(2, 3), Fraction(3, 5)) == Fraction(2, 5)
+    assert catalog_lookup("STD_LPIH").ops["imp_pi"](
+        Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 2)
+    assert catalog_lookup("STD_LPI").ops["imp_pi"](Fraction(1, 4), Fraction(1, 2)) == 1
 
 
 def test_chain_oplus_saturates():
-    assert apply(catalog_lookup("L_4_C"), "oplus",
-                 [Fraction(1, 2), Fraction(3, 4)]) == 1
-
-
-def test_apply_rejects_bad_arguments():
-    bool2 = catalog_lookup("BOOL2")
-    with pytest.raises(SemanticError):
-        apply(bool2, "and", [Fraction(1, 2), Fraction(1)])
-    with pytest.raises(SemanticError):
-        apply(bool2, "and", [Fraction(1)])
-    with pytest.raises(SemanticError):
-        apply(bool2, "odot", [Fraction(1), Fraction(0)])
-    with pytest.raises(SemanticError):
-        apply(catalog_lookup("L_4"), "imp", [Fraction(1, 3), Fraction(1)])
+    assert catalog_lookup("L_4_C").ops["oplus"](Fraction(1, 2), Fraction(3, 4)) == 1
 
 
 def test_catalog_errors():
@@ -83,11 +69,11 @@ def test_closure_exhaustive(identifier, n):
     for name in alg.connectives:
         if ARITY[name] == 1:
             for x in domain:
-                assert alg.contains(apply(alg, name, [x]))
+                assert alg.contains(alg.ops[name](x))
         else:
             for x in domain:
                 for y in domain:
-                    assert alg.contains(apply(alg, name, [x, y]))
+                    assert alg.contains(alg.ops[name](x, y))
 
 
 @pytest.mark.parametrize("identifier", INFINITE_IDS)
@@ -97,9 +83,9 @@ def test_residuation_anchors(identifier, seed):
     for _ in range(1000):
         x = Fraction(rng.randint(0, 60), 60)
         y = Fraction(rng.randint(0, 60), 60)
-        assert (apply(alg, "imp", [x, y]) == 1) == (x <= y)
-        assert (apply(alg, "and", [x, y]) == 1) == (x == 1 and y == 1)
-        assert (apply(alg, "or", [x, y]) == 1) == (x == 1 or y == 1)
+        assert (alg.ops["imp"](x, y) == 1) == (x <= y)
+        assert (alg.ops["and"](x, y) == 1) == (x == 1 and y == 1)
+        assert (alg.ops["or"](x, y) == 1) == (x == 1 or y == 1)
 
 
 def test_lukasiewicz_identities(seed):
@@ -108,10 +94,9 @@ def test_lukasiewicz_identities(seed):
     for _ in range(300):
         x = Fraction(rng.randint(0, 48), 48)
         y = Fraction(rng.randint(0, 48), 48)
-        assert apply(alg, "neg", [apply(alg, "neg", [x])]) == x
-        lhs = apply(alg, "oplus", [x, y])
-        rhs = apply(alg, "neg", [apply(alg, "and_strong",
-                                       [apply(alg, "neg", [x]), apply(alg, "neg", [y])])])
+        assert alg.ops["neg"](alg.ops["neg"](x)) == x
+        lhs = alg.ops["oplus"](x, y)
+        rhs = alg.ops["neg"](alg.ops["and_strong"](alg.ops["neg"](x), alg.ops["neg"](y)))
         assert lhs == rhs
 
 
@@ -120,9 +105,9 @@ def test_delta_idempotent(seed):
     rng = random.Random(seed)
     for _ in range(200):
         x = Fraction(rng.randint(0, 32), 32)
-        d = apply(alg, "delta", [x])
+        d = alg.ops["delta"](x)
         assert d in (Fraction(0), Fraction(1))
-        assert apply(alg, "delta", [d]) == d
+        assert alg.ops["delta"](d) == d
 
 
 def test_subreduct_relations():

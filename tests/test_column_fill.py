@@ -6,10 +6,12 @@ each read every variable, one fill must leave exactly the entries that
 `payoff` at every profile (one `Program.run` per miss) and then a caller's
 run over D leave: the exact entries and the index `memo[D]`.  Where the
 program has no integer kernel (a live `*` or `=>`), or fails to compile,
-the fill leaves the table empty and the per-profile path raises as before.
+the fill leaves the table empty and the per-profile path raises as before;
+any other fault in the fill propagates.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -17,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import App, Const, LogicalGame, Var, catalog_lookup, free_variables, payoff
+from mvgames import (App, Const, LogicalGame, Var, catalog_lookup, free_variables, payoff,
+                     represent_rational_qg_delta, verify_representation)
 from mvgames.errors import SemanticError
-from mvgames.formula import pairs
+from mvgames.formula import Program, pairs
+from conftest import random_rational_game
 from test_program import ALGEBRAS, values_of
 
 F = Fraction
@@ -132,3 +136,13 @@ def test_fill_leaves_a_live_product_to_the_misses():
     lg.payoff_table.fill(lg.strategies)
     assert lg.payoff_table.memo == {} and lg.payoff_table._exact == [{}, {}]
     assert [payoff(lg, p) for p in itertools.product(halves, halves)][4] == (F(1, 4), F(1, 2))
+
+
+def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
+    def broken(self, scale, inputs):
+        raise RuntimeError("column run broken")
+
+    monkeypatch.setattr(Program, "_columns", broken)
+    rep = represent_rational_qg_delta(random_rational_game(random.Random(3)))
+    with pytest.raises(RuntimeError, match="column run broken"):
+        verify_representation(rep)

@@ -4,16 +4,16 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (App, Const, Subst, Var, apply, catalog_lookup, evaluate,
-                     free_variables, parse, substitute, to_text)
+from mvgames import (App, Const, Subst, Var, catalog_lookup, evaluate, free_variables,
+                     parse, substitute, to_text)
 from mvgames.algebra import as_truth_value
 from mvgames.errors import SemanticError
 from mvgames import formula
@@ -222,9 +222,8 @@ def test_compositionality(seed):
         env = {"a": random_fraction(rng, 6), "b": random_fraction(rng, 6)}
         for op in ("and", "or", "imp", "and_strong", "oplus", "ominus", "odot"):
             composed = App(op, (f, g))
-            assert evaluate(composed, STD_QPL_DELTA, env) == apply(
-                STD_QPL_DELTA, op,
-                [evaluate(f, STD_QPL_DELTA, env), evaluate(g, STD_QPL_DELTA, env)])
+            assert evaluate(composed, STD_QPL_DELTA, env) == STD_QPL_DELTA.ops[op](
+                evaluate(f, STD_QPL_DELTA, env), evaluate(g, STD_QPL_DELTA, env))
 
 
 def test_substitution_examples():
@@ -462,37 +461,38 @@ def test_pinned_texts_print_back_from_their_parse():
         assert len(list(_post_order([again]))) == _structural_classes(again)
 
 
-# --- the group path against the plain path -----------------------------------
+# --- parse against a reference that parses every token ------------------------
 
-def _group_path(text):
-    """The group path alone, with no hand-off to the plain path."""
-    lex = partial(formula._lex, text, {})
-    return formula._shunt(text, {}, lex(0), lex)
+def _reference_path(text):
+    """Every token parsed: the whole text lexed, then the loop run with a
+    spend cap below 0, so that it looks up no group."""
+    tokens = list(formula._lex(text, {}, 0))
 
+    def from_start(offset):
+        assert offset == 0      # no group skipped, so no lexing resumed past one
+        return iter(tokens)
 
-def _plain_path(text):
-    """The plain path alone: the whole text lexed, then every token parsed."""
-    return formula._shunt(text, {}, list(formula._lex(text, {}, 0)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formula, "_SPEND", -1)
+        return formula._shunt(text, from_start)
 
 
 def assert_paths_agree(text):
-    """Equal formulas with equal DAG node counts and printed text, or the
-    same error at the same position; the group path raises where the plain
-    path does, so its hand-off hides no error."""
+    """`parse` and the reference give equal formulas with equal DAG node
+    counts and printed text, or the same error at the same position: no
+    group skipped hides an error, and a lex error still comes first."""
     try:
-        expected = _plain_path(text)
+        expected = _reference_path(text)
     except ParseError as exc:
-        with pytest.raises(ParseError):
-            _group_path(text)
         with pytest.raises(ParseError) as info:
             parse(text)
         assert (str(info.value), info.value.line, info.value.column) == \
             (str(exc), exc.line, exc.column)
         return
-    for got in (_group_path(text), parse(text)):
-        assert got == expected
-        assert len(list(_post_order([got]))) == len(list(_post_order([expected])))
-        assert to_text(got) == to_text(expected)
+    got = parse(text)
+    assert got == expected
+    assert len(list(_post_order([got]))) == len(list(_post_order([expected])))
+    assert to_text(got) == to_text(expected)
 
 
 def test_paths_agree_on_pinned_texts():
@@ -561,16 +561,61 @@ def test_parse_parentheses_100000_deep():
     assert (info.value.line, info.value.column) == (1, 200_001)
 
 
-def test_group_path_hands_off_past_its_byte_cap():
+def test_group_path_stops_looking_up_past_its_byte_cap(monkeypatch):
     # After a 5000-deep chain, whose groups share their first bytes, every
     # distinct group opening with as many parentheses tries each of the
     # chain's lengths: without the cap that work grows with the product.
     chain = "(" * 5000 + "a" + "".join(f" /\\ v{i})" for i in range(5000))
     text = " \\/ ".join([chain] + ["(" * 40 + f"b{j}" + ")" * 40 for j in range(3000)])
-    with pytest.raises(formula._Spent):
-        _group_path(text)
-    f = parse(text)
-    assert len(list(_post_order([f]))) == 10_001 + 3000 + 3000
+    f, g = to_text(parse(text)), to_text(parse(chain))
+    assert len(list(_post_order([parse(text)]))) == 10_001 + 3000 + 3000
+    assert f == to_text(_reference_path(text))
+    # Past the cap no group is looked up: a repeat of the chain is parsed
+    # token by token, where under the cap its text is skipped.
+    real_lex, starts = formula._lex, []
+
+    def lex(text, constants, pos):
+        starts.append(pos)
+        return real_lex(text, constants, pos)
+
+    monkeypatch.setattr(formula, "_lex", lex)
+    assert to_text(parse(f"{chain} \\/ {chain}")) == f"({g} \\/ {g})"
+    assert starts == [0, 2 * len(chain) + 4]   # on past the second chain
+    starts.clear()
+    assert to_text(parse(f"{text} \\/ {chain}")) == f"({f} \\/ {g})"
+    assert starts == [0]
+
+
+@pytest.mark.parametrize("head, tail, message", [
+    ("", "/\\", "expected a formula, found 'end of input'"),
+    (")", "", "expected a formula, found ')'"),
+    ("", "#", "unexpected character '#'"),
+])
+def test_malformed_payoff_text_costs_what_a_valid_one_does(head, tail, message):
+    # A ~100 KB vi_lm payoff text, malformed at its end or its start: the
+    # error is found in one pass, not by parsing the whole text again from
+    # a list of every token.
+    from mvgames.represent import represent_rational_lm
+    from conftest import _fill_payoffs, PAYOFF_POOL
+    rng = random.Random(5)
+    game = _fill_payoffs(rng, (4, 4), rng.sample(PAYOFF_POOL, 5), 2)
+    bad = head + to_text(represent_rational_lm(game).target.payoff_formulas[0]) + tail
+    assert 90_000 < len(bad) < 110_000
+    with pytest.raises(ParseError) as expected:
+        _reference_path(bad)
+    column = 1 if head else len(bad) + (tail != "#")
+    assert (str(expected.value), expected.value.line, expected.value.column) == \
+        (f"{message} (line 1, column {column})", 1, column)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (str(info.value), info.value.line, info.value.column) == \
+        (str(expected.value), 1, column)
+    assert peak < 5 * len(bad)
 
 
 def test_parse_doubling_text_is_15_nodes():
