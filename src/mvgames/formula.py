@@ -147,9 +147,12 @@ _BINARY_TOKENS = {
 
 
 def _error(message: str, text: str, offset: int) -> ParseError:
-    """The error at character `offset` of `text`, with its line and column."""
-    return ParseError(message, text.count("\n", 0, offset) + 1,
-                      offset - text.rfind("\n", 0, offset))
+    """The error at character `offset` of `text`, with its line and column;
+    the offset is kept as `offset`."""
+    error = ParseError(message, text.count("\n", 0, offset) + 1,
+                       offset - text.rfind("\n", 0, offset))
+    error.offset = offset
+    return error
 
 
 def _lex(text: str, constants: dict, pos: int) -> Iterator[tuple]:
@@ -195,13 +198,15 @@ def parse(text: str) -> Formula:
     It lexes as it reads, and a group whose text it has parsed before is
     that node, its text skipped (a memo on content, where packrat parsing
     has one on position; Ford, 2002).  A skipped group held no error, so an
-    error is raised where a parse of every token raises it; on a parse
-    error the text is lexed once more, so a lex error anywhere comes first."""
+    error is raised where a parse of every token raises it.  Every token
+    before a parse error was lexed, or skipped in a group that lexed
+    cleanly, so the text is lexed once more from the error on: a lex error
+    anywhere comes first."""
     lex = partial(_lex, text, {})
     try:
         return _shunt(text, lex)
-    except ParseError:
-        for _ in lex(0):
+    except ParseError as exc:
+        for _ in lex(exc.offset):
             pass
         raise
 

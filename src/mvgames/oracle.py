@@ -8,14 +8,15 @@ suffices for finite games) from one pass over the payoff table, and a
 linear systems.  Logical games are accepted everywhere by first collapsing
 them to their payoff tables.
 
-The finder runs on integers until a candidate passes its tests: each
-player's payoffs are scaled once to integer numerators, and each support
-system is solved by fraction-free Gauss-Jordan elimination (Bareiss), which
-reaches the same reduced row echelon form as rational elimination.
-Degenerate support systems are solved parametrically; one rational
-representative per solution face is emitted and flagged.  The finder is
-complete for nondegenerate games; n-player mixed-equilibrium search is out
-of scope (verification is n-player).
+The mixed oracle runs on integers until it returns a result: each player's
+payoffs are scaled to integer numerators over their lcm, each probability
+vector to numerators over its own, and each support system is solved once,
+by fraction-free Gauss-Jordan elimination (Bareiss), which reaches the same
+reduced row echelon form as rational elimination.  Degenerate support
+systems are solved parametrically; one rational representative per solution
+face is emitted and flagged.  The finder is complete for nondegenerate
+games; n-player mixed-equilibrium search is out of scope (verification is
+n-player).
 """
 
 from __future__ import annotations
@@ -55,24 +56,32 @@ def _payoff_sums(table: StrategicGame,
     """Each player's expected payoff under `profile`, and whether no pure
     deviation pays any player more, from one pass over the payoff table.
 
-    Row i holds player i's expected payoff after switching to each pure
-    strategy s: payoff times the other players' probabilities, summed over
-    the profiles in which i plays s, skipping terms of zero weight.  Player
-    i's expected payoff is i's own probabilities times that row.
+    The sums are of integers: player i's payoffs as numerators over their
+    lcm L_i, each probability vector as numerators w_j over its own lcm D_j.
+    Row i holds, per pure strategy s of i, the payoffs times the other
+    players' weights, summed over the profiles in which i plays s, skipping
+    terms of zero weight.  Player i earns sum_s w_i[s] * row[s] over L_i and
+    every D_j, and no deviation pays i more iff max(row) * D_i <= that sum.
     """
     probabilities = profile.probabilities
     if tuple(len(v) for v in probabilities) != table.strategy_counts:
         raise SemanticError("mixed profile does not match the game's strategy counts")
-    rows = [[Fraction(0)] * c for c in table.strategy_counts]
+    scales = [lcm(*(p.denominator for p in vector)) for vector in probabilities]
+    weights = [[p.numerator * (d // p.denominator) for p in vector]
+               for vector, d in zip(probabilities, scales)]
+    levels = [lcm(*(values[i].denominator for values in table.payoffs.values()))
+              for i in range(len(scales))]
+    rows = [[0] * c for c in table.strategy_counts]
     for pure, values in table.payoffs.items():
-        weights = [vector[s] for vector, s in zip(probabilities, pure)]
+        ws = [vector[s] for vector, s in zip(weights, pure)]
         for i, s in enumerate(pure):
-            others = weights[:i] + weights[i + 1:]
+            others = ws[:i] + ws[i + 1:]
             if all(others):
-                rows[i][s] += values[i] * prod(others)
-    expected = tuple(sum(p * v for p, v in zip(vector, row))
-                     for vector, row in zip(probabilities, rows))
-    return expected, all(max(row) <= value for row, value in zip(rows, expected))
+                v = values[i]
+                rows[i][s] += v.numerator * (levels[i] // v.denominator) * prod(others)
+    totals = [sum(w * x for w, x in zip(vector, row)) for vector, row in zip(weights, rows)]
+    expected = tuple(Fraction(t, level * prod(scales)) for t, level in zip(totals, levels))
+    return expected, all(max(row) * d <= t for row, d, t in zip(rows, scales, totals))
 
 
 def expected_payoffs(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
@@ -110,26 +119,30 @@ def solve_linear(rows: Sequence[Sequence[Union[int, Fraction]]],
     Gauss-Jordan elimination (Bareiss) ends at d times that form, d the last
     pivot, with every entry an integer minor on the way.
     """
-    m = []
-    for row in ([*row, b] for row, b in zip(rows, rhs)):
-        common = lcm(*(x.denominator for x in row))
-        m.append([int(x * common) for x in row])
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    if not all(type(x) is int for row in m for x in row):
+        m = [[int(x * common) for x in row]
+             for row, common in ((row, lcm(*(x.denominator for x in row))) for row in m)]
     n_rows = len(m)
     n_cols = len(rows[0]) if n_rows else 0
     pivot_cols = []
     previous = 1
     r = 0
     for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if m[k][c]), None)
-        if pivot is None:
+        pivot = r
+        while pivot < n_rows and not m[pivot][c]:
+            pivot += 1
+        if pivot == n_rows:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         top = m[r]
         scale = top[c]
         for k in range(n_rows):
-            if k != r:
-                factor = m[k][c]
+            factor = m[k][c]
+            if factor and k != r:
                 m[k] = [(scale * x - factor * y) // previous for x, y in zip(m[k], top)]
+            elif not factor and scale != previous:
+                m[k] = [scale * x // previous for x in m[k]]
         previous = scale
         pivot_cols.append(c)
         r += 1
@@ -219,14 +232,16 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
                  for s in itertools.combinations(range(counts[1]), size)]
     for sup1 in supports1:
         for sup2 in supports2:
+            columns = None      # the column player's passing candidates, once
             for q, q_den, deg_q in _indifference_candidates(row_payoffs, row_level,
                                                             sup1, sup2):
                 if not _best_response_to(row_payoffs, row_level, q, sup1, sup2):
                     continue
-                for p, p_den, deg_p in _indifference_candidates(col_payoffs, col_level,
-                                                                sup2, sup1):
-                    if not _best_response_to(col_payoffs, col_level, p, sup2, sup1):
-                        continue
+                if columns is None:
+                    columns = [c for c in _indifference_candidates(col_payoffs, col_level,
+                                                                   sup2, sup1)
+                               if _best_response_to(col_payoffs, col_level, c[0], sup2, sup1)]
+                for p, p_den, deg_p in columns:
                     profile = MixedProfile((_scatter(p, p_den, sup1, counts[0]),
                                             _scatter(q, q_den, sup2, counts[1])))
                     values, stable = _payoff_sums(table, profile)

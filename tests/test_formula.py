@@ -618,6 +618,32 @@ def test_malformed_payoff_text_costs_what_a_valid_one_does(head, tail, message):
     assert peak < 5 * len(bad)
 
 
+def test_parse_error_relexes_from_its_offset(monkeypatch):
+    # Every token before a parse error was lexed or skipped in a group that
+    # lexed cleanly, so the check for a later lex error starts at the error.
+    from mvgames.represent import represent_rational_lm
+    from conftest import _fill_payoffs, PAYOFF_POOL
+    rng = random.Random(5)
+    game = _fill_payoffs(rng, (4, 4), rng.sample(PAYOFF_POOL, 5), 2)
+    bad = to_text(represent_rational_lm(game).target.payoff_formulas[0]) + " /\\"
+    assert 90_000 < len(bad) < 110_000
+    starts = []
+    lex = formula._lex
+
+    def spy(text, constants, pos):
+        starts.append(pos)
+        return lex(text, constants, pos)
+
+    monkeypatch.setattr(formula, "_lex", spy)
+    with pytest.raises(ParseError) as info:
+        parse(bad)
+    assert str(info.value) == \
+        f"expected a formula, found 'end of input' (line 1, column {len(bad) + 1})"
+    assert starts[0] == 0 and starts[-1] == len(bad)
+    assert starts.count(0) == 1
+    assert info.value.offset == len(bad)
+
+
 def test_parse_doubling_text_is_15_nodes():
     text = "v"
     for _ in range(14):

@@ -2,20 +2,23 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (MixedProfile, affine_invariance_check, dirac,
-                     expected_payoffs, find_mixed_2p, love_and_hate,
-                     matching_pennies, new_technology, pure_ne_scan,
-                     verify_mixed, vickrey)
+from mvgames import (LogicalGame, MixedProfile, affine_invariance_check,
+                     catalog_lookup, dirac, expected_payoffs, find_mixed_2p,
+                     love_and_hate, matching_pennies, new_technology, oracle,
+                     pure_ne_scan, represent_binary_chain, represent_general,
+                     represent_rational_lm, verify_mixed, vickrey)
 from mvgames.errors import SemanticError
-from mvgames.game import make_game
+from mvgames.game import logical_to_strategic, make_game
 from mvgames.oracle import MixedCandidate, solve_linear
-from conftest import PAYOFF_POOL, random_rational_game
+from conftest import (PAYOFF_POOL, random_formula, random_fraction,
+                      random_rational_game)
 
 F = Fraction
 
@@ -275,6 +278,48 @@ def test_payoff_sums_match_reference_loops(case):
     assert verify_mixed(game, profile) == reference_verify_mixed(game, profile)
 
 
+# Payoffs over large coprime denominators, and probabilities over 10^20 + 39.
+TINY, DEBT, PROB = F(1, 10**30 + 57), F(-7, 10**18 + 9), 10**20 + 39
+SPLIT = 12345678901234567890
+
+
+def _big_denominator_cases():
+    def mix(*weights):
+        return tuple(F(w, PROB) for w in weights)
+
+    solo = make_game((3,), lambda p: ((TINY, TINY, DEBT)[p[0]],))
+    pair = make_game((3, 2), lambda p: (TINY * (p[0] + 1) + DEBT * p[1],
+                                        DEBT * (p[0] - p[1]) + TINY))
+    # Each player's payoff reads only the others' strategies: every profile
+    # is an equilibrium.
+    blind = make_game((2, 2, 2), lambda p: (TINY * (p[1] + p[2]), DEBT * p[0],
+                                            TINY * p[0] * p[1]))
+    trio = make_game((2, 3, 2), lambda p: (TINY * p[0] - DEBT * p[1] * p[2],
+                                           DEBT * (p[1] - 1) * p[0] + TINY,
+                                           TINY * p[2] + DEBT * p[0] * p[1]))
+    return [
+        (solo, MixedProfile((mix(SPLIT, PROB - SPLIT, 0),))),       # a tie
+        (solo, MixedProfile((mix(SPLIT, 0, PROB - SPLIT),))),
+        (pair, MixedProfile((mix(SPLIT, 0, PROB - SPLIT), mix(1, PROB - 1)))),
+        (pair, MixedProfile((mix(0, 0, PROB), (F(1), F(0))))),
+        (blind, MixedProfile((mix(SPLIT, PROB - SPLIT), (F(0), F(1)),
+                              mix(PROB - 1, 1)))),
+        (trio, MixedProfile((mix(1, PROB - 1), mix(SPLIT, 0, PROB - SPLIT),
+                             (F(1, 3), F(2, 3))))),
+    ]
+
+
+def test_payoff_sums_match_reference_on_big_denominators():
+    verdicts = []
+    for game, profile in _big_denominator_cases():
+        assert expected_payoffs(game, profile) == reference_expected_payoffs(game, profile)
+        verdict = verify_mixed(game, profile)
+        assert verdict == reference_verify_mixed(game, profile)
+        verdicts.append(verdict)
+    assert verdicts[:2] == [True, False] and verdicts[4]
+    assert not all(verdicts)
+
+
 # --- reference: the Fraction solver and enumeration loop ----------------------
 
 def reference_solve_linear(rows, rhs):
@@ -436,3 +481,68 @@ def test_find_mixed_matches_reference_on_degenerate_games(seed):
         assert found == reference_find_mixed_2p(game)
         degenerate += any(c.degenerate for c in found)
     assert degenerate >= 10
+
+
+def _benchmark_shaped_tables(rng):
+    """2-player payoff tables shaped like the mixed-encoding benchmark's:
+    `vi_lm`, `vii` and `ab_ii` representations of games in which every payoff
+    level occurs (five levels b + j/q, two for `ab_ii`), and random logical
+    games over STD_QPL_DELTA, each collapsed by `logical_to_strategic`."""
+    chain5c = catalog_lookup("L_n_C", 5)
+    tables = []
+    for method, k in (("vi_lm", 3), ("vi_lm", 4), ("vi_lm", 5), ("vii", 3), ("vii", 4),
+                      ("ab_ii", 3), ("ab_ii", 4)):
+        if method == "ab_ii":
+            levels = sorted(rng.sample(PAYOFF_POOL, 2))
+        else:
+            base, q = rng.choice((-1, 0, 1)), rng.choice((2, 3, 4))
+            levels = [base + F(j, q) for j in range(5)]
+        values = levels + [rng.choice(levels) for _ in range(2 * k * k - len(levels))]
+        rng.shuffle(values)
+        cells = iter(values)
+        source = make_game((k, k), lambda p: (next(cells), next(cells)))
+        if method == "vi_lm":
+            rep = represent_rational_lm(source)
+        elif method == "vii":
+            rep = represent_general(source, chain5c, [F(j, 5) for j in range(k)],
+                                    [F(j, 5) for j in range(len(source.payoff_values()))])
+        else:
+            rep = represent_binary_chain(source)
+        tables.append(logical_to_strategic(rep.target))
+    ops = ["and", "or", "imp", "neg", "and_strong", "oplus", "ominus", "odot", "delta"]
+    for _ in range(3):
+        strategies = []
+        for _ in range(2):
+            block = set()
+            while len(block) < 3:
+                block.add((random_fraction(rng, 4),))
+            strategies.append(tuple(sorted(block)))
+        formulas = tuple(random_formula(rng, ["v1", "v2"], ops=ops) for _ in range(2))
+        tables.append(logical_to_strategic(LogicalGame(
+            catalog_lookup("STD_QPL_DELTA"), (("v1",), ("v2",)), tuple(strategies),
+            formulas)))
+    return tables
+
+
+def test_find_mixed_matches_reference_on_benchmark_shaped_games(seed, monkeypatch):
+    # Each (own support, other support) system is solved once per call: the
+    # column player's candidates are shared by every passing row candidate.
+    solved = set()
+    solve = oracle.solve_linear
+
+    def spy(rows, rhs):
+        caller = sys._getframe(1).f_locals
+        key = (id(caller["payoffs"]), caller["own_support"], caller["other_support"])
+        assert key not in solved, f"system {key[1:]} solved twice"
+        solved.add(key)
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(oracle, "solve_linear", spy)
+    candidates = degenerate = 0
+    for table in _benchmark_shaped_tables(random.Random(seed)):
+        solved.clear()
+        found = find_mixed_2p(table)
+        assert found == reference_find_mixed_2p(table)
+        candidates += len(found)
+        degenerate += sum(c.degenerate for c in found)
+    assert degenerate * 2 >= candidates > 0
