@@ -187,11 +187,8 @@ class Algebra:
         return frozenset(self.ops)
 
     def contains(self, value: Fraction) -> bool:
-        if not ZERO <= value <= ONE:
-            return False
-        if self.chain is None:
-            return True
-        return (value * self.chain).denominator == 1
+        n, d = value.numerator, value.denominator     # lowest terms, d > 0
+        return 0 <= n <= d and (self.chain is None or self.chain % d == 0)
 
     def domain_elements(self) -> tuple[Fraction, ...]:
         if self.chain is None:

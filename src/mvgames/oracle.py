@@ -14,9 +14,18 @@ vector to numerators over its own, and each support system is solved once,
 by fraction-free Gauss-Jordan elimination (Bareiss), which reaches the same
 reduced row echelon form as rational elimination.  Degenerate support
 systems are solved parametrically; one rational representative per solution
-face is emitted and flagged.  The finder is complete for nondegenerate
-games; n-player mixed-equilibrium search is out of scope (verification is
-n-player).
+face is emitted and flagged.  A support pair is solved only when no strategy
+in either support is strictly beaten, at every strategy of the other
+support, by another strategy of the same player (conditional dominance;
+Porter, Nudelman and Shoham, 2008).  A candidate the finder keeps puts
+positive weight on the whole opposing support, and every strategy of its own
+support earns the same u.  A strategy k strictly beating one of them would
+earn more than u: outside the support it fails the best-response check,
+inside it breaks the equalities.  So the skipped pairs hold no candidate and
+no answer changes.  Dominance must be strict: a tie, or a weak dominance,
+would drop candidates of degenerate games.  The finder is complete for
+nondegenerate games; n-player mixed-equilibrium search is out of scope
+(verification is n-player).
 """
 
 from __future__ import annotations
@@ -225,13 +234,16 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     col_payoffs = [[int(table.payoffs[(i, j)][1] * col_level) for i in range(counts[0])]
                    for j in range(counts[1])]
 
+    # Per opponent support, the own strategies no own strategy strictly beats
+    # on it; a pair with a support outside these sets has no candidate.
+    allowed1 = _undominated(row_payoffs, counts[1])
+    allowed2 = _undominated(col_payoffs, counts[0])
+
     found: dict[tuple, MixedCandidate] = {}
-    supports1 = [s for size in range(1, counts[0] + 1)
-                 for s in itertools.combinations(range(counts[0]), size)]
-    supports2 = [s for size in range(1, counts[1] + 1)
-                 for s in itertools.combinations(range(counts[1]), size)]
-    for sup1 in supports1:
-        for sup2 in supports2:
+    for sup1 in _supports(range(counts[0])):
+        for sup2 in _supports(allowed2[sup1]):
+            if not all(i in allowed1[sup2] for i in sup1):
+                continue
             columns = None      # the column player's passing candidates, once
             for q, q_den, deg_q in _indifference_candidates(row_payoffs, row_level,
                                                             sup1, sup2):
@@ -252,6 +264,21 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
                     if key not in found or found[key].degenerate and not degenerate:
                         found[key] = MixedCandidate(profile, values, degenerate)
     return [found[key] for key in sorted(found)]
+
+
+def _supports(strategies) -> list[tuple[int, ...]]:
+    """The nonempty subsets of `strategies`, by size, then lexicographically."""
+    return [s for size in range(1, len(strategies) + 1)
+            for s in itertools.combinations(strategies, size)]
+
+
+def _undominated(payoffs, other_count) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map each support of the opponent to the own strategies (rows of
+    `payoffs`) that no own strategy strictly beats at every column of it."""
+    return {support: tuple(i for i, row in enumerate(payoffs)
+                           if not any(all(other[j] > row[j] for j in support)
+                                      for other in payoffs))
+            for support in _supports(range(other_count))}
 
 
 def _scatter(numerators, denominator, support, count) -> tuple[Fraction, ...]:

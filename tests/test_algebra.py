@@ -135,6 +135,30 @@ def test_chain_domains():
     assert catalog_lookup("STD_L").contains(Fraction(1, 3))
 
 
+def reference_contains(alg, value):
+    """Membership on Fractions: in [0, 1] and, on a chain, value * n integral."""
+    value = Fraction(value)
+    if not 0 <= value <= 1:
+        return False
+    return alg.chain is None or (value * alg.chain).denominator == 1
+
+
+def test_contains_matches_fraction_reference():
+    algebras = ([catalog_lookup(i, n) for i, n in FINITE_IDS]
+                + [catalog_lookup("L_n", n) for n in (1, 2, 6, 12)]
+                + [catalog_lookup(i) for i in INFINITE_IDS])
+    values = [Fraction(n, d) for d in (1, 2, 3, 4, 5, 6, 8, 12, 10**20 + 39)
+              for n in range(-d - 1, 2 * d + 2, max(1, d // 7))]
+    values += [-1, 0, 1, 2, True, False]
+    for alg in algebras:
+        for value in values:
+            assert alg.contains(value) == reference_contains(alg, value), (alg, value)
+    l6 = catalog_lookup("L_n", 6)
+    assert l6.contains(Fraction(1, 3)) and not l6.contains(Fraction(1, 4))
+    assert l6.contains(0) and l6.contains(1) and not l6.contains(2)
+    assert not catalog_lookup("STD_L").contains(Fraction(-1, 10**20 + 39))
+
+
 def test_constant_availability():
     assert catalog_lookup("L_4_C").has_constant(Fraction(3, 4))
     assert not catalog_lookup("L_4").has_constant(Fraction(3, 4))

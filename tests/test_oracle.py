@@ -1,6 +1,7 @@
 """Brute-force oracle: scans, exact expectations, support enumeration."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -467,20 +468,31 @@ def test_solve_linear_matches_reference(system):
         assert solution.unique == (not expected[1])
 
 
+def _weakly_dominated_game():
+    """Row 0 weakly but not strictly beats row 1 ([1, 1] against [1, 0]); the
+    column player always prefers column 0, so every row mix is an equilibrium."""
+    return make_game((2, 2), lambda p: (F(1) if 0 in p else F(0), F(1 - p[1])))
+
+
 def test_find_mixed_matches_reference_on_degenerate_games(seed):
     # Payoffs from two or three levels make many support systems rank-deficient.
+    # Strict dominance only prunes: a tie, or a weak dominance, prunes no support.
     rng = random.Random(seed)
-    games = [matching_pennies().strategic, original_matching_pennies()]
-    for _ in range(40):
+    weak, flat = _weakly_dominated_game(), make_game((5, 5), lambda p: (F(1, 2), F(1, 2)))
+    games = [matching_pennies().strategic, original_matching_pennies(), weak, flat]
+    for k in range(44):
         levels = rng.sample(PAYOFF_POOL, rng.randint(2, 3))
-        counts = (rng.randint(1, 4), rng.randint(1, 4))
+        counts = (rng.randint(1, 4), rng.randint(1, 4)) if k < 40 else (5, 5)
         games.append(make_game(counts, lambda p: (rng.choice(levels), rng.choice(levels))))
     degenerate = 0
     for game in games:
         found = find_mixed_2p(game)
-        assert found == reference_find_mixed_2p(game)
+        assert found == reference_find_mixed_2p(game)   # flags too
         degenerate += any(c.degenerate for c in found)
     assert degenerate >= 10
+    assert any(c.degenerate and c.profile.probabilities[0][1] > 0 for c in find_mixed_2p(weak))
+    # All equal: the 25 pure profiles, the other 600 candidates degenerate.
+    assert sum(not c.degenerate for c in find_mixed_2p(flat)) == 25
 
 
 def _benchmark_shaped_tables(rng):
@@ -546,3 +558,70 @@ def test_find_mixed_matches_reference_on_benchmark_shaped_games(seed, monkeypatc
         candidates += len(found)
         degenerate += sum(c.degenerate for c in found)
     assert degenerate * 2 >= candidates > 0
+
+
+def _integer_payoffs(table, player):
+    """The finder's integer payoffs for `player`: rows are its own strategies."""
+    level = math.lcm(*(v[player].denominator for v in table.payoffs.values()))
+    counts = table.strategy_counts
+    cell = (lambda own, other: (own, other)) if player == 0 else \
+        (lambda own, other: (other, own))
+    return [[int(table.payoffs[cell(own, other)][player] * level)
+             for other in range(counts[1 - player])] for own in range(counts[player])]
+
+
+def reference_undominated(table, player, other_support):
+    """Own strategies no own strategy strictly beats on `other_support`, in
+    the game's Fractions."""
+    def value(own, other):
+        return table.payoffs[(own, other) if player == 0 else (other, own)][player]
+    own = range(table.strategy_counts[player])
+    return tuple(i for i in own
+                 if not any(all(value(k, j) > value(i, j) for j in other_support)
+                            for k in own))
+
+
+def test_undominated_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        levels = rng.sample(PAYOFF_POOL, rng.randint(1, 4))
+        counts = (rng.randint(1, 5), rng.randint(1, 5))
+        table = make_game(counts, lambda p: (rng.choice(levels), rng.choice(levels)))
+        for player in (0, 1):
+            sets = oracle._undominated(_integer_payoffs(table, player), counts[1 - player])
+            supports = [s for size in range(1, counts[1 - player] + 1)
+                        for s in itertools.combinations(range(counts[1 - player]), size)]
+            assert list(sets) == supports
+            for support in supports:
+                assert sets[support] == reference_undominated(table, player, support)
+
+
+def test_find_mixed_never_solves_a_dominated_support_pair(monkeypatch):
+    # Rows 2 and 3 are strictly beaten on columns {0, 1} but by no row on all
+    # columns, and columns 1 and 3 likewise on rows {0, 1}; no system may be
+    # solved for a pair whose support holds a strategy dominated on the other.
+    row = [[4, 3, 1, 2], [1, 4, 3, 2], [2, 1, 4, 3], [3, 2, 2, 4]]
+    col = [[3, 1, 4, 2], [4, 2, 1, 3], [1, 4, 2, 3], [2, 3, 3, 4]]
+    table = make_game((4, 4), lambda p: (F(row[p[0]][p[1]]), F(col[p[0]][p[1]])))
+    assert reference_undominated(table, 0, (0, 1)) == (0, 1)
+    assert reference_undominated(table, 1, (0, 1)) == (0, 2)
+    for player in (0, 1):
+        assert reference_undominated(table, player, (0, 1, 2, 3)) == (0, 1, 2, 3)
+    solved = []
+    solve = oracle.solve_linear
+
+    def spy(rows, rhs):
+        caller = sys._getframe(1).f_locals
+        own, other = caller["own_support"], caller["other_support"]
+        solved.append((own, other) if caller["payoffs"] == row else (other, own))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(oracle, "solve_linear", spy)
+    found = find_mixed_2p(table)
+    assert found == reference_find_mixed_2p(table)
+    assert solved
+    for sup1, sup2 in solved:
+        assert set(sup1) <= set(reference_undominated(table, 0, sup2))
+        assert set(sup2) <= set(reference_undominated(table, 1, sup1))
+    assert not any(3 in sup1 and set(sup2) <= {0, 1} for sup1, sup2 in solved)
+    assert not any(3 in sup2 and set(sup1) <= {0, 1} for sup1, sup2 in solved)
