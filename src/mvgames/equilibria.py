@@ -59,8 +59,9 @@ class PureNEEncoding:
 
     @cached_property
     def gamma_program(self) -> fm.Program:
-        """Gamma, compiled once for every profile."""
-        return fm.Program([self.gamma], self.game.algebra, self.game.payoff_table)
+        """Gamma, compiled once for every profile, each q_a compiled as a."""
+        return fm.Program([self.gamma], self.game.algebra, self.game.payoff_table,
+                          fixed={name: a for a, name in self.aux_q.items()})
 
 
 def _gamma_conjuncts(lg: LogicalGame, node_at: dict) -> list[fm.Formula]:
@@ -129,8 +130,7 @@ def build_encoding(lg: LogicalGame) -> PureNEEncoding:
 
 def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:
     """Evaluate gamma at the profile (q_a pinned to a in the weak variant)."""
-    pinned = {name: a for a, name in enc.aux_q.items()}
-    return enc.gamma_program.run(enc.game.assignment(profile) | pinned)[0] == ONE
+    return enc.gamma_program.run(enc.game.assignment(profile))[0] == ONE
 
 
 def decide_pure_ne(lg: LogicalGame,
@@ -176,6 +176,9 @@ class MixedNEEncoding:
     full: fm.Formula
 
     def assignment(self, profile: MixedProfile) -> dict[str, Fraction]:
+        if len(profile.probabilities) != len(self.prob_vars):
+            raise SemanticError(f"profile has {len(profile.probabilities)} probability "
+                                f"vectors for {len(self.prob_vars)} players")
         out = {}
         for i, block in enumerate(self.prob_vars):
             if len(block) != len(profile.probabilities[i]):
@@ -212,20 +215,21 @@ def build_mixed_encoding(lg: LogicalGame) -> MixedNEEncoding:
     prob = [[Var(name) for name in block] for block in prob_vars]
 
     # One pass over the profiles in rank order: i's payoff with the profile's
-    # constants plugged in, times everyone's probabilities in expected[i] and
-    # times the others' in the deviation sum for i's strategy.
+    # constants plugged in, times everyone's probabilities (one product) in
+    # expected[i] and times the others' in the deviation sum for i's strategy.
     n = lg.n_players
     terms = [[] for _ in range(n)]
     dev_terms = [[[] for _ in block] for block in lg.strategies]
     for ranks in itertools.product(*[range(len(b)) for b in lg.strategies]):
         values = tuple((name, Const(x)) for i, rank in enumerate(ranks)
                        for name, x in zip(lg.variables[i], lg.strategies[i][rank]))
+        probs = [prob[j][rank] for j, rank in enumerate(ranks)]
+        everyone = odot_all(probs)
         for i, phi in enumerate(lg.payoff_formulas):
             plugged = Subst(phi, values)
-            terms[i].append(App("odot", (plugged, odot_all(
-                prob[j][ranks[j]] for j in range(n)))))
+            terms[i].append(App("odot", (plugged, everyone)))
             dev_terms[i][ranks[i]].append(App("odot", (plugged, odot_all(
-                prob[j][ranks[j]] for j in range(n) if j != i))))
+                probs[:i] + probs[i + 1:]))))
     expected = tuple(oplus_all(parts) for parts in terms)
 
     prob_distr = tuple(build_prob_distr(block) for block in prob_vars)

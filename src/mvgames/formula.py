@@ -31,12 +31,14 @@ for its literal copy: a program reads the body's value from a `Table`, a memo
 keyed on the body's own variables (Michie, 1968) that runs the body only on a
 miss; the printer prints the body under its bindings' texts.
 
-A program whose live code neither multiplies nor divides (no `odot` or
-`imp_pi`) runs on integer numerators over one denominator D.  The
-Lukasiewicz connectives are piecewise linear with integer coefficients
+A program whose live code does not divide (no `imp_pi`) runs on integers,
+each slot a numerator over a power D^e of one D, e fixed by the program.
+The Lukasiewicz connectives are piecewise linear with integer coefficients
 (McNaughton, 1951) and the Godel, Boolean and delta ones return an argument,
-0 or 1, so on values over D each returns a value over D: its integer twin
-(`algebra.INTEGER_TWINS`) computes D times that value exactly.
+0 or 1, so on values over D^e each returns a value over D^e: its integer
+twin (`algebra.INTEGER_TWINS`) made for D^e computes it exactly, the lower
+argument lifted to D^e.  `odot` multiplies numerators and adds the powers,
+as fraction-free elimination carries its denominators (Bareiss, 1968).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
@@ -394,9 +396,10 @@ def _text(f: Formula, env: dict[str, str]) -> str:
 # --- semantics ---------------------------------------------------------------
 
 # Identities that hold in every catalog algebra: x op a = a (absorbing a)
-# and x op u = x (unit u), for either argument order.
-_ABSORBING = {"and": ZERO, "or": ONE, "and_strong": ZERO, "oplus": ONE, "odot": ZERO}
-_UNIT = {"and": ONE, "or": ZERO, "and_strong": ONE, "oplus": ZERO, "odot": ONE}
+# and x op u = x (unit u), for either argument order.  The ints 0 and 1 take
+# `Fraction.__eq__`'s fast path.
+_ABSORBING = {"and": 0, "or": 1, "and_strong": 0, "oplus": 1, "odot": 0}
+_UNIT = {"and": 1, "or": 0, "and_strong": 1, "oplus": 0, "odot": 1}
 
 
 def _fold_identity(op, args, x, y, one):
@@ -404,8 +407,7 @@ def _fold_identity(op, args, x, y, one):
     where not constant, exactly one constant) reduces to, or None; `one` is
     the node of ONE."""
     if op == "imp":
-        return one if (x is not None and x == ZERO) or (y is not None and y == ONE) \
-            else None
+        return one if (x is not None and x == 0) or (y is not None and y == 1) else None
     if op not in _UNIT:
         return None
     value, constant, other = (x, args[0], args[1]) if x is not None else (y, args[1], args[0])
@@ -414,10 +416,6 @@ def _fold_identity(op, args, x, y, one):
     if value == _UNIT[op]:
         return other
     return None
-
-
-def _as_binary(fn):
-    return lambda x, _: fn(x)
 
 
 class Program:
@@ -434,15 +432,21 @@ class Program:
     and on the caller's D, or folds it: `table` (a logical game's payoff
     table, whose unbound names become variables here) for its formulas, a
     table compiled here for other bodies, the literal copy's if neither fits.
+    Constants binding every input read the table once per bindings tuple.
+    A name in `fixed` compiles as its value, checked as a constant is.
 
-    When every live connective has an integer twin, `run` scales constants
-    and assignment to numerators over a common denominator D, runs the same
-    instructions on the twins and returns `Fraction(n, D)` for each root.
+    Unless `imp_pi` is live, `run` scales constants and assignment to
+    numerators over a common denominator D and runs on integers: variables,
+    constants and table calls over D, `odot` over D to the sum of its
+    arguments' exponents, any other op over the larger one; each root comes
+    back as `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only
+    then does `_scale`, the least D, serve callers on one D.
     """
 
-    def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None):
+    def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None,
+                 fixed: Optional[Mapping[str, Fraction]] = None):
         self.algebra = alg
-        ops = alg.ops
+        ops, fixed = alg.ops, fixed or {}
         known: list = []        # per compiled node: its value if constant, else None
         shape: list = []        # per node: None, a variable name, (fn or table, args)
         # Hash-consing: a variable's name, a constant's (numerator,
@@ -452,6 +456,8 @@ class Program:
         ref: dict[int, int] = {}
         # id(body) -> (its table, its index there): `table`'s, or one compiled here
         shared = {} if table is None else {id(f): (table, i) for i, f in enumerate(table.formulas)}
+        # (id(table), id(bindings)) -> the table's values where constants bind every input
+        looked: dict = {}
 
         def new(value, what) -> int:
             known.append(value)
@@ -465,13 +471,23 @@ class Program:
                 index = consed[key] = new(value, None)
             return index
 
+        def literal(value) -> int:
+            """A constant of the formulas, checked against the domain."""
+            if not alg.contains(value):
+                raise SemanticError(f"constant {value} outside the domain of {alg.id}")
+            return constant(value)
+
         def variable(name) -> int:
             index = consed.get(name)
             if index is None:
-                index = consed[name] = new(None, name)
+                index = consed[name] = literal(fixed[name]) if name in fixed else new(None, name)
             return index
 
         def call(node: Subst) -> int:
+            served, i = shared.get(id(node.body), (None, 0))
+            values = looked.get((id(served), id(node.bindings)))
+            if values is not None:
+                return constant(values[i])
             body, bound = node.body, dict(node.bindings)
             try:    # the table of the body, if it compiles and takes these bindings
                 if id(body) not in shared:
@@ -490,7 +506,10 @@ class Program:
                           for v in inputs)
             if all(known[s] is not None for s in slots):
                 values = [known[s] for s in slots]
-                return constant(served.at(pairs(values), values)[i])
+                values = served.at(pairs(values), values)
+                if fits and all(type(v) is Const for v in inputs):
+                    looked[id(served), id(node.bindings)] = values
+                return constant(values[i])
             return new(None, (served, slots, i))
 
         one = constant(ONE)
@@ -499,9 +518,7 @@ class Program:
                 ref[id(f)] = variable(f.name)
                 continue
             if type(f) is Const:
-                if not alg.contains(f.value):
-                    raise SemanticError(f"constant {f.value} outside the domain of {alg.id}")
-                ref[id(f)] = constant(f.value)
+                ref[id(f)] = literal(f.value)
                 continue
             if type(f) is Subst:
                 ref[id(f)] = call(f)
@@ -544,29 +561,37 @@ class Program:
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
         # Every constant's denominator, here and in the tables called,
-        # divides `_scale`; None keeps the Fraction ops, as in those.
+        # divides `_base`; None keeps the Fraction ops, as a table off one D does.
+        self._product = ops.get("odot")
         scales = [c[0].program._scale for c in self._calls]
-        self._scale = lcm(*(v.denominator for v in known if v is not None), *scales) \
-            if None not in scales and all(i[0] in INTEGER_TWINS for i in self._code) else None
-        self._kernel = None     # the last (D, code, constants, calls) built
+        self._base = lcm(*(v.denominator for v in known if v is not None), *scales) \
+            if None not in scales and all(i[0] in INTEGER_TWINS or i[0] is self._product
+                                          for i in self._code) else None
+        self._scale = None if any(i[0] is self._product for i in self._code) else self._base
+        self._kernel = None     # the last (D, code, constants, calls, root exponents) built
         self._checked: set[Fraction] = set()    # assigned values known to be in the domain
 
     def _execute(self, scale, inputs) -> list:
-        """Root values on `inputs`: numerators over `scale`, or Fractions for None."""
+        """Root values on `inputs`: numerators over powers of `scale`, or
+        Fractions for None."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
-            slots, twin = self._slots, {}
+            slots, power, kinds = self._slots, [1] * len(self._slots), []
             if scale is not None:
-                twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
                 slots = [v if v is None else v.numerator * (scale // v.denominator)
                          for v in slots]
-            code = [(twin.get(fn, fn) if len(args) == 2 else _as_binary(twin.get(fn, fn)),
-                     out, args[0], args[-1]) for fn, out, args in self._code]
+            for fn, out, args in self._code:    # each slot's e of D^e, each op's kind
+                x, y = power[args[0]], power[args[-1]]
+                e = power[out] = x + y if fn is self._product else x if x > y else y
+                kinds.append((fn, len(args), e, e - x, e - y))
+            made = {kind: self._op(scale, *kind) for kind in set(kinds)}
+            code = [(made[kind], out, args[0], args[-1])
+                    for (_, out, args), kind in zip(self._code, kinds)]
             # (the table's entries over D, its key's slots, result slot, table, ...)
             calls = [(table.memo.setdefault(scale, [{} for _ in table.formulas])[i],
                       _picker([args[p] for p in table.positions[i]]), out, table, i, args)
                      for table, out, args, i in self._calls]
-            kernel = self._kernel = (scale, code, slots, calls)
+            kernel = self._kernel = (scale, code, slots, calls, [power[r] for r in self._roots])
         values = list(kernel[2])
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
@@ -580,6 +605,17 @@ class Program:
         for fn, out, a, b in kernel[1]:
             values[out] = fn(values[a], values[b])
         return [values[r] for r in self._roots]
+
+    def _op(self, scale, fn, arity, e, dx, dy):
+        """A binary op for the kernel of D = `scale`: `fn` for None, else on
+        numerators over D^e, where `odot` multiplies and any other op runs
+        its twin for D^e on its arguments times D^dx and D^dy."""
+        if scale is not None:
+            if fn is self._product:
+                return mul
+            twin, x, y = INTEGER_TWINS[fn](scale ** e), scale ** dx, scale ** dy
+            fn = twin if x == y == 1 else lambda a, b: twin(a * x, b * y)
+        return fn if arity == 2 else lambda a, _: fn(a)
 
     def _columns(self, scale, inputs) -> list:
         """Root columns on `inputs`, one per variable, on the integer kernel
@@ -646,11 +682,12 @@ class Program:
                     checked.add(value)
             given.append(value)
         scale = None
-        if self._scale is not None:
+        if self._base is not None:
             d, kernel = lcm(*(v.denominator for v in given)), self._kernel
-            scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._scale, d)
+            scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._base, d)
             given = [v.numerator * (scale // v.denominator) for v in given]
-        return [Fraction(v, scale or 1) for v in self._execute(scale, given)]
+        values = self._execute(scale, given)
+        return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]
 
 
 def _picker(positions: Sequence[int]):

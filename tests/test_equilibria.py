@@ -1,5 +1,6 @@
 """Gamma encodings of pure equilibria and the mixed-equilibrium formula."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,11 +12,13 @@ from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      expected_payoffs, find_mixed_2p, free_variables, is_subreduct,
                      logical_to_strategic, love_and_hate, matching_pennies,
                      new_technology, parse, pure_ne_scan, relevant_elements,
-                     represent_binary_boolean, verify_mixed)
+                     represent_binary_boolean, represent_general, represent_rational_lm,
+                     to_text, verify_mixed)
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
                                 build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
 from mvgames.formula import Program, substitute
+from mvgames.game import make_game
 from mvgames.errors import SemanticError
 from conftest import random_distribution, random_logical_game
 
@@ -373,3 +376,89 @@ def test_mixed_check_as_literal_encoding(seed, battery_representations):
         for profile in profiles:
             assert check_mixed_ne(lg, profile, enc=enc) == \
                 check_mixed_ne(lg, profile, enc=literal)
+
+
+def test_mixed_profile_player_count_mismatch():
+    # The oracle rejects these too; the formula route must not read a
+    # profile for more or fewer players than the game has.
+    half = (F(1, 2), F(1, 2))
+    for vectors in ((half,) * 4, (half,) * 2):
+        with pytest.raises(SemanticError, match=f"profile has {len(vectors)} probability "
+                                                "vectors for 3 players"):
+            check_mixed_ne(NT.logical, MixedProfile(vectors))
+        with pytest.raises(SemanticError, match="does not match the game's strategy counts"):
+            verify_mixed(logical_to_strategic(NT.logical), MixedProfile(vectors))
+
+
+def test_pinned_gamma_decides_as_unpinned(battery_representations):
+    weak = 0
+    for index, (method, rep) in enumerate(battery_representations):
+        lg = rep.target
+        enc = build_encoding(lg)
+        if enc.variant == "EXPRESSIBLE":
+            if index % 10:
+                continue
+            enc = build_gamma_weak(lg)
+        weak += 1
+        pinned = {name: a for a, name in enc.aux_q.items()}
+        unpinned = Program([enc.gamma], lg.algebra, lg.payoff_table)
+        assert not set(pinned) & {name for name, _ in enc.gamma_program._variables}
+        for profile in lg.profiles():
+            value = unpinned.run(lg.assignment(profile) | pinned)[0]
+            assert satisfies_gamma(enc, profile) == (value == 1), method
+    assert weak > 200
+
+
+def test_pin_outside_the_domain_raises_the_constant_error():
+    lg = LH.logical
+    enc = build_gamma_weak(lg)
+    name = enc.aux_q[F(1, 4)]
+    message = "constant 1/3 outside the domain of L_4"
+    for attempt in (lambda: Program([enc.gamma], lg.algebra, fixed={name: F(1, 3)}),
+                    lambda: Program([parse("v1 \\/ c(1/3)")], lg.algebra)):
+        with pytest.raises(SemanticError) as info:
+            attempt()
+        assert str(info.value) == message
+
+
+def test_mixed_formula_text_is_pinned():
+    # Sharing each profile's probability product across players changes
+    # the DAG, not the text it prints.
+    text = to_text(build_mixed_encoding(NT.logical).full)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8ff6059d9c3b68c55a168119e5e2f012d10adc67057b83b166f13396230657f1"
+
+
+def _scaled_games(seed):
+    """A seeded 8x8 game by vi_lm and a 3x3x3 game by vii, levels j/4."""
+    rng = random.Random(seed)
+    levels = [F(j, 4) for j in range(5)]
+    square = make_game((8, 8), lambda profile: [rng.choice(levels) for _ in range(2)])
+    cube = make_game((3, 3, 3), lambda profile: [rng.choice(levels) for _ in range(3)])
+    anchors = [F(k, 5) for k in range(3)]
+    payoff_anchors = [F(k, 5) for k in range(len(cube.payoff_values()))]
+    return [represent_rational_lm(square).target,
+            represent_general(cube, catalog_lookup("L_n_C", 5), anchors,
+                              payoff_anchors).target]
+
+
+def test_mixed_route_matches_the_oracle_at_scale(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for lg in _scaled_games(seed):
+        table = logical_to_strategic(lg)
+        counts = [len(block) for block in lg.strategies]
+        profiles = [dirac(counts, p) for p in pure_ne_scan(table)]
+        if lg.n_players == 2:
+            profiles += [c.profile for c in find_mixed_2p(table)]
+        profiles += [MixedProfile(tuple(random_distribution(rng, c) for c in counts))
+                     for _ in range(4)]
+        for profile in profiles:
+            ok, trace = check_mixed_ne(lg, profile)
+            assert ok == verify_mixed(table, profile)
+            values = dict(trace)
+            expected = [values[f"expected_{i + 1}"] for i in range(lg.n_players)]
+            assert expected == list(expected_payoffs(table, profile))
+            assert all(type(v) is F for v in values.values())
+            checked += ok
+    assert checked >= 2

@@ -129,10 +129,11 @@ def test_integer_twin_is_the_scaled_op(op, case):
 
 
 # Runs of one program whose assignments' denominators change from run to
-# run; L_4_C takes chain elements, and the product algebras keep their
-# Fraction ops wherever odot or => stays live.
+# run; L_4_C takes chain elements.  A live odot carries its slots over
+# powers of D, and a live => keeps the Fraction ops.
 STEPS = {name: [F(1, 3), F(2, 7), F(1, 1000003), F(1, 3)]
-         for name in ("STD_QG_DELTA", "STD_QL_DELTA", "STD_PL", "STD_LPI")}
+         for name in ("STD_QG_DELTA", "STD_QL_DELTA", "STD_PL", "STD_PL_DELTA",
+                      "STD_QPL_DELTA", "STD_LPI", "STD_LPIH")}
 STEPS["L_4_C"] = [F(1, 4), F(1, 2), ONE, F(3, 4), F(1, 4)]
 
 
@@ -153,6 +154,8 @@ def test_program_follows_changing_denominators(case):
     run_steps(Program(roots, alg), alg, roots)
 
 
+# A live * or => leaves the program off one D (`_scale` None), so no
+# calling program or column fill reads it on that D.
 @pytest.mark.parametrize("name, text, product_live", [
     ("STD_PL", "(x * y) \\/ z", True),
     ("STD_PL", "((x * 0) \\/ y) + (x * 1)", False),
@@ -165,6 +168,35 @@ def test_product_connectives_keep_fraction_ops_only_while_live(name, text, produ
     program = Program(roots, alg)
     assert (program._scale is None) == product_live
     run_steps(program, alg, roots)
+
+
+# Roots whose numerators lie over D, D^2 and D^3.
+EXPONENTS = {"x": 1, "x * y": 2, "(x * y) * z": 3, "(x * y) + z": 2, "(x * y) -> z": 2}
+PRODUCT_ALGEBRAS = ["STD_PL", "STD_PL_DELTA", "STD_QPL_DELTA", "STD_LPIH"]
+
+
+@PROPERTY
+@given(st.sampled_from(PRODUCT_ALGEBRAS).flatmap(lambda name: st.tuples(
+    st.just(catalog_lookup(name)),
+    st.lists(st.sampled_from(sorted(EXPONENTS)), min_size=1, max_size=4),
+    st.lists(formulas(catalog_lookup(name)), max_size=2),
+    st.booleans())))
+def test_product_programs_run_on_integers_over_powers_of_d(case):
+    alg, texts, extra, with_pi = case
+    roots = [parse(text) for text in texts] + extra
+    if with_pi and "imp_pi" in alg.ops:
+        roots.append(parse("(x * y) => z"))
+    program = Program(roots, alg)
+    pi_live = any(fn is alg.ops.get("imp_pi") for fn, _, _ in program._code)
+    if with_pi and "imp_pi" in alg.ops:
+        assert pi_live
+    # A live * puts the program off one D, but on integers unless a => is live.
+    if texts != ["x"] * len(texts):
+        assert program._scale is None
+    assert (program._base is None) == pi_live
+    run_steps(program, alg, roots)
+    assert (program._kernel[0] is None) == pi_live
+    assert program._kernel[4][:len(texts)] == [EXPONENTS[text] for text in texts]
 
 
 L4 = catalog_lookup("L_4")
@@ -307,8 +339,8 @@ def test_subst_behaves_as_its_literal_copy(case, missing):
     assert [free_variables(f) for f in roots] == [free_variables(f) for f in literal]
     if missing is not None:
         del env[missing]
-    # A live x * y keeps the Fraction ops; without odot and => every
-    # program runs on the integer kernel.
+    # A live x * y puts the program off one D; without odot and => every
+    # program runs on one D.
     for extra in ([App("odot", (Var("x"), Var("y")))] if "odot" in alg.ops else [], []):
         got = outcome(roots + extra, alg, env)
         assert got == outcome(literal + extra, alg, env)
