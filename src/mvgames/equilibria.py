@@ -21,7 +21,8 @@ variables).  Because payoffs live in [0,1] and the profile probabilities sum
 to 1, no truncation ever bites and the formula value equals the exact
 real-arithmetic expectation.  Games over smaller algebras are first lifted
 along a subreduct embedding into a catalog algebra that has the product and
-the required truth constants.
+the required truth constants.  The formula depends on the game alone: it
+is built and compiled once per game and runs once per profile.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ class MixedNEEncoding:
     trace: tuple[tuple[str, fm.Formula], ...]     # probdistr_i, expected_i, dev_i_r, formula
     full: fm.Formula
 
+    @cached_property
+    def program(self) -> fm.Program:
+        """Every trace root, compiled once for every profile."""
+        return fm.Program([root for _, root in self.trace], self.algebra, self.game.payoff_table)
+
     def assignment(self, profile: MixedProfile) -> dict[str, Fraction]:
         if len(profile.probabilities) != len(self.prob_vars):
             raise SemanticError(f"profile has {len(profile.probabilities)} probability "
@@ -208,6 +214,10 @@ def lift_algebra_for_mixed(lg: LogicalGame) -> Algebra:
 
 
 def build_mixed_encoding(lg: LogicalGame) -> MixedNEEncoding:
+    """The game's mixed-equilibrium encoding: built on the first call and kept
+    on the game, as its payoff table is, since it depends on the game alone."""
+    if "_mixed" in lg.__dict__:
+        return lg._mixed
     alg = lift_algebra_for_mixed(lg)
     taken = set(lg.all_variables)
     prob_vars = tuple(tuple(_fresh(f"p_{i + 1}__{rank}", taken) for rank in range(len(block)))
@@ -241,7 +251,8 @@ def build_mixed_encoding(lg: LogicalGame) -> MixedNEEncoding:
         player_conjuncts.append(conj_all([prob_distr[i]] + deviations))
     full = conj_all(player_conjuncts)
     trace.append(("formula", full))
-    return MixedNEEncoding(lg, alg, prob_vars, tuple(trace), full)
+    object.__setattr__(lg, "_mixed", MixedNEEncoding(lg, alg, prob_vars, tuple(trace), full))
+    return lg._mixed
 
 
 def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
@@ -249,17 +260,16 @@ def check_mixed_ne(lg: LogicalGame, profile: MixedProfile,
                    ) -> tuple[bool, list[tuple[str, Fraction]]]:
     """Evaluate the mixed-equilibrium formula at a rational profile.
 
-    Returns the verdict (formula value 1) and the value of each of the
-    encoding's trace roots, all from one run of one program.  Payoff values
-    come from the game's payoff table, computed in the game's algebra; they
-    are those of the lifted algebra, of which the game's is a subreduct.
+    Returns the verdict (formula value 1) and the value of each trace root,
+    from one run of the encoding's program: the formula is built and
+    compiled once per game and runs once per profile.  Payoff values come
+    from the game's payoff table, computed in the game's algebra; they are
+    those of the lifted algebra, of which the game's is a subreduct.
     """
     if enc is None:
         enc = build_mixed_encoding(lg)
-    names, roots = zip(*enc.trace)
-    values = fm.Program(roots, enc.algebra, enc.game.payoff_table).run(
-        enc.assignment(profile))
-    return values[-1] == ONE, list(zip(names, values))
+    values = enc.program.run(enc.assignment(profile))
+    return values[-1] == ONE, [(name, v) for (name, _), v in zip(enc.trace, values)]
 
 
 def format_trace(trace) -> str:

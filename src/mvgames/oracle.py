@@ -221,7 +221,12 @@ def _best_response_to(payoffs, level, point, own_support, other_support) -> bool
 
 def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     """All rational mixed equilibria of a 2-player game found by support
-    enumeration; complete for nondegenerate games."""
+    enumeration; complete for nondegenerate games.
+
+    Degenerate candidates sample a continuum of equilibria at fixed steps
+    along directions that scale with the u column's -level: a game and its
+    positive affine image share the nondegenerate ones, while the degenerate
+    ones (all equilibria of both games) can differ."""
     table = _as_table(game)
     if table.n_players != 2:
         raise SemanticError("support enumeration handles exactly 2 players")

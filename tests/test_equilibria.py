@@ -14,6 +14,7 @@ from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      new_technology, parse, pure_ne_scan, relevant_elements,
                      represent_binary_boolean, represent_general, represent_rational_lm,
                      to_text, verify_mixed)
+from mvgames import equilibria
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
                                 build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
@@ -188,9 +189,12 @@ def test_lift_rejects_algebras_without_product_expansion():
     g4c = LogicalGame(catalog_lookup("G_4_C"), (("v1",), ("v2",)),
                       (((F(1, 4),), (F(1),)), ((F(0),), (F(3, 4),))),
                       (parse("v1 -> v2"), parse("v1 & v2")))
-    with pytest.raises(SemanticError,
-                       match="^no catalog product-algebra expansion accommodates G_4_C$"):
-        build_mixed_encoding(g4c)
+    profile = dirac((2, 2), (0, 0))
+    # A failed build keeps nothing: every call raises the same error.
+    for attempt in (lambda: build_mixed_encoding(g4c), lambda: check_mixed_ne(g4c, profile)) * 2:
+        with pytest.raises(SemanticError,
+                           match="^no catalog product-algebra expansion accommodates G_4_C$"):
+            attempt()
 
 
 PRODUCT_ALGEBRAS = [catalog_lookup(name) for name in
@@ -429,17 +433,21 @@ def test_mixed_formula_text_is_pinned():
         "8ff6059d9c3b68c55a168119e5e2f012d10adc67057b83b166f13396230657f1"
 
 
+def _vii(source):
+    """`source` by vii on L_5_C, anchors k/5."""
+    anchors = [F(k, 5) for k in range(max(source.strategy_counts))]
+    payoff_anchors = [F(k, 5) for k in range(len(source.payoff_values()))]
+    return represent_general(source, catalog_lookup("L_n_C", 5), anchors,
+                             payoff_anchors).target
+
+
 def _scaled_games(seed):
     """A seeded 8x8 game by vi_lm and a 3x3x3 game by vii, levels j/4."""
     rng = random.Random(seed)
     levels = [F(j, 4) for j in range(5)]
     square = make_game((8, 8), lambda profile: [rng.choice(levels) for _ in range(2)])
     cube = make_game((3, 3, 3), lambda profile: [rng.choice(levels) for _ in range(3)])
-    anchors = [F(k, 5) for k in range(3)]
-    payoff_anchors = [F(k, 5) for k in range(len(cube.payoff_values()))]
-    return [represent_rational_lm(square).target,
-            represent_general(cube, catalog_lookup("L_n_C", 5), anchors,
-                              payoff_anchors).target]
+    return [represent_rational_lm(square).target, _vii(cube)]
 
 
 def test_mixed_route_matches_the_oracle_at_scale(seed):
@@ -462,3 +470,74 @@ def test_mixed_route_matches_the_oracle_at_scale(seed):
             assert all(type(v) is F for v in values.values())
             checked += ok
     assert checked >= 2
+
+
+# --- one formula per game: built once, compiled once, run per profile ---------
+
+def _mixed_games(seed):
+    """A vi_lm 4x4 game, vii 3x3 and 3x3x2 games (levels j/4), and a random
+    logical game over STD_QPL_DELTA."""
+    rng = random.Random(seed)
+    levels = [F(j, 4) for j in range(5)]
+
+    def game(counts):
+        return make_game(counts, lambda profile: [rng.choice(levels) for _ in counts])
+    return [represent_rational_lm(game((4, 4))).target, _vii(game((3, 3))),
+            _vii(game((3, 3, 2))), random_logical_game(rng)]
+
+
+def test_mixed_formula_is_built_and_compiled_once_per_game(seed, monkeypatch):
+    lg = _mixed_games(seed)[0]
+    rng = random.Random(seed)
+    profiles = [MixedProfile(tuple(random_distribution(rng, 4) for _ in range(2)))
+                for _ in range(3)]
+    lg.payoff_table.program     # the payoff formulas' own compile, not the check's
+    builds, compiles = [], []
+    lift, init = equilibria.lift_algebra_for_mixed, Program.__init__
+    monkeypatch.setattr(equilibria, "lift_algebra_for_mixed",
+                        lambda game: builds.append(1) or lift(game))
+
+    def compile_spy(self, roots, *args, **kwargs):
+        compiles.append(len(roots))
+        init(self, roots, *args, **kwargs)
+    monkeypatch.setattr(Program, "__init__", compile_spy)
+    plain = [check_mixed_ne(lg, profile) for profile in profiles]
+    given = [check_mixed_ne(lg, profile, enc=build_mixed_encoding(lg)) for profile in profiles]
+    assert plain == given
+    assert len(builds) == 1 and len(compiles) == 1
+
+
+def _denominator_profiles(counts):
+    """Profiles over D = 6, 10^20 + 39, 1 (Dirac) and 6 again."""
+    def spread(d):
+        return MixedProfile(tuple((F(1, d),) * (c - 1) + (1 - F(c - 1, d),) for c in counts))
+    return [spread(6), spread(10 ** 20 + 39), dirac(counts, tuple(c - 1 for c in counts)),
+            spread(6)]
+
+
+def test_long_lived_mixed_program_matches_a_fresh_one(seed):
+    # The game's program runs every profile: on the big D's kernel, then
+    # on that kernel again for D = 1, then on a kernel rebuilt for 6.
+    for lg in _mixed_games(seed):
+        enc = build_mixed_encoding(lg)
+        table = logical_to_strategic(lg)
+        counts = [len(block) for block in lg.strategies]
+        scales = []
+        for profile in _denominator_profiles(counts):
+            ok, trace = check_mixed_ne(lg, profile)
+            scales.append(enc.program._kernel[0])
+            fresh = Program([root for _, root in enc.trace], enc.algebra,
+                            lg.payoff_table).run(enc.assignment(profile))
+            assert ok == (fresh[-1] == 1) == verify_mixed(table, profile)
+            assert [name for name, _ in trace] == [name for name, _ in enc.trace]
+            assert [(v, type(v)) for _, v in trace] == [(v, type(v)) for v in fresh]
+        assert scales[0] == scales[3] < scales[1] == scales[2], scales
+
+
+def test_mixed_check_failure_is_not_cached():
+    lg = represent_binary_boolean(matching_pennies().strategic).target
+    half = (F(1, 2), F(1, 2))
+    with pytest.raises(SemanticError, match="profile has 3 probability vectors for 2 players"):
+        check_mixed_ne(lg, MixedProfile((half,) * 3))
+    assert check_mixed_ne(lg, MixedProfile((half, half)))[0]
+    assert not check_mixed_ne(lg, MixedProfile(((F(3, 4), F(1, 4)), half)))[0]

@@ -17,7 +17,7 @@ from mvgames import (LogicalGame, MixedProfile, affine_invariance_check,
                      represent_rational_lm, verify_mixed, vickrey)
 from mvgames.errors import SemanticError
 from mvgames.game import logical_to_strategic, make_game
-from mvgames.oracle import MixedCandidate, solve_linear
+from mvgames.oracle import MixedCandidate, solve_linear, transform_payoffs
 from conftest import (PAYOFF_POOL, random_formula, random_fraction,
                       random_rational_game)
 
@@ -466,6 +466,22 @@ def test_solve_linear_matches_reference(system):
     else:
         assert (particular(solution), nullspace(solution)) == expected
         assert solution.unique == (not expected[1])
+
+
+def test_affine_image_samples_other_degenerate_candidates():
+    # A degenerate candidate samples a continuum at steps that scale with
+    # the u column's -level (4 here, 11 in the image): the nondegenerate
+    # candidates agree, and every candidate is an equilibrium of both games.
+    rng = random.Random(8)
+    levels = [F(j, 4) for j in range(5)]
+    game = make_game((8, 8), lambda p: [rng.choice(levels) for _ in range(2)])
+    image = transform_payoffs(game, [F(4, 11)] * 2, [F(0)] * 2)
+    found = [find_mixed_2p(g) for g in (game, image)]
+    assert [(len(f), sum(c.degenerate for c in f)) for f in found] == [(6, 2), (8, 4)]
+    firm = [{c.profile for c in f if not c.degenerate} for f in found]
+    assert firm[0] == firm[1] and len(firm[0]) == 4
+    for candidate in found[0] + found[1]:
+        assert verify_mixed(game, candidate.profile) and verify_mixed(image, candidate.profile)
 
 
 def _weakly_dominated_game():
