@@ -19,7 +19,7 @@ import os
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import formula as fm
@@ -205,12 +205,15 @@ class MixedProfile:
     probabilities: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        # On integers: the numerators over the vector's lcm sum to that lcm.
         for i, vector in enumerate(self.probabilities):
-            if any(p < 0 for p in vector):
+            if any(p.numerator < 0 for p in vector):
                 raise SemanticError(f"player {i + 1}: negative probability")
-            if sum(vector) != 1:
+            scale = lcm(*(p.denominator for p in vector))
+            total = sum(p.numerator * (scale // p.denominator) for p in vector)
+            if total != scale:
                 raise SemanticError(
-                    f"player {i + 1}: probabilities sum to {sum(vector)}, not 1")
+                    f"player {i + 1}: probabilities sum to {Fraction(total, scale)}, not 1")
 
 
 def dirac(counts: Sequence[int], profile: Profile) -> MixedProfile:

@@ -8,24 +8,32 @@ suffices for finite games) from one pass over the payoff table, and a
 linear systems.  Logical games are accepted everywhere by first collapsing
 them to their payoff tables.
 
-The mixed oracle runs on integers until it returns a result: each player's
-payoffs are scaled to integer numerators over their lcm, each probability
-vector to numerators over its own, and each support system is solved once,
-by fraction-free Gauss-Jordan elimination (Bareiss), which reaches the same
-reduced row echelon form as rational elimination.  Degenerate support
-systems are solved parametrically; one rational representative per solution
-face is emitted and flagged.  A support pair is solved only when no strategy
-in either support is strictly beaten, at every strategy of the other
-support, by another strategy of the same player (conditional dominance;
-Porter, Nudelman and Shoham, 2008).  A candidate the finder keeps puts
-positive weight on the whole opposing support, and every strategy of its own
-support earns the same u.  A strategy k strictly beating one of them would
-earn more than u: outside the support it fails the best-response check,
-inside it breaks the equalities.  So the skipped pairs hold no candidate and
-no answer changes.  Dominance must be strict: a tie, or a weak dominance,
-would drop candidates of degenerate games.  The finder is complete for
-nondegenerate games; n-player mixed-equilibrium search is out of scope
-(verification is n-player).
+The mixed oracle runs on integers until it keeps a candidate: each player's
+payoffs are scaled to integer numerators over their lcm, and each distinct
+support system is solved once per call, by fraction-free Gauss-Jordan
+elimination (Bareiss), which reaches the same reduced row echelon form as
+rational elimination.  Degenerate support systems are solved parametrically;
+one rational representative per solution face is emitted and flagged.  A
+support pair is solved only when no strategy in either support is strictly
+beaten, at every strategy of the other support, by another strategy of the
+same player (conditional dominance; Porter, Nudelman and Shoham, 2008).  A
+candidate the finder keeps puts positive weight on the whole opposing
+support, and every strategy of its own support earns the same u.  A strategy
+k strictly beating one of them would earn more than u: outside the support
+it fails the best-response check, inside it breaks the equalities.  So the
+skipped pairs hold no candidate and no answer changes.  Dominance must be
+strict: a tie, or a weak dominance, would drop candidates of degenerate
+games.  The finder is complete for nondegenerate games; n-player
+mixed-equilibrium search is out of scope (verification is n-player).
+
+A system is its opponent support and the set of own rows restricted to it:
+duplicate or reordered equations leave the reduced form, so the samples,
+unchanged.  The support's rows all earn u, so one best-response test on a
+sample's payoffs to every own strategy serves every own support of the
+system.  A support one strategy larger than one whose system has at most
+one solution is not solved: an added equation only shrinks the solution
+set, so it keeps that solution iff the added row earns u there.  Stability
+and expected payoffs are sums over the two kept payoff vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence, Union
 
 from .errors import SemanticError
@@ -183,40 +191,64 @@ class MixedCandidate:
     degenerate: bool
 
 
-def _indifference_candidates(payoffs, level, own_support, other_support):
-    """Vectors over the opponent's support making `own_support` indifferent.
+def _indifference_samples(payoffs, level, own_support, other_support):
+    """Solve the system making `own_support` indifferent against a mix over
+    `other_support` (unknowns: the mix, then u, whose column holds -level).
 
-    Unknowns: opponent probabilities on the support plus the common payoff
-    level u, whose column holds -`level`, so u is unscaled.  Yields
-    (numerators, denominator > 0, degenerate) candidates; degenerate ones
-    come from rank-deficient systems, one representative per free direction.
-    """
+    Returns whether it has at most one solution, and the samples that are
+    positive and earn no own strategy more than u: (the mix as lowest-terms
+    numerators over all opponent strategies, their denominator, degenerate,
+    each own strategy's payoff against it, the largest).  A rank-deficient
+    system is sampled at its particular solution and at steps 1, -1, 1/2,
+    1/4 along each free direction, flagged degenerate."""
     k = len(other_support)
     rows = [[payoffs[i][j] for j in other_support] + [-level] for i in own_support]
     rows.append([1] * k + [0])
     solution = solve_linear(rows, [0] * len(own_support) + [1])
     if solution is None:
-        return
-    point, denominator = solution.numerators, solution.denominator
-    if solution.unique:
-        yield point, denominator, False
-        return
-    # Rank-deficient: sample the affine solution space at steps 1, -1, 1/2, 1/4
-    # (over 4 * denominator); invalid samples are filtered by the caller's checks.
-    yield [4 * x for x in point], 4 * denominator, True
-    for direction in solution.directions:
-        for step in (4, -4, 2, 1):
-            yield ([4 * x + step * d for x, d in zip(point, direction)],
-                   4 * denominator, True)
+        return True, []
+    point = solution.numerators[:k]
+    samples = []
+    for mix in [point] + [[4 * x + step * d for x, d in zip(point, direction)]
+                          for direction in solution.directions for step in (4, -4, 2, 1)]:
+        if min(mix) <= 0:
+            continue
+        g = gcd(*mix)
+        probs = [0] * len(payoffs[0])
+        for j, x in zip(other_support, mix):
+            probs[j] = x // g
+        values = [sum(row[j] * probs[j] for j in other_support) for row in payoffs]
+        top = max(values)
+        if top == values[own_support[0]]:
+            # The mix sums to one: its numerators sum to its denominator.
+            samples.append((tuple(probs), sum(mix) // g, not solution.unique, values, top))
+    return solution.unique, samples
 
 
-def _best_response_to(payoffs, level, point, own_support, other_support) -> bool:
-    """Whether the opponent mix in `point` (numerators, then u) is positive
-    and no strategy outside `own_support` earns more than u against it."""
-    *mix, u = point
-    return all(x > 0 for x in mix) and not any(
-        sum(row[j] * x for j, x in zip(other_support, mix)) > level * u
-        for i, row in enumerate(payoffs) if i not in own_support)
+def _system_memo(payoffs, level):
+    """`samples(own_support, other_support)`: `_indifference_samples`'s kept
+    samples, with each distinct system solved once (see the module docstring)."""
+    memo: dict[tuple, tuple[bool, list]] = {}
+    restricted = {}     # per other support, every own row restricted to it
+
+    def samples(own_support, other_support):
+        rows = restricted.get(other_support)
+        if rows is None:
+            rows = restricted[other_support] = [tuple(row[j] for j in other_support)
+                                                for row in payoffs]
+        key = (other_support, frozenset(rows[i] for i in own_support))
+        if key not in memo:
+            for i in own_support:
+                smaller = memo.get((other_support,
+                                    frozenset(rows[s] for s in own_support if s != i)))
+                if smaller and smaller[0]:
+                    # Row i's equation keeps the one solution iff row i earns its top.
+                    memo[key] = True, [s for s in smaller[1] if s[3][i] == s[4]]
+                    break
+            else:
+                memo[key] = _indifference_samples(payoffs, level, own_support, other_support)
+        return memo[key][1]
+    return samples
 
 
 def find_mixed_2p(game: Game) -> list[MixedCandidate]:
@@ -243,32 +275,35 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     # on it; a pair with a support outside these sets has no candidate.
     allowed1 = _undominated(row_payoffs, counts[1])
     allowed2 = _undominated(col_payoffs, counts[0])
+    row_samples = _system_memo(row_payoffs, row_level)
+    col_samples = _system_memo(col_payoffs, col_level)
 
-    found: dict[tuple, MixedCandidate] = {}
+    # Each candidate's support is its pair's, and a pair's samples are
+    # distinct points, so no profile is found twice.
+    found = []
     for sup1 in _supports(range(counts[0])):
         for sup2 in _supports(allowed2[sup1]):
             if not all(i in allowed1[sup2] for i in sup1):
                 continue
-            columns = None      # the column player's passing candidates, once
-            for q, q_den, deg_q in _indifference_candidates(row_payoffs, row_level,
-                                                            sup1, sup2):
-                if not _best_response_to(row_payoffs, row_level, q, sup1, sup2):
-                    continue
-                if columns is None:
-                    columns = [c for c in _indifference_candidates(col_payoffs, col_level,
-                                                                   sup2, sup1)
-                               if _best_response_to(col_payoffs, col_level, c[0], sup2, sup1)]
-                for p, p_den, deg_p in columns:
-                    profile = MixedProfile((_scatter(p, p_den, sup1, counts[0]),
-                                            _scatter(q, q_den, sup2, counts[1])))
-                    values, stable = _payoff_sums(table, profile)
-                    if not stable:
-                        continue
-                    key = profile.probabilities
-                    degenerate = deg_q or deg_p
-                    if key not in found or found[key].degenerate and not degenerate:
-                        found[key] = MixedCandidate(profile, values, degenerate)
-    return [found[key] for key in sorted(found)]
+            q_samples = row_samples(sup1, sup2)
+            p_samples = col_samples(sup2, sup1) if q_samples else ()
+            for q, q_den, deg_q, row_values, row_top in q_samples:
+                for p, p_den, deg_p, col_values, col_top in p_samples:
+                    # The stability test of `_payoff_sums`: max(row) * D <= sum w * row.
+                    row_sum = sum(p[i] * row_values[i] for i in sup1)
+                    col_sum = sum(q[j] * col_values[j] for j in sup2)
+                    if row_top * p_den <= row_sum and col_top * q_den <= col_sum:
+                        found.append((p, p_den, q, q_den, row_sum, col_sum, deg_q or deg_p))
+
+    # In Fraction order, from each player's mixes over one lcm.
+    p_scale, q_scale = lcm(*(c[1] for c in found)), lcm(*(c[3] for c in found))
+    found.sort(key=lambda c: ([x * (p_scale // c[1]) for x in c[0]],
+                              [x * (q_scale // c[3]) for x in c[2]]))
+    return [MixedCandidate(MixedProfile((tuple(Fraction(x, p_den) for x in p),
+                                         tuple(Fraction(x, q_den) for x in q))),
+                           (Fraction(row_sum, row_level * p_den * q_den),
+                            Fraction(col_sum, col_level * p_den * q_den)), degenerate)
+            for p, p_den, q, q_den, row_sum, col_sum, degenerate in found]
 
 
 def _supports(strategies) -> list[tuple[int, ...]]:
@@ -280,17 +315,12 @@ def _supports(strategies) -> list[tuple[int, ...]]:
 def _undominated(payoffs, other_count) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map each support of the opponent to the own strategies (rows of
     `payoffs`) that no own strategy strictly beats at every column of it."""
-    return {support: tuple(i for i, row in enumerate(payoffs)
-                           if not any(all(other[j] > row[j] for j in support)
-                                      for other in payoffs))
-            for support in _supports(range(other_count))}
-
-
-def _scatter(numerators, denominator, support, count) -> tuple[Fraction, ...]:
-    full = [Fraction(0)] * count
-    for value, index in zip(numerators, support):
-        full[index] = Fraction(value, denominator)
-    return tuple(full)
+    # beats[i][k]: the columns at which own strategy k beats i, as a bitmask.
+    beats = [[sum(1 << j for j in range(other_count) if other[j] > row[j]) for other in payoffs]
+             for row in payoffs]
+    masks = {support: sum(1 << j for j in support) for support in _supports(range(other_count))}
+    return {support: tuple(i for i, row in enumerate(beats) if not any(b & m == m for b in row))
+            for support, m in masks.items()}
 
 
 def transform_payoffs(game: StrategicGame, slopes: Sequence[Fraction],

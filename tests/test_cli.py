@@ -1,5 +1,7 @@
 """CLI verbs, file round-trips, and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -430,6 +432,71 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, case):
         "--out-lgame", paths["lgame"], "--out-rep", paths["ok"])
     code, _, err = run(capsys, *[arg.format(**paths) for arg in UNWRITABLE[case]])
     assert code == 2 and err.startswith("input error: cannot write"), err
+
+
+# The exit-code contract across every verb: each file a verb reads may be
+# missing, a directory, not UTF-8 or not JSON, and each file it writes may be
+# a directory or a full device.  Each is an input error (exit 2) naming that
+# file: not an internal error (4), and, with nothing printed, no failed flush
+# of standard output at exit (120).
+EXIT_MATRIX_VERBS = {
+    "eval": ("eval", "--algebra", "STD_L", "--formula-file", "{formula}"),
+    "corpus": ("corpus", "matching_pennies", "--out", "{out_dir}"),
+    "represent": ("represent", "--game", "{game}", "--method", "ab_i",
+                  "--out-lgame", "{out_lgame}", "--out-rep", "{out_rep}"),
+    "verify-representation": ("verify-representation", "--game", "{game}",
+                              "--lgame", "{lgame}", "--rep", "{rep}"),
+    "pure-ne": ("pure-ne", "--lgame", "{lgame}", "--emit-formula", "{out_formula}"),
+    "mixed-check": ("mixed-check", "--lgame", "{lgame}", "--profile", "{profile}",
+                    "--emit-formula", "{out_formula}"),
+    "oracle-pure": ("oracle", "pure", "--game", "{game}"),
+    "oracle-mixed-verify": ("oracle", "mixed-verify", "--game", "{game}",
+                            "--profile", "{profile}"),
+    "oracle-mixed-find": ("oracle", "mixed-find", "--game", "{game}"),
+}
+
+
+# corpus --out names a directory, so the unwritable path there is a file.
+EXIT_MATRIX = [(verb, slot, kind) for verb, argv in EXIT_MATRIX_VERBS.items()
+               for slot in (arg[1:-1] for arg in argv if arg.startswith("{"))
+               for kind in (("missing", "directory", "not-utf8", "not-json")
+                            if not slot.startswith("out_") else
+                            ("file" if slot == "out_dir" else "directory", "dev-full"))]
+
+
+@pytest.fixture(scope="module")
+def exit_matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exit-matrix")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", "matching_pennies", "--out", str(root / "mp")]) == 0
+        assert main(["represent", "--game", str(root / "mp" / "game.json"), "--method",
+                     "ab_i", "--out-lgame", str(root / "lgame.json"),
+                     "--out-rep", str(root / "rep.json")]) == 0
+    (root / "f.txt").write_text("v", encoding="utf-8")
+    (root / "a-directory").mkdir()
+    (root / "latin1.json").write_bytes(b'{"players": "\xff"}')
+    (root / "text.json").write_text("{players: 2}", encoding="utf-8")
+    return {"formula": root / "f.txt", "game": root / "mp" / "game.json",
+            "lgame": root / "lgame.json", "rep": root / "rep.json",
+            "profile": _write_json(root, "p.json", [{"0": "1/2", "1": "1/2"}] * 2),
+            "missing": root / "missing.json", "directory": root / "a-directory",
+            "not-utf8": root / "latin1.json", "not-json": root / "text.json",
+            "file": root / "f.txt", "dev-full": "/dev/full"}
+
+
+@pytest.mark.parametrize("verb, slot, kind", EXIT_MATRIX)
+def test_exit_contract_matrix(capsys, tmp_path, exit_matrix_files, verb, slot, kind):
+    paths = dict(exit_matrix_files, out_dir=tmp_path / "out",
+                 out_lgame=tmp_path / "lgame.json", out_rep=tmp_path / "rep.json",
+                 out_formula=tmp_path / "formula.txt")
+    if kind == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    paths[slot] = bad = exit_matrix_files[kind]
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in EXIT_MATRIX_VERBS[verb]])
+    assert code == 2 and out == "" and err.startswith("input error: "), err
+    assert err.count("\n") == 1, err
+    # A formula file is not JSON; that one reaches the parser instead.
+    assert str(bad) in err or (verb, kind) == ("eval", "not-json"), err
 
 
 # A loader must not iterate a string where it expects a JSON array: "ab"

@@ -8,6 +8,8 @@ import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgames import (LogicalGame, MixedProfile, StrategicGame, catalog_lookup,
                      classify, dirac, logical_to_strategic, new_technology,
@@ -221,6 +223,65 @@ def test_mixed_profile_validation():
         MixedProfile(((F(3, 2), F(-1, 2)),))
     d = dirac((2, 3), (1, 0))
     assert d.probabilities == ((F(0), F(1)), (F(1), F(0), F(0)))
+
+
+def reference_profile_error(probabilities):
+    """The message of the `Fraction`-sum rule, or None for a valid profile."""
+    for i, vector in enumerate(probabilities):
+        if any(p < 0 for p in vector):
+            return f"player {i + 1}: negative probability"
+        if sum(vector) != 1:
+            return f"player {i + 1}: probabilities sum to {sum(vector)}, not 1"
+    return None
+
+
+def profile_error(probabilities):
+    try:
+        MixedProfile(probabilities)
+    except SemanticError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("probabilities, message", [
+    (((F(1),), (F(3, 2), F(-1, 2))), "player 2: negative probability"),
+    (((F(1, 2), F(1)),), "player 1: probabilities sum to 3/2, not 1"),
+    (((F(1, 2), F(-1, 2), F(2)),), "player 1: negative probability"),
+    (((1, 0), (0, 1)), None),
+    (((F(1, 3), 0, F(2, 3)),), None),
+    (((1, 1),), "player 1: probabilities sum to 2, not 1"),
+    (((F(1, 6), 0),), "player 1: probabilities sum to 1/6, not 1"),
+    (((),), "player 1: probabilities sum to 0, not 1"),
+    ((), None),
+])
+def test_mixed_profile_validation_messages(probabilities, message):
+    # The check runs on integers over each vector's lcm; ints, mixed int and
+    # Fraction entries and an empty vector read as they did under Fraction sums.
+    assert profile_error(probabilities) == message
+    assert reference_profile_error(probabilities) == message
+
+
+@st.composite
+def probability_vectors(draw):
+    """Up to three vectors, each a distribution, perhaps perturbed at one
+    entry and perhaps with its integral entries as ints."""
+    vectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        weights = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+        vector = [F(w, sum(weights) or 1) for w in weights]
+        if draw(st.booleans()):
+            vector[draw(st.integers(0, len(vector) - 1))] += draw(
+                st.fractions(min_value=-1, max_value=1, max_denominator=12))
+        if draw(st.booleans()):
+            vector = [int(p) if p.denominator == 1 else p for p in vector]
+        vectors.append(tuple(vector))
+    return tuple(vectors)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(probability_vectors())
+def test_mixed_profile_check_matches_fraction_sum_rule(probabilities):
+    assert profile_error(probabilities) == reference_profile_error(probabilities)
 
 
 def test_logical_to_strategic_matches_payoffs():

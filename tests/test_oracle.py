@@ -641,3 +641,69 @@ def test_find_mixed_never_solves_a_dominated_support_pair(monkeypatch):
         assert set(sup2) <= set(reference_undominated(table, 1, sup1))
     assert not any(3 in sup1 and set(sup2) <= {0, 1} for sup1, sup2 in solved)
     assert not any(3 in sup2 and set(sup1) <= {0, 1} for sup1, sup2 in solved)
+
+
+def _shortcut_games(rng):
+    """Seeded games aimed at each shortcut of the finder: thin and wide
+    shapes; two or three payoff levels, whose small support systems are
+    often inconsistent or pinned to one point (their one-larger supports are
+    not solved); payoffs over large denominators; and copies of each with
+    repeated rows for the row player and repeated columns for the column
+    player (one solve per distinct system)."""
+    huge = [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9)) for _ in range(3)]
+    games = []
+    for shape in [(1, 4), (4, 1), (1, 5), (5, 1), (2, 5), (5, 2), (3, 4), (4, 4), (5, 5)]:
+        for levels in ([F(0), F(1)], [F(0), F(1, 2), F(1)], huge):
+            cells = {p: (rng.choice(levels), rng.choice(levels))
+                     for p in itertools.product(*map(range, shape))}
+            games.append(make_game(shape, cells.__getitem__))
+            rows = [rng.randrange(max(1, shape[0] - 2)) for _ in range(shape[0])]
+            cols = [rng.randrange(max(1, shape[1] - 2)) for _ in range(shape[1])]
+            games.append(make_game(shape, lambda p: (cells[rows[p[0]], p[1]][0],
+                                                     cells[p[0], cols[p[1]]][1])))
+    return games
+
+
+def test_find_mixed_matches_reference_on_shortcut_games(seed):
+    candidates = degenerate = 0
+    for game in _shortcut_games(random.Random(seed)):
+        found = find_mixed_2p(game)
+        assert found == reference_find_mixed_2p(game)   # order and flags too
+        candidates += len(found)
+        degenerate += sum(c.degenerate for c in found)
+    assert candidates > degenerate > 0
+
+
+def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
+    # The tie-heavy 6x6 game CI pins.  Every pair the finder visits needs a
+    # row system, so one solve per pair would be at least one per visit.  No
+    # distinct system (opponent support, set of restricted own rows) may be
+    # solved twice, and supports one larger than a system with at most one
+    # solution must leave some distinct row systems unsolved.
+    rng = random.Random(23)
+    cells = [[F(rng.choice(["0", "1/2", "1"])) for _ in range(2)] for _ in range(36)]
+    table = make_game((6, 6), lambda p: cells[6 * p[0] + p[1]])
+    row_payoffs = _integer_payoffs(table, 0)
+    assert row_payoffs != _integer_payoffs(table, 1)
+    solved = []
+    solve = oracle.solve_linear
+
+    def spy(rows, rhs):
+        caller = sys._getframe(1).f_locals
+        payoffs, other = caller["payoffs"], caller["other_support"]
+        solved.append((payoffs == row_payoffs, other,
+                       frozenset(tuple(payoffs[i][j] for j in other)
+                                 for i in caller["own_support"])))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(oracle, "solve_linear", spy)
+    found = find_mixed_2p(table)
+    assert len(found) == 21 and sum(c.degenerate for c in found) == 13
+    supports = [s for size in range(1, 7) for s in itertools.combinations(range(6), size)]
+    visited = [(sup1, sup2) for sup1 in supports for sup2 in supports
+               if set(sup1) <= set(reference_undominated(table, 0, sup2))
+               and set(sup2) <= set(reference_undominated(table, 1, sup1))]
+    row_systems = {(sup2, frozenset(tuple(row_payoffs[i][j] for j in sup2) for i in sup1))
+                   for sup1, sup2 in visited}
+    assert len(set(solved)) == len(solved) < len(visited)
+    assert sum(row for row, *_ in solved) < len(row_systems) < len(visited)
