@@ -569,7 +569,6 @@ class Program:
                                           for i in self._code) else None
         self._scale = None if any(i[0] is self._product for i in self._code) else self._base
         self._kernel = None     # the last (D, code, constants, calls, root exponents) built
-        self._checked: set[Fraction] = set()    # assigned values known to be in the domain
 
     def _execute(self, scale, inputs) -> list:
         """Root values on `inputs`: numerators over powers of `scale`, or
@@ -667,19 +666,16 @@ class Program:
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
         variable of the formulas, folded away or not, a value in the domain."""
-        alg, checked = self.algebra, self._checked
+        alg = self.algebra
         given = []
         for name, _ in self._variables:
             try:
                 value = assignment[name]
             except KeyError:
                 raise SemanticError(f"unknown variable {name!r}") from None
-            if type(value) is not Fraction or value not in checked:
-                if not alg.contains(value):
-                    raise SemanticError(
-                        f"assignment {name} = {value} outside the domain of {alg.id}")
-                if type(value) is Fraction:
-                    checked.add(value)
+            if not alg.contains(value):
+                raise SemanticError(
+                    f"assignment {name} = {value} outside the domain of {alg.id}")
             given.append(value)
         scale = None
         if self._base is not None:

@@ -126,20 +126,17 @@ class LinearSolution:
         return not self.directions
 
 
-def solve_linear(rows: Sequence[Sequence[Union[int, Fraction]]],
-                 rhs: Sequence[Union[int, Fraction]]) -> Optional[LinearSolution]:
-    """Solve A x = b exactly over the rationals; entries are ints or Fractions.
+def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[LinearSolution]:
+    """Solve A x = b exactly over the rationals; entries are ints (scale a
+    rational equation by its lcm first).
 
     Returns None when inconsistent; otherwise a particular solution plus a
     basis of the nullspace (empty iff the solution is unique), read off the
-    reduced row echelon form.  Rows are scaled to integers, and fraction-free
-    Gauss-Jordan elimination (Bareiss) ends at d times that form, d the last
-    pivot, with every entry an integer minor on the way.
+    reduced row echelon form.  Fraction-free Gauss-Jordan elimination
+    (Bareiss) ends at d times that form, d the last pivot, with every entry
+    an integer minor on the way.
     """
     m = [[*row, b] for row, b in zip(rows, rhs)]
-    if not all(type(x) is int for row in m for x in row):
-        m = [[int(x * common) for x in row]
-             for row, common in ((row, lcm(*(x.denominator for x in row))) for row in m)]
     n_rows = len(m)
     n_cols = len(rows[0]) if n_rows else 0
     pivot_cols = []

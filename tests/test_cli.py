@@ -679,3 +679,42 @@ def test_closed_stderr_keeps_the_exit_code(closed, formula, algebra, code):
                             "sys.exit(main(sys.argv[1:]))")
         result = _cli(*argv, stderr=None, entry=("-c", main_without_fd2))
     assert (result.returncode, result.stdout) == (code, b"")
+
+
+# The stream half of the exit-code contract, every verb on the matrix's files
+# in a fresh interpreter: a stdout whose reader left, or closed at start-up,
+# is an unwritable file (exit 2, one line); a stderr closed at start-up
+# changes neither the exit code nor standard output.
+STREAMS = ("stdout-broken-pipe", "stdout-closed-at-start-up", "stderr-closed-at-start-up")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="fd semantics")
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("verb", sorted(EXIT_MATRIX_VERBS))
+def test_exit_contract_stream_matrix(capsys, tmp_path, exit_matrix_files, verb, stream):
+    paths = dict(exit_matrix_files, out_dir=tmp_path / "out",
+                 out_lgame=tmp_path / "lgame.json", out_rep=tmp_path / "rep.json",
+                 out_formula=tmp_path / "formula.txt")
+    argv = [arg.format(**paths) for arg in EXIT_MATRIX_VERBS[verb]]
+    if verb == "eval":
+        argv += ["--assign", "v=1/2"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and out and not err, (code, err)
+    if stream == "stdout-broken-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _cli(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+    elif stream == "stdout-closed-at-start-up":
+        result = _cli(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    else:
+        result = _cli(*argv, stderr=None, preexec_fn=lambda: os.close(2))
+    if stream.startswith("stdout"):
+        error = result.stderr.decode()
+        assert result.returncode == 2, error
+        assert error.startswith("input error: cannot write standard output"), error
+        assert error.count("\n") == 1, error
+    else:
+        assert (result.returncode, result.stdout.decode()) == (code, out)

@@ -16,10 +16,11 @@ from mvgames import (LogicalGame, MixedProfile, affine_invariance_check,
                      pure_ne_scan, represent_binary_chain, represent_general,
                      represent_rational_lm, verify_mixed, vickrey)
 from mvgames.errors import SemanticError
-from mvgames.game import logical_to_strategic, make_game
+from mvgames.game import game_from_json, logical_to_strategic, make_game
 from mvgames.oracle import MixedCandidate, solve_linear, transform_payoffs
 from conftest import (PAYOFF_POOL, random_formula, random_fraction,
                       random_rational_game)
+from seeded_game import seeded_game
 
 F = Fraction
 
@@ -159,17 +160,17 @@ def test_affine_invariance_random(seed):
 
 
 def test_solve_linear_unique():
-    solution = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
+    solution = solve_linear([[2, 1], [1, -1]], [5, 1])
     assert solution.unique
     assert particular(solution) == [F(2), F(1)]
 
 
 def test_solve_linear_inconsistent():
-    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
 
 
 def test_solve_linear_underdetermined():
-    solution = solve_linear([[F(1), F(1), F(0)]], [F(1)])
+    solution = solve_linear([[1, 1, 0]], [1])
     assert not solution.unique
     assert len(nullspace(solution)) == 2
     x = particular(solution)
@@ -455,12 +456,21 @@ def linear_systems(draw):
     return rows, rhs
 
 
+def integer_equation(row, b):
+    """The equation row . x = b times the lcm of its denominators, as ints:
+    what `solve_linear` takes."""
+    entries = [F(x) for x in (*row, b)]
+    common = math.lcm(*(x.denominator for x in entries))
+    return [int(x * common) for x in entries]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(linear_systems())
 def test_solve_linear_matches_reference(system):
     rows, rhs = system
     expected = reference_solve_linear(rows, rhs)
-    solution = solve_linear(rows, rhs)
+    scaled = [integer_equation(row, b) for row, b in zip(rows, rhs)]
+    solution = solve_linear([row[:-1] for row in scaled], [row[-1] for row in scaled])
     if expected is None:
         assert solution is None
     else:
@@ -674,15 +684,20 @@ def test_find_mixed_matches_reference_on_shortcut_games(seed):
     assert candidates > degenerate > 0
 
 
+def _pinned_tie_heavy_games():
+    """The tie-heavy 5x5 (levels 0, 1) and 6x6 (levels 0, 1/2, 1) games whose
+    `mixed-find` output CI pins."""
+    return [game_from_json(seeded_game(21, 5, ["0", "1"])),
+            game_from_json(seeded_game(23, 6, ["0", "1/2", "1"]))]
+
+
 def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
     # The tie-heavy 6x6 game CI pins.  Every pair the finder visits needs a
     # row system, so one solve per pair would be at least one per visit.  No
     # distinct system (opponent support, set of restricted own rows) may be
     # solved twice, and supports one larger than a system with at most one
     # solution must leave some distinct row systems unsolved.
-    rng = random.Random(23)
-    cells = [[F(rng.choice(["0", "1/2", "1"])) for _ in range(2)] for _ in range(36)]
-    table = make_game((6, 6), lambda p: cells[6 * p[0] + p[1]])
+    table = _pinned_tie_heavy_games()[1]
     row_payoffs = _integer_payoffs(table, 0)
     assert row_payoffs != _integer_payoffs(table, 1)
     solved = []
@@ -707,3 +722,55 @@ def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
                    for sup1, sup2 in visited}
     assert len(set(solved)) == len(solved) < len(visited)
     assert sum(row for row, *_ in solved) < len(row_systems) < len(visited)
+
+
+def _memo_walk(seed):
+    """Each player's system memo on the benchmark-shaped tables and the
+    pinned tie-heavy games, asked for every support pair with own supports
+    by size, as the finder asks: (payoffs, level, own support, other
+    support, the memo's `samples`)."""
+    for table in _benchmark_shaped_tables(random.Random(seed)) + _pinned_tie_heavy_games():
+        for player in (0, 1):
+            payoffs = _integer_payoffs(table, player)
+            level = math.lcm(*(v[player].denominator for v in table.payoffs.values()))
+            samples = oracle._system_memo(payoffs, level)
+            for own in oracle._supports(range(len(payoffs))):
+                for other in oracle._supports(range(len(payoffs[0]))):
+                    yield payoffs, level, own, other, samples
+
+
+def test_system_memo_keeps_only_best_responses(seed):
+    # The finder's stability test passes only best responses, so it would
+    # hide a sample the memo kept wrongly; test the memo's samples directly.
+    kept = 0
+    for payoffs, _, own, other, samples in _memo_walk(seed):
+        for probs, denominator, _, values, top in samples(own, other):
+            assert sum(probs) == denominator
+            assert [j for j, x in enumerate(probs) if x] == list(other)
+            assert min(probs) >= 0
+            assert values == [sum(row[j] * probs[j] for j in other) for row in payoffs]
+            assert top == max(values) and all(values[i] == top for i in own)
+            kept += 1
+    assert kept
+
+
+def test_system_memo_superset_rule_equals_a_direct_solve(seed, monkeypatch):
+    # A support one larger than a system with at most one solution is not
+    # solved: its samples must be what solving it would give.
+    direct, solved = oracle._indifference_samples, []
+
+    def spy(*args):
+        solved.append(args[2:])
+        return direct(*args)
+
+    monkeypatch.setattr(oracle, "_indifference_samples", spy)
+    systems, taken = set(), 0
+    for payoffs, level, own, other, samples in _memo_walk(seed):
+        solved.clear()
+        got = samples(own, other)
+        key = (samples, other, frozenset(tuple(payoffs[i][j] for j in other) for i in own))
+        if key not in systems and not solved:
+            assert got == direct(payoffs, level, own, other)[1], (own, other)
+            taken += 1
+        systems.add(key)
+    assert taken

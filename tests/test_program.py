@@ -389,3 +389,28 @@ def test_subst_raises_what_its_copy_raises(shape, error):
         with pytest.raises(SemanticError) as info:
             attempt()
         assert str(info.value) == message
+
+
+def test_run_checks_every_assigned_value_on_every_run():
+    # In-domain Fractions repeat (equal values, new objects too), ints mix
+    # in, and out-of-domain values come between them: each run raises
+    # exactly when the reference does, with its text.
+    alg = catalog_lookup("L_4")
+    roots = [parse("x \\/ (y & ~z)"), parse("x -> z")]
+    program = Program(roots, alg)
+    steps = [(F(1, 4), F(1, 2), ONE), (F(1, 3), F(1, 2), ONE), (F(1, 4), F(1, 2), ONE),
+             (F(2, 8), 1, 0), (F(1, 4), F(1, 2), F(5, 4)), (F(1, 4), 2, 0), (0, 1, F(1, 2)),
+             (F(1, 4), -1, 0), (F(3, 4), F(1, 2), F(1, 3)), (F(3, 4), F(1, 2), F(1, 4))]
+    raised = 0
+    for values in steps * 2:
+        env = dict(zip(NAMES, values))
+        try:
+            expected = [reference(f, alg, env) for f in roots]
+        except SemanticError as exc:
+            with pytest.raises(SemanticError) as info:
+                program.run(env)
+            assert str(info.value) == str(exc)
+            raised += 1
+        else:
+            assert program.run(env) == expected
+    assert raised == 2 * 5
