@@ -84,11 +84,6 @@ def matching_pennies() -> CorpusBundle:
 
 # --- Love and Hate --------------------------------------------------------------
 
-def _circle_gap(x: Fraction, y: Fraction) -> Fraction:
-    gap = abs(x - y)
-    return 2 * min(gap, 1 - gap)
-
-
 def _eta(x: Formula, y: Formula) -> Formula:
     theta = App("or", (app("neg", app("imp", x, y)), app("neg", app("imp", y, x))))
     tent = App("and", (theta, app("neg", theta)))
@@ -101,14 +96,15 @@ def love_and_hate(n: int, m: int) -> CorpusBundle:
     if m < 2 or m % 2:
         raise SemanticError("love_and_hate needs an even chain size >= 2")
 
+    # Strategies s and t are s/m and t/m on the chain; with d = |s - t| their
+    # circle gap is 2 min(d, m - d) / m.  Player i + 1 is paid the gap to its
+    # successor for even i, and one minus it for odd i.
+    love = [Fraction(2 * min(d, m - d), m) for d in range(m + 1)]
+    hate = [1 - gap for gap in love]
+
     def payoff_vector(profile):
-        values = [Fraction(s, m) for s in profile]
-        out = []
-        for i in range(n):
-            successor = values[(i + 1) % n]
-            gap = _circle_gap(values[i], successor)
-            out.append(gap if i % 2 == 0 else 1 - gap)
-        return tuple(out)
+        return tuple((hate if i % 2 else love)[abs(s - profile[(i + 1) % n])]
+                     for i, s in enumerate(profile))
 
     strategic = make_game(
         (m + 1,) * n, payoff_vector,

@@ -262,11 +262,15 @@ def game_from_json(doc: dict) -> StrategicGame:
     counts = [len(block) for block in names]
     if len(rows) != prod(counts):
         raise InputError(f"expected {prod(counts)} payoff rows, got {len(rows)}")
-    payoffs = {}
+    payoffs, parsed = {}, {}    # parsed: each distinct literal's value
     for profile, row in zip(itertools.product(*[range(c) for c in counts]), rows):
         if len(row) != n:
             raise InputError(f"payoff row for {profile} must have {n} entries")
-        payoffs[profile] = tuple(parse_rational(v) for v in row)
+        for text in row:
+            # A non-string, unhashable or not, raises in `parse_rational`.
+            if type(text) is not str or text not in parsed:
+                parsed[text] = parse_rational(text)
+        payoffs[profile] = tuple(parsed[text] for text in row)
     return StrategicGame(names, payoffs)
 
 

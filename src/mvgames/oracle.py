@@ -1,7 +1,7 @@
 """Brute-force game-theoretic ground truth, independent of the formula engine.
 
 Everything here works on plain payoff tables with exact rational arithmetic:
-pure equilibria by exhaustive unilateral-deviation scanning, a mixed
+pure equilibria by a best-response scan over integer payoffs, a mixed
 profile's expected payoffs and verdict (checking pure deviations only, which
 suffices for finite games) from one pass over the payoff table, and a
 2-player mixed-equilibrium finder by support enumeration over exact rational
@@ -42,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import and_, eq
 from typing import Optional, Sequence, Union
 
 from .errors import SemanticError
@@ -56,16 +57,33 @@ def _as_table(game: Game) -> StrategicGame:
 
 
 def pure_ne_scan(game: Game) -> list[Profile]:
-    """All pure Nash equilibria, by checking every unilateral deviation."""
+    """All pure Nash equilibria, in profile order, by a best-response scan:
+    a profile is one iff each player's payoff there is the largest the
+    player earns against the same opponents.
+
+    Player i's payoffs, as integer numerators over their lcm, form a column
+    in profile order; the profiles that differ only in i's strategy are k_i
+    slices of it, one stride apart, so their maxima come from one pass per
+    block of k_i slices."""
     table = _as_table(game)
-    out = []
-    for profile in table.profiles():
-        values = table.payoffs[profile]
-        if all(table.payoffs[profile[:i] + (s,) + profile[i + 1:]][i] <= values[i]
-               for i in range(table.n_players)
-               for s in range(table.strategy_counts[i])):
-            out.append(profile)
-    return out
+    profiles = list(table.profiles())
+    if not profiles:    # a player has no strategy
+        return []
+    rows = [table.payoffs[profile] for profile in profiles]
+    stable = [True] * len(rows)
+    stride = len(rows)
+    for i, k in enumerate(table.strategy_counts):
+        stride //= k
+        own = [values[i] for values in rows]
+        level = lcm(*(v.denominator for v in own))
+        column = [v.numerator * (level // v.denominator) for v in own]
+        best = []
+        for base in range(0, len(column), k * stride):
+            slices = (column[start:start + stride]
+                      for start in range(base, base + k * stride, stride))
+            best += list(map(max, zip(*slices))) * k
+        stable = list(map(and_, stable, map(eq, column, best)))
+    return list(itertools.compress(profiles, stable))
 
 
 def _payoff_sums(table: StrategicGame,
@@ -128,7 +146,7 @@ class LinearSolution:
 
 def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[LinearSolution]:
     """Solve A x = b exactly over the rationals; entries are ints (scale a
-    rational equation by its lcm first).
+    rational equation by its lcm first), and any other entry is a TypeError.
 
     Returns None when inconsistent; otherwise a particular solution plus a
     basis of the nullspace (empty iff the solution is unique), read off the
@@ -137,6 +155,9 @@ def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
     an integer minor on the way.
     """
     m = [[*row, b] for row, b in zip(rows, rhs)]
+    # Exact division floors a non-integral entry to a wrong point, silently.
+    if not set(map(type, itertools.chain.from_iterable(m))) <= {int}:
+        raise TypeError("solve_linear takes int entries only")
     n_rows = len(m)
     n_cols = len(rows[0]) if n_rows else 0
     pivot_cols = []
@@ -263,9 +284,11 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     # Each player's payoffs as integer numerators over their lcm, the level.
     row_level, col_level = (lcm(*(v[i].denominator for v in table.payoffs.values()))
                             for i in (0, 1))
-    row_payoffs = [[int(table.payoffs[(i, j)][0] * row_level) for j in range(counts[1])]
+    row_payoffs = [[v.numerator * (row_level // v.denominator)
+                    for v in (table.payoffs[(i, j)][0] for j in range(counts[1]))]
                    for i in range(counts[0])]
-    col_payoffs = [[int(table.payoffs[(i, j)][1] * col_level) for i in range(counts[0])]
+    col_payoffs = [[v.numerator * (col_level // v.denominator)
+                    for v in (table.payoffs[(i, j)][1] for i in range(counts[0]))]
                    for j in range(counts[1])]
 
     # Per opponent support, the own strategies no own strategy strictly beats

@@ -360,6 +360,30 @@ def test_rational_as_json_number_is_input_error(capsys, tmp_path):
     assert code == 2 and "input error" in err and "bad rational literal 1" in err
 
 
+@pytest.mark.parametrize("literal", [1, 0.5, None, True, ["1/2"], [], {"n": "1"}, {}])
+def test_non_string_payoff_literal_is_input_error(capsys, tmp_path, literal):
+    # Each distinct literal is parsed once; a repeated string is looked up,
+    # and any other JSON value, hashable or not, still reaches the parser.
+    game = {"players": 2, "strategies": [["a", "b"], ["c"]],
+            "payoffs": [["1/2", "1/2"], ["1/2", literal]]}
+    code, out, err = run(capsys, "oracle", "pure",
+                         "--game", _write_json(tmp_path, "g.json", game))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: bad rational literal {literal!r}: "
+                   "expected a string like '1/2'\n")
+
+
+def test_each_payoff_literal_keeps_its_value(capsys, tmp_path):
+    game = {"players": 2, "strategies": [["a", "b"], ["c", "d"]],
+            "payoffs": [["1/2", " 1/2"], ["0.5", "1"], ["2/4", "1/2"], ["1/2", "1.0"]]}
+    assert game_from_json(game).payoffs == {
+        (0, 0): (F(1, 2), F(1, 2)), (0, 1): (F(1, 2), F(1)),
+        (1, 0): (F(1, 2), F(1, 2)), (1, 1): (F(1, 2), F(1))}
+    code, out, _ = run(capsys, "oracle", "pure",
+                       "--game", _write_json(tmp_path, "g.json", game))
+    assert code == 0 and out == "0 1\n1 1\n2 pure equilibria\n"
+
+
 def test_malformed_game_documents_are_input_errors(capsys, tmp_path):
     base = {"players": 1, "strategies": [["a"]], "payoffs": [["0"]]}
     for key, value in (("payoffs", 5), ("payoffs", [5]), ("players", "x")):

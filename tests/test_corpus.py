@@ -1,6 +1,7 @@
 """The named sample games reproduce their published payoff tables."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mvgames import (evaluate, love_and_hate, matching_pennies, new_technology,
                      payoff, verify_representation, vickrey)
 from mvgames.errors import SemanticError
+from mvgames.game import game_to_json, make_game
 
 F = Fraction
 
@@ -75,6 +77,24 @@ def test_love_and_hate_four_players_cycle():
                 h(values[2], values[3]), 1 - h(values[3], values[0]))
     assert game.payoffs[profile] == expected
     assert verify_representation(bundle.representation).ok
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 4), (4, 6), (6, 2)])
+def test_love_and_hate_payoffs_equal_the_chain_value_formula(n, m):
+    # The payoffs come from strategy indices; the table and its game.json
+    # bytes are those of the gap of the chain values s/m themselves.
+    def h(x, y):
+        return 2 * min(abs(x - y), 1 - abs(x - y))
+
+    def payoff_vector(profile):
+        values = [F(s, m) for s in profile]
+        return tuple(h(values[i], values[(i + 1) % n]) if i % 2 == 0
+                     else 1 - h(values[i], values[(i + 1) % n]) for i in range(n))
+
+    game = love_and_hate(n, m).strategic
+    reference = make_game(game.strategy_counts, payoff_vector, names=game.strategy_names)
+    assert game.payoffs == reference.payoffs
+    assert json.dumps(game_to_json(game)) == json.dumps(game_to_json(reference))
 
 
 def test_love_and_hate_parameter_validation():

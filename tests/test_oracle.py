@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (LogicalGame, MixedProfile, affine_invariance_check,
+from mvgames import (LogicalGame, MixedProfile, StrategicGame, affine_invariance_check,
                      catalog_lookup, dirac, expected_payoffs, find_mixed_2p,
                      love_and_hate, matching_pennies, new_technology, oracle,
                      pure_ne_scan, represent_binary_chain, represent_general,
@@ -19,7 +19,7 @@ from mvgames.errors import SemanticError
 from mvgames.game import game_from_json, logical_to_strategic, make_game
 from mvgames.oracle import MixedCandidate, solve_linear, transform_payoffs
 from conftest import (PAYOFF_POOL, random_formula, random_fraction,
-                      random_rational_game)
+                      random_logical_game, random_rational_game)
 from seeded_game import seeded_game
 
 F = Fraction
@@ -180,6 +180,16 @@ def test_solve_linear_underdetermined():
         assert shifted[0] + shifted[1] == 1
 
 
+def test_solve_linear_rejects_non_integer_entries():
+    # Bareiss's exact // would floor these to the point (0, 1), not (4/5, 3/5).
+    rows, rhs = [[F(1, 2), 1], [1, F(1, 3)]], [1, 1]
+    assert reference_solve_linear(rows, rhs) == ([F(4, 5), F(3, 5)], [])
+    for bad in ((rows, rhs), ([[1, 2], [3, 4]], [1, F(1)]), ([[1, 2.0]], [1]),
+                ([[True, 1]], [1])):
+        with pytest.raises(TypeError):
+            solve_linear(*bad)
+
+
 def test_degenerate_game_flagged():
     # duplicate rows make the indifference system rank-deficient
     game = make_game((2, 2), lambda p: (F(1), F(1)))
@@ -320,6 +330,62 @@ def test_payoff_sums_match_reference_on_big_denominators():
         verdicts.append(verdict)
     assert verdicts[:2] == [True, False] and verdicts[4]
     assert not all(verdicts)
+
+
+# --- reference: the unilateral-deviation scan ----------------------------------
+
+def reference_pure_ne_scan(game):
+    """Pure equilibria by checking every unilateral deviation of every
+    profile, comparing Fractions: k_i comparisons per player and profile."""
+    table = logical_to_strategic(game) if isinstance(game, LogicalGame) else game
+    out = []
+    for profile in table.profiles():
+        values = table.payoffs[profile]
+        if all(table.payoffs[profile[:i] + (s,) + profile[i + 1:]][i] <= values[i]
+               for i in range(table.n_players)
+               for s in range(table.strategy_counts[i])):
+            out.append(profile)
+    return out
+
+
+@st.composite
+def pure_scan_games(draw):
+    """1-3 players of 1-4 strategies (single-strategy players included),
+    each player's payoffs drawn from one to three levels over mixed
+    denominators, so that ties and equilibria are common."""
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    pools = [draw(st.lists(rationals, min_size=1, max_size=3)) for _ in counts]
+    payoffs = {p: tuple(draw(st.sampled_from(pool)) for pool in pools)
+               for p in itertools.product(*map(range, counts))}
+    return make_game(counts, payoffs.__getitem__)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pure_scan_games())
+def test_pure_scan_matches_reference_deviation_scan(game):
+    assert pure_ne_scan(game) == reference_pure_ne_scan(game)   # order too
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pure_scan_matches_reference_on_logical_games(seed):
+    lg = random_logical_game(random.Random(seed))
+    assert pure_ne_scan(lg) == reference_pure_ne_scan(lg)
+
+
+def test_pure_scan_matches_reference_on_edge_games():
+    games = [
+        # Payoffs a 10^-30 apart, over large coprime denominators.
+        make_game((2, 3), lambda p: (TINY * p[0] + DEBT * p[1], DEBT * (p[0] - p[1]))),
+        make_game((3,), lambda p: (F(p[0] % 2, 7),)),           # one player, a tie
+        make_game((1, 1, 1), lambda p: (F(1, 3), F(-2), F(0))),  # one profile
+        love_and_hate(4, 2).strategic,
+        vickrey([F(3, 4), F(1, 2)], F(1), F(1, 4)).strategic,
+        StrategicGame((("a",), ()), {}),                          # no profile
+    ]
+    for game in games:
+        assert pure_ne_scan(game) == reference_pure_ne_scan(game)
+    assert pure_ne_scan(games[0]) == [(1, 2)] and pure_ne_scan(games[-1]) == []
 
 
 # --- reference: the Fraction solver and enumeration loop ----------------------

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from mvgames import (MixedProfile, catalog_lookup, find_mixed_2p,
-                     logical_to_strategic, matching_pennies, new_technology,
-                     pure_ne_scan, verify_mixed, verify_representation)
+from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Var,
+                     catalog_lookup, find_mixed_2p, logical_to_strategic,
+                     matching_pennies, new_technology, payoff, pure_ne_scan,
+                     verify_mixed, verify_representation)
 from mvgames.errors import SemanticError
 from mvgames.game import make_game
-from mvgames.represent import (Affine, Representation, Table,
+from mvgames.represent import (Affine, Representation, Table, VerificationReport,
                                represent_binary_boolean, represent_binary_chain,
                                represent_binary_general, represent_general,
                                represent_rational_gmc_delta, represent_rational_lm,
@@ -44,6 +45,104 @@ def test_injected_fault_is_reported():
     assert not report.ok
     assert report.counterexample is not None
     assert "player" in report.message
+
+
+def reference_verify_representation(rep):
+    """The check by one `payoff` call per profile and one application of g
+    per cell: `verify_representation` must report the same first
+    counterexample, with the same message."""
+    affine = rep.is_affine()
+    rep.target.payoff_table.fill(rep.target.strategies)
+    for profile in rep.source.profiles():
+        try:
+            values = payoff(rep.target, rep.encode(profile))
+        except SemanticError as exc:
+            return VerificationReport(False, affine, (profile, None, None, None),
+                                      f"profile {profile}: {exc}")
+        for i in range(rep.source.n_players):
+            expected = rep.source.payoff(profile, i)
+            try:
+                actual = rep.g(values[i])
+            except SemanticError as exc:
+                return VerificationReport(False, affine, (profile, i, expected, None),
+                                          f"profile {profile}, player {i + 1}: {exc}")
+            if actual != expected:
+                return VerificationReport(
+                    False, affine, (profile, i, expected, actual),
+                    f"profile {profile}, player {i + 1}: "
+                    f"g(phi) = {actual} but f = {expected}")
+    return VerificationReport(True, affine)
+
+
+def _same_report(make):
+    """`make()` builds a fresh representation (so neither check reads a
+    table the other filled); both checks must report alike."""
+    report = verify_representation(make())
+    assert report == reference_verify_representation(make())
+    return report
+
+
+def _with_payoffs(rep, change):
+    """`rep` with its source payoffs rewritten by `change(profile, values)`."""
+    payoffs = {p: change(p, values) for p, values in rep.source.payoffs.items()}
+    source = StrategicGame(rep.source.strategy_names, payoffs)
+    return Representation(source, rep.target, rep.coding, rep.g)
+
+
+def test_verify_matches_reference_on_injected_payoff_faults(battery):
+    rng = random.Random(5)
+    methods = [represent_rational_qg_delta, represent_rational_lm, represent_rational_gmc_delta]
+    failed = 0
+    for k, (game, _) in enumerate(battery[:30]):
+        method = methods[k % 3]
+        profiles = list(game.profiles())
+        faults = {profiles[rng.randrange(len(profiles))]: rng.randrange(game.n_players)
+                  for _ in range(rng.randint(0, 2))}
+
+        def make():
+            return _with_payoffs(method(game), lambda p, values: tuple(
+                v + F(1, 7) if faults.get(p) == i else v for i, v in enumerate(values)))
+        report = _same_report(make)
+        assert report.ok == (not faults)
+        failed += not report.ok
+    assert failed > 10
+
+
+def test_verify_matches_reference_when_table_transform_raises():
+    game = make_game((2, 3), lambda p: (F(p[0] + p[1]), F(2 - p[1])))
+
+    def make(drop):
+        rep = represent_general(game, catalog_lookup("L_4_C"), [F(0), F(1, 4), F(1, 2)],
+                                [F(k, 4) for k in range(5)])
+        points = rep.g.points[:drop] + rep.g.points[drop + 1:]
+        return Representation(rep.source, rep.target, rep.coding, Table(points))
+    for drop in range(4):
+        report = _same_report(lambda: make(drop))
+        assert not report.ok and "payoff transform undefined at" in report.message
+        assert report.counterexample[3] is None
+
+
+def test_verify_matches_reference_with_affine_transforms():
+    for g in (Affine(F(2), F(-1)), Affine(F(2), F(-2)), Affine(F(1), F(-1)),
+              Affine(F(3, 2), F(-1, 2))):
+        def make():
+            bundle = new_technology(F(1))
+            return Representation(bundle.strategic, bundle.logical,
+                                  bundle.representation.coding, g)
+        report = _same_report(make)
+        assert report.ok == (g == Affine(F(2), F(-1))) and report.affine
+
+
+def test_verify_matches_reference_when_a_payoff_formula_fails_to_compile():
+    strategies = ((F(0),), (F(1),))
+    game = make_game((2, 2), lambda p: (F(p[0]), F(p[1])))
+    for bad in (App("delta", (Var("a"),)), App("and", (Var("a"), Const(F(1, 3))))):
+        def make():
+            target = LogicalGame(catalog_lookup("L_n", 2), (("a",), ("b",)),
+                                 (strategies, strategies), (bad, Var("b")))
+            return Representation(game, target, (strategies, strategies), Affine(F(1), F(0)))
+        report = _same_report(make)
+        assert not report.ok and report.counterexample == ((0, 0), None, None, None)
 
 
 def test_matching_pennies_boolean():
