@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -217,7 +218,10 @@ def cmd_oracle_mixed_find(args) -> int:
 
 # --- argument wiring -------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each verb's `func` names
+    its `cmd_*` function, looked up when `main` dispatches to it."""
     parser = argparse.ArgumentParser(
         prog="mvgames",
         description="strategic games as logical games over many-valued algebras")
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula")
     group.add_argument("--formula-file")
     p.add_argument("--assign", default="")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("corpus", help="emit a named sample game")
     p.add_argument("name", choices=["new_technology", "matching_pennies",
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1", help="vickrey: bidding cap")
     p.add_argument("--grid-step", default="1/8", help="vickrey: bid grid step")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(func="cmd_corpus")
 
     p = sub.add_parser("represent", help="compile a strategic game into a logical game")
     p.add_argument("--game", required=True)
@@ -253,43 +257,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payoff-anchors", help="comma-separated rational anchors")
     p.add_argument("--out-lgame", required=True)
     p.add_argument("--out-rep", required=True)
-    p.set_defaults(func=cmd_represent)
+    p.set_defaults(func="cmd_represent")
 
     p = sub.add_parser("verify-representation", help="check f = g(phi(c(s))) exhaustively")
     p.add_argument("--game", required=True)
     p.add_argument("--lgame", required=True)
     p.add_argument("--rep", required=True)
-    p.set_defaults(func=cmd_verify_representation)
+    p.set_defaults(func="cmd_verify_representation")
 
     p = sub.add_parser("pure-ne", help="pure equilibria of a logical game via gamma")
     p.add_argument("--lgame", required=True)
     p.add_argument("--weak", action="store_true",
                    help="force the auxiliary-variable encoding")
     p.add_argument("--emit-formula")
-    p.set_defaults(func=cmd_pure_ne)
+    p.set_defaults(func="cmd_pure_ne")
 
     p = sub.add_parser("mixed-check", help="check a mixed profile via the encoding")
     p.add_argument("--lgame", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--emit-formula")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_mixed_check)
+    p.set_defaults(func="cmd_mixed_check")
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = oracle_sub.add_parser("pure", help="deviation-scan pure equilibria")
     q.add_argument("--game", required=True)
-    q.set_defaults(func=cmd_oracle_pure)
+    q.set_defaults(func="cmd_oracle_pure")
 
     q = oracle_sub.add_parser("mixed-verify", help="verify a mixed profile exactly")
     q.add_argument("--game", required=True)
     q.add_argument("--profile", required=True)
-    q.set_defaults(func=cmd_oracle_mixed_verify)
+    q.set_defaults(func="cmd_oracle_mixed_verify")
 
     q = oracle_sub.add_parser("mixed-find", help="2-player support enumeration")
     q.add_argument("--game", required=True)
-    q.set_defaults(func=cmd_oracle_mixed_find)
+    q.set_defaults(func="cmd_oracle_mixed_find")
 
     return parser
 
@@ -313,7 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[args.func](args)
         if sys.stdout is None:      # fd 1 closed at start-up: every print was lost
             _report("input error: cannot write standard output")
             return 2

@@ -140,13 +140,15 @@ def vickrey(values: Sequence[Fraction], t: Fraction, step: Fraction) -> CorpusBu
         raise SemanticError("the grid step must divide t")
     grid_size = int(t / step)
     bids = [k * step for k in range(grid_size + 1)]
+    # On bid indices: the first top index wins and pays the highest other bid.
+    surplus = [[p - b for b in bids] for p in values]
+    zeros = (Fraction(0),) * n
 
     def payoff_vector(profile):
-        chosen = [bids[k] for k in profile]
-        top = max(chosen)
-        winner = chosen.index(top)
-        out = [Fraction(0)] * n
-        out[winner] = values[winner] - max(b for j, b in enumerate(chosen) if j != winner)
+        winner = profile.index(max(profile))
+        second = max(k for j, k in enumerate(profile) if j != winner)
+        out = list(zeros)
+        out[winner] = surplus[winner][second]
         return tuple(out)
 
     strategic = make_game((grid_size + 1,) * n, payoff_vector,

@@ -54,9 +54,15 @@ def _fresh(base: str, taken: set[str]) -> str:
 class PureNEEncoding:
     game: LogicalGame
     gamma: fm.Formula
-    existence: fm.Formula
+    full: Optional[bool]             # from `classify`: membership is redundant
     aux_q: dict[Fraction, str]       # empty in the expressible variant
     variant: str                     # "EXPRESSIBLE" | "WEAKLY_EXPRESSIBLE"
+
+    @cached_property
+    def existence(self) -> fm.Formula:
+        """Gamma, conjoined with membership unless the game is full; built on
+        first read, since deciding reads gamma alone."""
+        return self.gamma if self.full else App("and", (_membership(self.game), self.gamma))
 
     @cached_property
     def gamma_program(self) -> fm.Program:
@@ -92,8 +98,8 @@ def _membership(lg: LogicalGame) -> fm.Formula:
 
 
 def _build_pure(lg: LogicalGame, full: Optional[bool], weak: bool) -> PureNEEncoding:
-    """Gamma and existence, plugging in for each relevant element a its truth
-    constant, or on the weak route a fresh q_a pinned to a by a chi block."""
+    """Gamma, plugging in for each relevant element a its truth constant, or
+    on the weak route a fresh q_a pinned to a by a chi block."""
     relevant, taken = relevant_elements(lg), set(lg.all_variables)
     aux_q = {a: _fresh(f"q_{a.numerator}_{a.denominator}", taken)
              for a in relevant} if weak else {}
@@ -102,8 +108,7 @@ def _build_pure(lg: LogicalGame, full: Optional[bool], weak: bool) -> PureNEEnco
     if weak:
         chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a]) for a in relevant)
         gamma = App("and", (chi_block, gamma))
-    existence = gamma if full else App("and", (_membership(lg), gamma))
-    return PureNEEncoding(lg, gamma, existence, aux_q,
+    return PureNEEncoding(lg, gamma, full, aux_q,
                           "WEAKLY_EXPRESSIBLE" if weak else "EXPRESSIBLE")
 
 

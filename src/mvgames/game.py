@@ -74,7 +74,8 @@ def make_game(counts: Sequence[int], payoff_fn, names=None) -> StrategicGame:
         names = tuple(tuple(f"s{k}" for k in range(c)) for c in counts)
     payoffs = {}
     for profile in itertools.product(*[range(c) for c in counts]):
-        payoffs[profile] = tuple(Fraction(v) for v in payoff_fn(profile))
+        payoffs[profile] = tuple(v if type(v) is Fraction else Fraction(v)
+                                 for v in payoff_fn(profile))
     return StrategicGame(tuple(tuple(ns) for ns in names), payoffs)
 
 
@@ -155,6 +156,17 @@ def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ..
     return lg.payoff_table.at(key, values)
 
 
+def table_inputs(parts, profiles):
+    """Each profile of strategy ids with its payoff-table key and values, from
+    `parts[i][s]`: player i's strategy s as (its `pairs`, its value tuple)."""
+    for profile in profiles:
+        key, values = [], []
+        for part, s in zip(parts, profile):
+            key += part[s][0]
+            values += part[s][1]
+        yield profile, key, values
+
+
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
     """Sorted algebra values that some player can actually assign."""
     found = {x for block in lg.strategies for tup in block for x in tup}
@@ -182,13 +194,13 @@ def classify(lg: LogicalGame) -> GameFlags:
 
 
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
-    """Forget the logical structure: strategy ids are lexicographic ranks."""
-    counts = [len(block) for block in lg.strategies]
+    """Forget the logical structure: strategy ids are lexicographic ranks.
+    One table read per profile, each strategy's key part looked up once."""
     lg.payoff_table.fill(lg.strategies)
-    payoffs = {}
-    for ids in itertools.product(*[range(c) for c in counts]):
-        profile = tuple(lg.strategies[i][k] for i, k in enumerate(ids))
-        payoffs[ids] = payoff(lg, profile)
+    parts = [[(keys[t], t) for t in block] for keys, block in zip(lg._keys, lg.strategies)]
+    ids = itertools.product(*[range(len(block)) for block in lg.strategies])
+    payoffs = {profile: lg.payoff_table.at(key, values)
+               for profile, key, values in table_inputs(parts, ids)}
     names = tuple(tuple(map(format_strategy, block)) for block in lg.strategies)
     return StrategicGame(names, payoffs)
 

@@ -35,6 +35,7 @@ from .chars import characteristic, is_prime, zeta
 from .errors import InputError, SemanticError
 # `payoff` stays a module attribute, where perfbench's tracer wraps it.
 from .game import LogicalGame, StrategicGame, ValueTuple, json_array, payoff  # noqa: F401
+from .game import table_inputs
 from .formula import App, Const, Formula, conj_all, disj_all, pairs
 
 
@@ -141,11 +142,7 @@ def verify_representation(rep: Representation) -> VerificationReport:
     target.payoff_table.fill(target.strategies)
     parts = [[(pairs(tup), tup) for tup in coding] for coding in rep.coding]
     g_at: dict = {}
-    for profile in rep.source.profiles():
-        key, values = [], []
-        for part, s in zip(parts, profile):
-            key += part[s][0]
-            values += part[s][1]
+    for profile, key, values in table_inputs(parts, rep.source.profiles()):
         try:
             phis = target.payoff_table.at(key, values)
         except SemanticError as exc:
@@ -235,10 +232,12 @@ def _binary_on_algebra(game, alg, elements, widths, a, b) -> Representation:
 def _basic_game(game, alg, anchors, g, value_formula=None) -> Representation:
     """Basic game coding strategy s by anchors[s]: phi_i is the disjunction
     over profiles of (value_formula(i, profile) /\\ conjunct), by default
-    the constant g^-1(f_i(profile))."""
+    the constant g^-1(f_i(profile)), one node per payoff value."""
     if value_formula is None:
+        const_at = {y: Const(g.inverse(y)) for y in game.payoff_values()}
+
         def value_formula(i, profile):
-            return Const(g.inverse(game.payoff(profile, i)))
+            return const_at[game.payoff(profile, i)]
     return _dnf_game(game, alg, anchors, [1] * game.n_players, g,
                      lambda i, profile, conjunct:
                      App("and", (value_formula(i, profile), conjunct)))
@@ -334,13 +333,14 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
     g = Affine(Fraction(m, q), values[0])
     zeta_at: dict[tuple, Formula] = {}   # shared across disjuncts
+    target_at = {y: g.inverse(y) for y in values}
 
     def value_formula(i, profile):
-        anchor = Fraction(profile[i] + 1, m)
-        target_value = g.inverse(game.payoff(profile, i))
-        key = (i, anchor, target_value)
+        y = game.payoff(profile, i)
+        key = (i, profile[i], y)
         if key not in zeta_at:
-            zeta_at[key] = zeta(m, anchor, target_value, f"v{i + 1}_1")   # i's one variable
+            zeta_at[key] = zeta(m, Fraction(profile[i] + 1, m), target_at[y],
+                                f"v{i + 1}_1")   # i's one variable
         return zeta_at[key]
 
     return _basic_game(game, catalog_lookup("L_n", m),

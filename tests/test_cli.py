@@ -430,6 +430,22 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: boom"
 
 
+def test_the_parser_built_once_dispatches_to_a_patched_verb(capsys, monkeypatch):
+    from mvgames import cli
+
+    argv = ("eval", "--algebra", "STD_L", "--formula", "v", "--assign", "v=1/2")
+    assert run(capsys, *argv) == (0, "1/2\n", "")
+    calls = []
+
+    def patched(args):
+        calls.append(args.formula)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_eval", patched)
+    assert run(capsys, *argv) == (0, "", "")
+    assert calls == ["v"] and cli.build_parser() is cli.build_parser()
+
+
 UNWRITABLE = {
     "represent-lgame": ("represent", "--game", "{game}", "--method", "ab_i",
                         "--out-lgame", "{nowhere}", "--out-rep", "{ok}"),

@@ -1,5 +1,6 @@
 """The named sample games reproduce their published payoff tables."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from mvgames import (evaluate, love_and_hate, matching_pennies, new_technology,
                      payoff, verify_representation, vickrey)
+from mvgames.cli import main
 from mvgames.errors import SemanticError
 from mvgames.game import game_to_json, make_game
 
@@ -113,6 +115,42 @@ def test_vickrey_payoffs_and_formulas():
     assert game.payoffs[(0, 4, 1)] == (0, p[1] - F(1, 4), 0)
     report = verify_representation(bundle.representation)
     assert report.ok and report.affine
+
+
+@pytest.mark.parametrize("values, t, step", [
+    ([F(3, 4), F(5, 8), F(1, 2)], F(1), F(1, 8)),
+    ([F(3, 4), F(1, 2), F(1, 4)], F(1), F(1, 4)),
+    ([F(1, 2), F(1, 2)], F(1), F(1, 2)),                   # equal values
+    ([F(0), F(2, 3), F(1, 3), F(2, 3)], F(1), F(1, 3)),
+    ([F(5, 2), F(7, 4)], F(3), F(3, 4)),
+])
+def test_vickrey_payoffs_equal_the_bid_value_formula(values, t, step):
+    # The payoffs come from bid indices; the table and its game.json bytes
+    # are those of the auction on the bids themselves, ties to the lowest id.
+    bids = [k * step for k in range(int(t / step) + 1)]
+
+    def payoff_vector(profile):
+        chosen = [bids[k] for k in profile]
+        winner = chosen.index(max(chosen))
+        out = [F(0)] * len(values)
+        out[winner] = values[winner] - max(b for j, b in enumerate(chosen) if j != winner)
+        return tuple(out)
+
+    game = vickrey(values, t, step).strategic
+    reference = make_game(game.strategy_counts, payoff_vector, names=game.strategy_names)
+    assert game.payoffs == reference.payoffs
+    assert json.dumps(game_to_json(game)) == json.dumps(game_to_json(reference))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["vickrey", "--p", "3/4,5/8,1/2", "--t", "1", "--grid-step", "1/8"],
+     "2bbab2d35791be5f1e1936bb6579cab278c87e4b21529d7edce0040e1797e741"),
+    (["love_and_hate", "--n", "4", "--m", "4"],
+     "e269a9c8898cec628093eabb58faa6acbd0aa6eafc8c20c4c5e8767a66d8d319"),
+])
+def test_corpus_game_file_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    assert main(["corpus", *argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "game.json").read_bytes()).hexdigest() == digest
 
 
 def test_vickrey_winner_indicator():

@@ -103,6 +103,33 @@ def test_existence_membership_counts_profiles():
     assert len(_spine(membership, "or")) == 8        # 2^3 profiles
 
 
+def test_deciding_builds_no_existence_formula(monkeypatch):
+    # Deciding reads gamma alone: membership is never built on that route.
+    def no_membership(lg):
+        raise AssertionError("membership built")
+
+    monkeypatch.setattr(equilibria, "_membership", no_membership)
+    for lg in (NT.logical, LH.logical, MP_REP.target):
+        encodings = [build_encoding(lg), build_gamma_weak(lg)]
+        if encodings[0].variant == "EXPRESSIBLE":
+            encodings.append(build_gamma(lg))
+        for enc in encodings:
+            assert decide_pure_ne(lg, enc) == decide_pure_ne(lg)
+            assert "existence" not in vars(enc)
+
+
+def test_existence_is_built_on_first_read():
+    full = build_encoding(MP_REP.target)
+    assert full.full and "existence" not in vars(full)
+    assert full.existence is full.gamma and full.existence is full.existence
+    for enc in (build_gamma(NT.logical), build_gamma_weak(NT.logical)):
+        assert enc.full is False and "existence" not in vars(enc)
+        first = enc.existence
+        assert first.op == "and" and first.args[1] is enc.gamma
+        assert to_text(first.args[0]) == to_text(equilibria._membership(NT.logical))
+        assert enc.existence is first
+
+
 def test_existence_confines_to_profiles(seed):
     enc = build_gamma(NT.logical)
     alg = NT.logical.algebra
@@ -343,8 +370,8 @@ def test_check_mixed_agrees_with_oracle_on_random_profiles(seed):
 # literal encodings, and both must give the same answers.
 
 def _literal_gamma(enc):
-    return PureNEEncoding(enc.game, substitute(enc.gamma, {}),
-                          substitute(enc.existence, {}), enc.aux_q, enc.variant)
+    return PureNEEncoding(enc.game, substitute(enc.gamma, {}), enc.full, enc.aux_q,
+                          enc.variant)
 
 
 def _literal_mixed(enc):

@@ -1,6 +1,7 @@
 """Game data model: payoffs, classification, invariances, file round-trips."""
 
 import builtins
+import itertools
 import json
 import os
 import random
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (LogicalGame, MixedProfile, StrategicGame, catalog_lookup,
-                     classify, dirac, logical_to_strategic, new_technology,
-                     parse, payoff, pure_ne_scan,
-                     relevant_elements, verify_mixed)
+from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Var,
+                     catalog_lookup, classify, dirac, logical_to_strategic,
+                     love_and_hate, new_technology, parse, payoff, pure_ne_scan,
+                     relevant_elements, verify_mixed, vickrey)
 from mvgames.errors import SemanticError
-from mvgames.game import (dump_json, game_from_json, game_to_json, lgame_from_json,
-                          lgame_to_json, load_json, make_game, profile_from_json,
-                          profile_to_json, write_text)
+from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_json,
+                          lgame_from_json, lgame_to_json, load_json, make_game,
+                          profile_from_json, profile_to_json, write_text)
 from conftest import random_rational_game
 
 F = Fraction
@@ -290,6 +291,72 @@ def test_logical_to_strategic_matches_payoffs():
     for ids in table.profiles():
         profile = tuple(NT.logical.strategies[i][k] for i, k in enumerate(ids))
         assert table.payoffs[ids] == payoff(NT.logical, profile)
+
+
+def reference_logical_to_strategic(lg):
+    """The collapse by one `payoff` call per profile."""
+    counts = [len(block) for block in lg.strategies]
+    payoffs = {}
+    for ids in itertools.product(*[range(c) for c in counts]):
+        profile = tuple(lg.strategies[i][k] for i, k in enumerate(ids))
+        payoffs[ids] = payoff(lg, profile)
+    names = tuple(tuple(map(format_strategy, block)) for block in lg.strategies)
+    return StrategicGame(names, payoffs)
+
+
+def _assert_collapses_as_reference(lg):
+    # The reference reads a copy of the game, so its own table's misses
+    # compute every payoff apart from the table the collapse fills.
+    copy = LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+    table, reference = logical_to_strategic(lg), reference_logical_to_strategic(copy)
+    assert table.strategy_names == reference.strategy_names
+    assert table.payoffs == reference.payoffs
+    assert list(table.payoffs) == list(reference.payoffs)
+
+
+def test_logical_to_strategic_matches_reference_on_the_corpus():
+    for bundle in (new_technology(F(1)), new_technology(F(3, 2)), love_and_hate(2, 4),
+                   love_and_hate(4, 4), vickrey([F(3, 4), F(5, 8), F(1, 2)], F(1), F(1, 8))):
+        _assert_collapses_as_reference(bundle.logical)
+
+
+QUARTERS = [F(k, 4) for k in range(5)]
+
+
+@st.composite
+def logical_games(draw):
+    """Logical games over L_4 with constants: 1-3 players of 0-2 variables
+    and 1-3 strategies, so some players have one strategy (every player
+    without variables has one), and formulas that read any subset of the
+    variables, none included."""
+    n = draw(st.integers(1, 3))
+    variables = tuple(tuple(f"v{i + 1}_{j + 1}" for j in range(draw(st.integers(0, 2))))
+                      for i in range(n))
+    strategies = tuple(
+        tuple(draw(st.lists(st.tuples(*[st.sampled_from(QUARTERS)] * len(block)),
+                            min_size=1, max_size=3, unique=True)))
+        for block in variables)
+    leaves = st.sampled_from([Var(v) for block in variables for v in block]
+                             + [Const(x) for x in QUARTERS])
+    ops = st.sampled_from(["and", "or", "imp", "and_strong", "oplus", "ominus"])
+    formulas = st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(lambda a: App("neg", (a,)), sub),
+        st.builds(lambda op, a, b: App(op, (a, b)), ops, sub, sub)), max_leaves=6)
+    return LogicalGame(catalog_lookup("L_4_C"), variables, strategies,
+                       tuple(draw(formulas) for _ in range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(logical_games())
+def test_logical_to_strategic_matches_reference_on_drawn_games(lg):
+    _assert_collapses_as_reference(lg)
+
+
+def test_make_game_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    game = make_game((2,), lambda profile: (half if profile[0] else 1,))
+    assert game.payoffs[(1,)][0] is half
+    assert game.payoffs[(0,)] == (F(1),) and type(game.payoffs[(0,)][0]) is F
 
 
 def test_dirac_equilibria_agree_with_pure(seed):

@@ -114,7 +114,7 @@ def test_binding_outside_the_game_algebra_raises_what_the_copy_raises():
     logical_to_strategic(lg)
     call = Subst(lg.payoff_formulas[0], (("x", Var("y")), ("y", parse("c(1/3)"))))
     for gamma in (call, substitute(call, {})):
-        enc = PureNEEncoding(lg, gamma, gamma, {}, "EXPRESSIBLE")
+        enc = PureNEEncoding(lg, gamma, False, {}, "EXPRESSIBLE")
         with pytest.raises(SemanticError, match="constant 1/3 outside the domain of L_4"):
             satisfies_gamma(enc, ((F(0),), (F(1),)))
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvgames import catalog_lookup, formula
+from mvgames import App, catalog_lookup, formula
 from mvgames.equilibria import build_encoding, build_gamma_weak, build_mixed_encoding
 from mvgames.formula import to_text
 from mvgames.game import lgame_to_json
@@ -74,6 +74,34 @@ def _digest(build) -> str:
 @pytest.mark.parametrize("method", sorted(CONSTRUCTORS))
 def test_emitted_bytes_are_pinned(method):
     assert _digest(CONSTRUCTORS[method]) == DIGESTS[method]
+
+
+def _disjuncts(phi):
+    """The parts of a left-folded disjunction, in order."""
+    parts = []
+    while isinstance(phi, App) and phi.op == "or":
+        parts.append(phi.args[1])
+        phi = phi.args[0]
+    return [phi] + parts[::-1]
+
+
+@pytest.mark.parametrize("method", ["vi", "vi_gmc", "vi_lm", "vii"])
+def test_basic_games_share_one_value_node_per_payoff(method):
+    # Each disjunct is (value /\ conjunct), one per profile.  Equal payoffs
+    # share one value node; vi_lm's zeta gadget reads the player's own
+    # variable, so there a node is per (own strategy, payoff).
+    for seed in SEEDS:
+        rep = CONSTRUCTORS[method](*_games(seed))
+        profiles = list(rep.source.profiles())
+        for i, phi in enumerate(rep.target.payoff_formulas):
+            disjuncts = _disjuncts(phi)
+            assert len(disjuncts) == len(profiles)
+            node_at = {}
+            for profile, disjunct in zip(profiles, disjuncts):
+                y = rep.source.payoff(profile, i)
+                key = (profile[i], y) if method == "vi_lm" else y
+                assert node_at.setdefault(key, disjunct.args[0]) is disjunct.args[0]
+            assert len({id(node) for node in node_at.values()}) == len(node_at)
 
 
 # vi_lm is left out: its printed encodings run to megabytes (the printer
