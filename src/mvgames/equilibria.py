@@ -145,12 +145,20 @@ def decide_pure_ne(lg: LogicalGame,
     """All gamma-satisfying strategy profiles, plus the SAT verdict.
 
     Enumerating the strategy space is complete: the existence formula's
-    membership disjunct confines satisfying assignments to profiles.
+    membership disjunct confines satisfying assignments to profiles.  Where
+    the payoff table fills, gamma runs once over all its rows; otherwise
+    once per profile.
     """
     if enc is None:
         enc = build_encoding(lg)
-    enc.game.payoff_table.fill(enc.game.strategies)
-    found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
+    table = enc.game.payoff_table
+    table.fill(enc.game.strategies)
+    rows = enc.gamma_program.over_rows(table)
+    if rows is None:
+        found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
+    else:
+        scale, (gamma,) = rows
+        found = list(itertools.compress(lg.profiles(), (v == scale for v in gamma)))
     return sorted(found), bool(found)
 
 

@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -189,6 +189,7 @@ _PRECEDENCE = {"->": 0, "=>": 0, "\\/": 1, "+": 1, "-": 1, "/\\": 2, "&": 2, "*"
 _PREFIX = {"~": "neg", "D": "delta"}
 _KEY = 32       # a group's first bytes that name its bucket of parsed groups
 _SPEND = 16     # bytes group lookups may compare and copy, per byte of text
+_MISSES = 1024  # lookups in a row with no hit, after which groups are no longer indexed
 
 
 def parse(text: str) -> Formula:
@@ -217,7 +218,9 @@ def _shunt(text: str, lex) -> Formula:
     """The operator-precedence loop over the tokens `lex` yields from an
     offset on.  A group parsed before is read as its node, and the loop goes
     on over `lex` past its text, until `_SPEND` bytes per byte of text have
-    been compared and copied: from then on it parses every token.  `consed`
+    been compared and copied, or `_MISSES` lookups in a row have found
+    nothing (text that repeats no group): from then on it parses every
+    token.  `consed`
     maps (kind, lexeme) or (token, *argument ids) to the one node for it;
     holding every node keeps ids unique."""
     consed: dict[tuple, Formula] = {}
@@ -233,7 +236,7 @@ def _shunt(text: str, lex) -> Formula:
     parsed: dict[str, Formula] = {}
     closed: list[int] = []
     heads: dict[str, dict[int, Optional[int]]] = {}
-    budget = _SPEND * len(text)
+    budget, misses = _SPEND * len(text), 0
     expect_operand = True
 
     def reduce():
@@ -251,7 +254,7 @@ def _shunt(text: str, lex) -> Formula:
     def find(offset):
         """(node, length) of the group parsed before whose text starts at
         `offset`, or None.  Each group copied or compared spends its length."""
-        nonlocal budget
+        nonlocal budget, misses
         spans = iter(closed)
         for start, end in zip(spans, spans):
             heads.setdefault(text[start:start + _KEY], {})[end - start] = start
@@ -268,7 +271,11 @@ def _shunt(text: str, lex) -> Formula:
                     sizes[size] = None
                 node = parsed.get(text[offset:offset + size])
                 if node is not None:
+                    misses = 0
                     return node, size
+        misses += 1
+        if misses == _MISSES:
+            budget = -1
         return None
 
     tokens = lex(0)
@@ -569,6 +576,7 @@ class Program:
                                           for i in self._code) else None
         self._scale = None if any(i[0] is self._product for i in self._code) else self._base
         self._kernel = None     # the last (D, code, constants, calls, root exponents) built
+        self._gathers = None    # (table, `over_rows`' reading of the calls on it), made once
 
     def _execute(self, scale, inputs) -> list:
         """Root values on `inputs`: numerators over powers of `scale`, or
@@ -663,6 +671,38 @@ class Program:
                     values[a] = None
         return [values[r] for r in self._roots]
 
+    def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
+        """(D, each root's numerators over D at every row of the filled
+        `table`), from one pass that runs each instruction over whole dense
+        columns; None unless the program runs on one D and every call reads
+        `table` with each block bound to the row's own variables or to the
+        constants of one of its strategies t.  Such a call's column is the
+        formula's, gathered at row r + (t - s(r)) * stride, s(r) the
+        block's strategy at r."""
+        if self._scale is None or table.rows is None:
+            return None
+        if self._gathers is None or self._gathers[0] is not table:
+            self._gathers = table, _row_gathers(self, table)
+        if self._gathers[1] is False:
+            return None
+        scale = lcm(self._scale, table.scale)
+        lift, size = scale // table.scale, len(table.rows[0])
+        values = [v if v is None else v.numerator * (scale // v.denominator)
+                  for v in self._slots]
+        for (_, out, _, i), gathers in zip(self._calls, self._gathers[1]):
+            column = table.numerators[i]
+            for stride, count, t in gathers:
+                span, gathered = stride * count, []
+                for base in range(t * stride, size, span):
+                    gathered += column[base:base + stride] * count
+                column = gathered
+            values[out] = column if lift == 1 else [v * lift for v in column]
+        for fn, out, args in self._code:
+            values[out] = list(map(INTEGER_TWINS[fn](scale), *(
+                values[a] if type(values[a]) is list else repeat(values[a]) for a in args)))
+        return scale, [v if type(v) is list else [v] * size
+                       for v in (values[r] for r in self._roots)]
+
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
         variable of the formulas, folded away or not, a value in the domain."""
@@ -690,6 +730,31 @@ def _picker(positions: Sequence[int]):
     return itemgetter(*positions) if positions else lambda values: ()
 
 
+def _row_gathers(program: Program, table: Table):
+    """Per call of `program`, the (stride, count, t) of each block of the
+    filled `table` that it binds to the constants of strategy t, the other
+    blocks bound to the row's own variables; False if a call does not fit,
+    or an instruction reads a variable, which has no column."""
+    known, own = program._slots, {index: name for name, index in program._variables}
+    if any(a in own for _, _, args in program._code for a in args):
+        return False
+    out = []
+    for served, _, args, _ in program._calls:
+        if served is not table:
+            return False
+        gathers = []
+        for start, end, index, stride in table.blocks:
+            slots = args[start:end]
+            if any(own.get(s) != name for s, name in zip(slots, table.names[start:end])):
+                t = None if None in (known[s] for s in slots) else \
+                    index.get(tuple(pairs(known[s] for s in slots)))
+                if t is None:
+                    return False
+                gathers.append((stride, len(index), t))
+        out.append(gathers)
+    return out
+
+
 def pairs(values: Iterable, scale=None) -> list[int]:
     """Each value's lowest-terms (numerator, denominator), flattened; for a
     `scale` the values are numerators over it."""
@@ -703,8 +768,12 @@ class Table:
     gives a value to each of `names`; `inputs[i]` names formula i's
     variables.  A miss runs the program of all the formulas once and fills
     every entry.  `memo[D]` indexes numerators over D in front of the exact
-    entries, so a program on the integer kernel hits without a `Fraction`;
-    `fill` computes every input of a product of strategy sets at once."""
+    entries, so a program on the integer kernel hits without a `Fraction`.
+    `fill` computes every input of a product of strategy sets at once and
+    keeps the values by row: `rows[i][r]` is formula i at row r of the
+    product, `numerators[i][r]` its numerator over `scale`, and `blocks`
+    holds each strategy set's (start, end) in `names`, its `pairs` -> index
+    map and its stride, so row r takes strategy (r // stride) % len(map)."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  names: Optional[Sequence[str]] = None, inputs: Sequence[Sequence[str]] = ()):
@@ -720,6 +789,7 @@ class Table:
                        for own in self.positions]
         self._exact = [{} for _ in self.formulas]    # per formula: input pairs -> value
         self.memo: dict = {}    # D (None: Fractions) -> per formula: input -> value over D
+        self.rows: Optional[list[list[Fraction]]] = None    # set by `fill`
 
     @cached_property
     def program(self) -> Program:
@@ -730,7 +800,19 @@ class Table:
         """Every formula's value at an input: `key` its `pairs`, `values` its
         values as numerators over `scale` (Fractions for None), the form the
         results take.  With a `scale`, a miss runs on the numerators as they
-        are and fills the index `memo[scale]` too."""
+        are and fills the index `memo[scale]` too.  A filled table reads the
+        row where each block's part of `key` is one of its strategies."""
+        if self.rows is not None:
+            row = 0
+            for start, end, index, stride in self.blocks:
+                s = index.get(tuple(key[2 * start:2 * end]))
+                if s is None:
+                    break
+                row += s * stride
+            else:
+                out = [values[row] for values in self.rows]
+                return tuple(out) if scale is None else \
+                    tuple(v.numerator * (scale // v.denominator) for v in out)
         out = [memo.get(pick(key)) for memo, pick in zip(self._exact, self._picks)]
         if None in out:
             if scale is None:
@@ -748,38 +830,41 @@ class Table:
         return out
 
     def fill(self, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-        """Fill an empty table at each input that takes a tuple of every block
-        (`names` lists their variables), where every formula reads every name
-        so that each input would miss, from one run of the program on
-        columns: the exact entries, and `memo[D]` for the D of a caller's run
-        on those values, the least scale of the program and the tuples.  Off
-        the integer kernel, with table calls or where the formulas do not
-        compile, the misses fill it, and raise what they always have."""
+        """Fill an empty table at each row of the product of `blocks` (`names`
+        lists their variables), where every formula reads every name so that
+        each row would miss, from one run of the program on columns, over
+        the least scale of the program and the tuples.  Off the integer
+        kernel, with table calls or where the formulas do not compile, the
+        misses fill it, and raise what they always have."""
         try:
             program = self.program
         except SemanticError:   # the misses raise it
             return
-        if any(self._exact) or any(len(own) < len(self.names) for own in self.positions) \
-                or program._scale is None or program._calls:
+        if self.rows is not None or any(self._exact) or program._scale is None \
+                or program._calls or any(len(own) < len(self.names) for own in self.positions):
             return
         scale = lcm(program._scale,
                     *(x.denominator for block in blocks for t in block for x in t))
-        rows = [[x for t in row for x in t] for row in product(*blocks)]
-        numerators = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
+                for row in product(*blocks)]
         columns = []
         for k in self._reads:   # a variable's most frequent value is its default
-            column = [values[k] for values in numerators]
+            column = [values[k] for values in rows]
             d = max(set(column), key=column.count)
             columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
-        roots = program._columns(scale, columns)
-        exact = {v: Fraction(v, scale) for d, column in roots for v in (d, *column.values())}
-        memo = self.memo.setdefault(scale, [{} for _ in self.formulas])
-        for r, (row, values) in enumerate(zip(rows, numerators)):
-            key = pairs(row)
-            for (d, column), entries, index, pick, own in zip(
-                    roots, self._exact, memo, self._picks, self._own):
-                entries[pick(key)] = exact[column.get(r, d)]
-                index[own(values)] = column.get(r, d)
+        self.numerators = []
+        for d, column in program._columns(scale, columns):
+            dense = [d] * len(rows)
+            for r, v in column.items():
+                dense[r] = v
+            self.numerators.append(dense)
+        exact = {v: Fraction(v, scale) for column in self.numerators for v in set(column)}
+        self.rows = [[exact[v] for v in column] for column in self.numerators]
+        self.scale, self.blocks, end, stride = scale, [], 0, len(rows)
+        for block in blocks:
+            start, end, stride = end, end + len(block[0]), stride // len(block)
+            self.blocks.append((start, end, {tuple(pairs(t)): s for s, t in enumerate(block)},
+                                stride))
 
     @cached_property
     def _reads(self) -> list[int]:

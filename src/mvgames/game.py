@@ -195,12 +195,17 @@ def classify(lg: LogicalGame) -> GameFlags:
 
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
     """Forget the logical structure: strategy ids are lexicographic ranks.
-    One table read per profile, each strategy's key part looked up once."""
-    lg.payoff_table.fill(lg.strategies)
-    parts = [[(keys[t], t) for t in block] for keys, block in zip(lg._keys, lg.strategies)]
+    A filled table's rows are the profiles in that order; otherwise one
+    table read per profile, each strategy's key part looked up once."""
+    table = lg.payoff_table
+    table.fill(lg.strategies)
     ids = itertools.product(*[range(len(block)) for block in lg.strategies])
-    payoffs = {profile: lg.payoff_table.at(key, values)
-               for profile, key, values in table_inputs(parts, ids)}
+    if table.rows is not None:
+        payoffs = dict(zip(ids, zip(*table.rows)))
+    else:
+        parts = [[(keys[t], t) for t in block] for keys, block in zip(lg._keys, lg.strategies)]
+        payoffs = {profile: table.at(key, values)
+                   for profile, key, values in table_inputs(parts, ids)}
     names = tuple(tuple(map(format_strategy, block)) for block in lg.strategies)
     return StrategicGame(names, payoffs)
 

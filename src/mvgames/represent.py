@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -134,20 +135,13 @@ class VerificationReport:
 def verify_representation(rep: Representation) -> VerificationReport:
     """Exhaustively check f_i(s) = g(phi_i(c(s))) over all profiles and players.
 
-    One table read per profile: each source strategy's part of the table
-    key and its value tuple are looked up once, and g is applied once per
-    distinct phi value."""
+    g is applied once per distinct phi value."""
     affine = rep.is_affine()
-    target = rep.target
-    target.payoff_table.fill(target.strategies)
-    parts = [[(pairs(tup), tup) for tup in coding] for coding in rep.coding]
     g_at: dict = {}
-    for profile, key, values in table_inputs(parts, rep.source.profiles()):
-        try:
-            phis = target.payoff_table.at(key, values)
-        except SemanticError as exc:
+    for profile, phis in _phis(rep):
+        if isinstance(phis, SemanticError):
             return VerificationReport(False, affine, (profile, None, None, None),
-                                      f"profile {profile}: {exc}")
+                                      f"profile {profile}: {phis}")
         for i, (phi, expected) in enumerate(zip(phis, rep.source.payoffs[profile])):
             actual = g_at.get(phi)
             if actual is None:
@@ -162,6 +156,29 @@ def verify_representation(rep: Representation) -> VerificationReport:
                     f"profile {profile}, player {i + 1}: "
                     f"g(phi) = {actual} but f = {expected}")
     return VerificationReport(True, affine)
+
+
+def _phis(rep: Representation):
+    """Each source profile with the target's payoff values at its code, or
+    the error reading them raises.  A filled table is read at the row of
+    each profile, the sum of each code's index times its block's stride;
+    otherwise each source strategy's part of the table key and its value
+    tuple are looked up once, and the table is read once per profile."""
+    table = rep.target.payoff_table
+    table.fill(rep.target.strategies)
+    if table.rows is not None:
+        offsets = [[index[tuple(pairs(tup))] * stride for tup in coding]
+                   for coding, (_, _, index, stride) in zip(rep.coding, table.blocks)]
+        rows = [sum(row) for row in product(*offsets)]
+        yield from zip(rep.source.profiles(),
+                       zip(*([values[r] for r in rows] for values in table.rows)))
+        return
+    parts = [[(pairs(tup), tup) for tup in coding] for coding in rep.coding]
+    for profile, key, values in table_inputs(parts, rep.source.profiles()):
+        try:
+            yield profile, table.at(key, values)
+        except SemanticError as exc:
+            yield profile, exc
 
 
 # --- the construction ---------------------------------------------------------

@@ -704,21 +704,43 @@ def test_stdout_closed_at_start_up_is_an_unwritable_file():
 @pytest.mark.parametrize("closed", ["pipe", "at start-up", "after start-up"])
 @pytest.mark.parametrize("formula, algebra, code", [("v", "NOPE", 2), ("c(1/3)", "L_4", 3)])
 def test_closed_stderr_keeps_the_exit_code(closed, formula, algebra, code):
-    argv = ("eval", "--algebra", algebra, "--formula", formula)
+    result = _cli_without_stderr(closed, "eval", "--algebra", algebra, "--formula", formula)
+    assert (result.returncode, result.stdout) == (code, b"")
+
+
+def _cli_without_stderr(closed, *argv):
     if closed == "pipe":        # nobody reads it: EPIPE
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            result = _cli(*argv, stderr=write_end)
+            return _cli(*argv, stderr=write_end)
         finally:
             os.close(write_end)
-    elif closed == "at start-up":   # as `2>&-` leaves it: sys.stderr is None
-        result = _cli(*argv, stderr=None, preexec_fn=lambda: os.close(2))
-    else:                           # sys.stderr is set, its writes fail with EBADF
-        main_without_fd2 = ("import os, sys; os.close(2); from mvgames.cli import main; "
-                            "sys.exit(main(sys.argv[1:]))")
-        result = _cli(*argv, stderr=None, entry=("-c", main_without_fd2))
-    assert (result.returncode, result.stdout) == (code, b"")
+    if closed == "at start-up":     # as `2>&-` leaves it: sys.stderr is None
+        return _cli(*argv, stderr=None, preexec_fn=lambda: os.close(2))
+    # sys.stderr is set, its writes fail with EBADF
+    main_without_fd2 = ("import os, sys; os.close(2); from mvgames.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))")
+    return _cli(*argv, stderr=None, entry=("-c", main_without_fd2))
+
+
+# The same two cells for every verb, on an input error: its first file
+# missing, or corpus's output directory a file.
+@pytest.mark.skipif(os.name != "posix", reason="pipe semantics")
+@pytest.mark.parametrize("closed", ["pipe", "after start-up"])
+@pytest.mark.parametrize("verb", sorted(EXIT_MATRIX_VERBS))
+def test_closed_stderr_keeps_every_verbs_input_error(capsys, tmp_path, exit_matrix_files,
+                                                     verb, closed):
+    argv = EXIT_MATRIX_VERBS[verb]
+    slot = next(arg[1:-1] for arg in argv if arg.startswith("{"))
+    paths = dict(exit_matrix_files, out_dir=tmp_path / "out", out_lgame=tmp_path / "lgame.json",
+                 out_rep=tmp_path / "rep.json", out_formula=tmp_path / "formula.txt")
+    paths[slot] = exit_matrix_files["file" if slot == "out_dir" else "missing"]
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("input error: "), err
+    result = _cli_without_stderr(closed, *argv)
+    assert (result.returncode, result.stdout) == (2, b"")
 
 
 # The stream half of the exit-code contract, every verb on the matrix's files

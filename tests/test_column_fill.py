@@ -2,12 +2,14 @@
 
 On random logical games -- 1 to 3 players, 1 to 5 strategies each, a player
 with one strategy possibly controlling no variable -- whose payoff formulas
-each read every variable, one fill must leave exactly the entries that
-`payoff` at every profile (one `Program.run` per miss) and then a caller's
-run over D leave: the exact entries and the index `memo[D]`.  Where the
-program has no integer kernel (a live `*` or `=>`), or fails to compile,
-the fill leaves the table empty and the per-profile path raises as before;
-any other fault in the fill propagates.
+each read every variable, one fill must leave no per-profile entry, and its
+rows must hold exactly the values that `payoff` at every profile (one
+`Program.run` per miss) and then a caller's run over D read: the exact
+values and their numerators over D, in profile order; `at` on the filled
+table reads the same at every profile, and runs the program at an input
+off the strategies.  Where the program has no integer kernel (a live `*` or
+`=>`), or fails to compile, the fill leaves the table empty and the
+per-profile path raises as before; any other fault in the fill propagates.
 """
 
 import itertools
@@ -110,13 +112,15 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg):
         program = table.program
     except SemanticError:
         program = None
+    # The fill writes no per-profile entry; it keeps rows, or nothing.
+    assert table.memo == {} and table._exact == [{} for _ in table.formulas]
     if program is None or program._scale is None:     # no integer kernel: no fill
-        assert table.memo == {} and table._exact == [{} for _ in table.formulas]
+        assert table.rows is None
         scale = 1
     else:
         scale = lcm(program._scale, *(x.denominator for block in lg.strategies
                                       for t in block for x in t))
-        assert list(table.memo) == [scale]
+        assert table.scale == scale
     reference = _per_profile(_copy(lg), scale)
     if isinstance(reference, str):      # the per-profile path raises what it always has
         with pytest.raises(SemanticError) as info:
@@ -124,8 +128,19 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg):
                 payoff(filled, profile)
         assert str(info.value) == reference
     elif program is not None and program._scale is not None:
-        assert table._exact == reference._exact
-        assert table.memo == reference.memo
+        exact, over_d = [], []
+        for profile in lg.profiles():
+            values = [x for t in profile for x in t]
+            key, numerators = pairs(values), [x.numerator * (scale // x.denominator)
+                                              for x in values]
+            exact.append(tuple(memo[pick(key)] for memo, pick
+                               in zip(reference._exact, reference._picks)))
+            over_d.append(tuple(memo[own(numerators)] for memo, own
+                                in zip(reference.memo[scale], reference._own)))
+            assert table.at(key, values) == exact[-1]
+            assert table.at(key, numerators, scale) == over_d[-1]
+        assert list(zip(*table.rows)) == exact and list(zip(*table.numerators)) == over_d
+        assert table.memo == {} and table._exact == [{} for _ in table.formulas]
 
 
 def test_fill_leaves_a_live_product_to_the_misses():
@@ -146,3 +161,26 @@ def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
     rep = represent_rational_qg_delta(random_rational_game(random.Random(3)))
     with pytest.raises(RuntimeError, match="column run broken"):
         verify_representation(rep)
+
+
+def test_at_off_the_strategies_runs_the_program(monkeypatch):
+    # x takes 0 or 1 and y only 1/4: an input with x = 1/2, or y = 0, is no row.
+    l4 = catalog_lookup("L_4")
+    lg = LogicalGame(l4, (("x",), ("y",)), (((F(0),), (F(1),)), ((F(1, 4),),)),
+                     (App("oplus", (Var("x"), Var("y"))), App("imp", (Var("y"), Var("x")))))
+    table, cold = lg.payoff_table, _copy(lg).payoff_table
+    table.fill(lg.strategies)
+    assert table.rows == [[F(1, 4), F(1)], [F(3, 4), F(1)]]
+    ran = []
+    execute = Program._execute
+    monkeypatch.setattr(Program, "_execute", lambda self, scale, inputs: ran.append(self) or
+                        execute(self, scale, inputs))
+    for values in ([F(0), F(1, 4)], [F(1), F(1, 4)]):        # rows: nothing runs
+        assert table.at(pairs(values), values) == cold.at(pairs(values), values)
+        assert table.at(pairs(values), [4 * v for v in values], 4) == \
+            tuple(4 * v for v in cold.at(pairs(values), values))
+    assert ran == [cold.program] * 2
+    for values in ([F(1, 2), F(1, 4)], [F(1), F(0)]):        # off the rows: the program runs
+        ran.clear()
+        assert table.at(pairs(values), values) == cold.at(pairs(values), values)
+        assert ran == [table.program, cold.program]

@@ -1,27 +1,33 @@
 """Gamma encodings of pure equilibria and the mixed-equilibrium formula."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      check_mixed_ne, decide_pure_ne, dirac, evaluate,
                      expected_payoffs, find_mixed_2p, free_variables, is_subreduct,
                      logical_to_strategic, love_and_hate, matching_pennies,
                      new_technology, parse, pure_ne_scan, relevant_elements,
-                     represent_binary_boolean, represent_general, represent_rational_lm,
-                     to_text, verify_mixed)
+                     represent_binary_boolean, represent_binary_chain,
+                     represent_binary_general, represent_general,
+                     represent_rational_gmc_delta, represent_rational_lm,
+                     represent_rational_qg_delta, to_text, verify_mixed,
+                     verify_representation)
 from mvgames import equilibria
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
                                 build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
-from mvgames.formula import Program, substitute
-from mvgames.game import make_game
+from mvgames.formula import Program, Subst, substitute
+from mvgames.game import classify, make_game
 from mvgames.errors import SemanticError
 from conftest import random_distribution, random_logical_game
+from test_column_fill import games as column_fill_games
 
 F = Fraction
 NT = new_technology(F(1))
@@ -568,3 +574,131 @@ def test_mixed_check_failure_is_not_cached():
         check_mixed_ne(lg, MixedProfile((half,) * 3))
     assert check_mixed_ne(lg, MixedProfile((half, half)))[0]
     assert not check_mixed_ne(lg, MixedProfile(((F(3, 4), F(1, 4)), half)))[0]
+
+
+# --- deciding over the rows of a filled payoff table ------------------------------
+
+def reference_decide_pure_ne(lg, enc):
+    """The decision by one run of gamma per profile."""
+    found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
+    return sorted(found), bool(found)
+
+
+def _fresh(lg):
+    """An equal game with a table of its own, still empty."""
+    return LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+
+
+def _routes(lg):
+    flags = classify(lg)
+    return [build for build, ok in ((build_gamma, flags.expressible),
+                                    (build_gamma_weak, flags.weakly_expressible)) if ok]
+
+
+def _decided(decide, lg, build):
+    """What `decide` answers on `lg` with the encoding `build` makes, or the
+    text of the error either raises."""
+    try:
+        return decide(lg, build(lg))
+    except SemanticError as exc:
+        return str(exc)
+
+
+def _assert_decides_as_reference(lg, after):
+    """On every route: decide on a cold copy of `lg`, and on one that `after`
+    filled first, answers as the per-profile run on a copy that no fill
+    reads; returns how many of those decisions ran over rows."""
+    over_rows = 0
+    for build in _routes(lg):
+        expected = _decided(reference_decide_pure_ne, _fresh(lg), build)
+        for fill in (None, after):
+            copy = _fresh(lg)
+            if fill is not None:
+                fill(copy)
+            assert _decided(decide_pure_ne, copy, build) == expected, (build.__name__, fill)
+            over_rows += copy.payoff_table.rows is not None
+    return over_rows
+
+
+def _pure_dnf_games(seed):
+    """Representations by every method of seeded games shaped as the pure
+    benchmark's: five rational or two binary payoff levels, 2 and 3 players,
+    and players with one strategy."""
+    rng = random.Random(seed)
+    rational = ((4, 4), (3, 3, 3), (2, 3, 4), (1, 3), (3, 1, 2))
+    binary = ((4, 4), (2, 2, 3), (1, 4))
+    for counts in rational:
+        base, q = rng.choice((-1, 0, 1)), rng.choice((2, 3, 4))
+        levels = [base + F(j, q) for j in range(5)]
+        source = make_game(counts, lambda p: [rng.choice(levels) for _ in counts])
+        for method in (represent_rational_qg_delta, represent_rational_gmc_delta,
+                       represent_rational_lm):
+            yield method(source)
+    for counts in binary:
+        a, b = sorted(rng.sample([F(-1), F(0), F(1, 2), F(2)], 2))
+        source = make_game(counts, lambda p: [rng.choice((a, b)) for _ in counts])
+        if len(set(v for row in source.payoffs.values() for v in row)) < 2:
+            continue
+        yield represent_binary_boolean(source)
+        yield represent_binary_chain(source)
+        yield represent_binary_general(source, 2, catalog_lookup("L_n", 2))
+
+
+def test_decide_over_rows_as_per_profile_on_pure_dnf_games(seed):
+    over_rows = cases = 0
+    for rep in _pure_dnf_games(seed):
+        cases += 1
+        over_rows += _assert_decides_as_reference(
+            rep.target, lambda lg: verify_representation(dataclasses.replace(rep, target=lg)))
+    # Every representation's payoff DNF reads every variable: each route's
+    # cold and after-verify decisions run over the rows.
+    assert cases > 20 and over_rows >= 2 * cases
+
+
+def test_decide_over_rows_as_per_profile_on_the_battery(battery_representations):
+    methods, cases, over_rows = set(), 0, 0
+    for index, (method, rep) in enumerate(battery_representations):
+        if index % 5 == 0 or method in ("ab_i", "vii"):
+            methods.add(method)
+            cases += 1
+            over_rows += _assert_decides_as_reference(rep.target, logical_to_strategic)
+    assert methods == {"ab_i", "ab_ii", "ab_iii", "vi", "vi_gmc", "vi_lm", "vii"}
+    # A binary DNF with no disjunct is a constant, which reads no variable
+    # and leaves the table to the misses; every other one fills.
+    assert over_rows > 1.5 * cases
+
+
+def test_decide_over_rows_as_per_profile_on_the_corpus():
+    for lg in (NT.logical, new_technology(F(3, 2)).logical, LH.logical, MP_REP.target):
+        _assert_decides_as_reference(lg, logical_to_strategic)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(column_fill_games())
+def test_decide_over_rows_as_per_profile_on_drawn_games(lg):
+    _assert_decides_as_reference(lg, logical_to_strategic)
+
+
+def test_a_call_that_does_not_fit_leaves_gamma_per_profile():
+    # A deviation that binds v1 to v2's variable reads no row of the table.
+    lg = _fresh(NT.logical)
+    phi = lg.payoff_formulas[0]
+    gamma = App("imp", (Subst(phi, (("v1", Var("v2")),)), Subst(phi, ())))
+    enc = PureNEEncoding(lg, gamma, True, {}, "EXPRESSIBLE")
+    lg.payoff_table.fill(lg.strategies)
+    assert lg.payoff_table.rows is not None and enc.gamma_program.over_rows(lg.payoff_table) is None
+    cold = _fresh(lg)
+    assert decide_pure_ne(lg, enc) == reference_decide_pure_ne(cold, PureNEEncoding(
+        cold, gamma, True, {}, "EXPRESSIBLE"))
+    assert cold.payoff_table.rows is None
+
+
+def test_gamma_runs_over_the_rows_of_its_own_table_only():
+    lg, other = _fresh(NT.logical), _fresh(NT.logical)
+    enc = build_encoding(lg)
+    for game in (lg, other):
+        game.payoff_table.fill(game.strategies)
+    program = enc.gamma_program
+    assert program.over_rows(lg.payoff_table) is not None
+    assert program.over_rows(other.payoff_table) is None
+    assert program.over_rows(lg.payoff_table) == program.over_rows(lg.payoff_table)

@@ -586,6 +586,30 @@ def test_group_path_stops_looking_up_past_its_byte_cap(monkeypatch):
     assert starts == [0]
 
 
+def test_group_path_stops_indexing_after_a_run_of_misses(monkeypatch):
+    # Text that repeats no group stops paying for lookups: once `_MISSES`
+    # lookups in a row have found nothing, a repeated group is parsed token
+    # by token; a hit before then starts the count again.
+    real_lex, starts = formula._lex, []
+
+    def lex(text, constants, pos):
+        starts.append(pos)
+        return real_lex(text, constants, pos)
+
+    monkeypatch.setattr(formula, "_lex", lex)
+    monkeypatch.setattr(formula, "_MISSES", 3)
+    group = "(a \\/ b)"
+    for distinct, skipped in ((2, True), (3, False)):
+        parts = [f"(x{i} \\/ y{i})" for i in range(distinct)]
+        text = " /\\ ".join([group, *parts, group, *parts, group])
+        starts.clear()
+        parsed, resumed = parse(text), starts[1:]
+        assert to_text(parsed) == to_text(_reference_path(text))
+        # Lexing resumes past each group skipped: none once the run is long.
+        assert (resumed[:1] == [text.index(group, 1) + len(group)]) == skipped
+        assert bool(resumed) == skipped
+
+
 @pytest.mark.parametrize("head, tail, message", [
     ("", "/\\", "expected a formula, found 'end of input'"),
     (")", "", "expected a formula, found ')'"),

@@ -21,6 +21,7 @@ from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_js
                           lgame_from_json, lgame_to_json, load_json, make_game,
                           profile_from_json, profile_to_json, write_text)
 from conftest import random_rational_game
+from test_column_fill import games as column_fill_games
 
 F = Fraction
 NT = new_technology(F(1))
@@ -350,6 +351,32 @@ def logical_games(draw):
 @given(logical_games())
 def test_logical_to_strategic_matches_reference_on_drawn_games(lg):
     _assert_collapses_as_reference(lg)
+
+
+def _collapse(collapse, lg):
+    try:
+        game = collapse(lg)
+    except SemanticError as exc:
+        return str(exc)
+    return game.strategy_names, list(game.payoffs.items())
+
+
+# Games whose payoff formulas each read every variable: their tables fill,
+# and the collapse zips the rows.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(column_fill_games())
+def test_logical_to_strategic_over_rows_matches_reference(lg):
+    copy = LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+    assert _collapse(logical_to_strategic, lg) == \
+        _collapse(reference_logical_to_strategic, copy)
+
+
+def test_logical_to_strategic_zips_the_rows_of_representations(battery_representations):
+    over_rows = 0
+    for method, rep in battery_representations[::9]:
+        _assert_collapses_as_reference(rep.target)
+        over_rows += rep.target.payoff_table.rows is not None
+    assert over_rows > 0.8 * len(battery_representations[::9])
 
 
 def test_make_game_keeps_fractions_and_converts_the_rest():

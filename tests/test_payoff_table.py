@@ -5,7 +5,8 @@ Whichever consumer fills the table first, every answer is the one a fresh
 game gives; a consumer that finds the table full runs no payoff program of
 its own; and the errors are those of the game without a table.  Where each
 payoff formula reads every variable, verify and decide fill the table in
-one column run, and run no payoff program per profile.
+one column run and read it by row: verify runs no program per profile, and
+decide runs gamma once over all the rows, no program run at all.
 """
 
 import dataclasses
@@ -68,6 +69,8 @@ def test_answers_do_not_depend_on_who_fills_the_table(seed, battery_representati
 
 
 def _programs_run(monkeypatch):
+    """The programs run from now on, once per run; `Program.run` and every
+    table miss go through `_execute`."""
     ran = []
     execute = Program._execute
 
@@ -79,15 +82,21 @@ def _programs_run(monkeypatch):
     return ran
 
 
-@pytest.mark.parametrize("rep", [LH44.representation, NT.representation],
+# love_and_hate's phi_i read 2 of 4 variables, so its table does not fill and
+# gamma runs per profile; new_technology's fills, and gamma runs once over it.
+@pytest.mark.parametrize("rep, rows", [(LH44.representation, False), (NT.representation, True)],
                          ids=["love_and_hate", "new_technology"])
-def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
+def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep, rows):
     rep = dataclasses.replace(rep, target=_fresh(rep.target))
     assert verify_representation(rep).ok
     enc = build_encoding(rep.target)
     ran = _programs_run(monkeypatch)
     decide_pure_ne(rep.target, enc)
-    assert ran and all(program is enc.gamma_program for program in ran)
+    assert (rep.target.payoff_table.rows is not None) == rows
+    if rows:    # no payoff program and no `Program.run`: one pass over the rows
+        assert ran == [] and enc.gamma_program._gathers[1]
+    else:
+        assert ran and all(program is enc.gamma_program for program in ran)
 
 
 def test_cold_decide_runs_each_payoff_once_per_own_input(monkeypatch):
@@ -130,14 +139,15 @@ def _vi(k, seed=6):
 
 def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
     rep = _vi(6)
-    payoffs = rep.target.payoff_table.program
     ran = _programs_run(monkeypatch)
     assert verify_representation(rep).ok
     lg = _fresh(rep.target)
     enc = build_encoding(lg)
     decide_pure_ne(lg, enc)
-    assert payoffs not in ran and lg.payoff_table.program not in ran
-    assert ran and all(program is enc.gamma_program for program in ran)
+    # Neither the payoff programs nor gamma run per profile, nor at all.
+    assert ran == []
+    assert rep.target.payoff_table.rows is not None and lg.payoff_table.rows is not None
+    assert enc.gamma_program._gathers[1]
 
 
 def test_formulas_reading_some_variables_stay_on_the_per_profile_path(monkeypatch):
@@ -158,7 +168,8 @@ def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
     payoff(per_profile.target, next(per_profile.target.profiles()))     # not empty: no fill
     report = verify_representation(filled)
     assert report == verify_representation(per_profile)
-    assert filled.target.payoff_table.memo and not per_profile.target.payoff_table.memo
+    assert filled.target.payoff_table.rows is not None
+    assert per_profile.target.payoff_table.rows is None
     assert report.counterexample[:2] == ((3, 2), 1)
     assert report.message == f"profile (3, 2), player 2: g(phi) = {payoffs[3, 2][1] - 1} " \
                              f"but f = {payoffs[3, 2][1]}"

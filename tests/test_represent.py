@@ -49,10 +49,9 @@ def test_injected_fault_is_reported():
 
 def reference_verify_representation(rep):
     """The check by one `payoff` call per profile and one application of g
-    per cell: `verify_representation` must report the same first
-    counterexample, with the same message."""
+    per cell, on a table no fill reads: `verify_representation` must report
+    the same first counterexample, with the same message."""
     affine = rep.is_affine()
-    rep.target.payoff_table.fill(rep.target.strategies)
     for profile in rep.source.profiles():
         try:
             values = payoff(rep.target, rep.encode(profile))
@@ -106,6 +105,33 @@ def test_verify_matches_reference_on_injected_payoff_faults(battery):
         assert report.ok == (not faults)
         failed += not report.ok
     assert failed > 10
+
+
+def test_verify_over_rows_matches_reference_on_every_method(battery):
+    rng = random.Random(11)
+    chain2, chain5c = catalog_lookup("L_n", 2), catalog_lookup("L_n_C", 5)
+    methods = [represent_rational_qg_delta, represent_rational_gmc_delta, represent_rational_lm,
+               lambda game: represent_general(game, chain5c, [F(k, 5) for k in range(4)],
+                                              [F(k, 5) for k in range(6)])]
+    binary = [represent_binary_boolean, represent_binary_chain,
+              lambda game: represent_binary_general(game, 2, chain2)]
+    over_rows = failed = 0
+    for k, (rational, two_valued) in enumerate(battery[:35]):
+        method, game = (methods[k % 4], rational) if k % 7 < 4 else (binary[k % 3], two_valued)
+        profiles = list(game.profiles())
+        faults = {profiles[rng.randrange(len(profiles))]: rng.randrange(game.n_players)
+                  for _ in range(rng.randint(0, 2))}
+
+        def make():
+            return _with_payoffs(method(game), lambda p, values: tuple(
+                v - F(1, 3) if faults.get(p) == i else v for i, v in enumerate(values)))
+        rep = make()
+        report = verify_representation(rep)
+        assert report == reference_verify_representation(make())
+        assert report.ok == (not faults)
+        over_rows += rep.target.payoff_table.rows is not None
+        failed += not report.ok
+    assert over_rows > 30 and failed > 10
 
 
 def test_verify_matches_reference_when_table_transform_raises():
