@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product, repeat
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -831,40 +831,65 @@ class Table:
 
     def fill(self, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> None:
         """Fill an empty table at each row of the product of `blocks` (`names`
-        lists their variables), where every formula reads every name so that
-        each row would miss, from one run of the program on columns, over
-        the least scale of the program and the tuples.  Off the integer
-        kernel, with table calls or where the formulas do not compile, the
-        misses fill it, and raise what they always have."""
+        lists their variables), over the least scale of the programs and the
+        tuples.  The formulas that read the variables of the same blocks
+        form a group, and its program runs once on columns over the product
+        of those blocks alone; each row of the whole product reads the row
+        there that its strategies of those blocks name.  A group of every
+        formula runs `program`.  Where a group's program is off the integer
+        kernel, calls a table or does not compile, the misses fill the
+        table, and raise what they always have."""
+        if self.rows is not None or any(self._exact):
+            return
+        spans, end = [], 0
+        for block in blocks:
+            start, end = end, end + len(block[0])
+            spans.append(range(start, end))
+        owner = {p: b for b, span in enumerate(spans) for p in span}
+        groups: dict = {}   # the blocks some formulas read -> those formulas
+        for i, own in enumerate(self.positions):
+            groups.setdefault(tuple(sorted({owner[p] for p in own})), []).append(i)
         try:
-            program = self.program
+            programs = [self.program] if len(groups) == 1 else \
+                [Program([self.formulas[i] for i in group], self.algebra)
+                 for group in groups.values()]
         except SemanticError:   # the misses raise it
             return
-        if self.rows is not None or any(self._exact) or program._scale is None \
-                or program._calls or any(len(own) < len(self.names) for own in self.positions):
+        if any(program._scale is None or program._calls for program in programs):
             return
-        scale = lcm(program._scale,
+        scale = lcm(*(program._scale for program in programs),
                     *(x.denominator for block in blocks for t in block for x in t))
-        rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
-                for row in product(*blocks)]
-        columns = []
-        for k in self._reads:   # a variable's most frequent value is its default
-            column = [values[k] for values in rows]
-            d = max(set(column), key=column.count)
-            columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
-        self.numerators = []
-        for d, column in program._columns(scale, columns):
-            dense = [d] * len(rows)
-            for r, v in column.items():
-                dense[r] = v
-            self.numerators.append(dense)
+        size, self.numerators = prod(map(len, blocks)), [None] * len(self.formulas)
+        for read, group, program in zip(groups, groups.values(), programs):
+            names = [self.names[p] for b in read for p in spans[b]]
+            rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
+                    for row in product(*(blocks[b] for b in read))]
+            columns = []
+            for name, _ in program._variables:  # a variable's most frequent value is its default
+                k = names.index(name)
+                column = [values[k] for values in rows]
+                d = max(set(column), key=column.count)
+                columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
+            spread = None
+            if len(rows) < size:    # each row's row in the group's product
+                spread, stride = [0], len(rows)
+                for b, block in enumerate(blocks):
+                    step = 0
+                    if b in read:
+                        step = stride = stride // len(block)
+                    spread = [r + s * step for r in spread for s in range(len(block))]
+            for i, (d, column) in zip(group, program._columns(scale, columns)):
+                dense = [d] * len(rows)
+                for r, v in column.items():
+                    dense[r] = v
+                self.numerators[i] = dense if spread is None else [dense[r] for r in spread]
         exact = {v: Fraction(v, scale) for column in self.numerators for v in set(column)}
         self.rows = [[exact[v] for v in column] for column in self.numerators]
-        self.scale, self.blocks, end, stride = scale, [], 0, len(rows)
-        for block in blocks:
-            start, end, stride = end, end + len(block[0]), stride // len(block)
-            self.blocks.append((start, end, {tuple(pairs(t)): s for s, t in enumerate(block)},
-                                stride))
+        self.scale, self.blocks, stride = scale, [], size
+        for span, block in zip(spans, blocks):
+            stride //= len(block)
+            self.blocks.append((span.start, span.stop,
+                                {tuple(pairs(t)): s for s, t in enumerate(block)}, stride))
 
     @cached_property
     def _reads(self) -> list[int]:

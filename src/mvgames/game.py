@@ -254,11 +254,16 @@ def json_array(value, what: str, depth: int = 1) -> list:
 
 
 def game_to_json(game: StrategicGame) -> dict:
+    # Each payoff object is formatted once, keyed by identity: hashing a
+    # `Fraction` costs about what formatting it does, and the games built here
+    # share one object per distinct value (`game_from_json` parses each
+    # literal once, a filled payoff table converts each value once).
+    values = {id(v): v for row in game.payoffs.values() for v in row}
+    text = {key: format_rational(v) for key, v in values.items()}
     return {
         "players": game.n_players,
         "strategies": [list(names) for names in game.strategy_names],
-        "payoffs": [[format_rational(v) for v in game.payoffs[p]]
-                    for p in game.profiles()],
+        "payoffs": [[text[id(v)] for v in game.payoffs[p]] for p in game.profiles()],
     }
 
 

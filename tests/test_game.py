@@ -16,6 +16,7 @@ from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Var,
                      catalog_lookup, classify, dirac, logical_to_strategic,
                      love_and_hate, new_technology, parse, payoff, pure_ne_scan,
                      relevant_elements, verify_mixed, vickrey)
+from mvgames.algebra import format_rational
 from mvgames.errors import SemanticError
 from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_json,
                           lgame_from_json, lgame_to_json, load_json, make_game,
@@ -169,6 +170,25 @@ def test_strategic_game_file_round_trip():
     doc = game_to_json(NT.strategic)
     assert doc["players"] == 3
     assert game_from_json(doc) == NT.strategic
+
+
+@st.composite
+def strategic_games(draw):
+    """Payoffs from a small pool, some of them equal objects of their own."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+    pool = st.sampled_from(draw(st.lists(values, min_size=1, max_size=6)))
+    copies = st.one_of(pool, pool.map(lambda v: F(v.numerator, v.denominator)))
+    return make_game(counts, lambda profile: [draw(copies) for _ in counts])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(strategic_games())
+def test_game_file_formats_each_payoff_as_its_own_text(game):
+    doc = game_to_json(game)
+    assert doc["payoffs"] == [[format_rational(v) for v in game.payoffs[p]]
+                              for p in game.profiles()]
+    assert game_from_json(doc) == game
 
 
 def test_logical_game_file_round_trip():

@@ -3,14 +3,16 @@ mixed check.
 
 Whichever consumer fills the table first, every answer is the one a fresh
 game gives; a consumer that finds the table full runs no payoff program of
-its own; and the errors are those of the game without a table.  Where each
-payoff formula reads every variable, verify and decide fill the table in
-one column run and read it by row: verify runs no program per profile, and
-decide runs gamma once over all the rows, no program run at all.
+its own; and the errors are those of the game without a table.  Verify and
+decide fill the table by column runs, one per group of payoff formulas that
+read the same players, each over the product of those players' strategies
+alone, and read it by row: verify runs no program per profile, and decide
+runs gamma once over all the rows, no program run at all.
 """
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -82,21 +84,20 @@ def _programs_run(monkeypatch):
     return ran
 
 
-# love_and_hate's phi_i read 2 of 4 variables, so its table does not fill and
-# gamma runs per profile; new_technology's fills, and gamma runs once over it.
-@pytest.mark.parametrize("rep, rows", [(LH44.representation, False), (NT.representation, True)],
+# love_and_hate's phi_i read 2 of 4 players' variables, so its table fills by
+# groups; new_technology's phi_i read every variable, so it fills in one run.
+# Either way gamma runs once over the rows.
+@pytest.mark.parametrize("rep", [LH44.representation, NT.representation],
                          ids=["love_and_hate", "new_technology"])
-def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep, rows):
+def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
     rep = dataclasses.replace(rep, target=_fresh(rep.target))
     assert verify_representation(rep).ok
     enc = build_encoding(rep.target)
     ran = _programs_run(monkeypatch)
     decide_pure_ne(rep.target, enc)
-    assert (rep.target.payoff_table.rows is not None) == rows
-    if rows:    # no payoff program and no `Program.run`: one pass over the rows
-        assert ran == [] and enc.gamma_program._gathers[1]
-    else:
-        assert ran and all(program is enc.gamma_program for program in ran)
+    assert rep.target.payoff_table.rows is not None
+    # No payoff program and no `Program.run`: one pass over the rows.
+    assert ran == [] and enc.gamma_program._gathers[1]
 
 
 def test_cold_decide_runs_each_payoff_once_per_own_input(monkeypatch):
@@ -150,11 +151,31 @@ def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
     assert enc.gamma_program._gathers[1]
 
 
-def test_formulas_reading_some_variables_stay_on_the_per_profile_path(monkeypatch):
+def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
+    # phi_i of love_and_hate(4, 4) reads players i and i + 1 (mod 4): four
+    # groups of one formula, each run on columns over 5 x 5 = 25 rows.
     rep = dataclasses.replace(LH44.representation, target=_fresh(LH44.representation.target))
-    ran = _programs_run(monkeypatch)
+    ran, columns = _programs_run(monkeypatch), []
+    run_columns = Program._columns
+
+    def spy(self, scale, inputs):
+        columns.append((self, inputs))
+        return run_columns(self, scale, inputs)
+
+    monkeypatch.setattr(Program, "_columns", spy)
     assert verify_representation(rep).ok
-    assert rep.target.payoff_table.program in ran and rep.target.payoff_table.memo == {}
+    table = rep.target.payoff_table
+    assert table.rows is not None and len(table.rows[0]) == 5 ** 4
+    assert ran == [] and table.memo == {}
+    assert [len(program._roots) for program, _ in columns] == [1] * 4
+    for _, inputs in columns:   # two variables, each 5 values on 5 of 25 rows
+        assert len(inputs) == 2
+        for _, exceptions in inputs:
+            assert len(exceptions) == 20 and max(exceptions) == 24
+            assert sorted(Counter(exceptions.values()).values()) == [5] * 4
+    enc = build_encoding(rep.target)
+    decide_pure_ne(rep.target, enc)
+    assert ran == [] and enc.gamma_program._gathers[1] and table.memo == {}
 
 
 def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
