@@ -35,30 +35,38 @@ from .formula import Const, Formula, Var, app, oplus_all
 
 def pseudo_char(alg: Algebra, a: Fraction, variable: str = "x") -> Formula:
     """One-variable formula whose value is 1 iff the variable equals `a`."""
-    a = Fraction(a)
-    if not alg.contains(a):
-        raise SemanticError(f"{a} is not in the domain of {alg.id}")
-    v = Var(variable)
-    if a == ONE:
-        return v
-    if a == ZERO and "imp" in alg.ops:
-        return app("neg", v)  # evaluates as v -> 0 where negation is derived
-    if alg.has_constant(a):
-        bar = Const(a)
-        return app("and", app("imp", v, bar), app("imp", bar, v))
-    if alg.family == "mv":
-        m, n = a.numerator, a.denominator
-        return oplus_all([mcnaughton_hat(m, n, variable)] * n)
-    raise SemanticError(f"no pseudo-characteristic formula for {a} in {alg.id}")
+    return _chi_rule(alg, Fraction(a))(variable)
 
 
 def has_pseudo_char(alg: Algebra, a: Fraction) -> bool:
-    """Does some one-variable formula pin the value `a` (see `pseudo_char`)?"""
+    """Does some one-variable formula pin the value `a` (see `pseudo_char`)?
+    Decided by the rule alone; no formula is built."""
     try:
-        pseudo_char(alg, a)
+        _chi_rule(alg, Fraction(a))
     except SemanticError:
         return False
     return True
+
+
+def _chi_rule(alg: Algebra, a: Fraction):
+    """The rule `pseudo_char` builds chi_a by, as a function of the
+    variable's name; raises where no rule pins `a`."""
+    if not alg.contains(a):
+        raise SemanticError(f"{a} is not in the domain of {alg.id}")
+    if a == ONE:
+        return Var
+    if a == ZERO and "imp" in alg.ops:
+        # Evaluates as v -> 0 where negation is derived.
+        return lambda variable: app("neg", Var(variable))
+    if alg.has_constant(a):
+        def chi(variable):
+            v, bar = Var(variable), Const(a)
+            return app("and", app("imp", v, bar), app("imp", bar, v))
+        return chi
+    if alg.family == "mv":
+        m, n = a.numerator, a.denominator
+        return lambda variable: oplus_all([mcnaughton_hat(m, n, variable)] * n)
+    raise SemanticError(f"no pseudo-characteristic formula for {a} in {alg.id}")
 
 
 @lru_cache(maxsize=None)

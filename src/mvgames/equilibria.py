@@ -37,7 +37,8 @@ from . import formula as fm
 from .algebra import ONE, Algebra, catalog_lookup, format_rational, is_subreduct
 from .chars import pseudo_char
 from .errors import SemanticError
-from .game import LogicalGame, MixedProfile, ValueTuple, classify, relevant_elements
+from .game import (GameFlags, LogicalGame, MixedProfile, ValueTuple, classify,
+                   relevant_elements)
 from .formula import App, Const, Subst, Var, conj_all, disj_all, odot_all, oplus_all
 
 
@@ -97,10 +98,10 @@ def _membership(lg: LogicalGame) -> fm.Formula:
                     for profile in lg.profiles())
 
 
-def _build_pure(lg: LogicalGame, full: Optional[bool], weak: bool) -> PureNEEncoding:
+def _build_pure(lg: LogicalGame, flags: GameFlags, weak: bool) -> PureNEEncoding:
     """Gamma, plugging in for each relevant element a its truth constant, or
     on the weak route a fresh q_a pinned to a by a chi block."""
-    relevant, taken = relevant_elements(lg), set(lg.all_variables)
+    relevant, taken = flags.relevant, set(lg.all_variables)
     aux_q = {a: _fresh(f"q_{a.numerator}_{a.denominator}", taken)
              for a in relevant} if weak else {}
     gamma = conj_all(_gamma_conjuncts(
@@ -108,30 +109,34 @@ def _build_pure(lg: LogicalGame, full: Optional[bool], weak: bool) -> PureNEEnco
     if weak:
         chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a]) for a in relevant)
         gamma = App("and", (chi_block, gamma))
-    return PureNEEncoding(lg, gamma, full, aux_q,
+    return PureNEEncoding(lg, gamma, flags.full, aux_q,
                           "WEAKLY_EXPRESSIBLE" if weak else "EXPRESSIBLE")
 
 
-def build_gamma(lg: LogicalGame) -> PureNEEncoding:
-    """Constant-substitution encoding; needs a truth constant per relevant element."""
-    flags = classify(lg)
+def build_gamma(lg: LogicalGame, flags: Optional[GameFlags] = None) -> PureNEEncoding:
+    """Constant-substitution encoding; needs a truth constant per relevant
+    element.  `flags` is `classify(lg)`, where the caller has it."""
+    flags = classify(lg) if flags is None else flags
     if not flags.expressible:
         raise SemanticError(
             f"game over {lg.algebra.id} is not expressible; use build_gamma_weak")
-    return _build_pure(lg, flags.full, weak=False)
+    return _build_pure(lg, flags, weak=False)
 
 
-def build_gamma_weak(lg: LogicalGame) -> PureNEEncoding:
-    """Auxiliary-variable encoding; q_a variables play the role of constants."""
-    flags = classify(lg)
+def build_gamma_weak(lg: LogicalGame, flags: Optional[GameFlags] = None) -> PureNEEncoding:
+    """Auxiliary-variable encoding; q_a variables play the role of constants.
+    `flags` is `classify(lg)`, where the caller has it."""
+    flags = classify(lg) if flags is None else flags
     if not flags.weakly_expressible:
         raise SemanticError(f"game over {lg.algebra.id} is not weakly expressible")
-    return _build_pure(lg, flags.full, weak=True)
+    return _build_pure(lg, flags, weak=True)
 
 
 def build_encoding(lg: LogicalGame) -> PureNEEncoding:
-    """Constant route when available, otherwise the auxiliary-variable route."""
-    return build_gamma(lg) if classify(lg).expressible else build_gamma_weak(lg)
+    """Constant route when available, otherwise the auxiliary-variable route;
+    the game is classified once."""
+    flags = classify(lg)
+    return (build_gamma if flags.expressible else build_gamma_weak)(lg, flags)
 
 
 def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:

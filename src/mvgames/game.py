@@ -64,8 +64,11 @@ class StrategicGame:
         return self.payoffs[tuple(profile)][player]
 
     def payoff_values(self) -> tuple[Fraction, ...]:
-        """Sorted distinct payoff values of all players."""
-        return tuple(sorted({v for vec in self.payoffs.values() for v in vec}))
+        """Sorted distinct payoff values of all players.  The payoffs are
+        deduplicated by identity first: games share one object per value,
+        and hashing a `Fraction` costs far more than hashing its id."""
+        objects = {id(v): v for vec in self.payoffs.values() for v in vec}
+        return tuple(sorted(set(objects.values())))
 
 
 def make_game(counts: Sequence[int], payoff_fn, names=None) -> StrategicGame:
@@ -178,6 +181,7 @@ class GameFlags:
     full: Optional[bool]       # None: undecidable over an infinite domain
     expressible: bool
     weakly_expressible: bool
+    relevant: tuple[Fraction, ...]     # `relevant_elements`, which the flags were decided on
 
 
 def classify(lg: LogicalGame) -> GameFlags:
@@ -190,7 +194,7 @@ def classify(lg: LogicalGame) -> GameFlags:
                    for block, vs in zip(lg.strategies, lg.variables))
     else:
         full = None
-    return GameFlags(full=full, expressible=expressible, weakly_expressible=weakly)
+    return GameFlags(full, expressible, weakly, relevant)
 
 
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:

@@ -37,7 +37,7 @@ from .errors import InputError, SemanticError
 # `payoff` stays a module attribute, where perfbench's tracer wraps it.
 from .game import LogicalGame, StrategicGame, ValueTuple, json_array, payoff  # noqa: F401
 from .game import table_inputs
-from .formula import App, Const, Formula, conj_all, disj_all, pairs
+from .formula import App, Const, conj_all, disj_all, pairs
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ class Representation:
         for i, table in enumerate(self.coding):
             if len(table) != self.source.strategy_counts[i]:
                 raise SemanticError(f"player {i + 1}: coding must cover every strategy")
-            if len(set(table)) != len(table) or set(table) != set(self.target.strategies[i]):
+            codes = set(table)
+            if len(codes) != len(table) or codes != set(self.target.strategies[i]):
                 raise SemanticError(
                     f"player {i + 1}: coding must be a bijection onto the target strategies")
 
@@ -135,18 +136,26 @@ class VerificationReport:
 def verify_representation(rep: Representation) -> VerificationReport:
     """Exhaustively check f_i(s) = g(phi_i(c(s))) over all profiles and players.
 
-    g is applied once per distinct phi value."""
+    g is applied once per distinct phi value, and a cell whose phi value and
+    payoff object passed together before passes at once.  A filled table
+    gives phi as an integer numerator and games share one payoff object per
+    value, so no cell of a filled check hashes or compares a `Fraction`."""
     affine = rep.is_affine()
+    scale, cells = _phis(rep)
     g_at: dict = {}
-    for profile, phis in _phis(rep):
+    passed: dict = {}   # (phi, id(f)) -> f per pair found equal; holding f keeps its id unique
+    for profile, phis in cells:
         if isinstance(phis, SemanticError):
             return VerificationReport(False, affine, (profile, None, None, None),
                                       f"profile {profile}: {phis}")
         for i, (phi, expected) in enumerate(zip(phis, rep.source.payoffs[profile])):
+            key = (phi, id(expected))
+            if key in passed:
+                continue
             actual = g_at.get(phi)
             if actual is None:
                 try:
-                    actual = g_at[phi] = rep.g(phi)
+                    actual = g_at[phi] = rep.g(phi if scale is None else Fraction(phi, scale))
                 except SemanticError as exc:
                     return VerificationReport(False, affine, (profile, i, expected, None),
                                               f"profile {profile}, player {i + 1}: {exc}")
@@ -155,14 +164,16 @@ def verify_representation(rep: Representation) -> VerificationReport:
                     False, affine, (profile, i, expected, actual),
                     f"profile {profile}, player {i + 1}: "
                     f"g(phi) = {actual} but f = {expected}")
+            passed[key] = expected
     return VerificationReport(True, affine)
 
 
 def _phis(rep: Representation):
-    """Each source profile with the target's payoff values at its code, or
-    the error reading them raises.  A filled table is read at the row of
-    each profile, the sum of each code's index times its block's stride;
-    otherwise each source strategy's part of the table key and its value
+    """The scale of the target's payoff values (None: `Fraction`s) and each
+    source profile with those values at its code, or the error reading them
+    raises.  A filled table gives numerators over its scale, read at the row
+    of each profile: the sum of each code's index times its block's stride.
+    Otherwise each source strategy's part of the table key and its value
     tuple are looked up once, and the table is read once per profile."""
     table = rep.target.payoff_table
     table.fill(rep.target.strategies)
@@ -170,15 +181,17 @@ def _phis(rep: Representation):
         offsets = [[index[tuple(pairs(tup))] * stride for tup in coding]
                    for coding, (_, _, index, stride) in zip(rep.coding, table.blocks)]
         rows = [sum(row) for row in product(*offsets)]
-        yield from zip(rep.source.profiles(),
-                       zip(*([values[r] for r in rows] for values in table.rows)))
-        return
+        return table.scale, zip(rep.source.profiles(), zip(
+            *([column[r] for r in rows] for column in table.numerators)))
     parts = [[(pairs(tup), tup) for tup in coding] for coding in rep.coding]
-    for profile, key, values in table_inputs(parts, rep.source.profiles()):
-        try:
-            yield profile, table.at(key, values)
-        except SemanticError as exc:
-            yield profile, exc
+
+    def read():
+        for profile, key, values in table_inputs(parts, rep.source.profiles()):
+            try:
+                yield profile, table.at(key, values)
+            except SemanticError as exc:
+                yield profile, exc
+    return None, read()
 
 
 # --- the construction ---------------------------------------------------------
@@ -221,15 +234,19 @@ def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
     base = len(elements)
     variables = tuple(tuple(f"v{i + 1}_{j + 1}" for j in range(width))
                       for i, width in enumerate(widths))
-    coding = tuple(
-        tuple(tuple(elements[d] for d in _digits(s, base, widths[i])) for s in range(count))
-        for i, count in enumerate(game.strategy_counts))
-    needed = sorted({x for block in coding for tup in block for x in tup})
-    delta_at = {(name, x): characteristic(alg, x, name)
-                for block in variables for name in block for x in needed}
-    conjuncts = [(profile, conj_all(delta_at[name, value]
-                                    for block, s, table in zip(variables, profile, coding)
-                                    for name, value in zip(block, table[s])))
+    digits = [[_digits(s, base, widths[i]) for s in range(count)]
+              for i, count in enumerate(game.strategy_counts)]
+    coding = tuple(tuple(tuple(elements[d] for d in tup) for tup in block) for block in digits)
+    # Keyed on digits, not on their elements: an int hashes at no cost.  In
+    # the elements' order, so an error names the least element lacking a formula.
+    needed = sorted({d for block in digits for tup in block for d in tup},
+                    key=elements.__getitem__)
+    delta_at = {(name, d): characteristic(alg, elements[d], name)
+                for block in variables for name in block for d in needed}
+    parts = [[[delta_at[name, d] for name, d in zip(block, tup)] for tup in block_digits]
+             for block, block_digits in zip(variables, digits)]
+    conjuncts = [(profile, conj_all(delta for part, s in zip(parts, profile)
+                                    for delta in part[s]))
                  for profile in game.profiles()]
     formulas = []
     for i in range(game.n_players):
@@ -240,10 +257,31 @@ def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
 
 
 def _binary_on_algebra(game, alg, elements, widths, a, b) -> Representation:
-    """phi_i is the disjunction of the conjuncts of the profiles paying i b."""
-    return _dnf_game(game, alg, elements, widths, Affine(b - a, a),
-                     lambda i, profile, conjunct:
-                     conjunct if game.payoff(profile, i) == b else None)
+    """phi_i is the disjunction of the conjuncts of the profiles paying i b.
+    A payoff is told apart by identity first: a game's payoffs are mostly
+    the very objects a and b."""
+    def pays_b(i, profile, conjunct):
+        y = game.payoffs[profile][i]
+        return conjunct if y is b or (y is not a and y == b) else None
+    return _dnf_game(game, alg, elements, widths, Affine(b - a, a), pays_b)
+
+
+def _by_payoff(build):
+    """`build(context, y)` for a payoff y, memoized on (context, y) and looked
+    up first by (context, id(y)): games share one object per payoff value,
+    and an int hashes far cheaper than a `Fraction`.  Equal payoffs that are
+    distinct objects still get one result."""
+    at_value, at_id = {}, {}
+
+    def lookup(context, y):
+        found = at_id.get((context, id(y)))
+        if found is None:
+            found = at_value.get((context, y))
+            if found is None:
+                found = at_value[context, y] = build(context, y)
+            at_id[context, id(y)] = found
+        return found
+    return lookup
 
 
 def _basic_game(game, alg, anchors, g, value_formula=None) -> Representation:
@@ -251,10 +289,10 @@ def _basic_game(game, alg, anchors, g, value_formula=None) -> Representation:
     over profiles of (value_formula(i, profile) /\\ conjunct), by default
     the constant g^-1(f_i(profile)), one node per payoff value."""
     if value_formula is None:
-        const_at = {y: Const(g.inverse(y)) for y in game.payoff_values()}
+        const_at = _by_payoff(lambda _, y: Const(g.inverse(y)))
 
         def value_formula(i, profile):
-            return const_at[game.payoff(profile, i)]
+            return const_at(None, game.payoffs[profile][i])
     return _dnf_game(game, alg, anchors, [1] * game.n_players, g,
                      lambda i, profile, conjunct:
                      App("and", (value_formula(i, profile), conjunct)))
@@ -349,16 +387,13 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
     elif m < bound:
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
     g = Affine(Fraction(m, q), values[0])
-    zeta_at: dict[tuple, Formula] = {}   # shared across disjuncts
     target_at = {y: g.inverse(y) for y in values}
+    # One gadget per (player, own strategy, payoff value), shared across disjuncts.
+    zeta_at = _by_payoff(lambda own, y: zeta(m, Fraction(own[1] + 1, m), target_at[y],
+                                             f"v{own[0] + 1}_1"))   # i's one variable
 
     def value_formula(i, profile):
-        y = game.payoff(profile, i)
-        key = (i, profile[i], y)
-        if key not in zeta_at:
-            zeta_at[key] = zeta(m, Fraction(profile[i] + 1, m), target_at[y],
-                                f"v{i + 1}_1")   # i's one variable
-        return zeta_at[key]
+        return zeta_at((i, profile[i]), game.payoffs[profile][i])
 
     return _basic_game(game, catalog_lookup("L_n", m),
                        [Fraction(s + 1, m) for s in range(m - 1)], g, value_formula)

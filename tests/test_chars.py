@@ -8,6 +8,8 @@ import pytest
 
 from mvgames import (Var, catalog_lookup, characteristic, evaluate,
                      mcnaughton_hat, pseudo_char, zeta)
+from mvgames import chars
+from mvgames.chars import has_pseudo_char
 from mvgames.errors import SemanticError
 from _pl import pl_eval, pl_of_formula, pl_peaks_exactly_at
 from conftest import random_formula
@@ -42,6 +44,20 @@ def test_pseudo_char_at_one_is_trivial():
     for k in range(0, 33):
         x = F(k, 32)
         assert (evaluate(chi, STD_L, {"x": x}) == 1) == (x == 1)
+
+
+def test_has_pseudo_char_builds_no_gadget(monkeypatch):
+    # The rule decides; only pseudo_char builds the formula it names.
+    def no_build(*args):
+        raise AssertionError("a gadget was built")
+
+    monkeypatch.setattr(chars, "mcnaughton_hat", no_build)
+    monkeypatch.setattr(chars, "app", no_build)
+    lm = catalog_lookup("L_4")
+    assert [has_pseudo_char(lm, F(k, 4)) for k in range(5)] == [True] * 5
+    assert not has_pseudo_char(lm, F(1, 3))
+    assert [has_pseudo_char(catalog_lookup("G_4"), F(k, 4)) for k in range(5)] == \
+        [True, False, False, False, True]
 
 
 def test_pseudo_char_unsupported():

@@ -74,6 +74,27 @@ def test_gamma_requires_expressibility():
         build_gamma(LH.logical)          # L_4 has no inner constants
 
 
+def test_build_encoding_classifies_once(monkeypatch):
+    # The flags and relevant elements are found once and passed down; the
+    # public builders still check them, with the same texts.
+    calls = []
+
+    def counting(lg):
+        calls.append(lg)
+        return classify(lg)
+
+    monkeypatch.setattr(equilibria, "classify", counting)
+    for lg, variant in ((NT.logical, "EXPRESSIBLE"), (LH.logical, "WEAKLY_EXPRESSIBLE")):
+        calls.clear()
+        assert build_encoding(lg).variant == variant and calls == [lg]
+    with pytest.raises(SemanticError, match="is not expressible; use build_gamma_weak"):
+        build_gamma(LH.logical)
+    godel = LogicalGame(catalog_lookup("G_4"), (("v1",), ("v2",)),
+                        (((F(1, 2),), (F(1),)), ((F(1),),)), (parse("v1"), parse("v2")))
+    with pytest.raises(SemanticError, match="game over G_4 is not weakly expressible"):
+        build_encoding(godel)
+
+
 def test_gamma_weak_love_and_hate_matches_oracle():
     enc = build_gamma_weak(LH.logical)
     assert enc.variant == "WEAKLY_EXPRESSIBLE"

@@ -5,11 +5,13 @@ reads, the only exceptions that may escape are InputError (malformed input,
 CLI exit 2) and SemanticError (well-formed but meaningless, exit 3).
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgames import matching_pennies, parse, represent_binary_boolean
 from mvgames.errors import InputError, SemanticError
+from mvgames.formula import ParseError
 from mvgames.game import game_from_json, lgame_from_json, profile_from_json
 from mvgames.represent import representation_from_json
 
@@ -110,3 +112,45 @@ def test_representation_from_json(doc):
 @given(st.text() | st.text(alphabet="vwxD01c()/\\-><=~&+*, 23\n", max_size=40))
 def test_parse(text):
     _only_contract_errors(parse, text)
+
+
+# Malformed texts and the error each raises: message, line, column, offset.
+MALFORMED = [
+    ('', "expected a formula, found 'end of input' (line 1, column 1)", 1, 1, 0),
+    ('   ', "expected a formula, found 'end of input' (line 1, column 4)", 1, 4, 3),
+    ('v1 #', "unexpected character '#' (line 1, column 4)", 1, 4, 3),
+    ('(v1 /\\ v2', "expected ')' (line 1, column 10)", 1, 10, 9),
+    ('v1 /\\', "expected a formula, found 'end of input' (line 1, column 6)", 1, 6, 5),
+    ('v1 v2', "trailing input 'v2' (line 1, column 4)", 1, 4, 3),
+    (')', "expected a formula, found ')' (line 1, column 1)", 1, 1, 0),
+    ('2', 'bare number 2: write c(2/n) (line 1, column 1)', 1, 1, 0),
+    ('v1 -> 12', 'bare number 12: write c(12/n) (line 1, column 7)', 1, 7, 6),
+    ('c(3/2)', 'constant c(3/2) not a rational in [0,1] (line 1, column 1)', 1, 1, 0),
+    ('c(1/0)', 'constant c(1/0) not a rational in [0,1] (line 1, column 1)', 1, 1, 0),
+    ('c(-1/2)', 'constant c(-1/2) not a rational in [0,1] (line 1, column 1)', 1, 1, 0),
+    ('c(\n1/2)\n/\\ #', "unexpected character '#' (line 3, column 4)", 3, 4, 11),
+    ('~', "expected a formula, found 'end of input' (line 1, column 2)", 1, 2, 1),
+    ('D', "expected a formula, found 'end of input' (line 1, column 2)", 1, 2, 1),
+    ('D(', "expected a formula, found 'end of input' (line 1, column 3)", 1, 3, 2),
+    ('v /\\ /\\ w', "expected a formula, found '/\\\\' (line 1, column 6)", 1, 6, 5),
+    ('((v)', "expected ')' (line 1, column 5)", 1, 5, 4),
+    ('c(1/2', "unexpected character '/' (line 1, column 4)", 1, 4, 3),
+    ('v\r\n\t@', "unexpected character '@' (line 2, column 2)", 2, 2, 4),
+    ('a \\/ b ->', "expected a formula, found 'end of input' (line 1, column 10)", 1, 10, 9),
+    ('x_1 * 0 + 1 - 7', 'bare number 7: write c(7/n) (line 1, column 15)', 1, 15, 14),
+    ('\n\n  $x', "unexpected character '$' (line 3, column 3)", 3, 3, 4),
+    ('D D D', "expected a formula, found 'end of input' (line 1, column 6)", 1, 6, 5),
+    ('c( 1 / 3 ) & c(4/3)', 'constant c(4/3) not a rational in [0,1] (line 1, column 14)', 1, 14, 13),
+    ('v1 =>', "expected a formula, found 'end of input' (line 1, column 6)", 1, 6, 5),
+    ('(((((v', "expected ')' (line 1, column 7)", 1, 7, 6),
+    ('v)))', "trailing input ')' (line 1, column 2)", 1, 2, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column, offset", MALFORMED)
+def test_parse_errors_are_pinned(text, message, line, column, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    error = info.value
+    assert (str(error), error.line, error.column, error.offset) == \
+        (message, line, column, offset)

@@ -1,23 +1,27 @@
 """Representation constructors and exhaustive verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Var,
                      catalog_lookup, find_mixed_2p, logical_to_strategic,
                      matching_pennies, new_technology, payoff, pure_ne_scan,
                      verify_mixed, verify_representation)
+from mvgames.algebra import format_rational
 from mvgames.errors import SemanticError
-from mvgames.game import make_game
+from mvgames.game import game_from_json, make_game
 from mvgames.represent import (Affine, Representation, Table, VerificationReport,
                                represent_binary_boolean, represent_binary_chain,
                                represent_binary_general, represent_general,
                                represent_rational_gmc_delta, represent_rational_lm,
                                represent_rational_qg_delta,
                                representation_from_json, representation_to_json)
-from conftest import random_binary_game, random_rational_game
+from conftest import PAYOFF_POOL, random_binary_game, random_rational_game
 
 F = Fraction
 MP = matching_pennies().strategic
@@ -169,6 +173,81 @@ def test_verify_matches_reference_when_a_payoff_formula_fails_to_compile():
             return Representation(game, target, (strategies, strategies), Affine(F(1), F(0)))
         report = _same_report(make)
         assert not report.ok and report.counterexample == ((0, 0), None, None, None)
+
+
+def _payoff_literal(v: Fraction, doubled: bool) -> str:
+    """`v` as a payoff literal, in lowest terms or with both terms doubled."""
+    return f"{2 * v.numerator}/{2 * v.denominator}" if doubled else format_rational(v)
+
+
+_L5C = catalog_lookup("L_n_C", 5)
+DRAWN_METHODS = {
+    "vi": represent_rational_qg_delta,
+    "vi_gmc": represent_rational_gmc_delta,
+    "vi_lm": represent_rational_lm,
+    "vii": lambda game: represent_general(game, _L5C, [F(k, 5) for k in range(4)],
+                                          [F(k, 5) for k in range(6)]),
+    "ab_i": represent_binary_boolean,
+    "ab_ii": represent_binary_chain,
+    "ab_iii": lambda game: represent_binary_general(game, 2, catalog_lookup("L_n", 2)),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_verify_matches_reference_on_drawn_games(data):
+    # Equal payoffs are one shared object, a `Fraction` built per cell, or
+    # parsed from "1/2" and "2/4" alike; the check keys cells on payoff
+    # objects, so it must report what the per-cell reference reports.
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3), label="counts")
+    counts[0] = max(counts[0], 2)
+    levels = sorted(data.draw(st.lists(st.sampled_from(PAYOFF_POOL), min_size=2, max_size=5,
+                                       unique=True), label="levels"))
+    profiles = list(itertools.product(*map(range, counts)))
+    size = len(profiles) * len(counts)
+    picks = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=size, max_size=size),
+                      label="picks")
+    picks[:2] = [0, len(levels) - 1]       # at least two payoff values
+    objects = data.draw(st.sampled_from(["shared", "per cell", "parsed"]), label="objects")
+    cells = iter(picks)
+    if objects == "parsed":
+        doc = {"players": len(counts),
+               "strategies": [[f"s{k}" for k in range(c)] for c in counts],
+               "payoffs": [[_payoff_literal(levels[next(cells)], data.draw(st.booleans()))
+                            for _ in counts] for _ in profiles]}
+        game = game_from_json(doc)
+    else:
+        def value(v):
+            return v if objects == "shared" else F(v.numerator, v.denominator)
+        game = StrategicGame(tuple(tuple(f"s{k}" for k in range(c)) for c in counts),
+                             {p: tuple(value(levels[next(cells)]) for _ in counts)
+                              for p in profiles})
+    values = game.payoff_values()
+    names = [name for name in sorted(DRAWN_METHODS) if name.startswith("ab") == (len(values) == 2)]
+    method = DRAWN_METHODS[data.draw(st.sampled_from(names), label="method")]
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(profiles),
+                                          st.integers(0, len(counts) - 1),
+                                          st.sampled_from(PAYOFF_POOL + [F(1, 7)])),
+                                max_size=2), label="faults")
+    transform = data.draw(st.sampled_from(["as built", "shifted", "dropped point"]),
+                          label="transform")
+    drop = data.draw(st.integers(0, len(values) - 1), label="drop")
+
+    def make():
+        rep = method(game)
+        g = rep.g
+        if transform == "shifted":
+            g = Affine(g.slope, g.shift + F(1, 2)) if isinstance(g, Affine) else \
+                Table(tuple((x, y + 1) for x, y in g.points))
+        elif transform == "dropped point" and isinstance(g, Table):
+            g = Table(g.points[:drop] + g.points[drop + 1:])
+        fault_at = {(p, i): F(v.numerator, v.denominator) for p, i, v in faults}
+        return _with_payoffs(Representation(game, rep.target, rep.coding, g),
+                             lambda p, row: tuple(fault_at.get((p, i), v)
+                                                  for i, v in enumerate(row)))
+    rep = make()
+    assert verify_representation(rep) == reference_verify_representation(make())
+    assert rep.target.payoff_table.rows is not None
 
 
 def test_matching_pennies_boolean():

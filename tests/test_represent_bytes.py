@@ -18,7 +18,7 @@ import pytest
 from mvgames import App, catalog_lookup, formula
 from mvgames.equilibria import build_encoding, build_gamma_weak, build_mixed_encoding
 from mvgames.formula import to_text
-from mvgames.game import lgame_to_json
+from mvgames.game import StrategicGame, lgame_to_json
 from mvgames.represent import (represent_binary_boolean, represent_binary_chain,
                                represent_binary_general, represent_general,
                                represent_rational_gmc_delta, represent_rational_lm,
@@ -85,23 +85,36 @@ def _disjuncts(phi):
     return [phi] + parts[::-1]
 
 
+def _payoffs_per_cell(game: StrategicGame) -> StrategicGame:
+    """`game` with each payoff its own `Fraction` object, so equal payoffs
+    are no longer one object."""
+    return StrategicGame(game.strategy_names, {
+        profile: tuple(F(v.numerator, v.denominator) for v in row)
+        for profile, row in game.payoffs.items()})
+
+
 @pytest.mark.parametrize("method", ["vi", "vi_gmc", "vi_lm", "vii"])
 def test_basic_games_share_one_value_node_per_payoff(method):
     # Each disjunct is (value /\ conjunct), one per profile.  Equal payoffs
-    # share one value node; vi_lm's zeta gadget reads the player's own
+    # share one value node, whether or not they are one object, and the
+    # emitted bytes are the same; vi_lm's zeta gadget reads the player's own
     # variable, so there a node is per (own strategy, payoff).
     for seed in SEEDS:
-        rep = CONSTRUCTORS[method](*_games(seed))
-        profiles = list(rep.source.profiles())
-        for i, phi in enumerate(rep.target.payoff_formulas):
-            disjuncts = _disjuncts(phi)
-            assert len(disjuncts) == len(profiles)
-            node_at = {}
-            for profile, disjunct in zip(profiles, disjuncts):
-                y = rep.source.payoff(profile, i)
-                key = (profile[i], y) if method == "vi_lm" else y
-                assert node_at.setdefault(key, disjunct.args[0]) is disjunct.args[0]
-            assert len({id(node) for node in node_at.values()}) == len(node_at)
+        binary, rational = _games(seed)
+        shared = CONSTRUCTORS[method](binary, rational)
+        per_cell = CONSTRUCTORS[method](_payoffs_per_cell(binary), _payoffs_per_cell(rational))
+        assert lgame_to_json(per_cell.target) == lgame_to_json(shared.target)
+        for rep in (shared, per_cell):
+            profiles = list(rep.source.profiles())
+            for i, phi in enumerate(rep.target.payoff_formulas):
+                disjuncts = _disjuncts(phi)
+                assert len(disjuncts) == len(profiles)
+                node_at = {}
+                for profile, disjunct in zip(profiles, disjuncts):
+                    y = rep.source.payoff(profile, i)
+                    key = (profile[i], y) if method == "vi_lm" else y
+                    assert node_at.setdefault(key, disjunct.args[0]) is disjunct.args[0]
+                assert len({id(node) for node in node_at.values()}) == len(node_at)
 
 
 # vi_lm is left out: its printed encodings run to megabytes (the printer
