@@ -333,6 +333,9 @@ def main(argv=None) -> int:
     except SemanticError as exc:
         _report(f"error: {exc}")
         return 3
+    except MemoryError:             # an input too large for this machine, not a bug
+        _report("input error: out of memory (input too large)")
+        return 2
     except Exception as exc:
         _report(f"internal error: {type(exc).__name__}: {exc}")
         return 4

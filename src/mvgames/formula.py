@@ -406,24 +406,26 @@ def _text(f: Formula, env: dict[str, str]) -> str:
 # --- semantics ---------------------------------------------------------------
 
 # Identities that hold in every catalog algebra: x op a = a (absorbing a)
-# and x op u = x (unit u), for either argument order.  The ints 0 and 1 take
-# `Fraction.__eq__`'s fast path.
+# and x op u = x (unit u), for either argument order.  Values in lowest
+# terms are compared on their numerators, which costs no `Fraction.__eq__`.
 _ABSORBING = {"and": 0, "or": 1, "and_strong": 0, "oplus": 1, "odot": 0}
 _UNIT = {"and": 1, "or": 0, "and_strong": 1, "oplus": 0, "odot": 1}
 
 
-def _fold_identity(op, args, x, y, one):
-    """The node that `op` applied to nodes `args` with values x, y (None
-    where not constant, exactly one constant) reduces to, or None; `one` is
-    the node of ONE."""
+def _fold_identity(op, a0, a1, x, y, one):
+    """The node that binary `op` applied to nodes a0, a1 with values x, y
+    (None where not constant, exactly one constant) reduces to, or None;
+    `one` is the node of ONE."""
     if op == "imp":
-        return one if (x is not None and x == 0) or (y is not None and y == 1) else None
+        return one if (x is not None and x.numerator == 0) or \
+            (y is not None and y.numerator == y.denominator) else None
     if op not in _UNIT:
         return None
-    value, constant, other = (x, args[0], args[1]) if x is not None else (y, args[1], args[0])
-    if value == _ABSORBING[op]:
+    value, constant, other = (x, a0, a1) if x is not None else (y, a1, a0)
+    n, d = value.numerator, value.denominator
+    if n == _ABSORBING[op] * d:
         return constant
-    if value == _UNIT[op]:
+    if n == _UNIT[op] * d:
         return other
     return None
 
@@ -458,7 +460,9 @@ class Program:
         self.algebra = alg
         ops, fixed = alg.ops, fixed or {}
         known: list = []        # per compiled node: its value if constant, else None
-        shape: list = []        # per node: None, a variable name, (fn or table, args)
+        # per node: None, a variable name, or its instruction (fn or table,
+        # its own index, argument indices[, formula index])
+        shape: list = []
         # Hash-consing: a variable's name, a constant's (numerator,
         # denominator) and a connective's (op, *argument nodes) map to the
         # node they compiled to, folded or not.
@@ -520,53 +524,67 @@ class Program:
                 if fits and all(type(v) is Const for v in inputs):
                     looked[id(served), id(node.bindings)] = values
                 return constant(values[i])
-            return new(None, (served, slots, i))
+            return new(None, (served, len(shape), slots, i))
 
         one = constant(ONE)
-        for f in _post_order(roots):
-            if type(f) is Var:
-                ref[id(f)] = variable(f.name)
+        # Post-order, each node once, arguments left to right: a connective
+        # goes back on the stack under the arguments not compiled yet, and
+        # `ref` is the seen map, since a node pushed twice is popped the
+        # second time only after its first copy has compiled.
+        stack = list(roots)[::-1]
+        pop, push, get = stack.pop, stack.append, ref.get
+        while stack:
+            f = pop()
+            if (fid := id(f)) in ref:
                 continue
-            if type(f) is Const:
-                ref[id(f)] = literal(f.value)
+            kind = type(f)
+            if kind is not App:
+                ref[fid] = variable(f.name) if kind is Var else \
+                    literal(f.value) if kind is Const else call(f)
                 continue
-            if type(f) is Subst:
-                ref[id(f)] = call(f)
+            fargs = f.args
+            a0, a1 = get(id(fargs[0])), get(id(fargs[-1]))
+            if a0 is None or a1 is None:
+                push(f)
+                if a1 is None:
+                    push(fargs[-1])
+                if a0 is None:
+                    push(fargs[0])
                 continue
-            op, fn, fargs = f.op, ops.get(f.op), f.args
-            args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
-                (ref[id(fargs[0])], ref[id(fargs[1])])
+            if len(fargs) == 1:
+                a1 = None
+            op, fn = f.op, ops.get(f.op)
             if fn is None:
                 if op != "neg" or "imp" not in ops:
                     raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
-                op, fn = "imp", ops["imp"]
-                args += (constant(ZERO),)
-            key = (op, *args)
+                op, fn, a1 = "imp", ops["imp"], constant(ZERO)
+            key = (op, a0) if a1 is None else (op, a0, a1)
             index = consed.get(key)
             if index is None:
-                x, y = known[args[0]], known[args[-1]]
+                x = known[a0]
+                y = x if a1 is None else known[a1]
                 if x is not None and y is not None:
-                    index = constant(fn(x, y) if len(args) == 2 else fn(x))
+                    index = constant(fn(x) if a1 is None else fn(x, y))
                 elif x is not None or y is not None:
-                    index = _fold_identity(op, args, x, y, one)
+                    index = _fold_identity(op, a0, a1, x, y, one)
                 if index is None:
-                    index = new(None, (fn, args))
+                    index = len(shape)
+                    known.append(None)
+                    shape.append((fn, index, (a0,) if a1 is None else (a0, a1)))
                 consed[key] = index
-            ref[id(f)] = index
+            ref[fid] = index
         roots = [ref[id(f)] for f in roots]
         live = [False] * len(shape)
         for r in roots:
             live[r] = True
-        for index in range(len(shape) - 1, -1, -1):
-            if live[index] and type(shape[index]) is tuple:
-                for a in shape[index][1]:
+        for what in reversed(shape):
+            if type(what) is tuple and live[what[1]]:
+                for a in what[2]:
                     live[a] = True
         self._slots = known         # constants in place; run fills the rest
         self._variables = [(what, index) for index, what in enumerate(shape)
                            if type(what) is str]
-        # (fn or table, result slot, argument slots[, formula index]), topologically
-        code = [(what[0], index, *what[1:]) for index, what in enumerate(shape)
-                if live[index] and type(what) is tuple]
+        code = [what for what in shape if type(what) is tuple and live[what[1]]]
         self._calls = [i for i in code if type(i[0]) is Table]
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
@@ -574,10 +592,11 @@ class Program:
         # divides `_base`; None keeps the Fraction ops, as a table off one D does.
         self._product = ops.get("odot")
         scales = [c[0].program._scale for c in self._calls]
+        fns = {i[0] for i in self._code}
         self._base = lcm(*(v.denominator for v in known if v is not None), *scales) \
-            if None not in scales and all(i[0] in INTEGER_TWINS or i[0] is self._product
-                                          for i in self._code) else None
-        self._scale = None if any(i[0] is self._product for i in self._code) else self._base
+            if None not in scales and all(fn in INTEGER_TWINS or fn is self._product
+                                          for fn in fns) else None
+        self._scale = None if self._product in fns else self._base
         self._kernel = None     # the last (D, code, constants, calls, root exponents) built
         self._gathers = None    # (table, `over_rows`' reading of the calls on it), made once
 
@@ -643,35 +662,48 @@ class Program:
                   for v in self._slots]
         for (_, index), column in zip(self._variables, inputs):
             values[index] = column
-        last = {a: k for k, (_, _, args) in enumerate(self._code) for a in args}
-        last.update((r, len(self._code)) for r in self._roots)
-        for k, (fn, out, args) in enumerate(self._code):
-            f, (x, xs), (y, ys) = twin[fn], values[args[0]], values[args[-1]]
+        code = self._code
+        last = [-1] * len(values)   # per slot, the last instruction that reads it
+        for k, (_, _, args) in enumerate(code):
+            for a in args:
+                last[a] = k
+        for r in self._roots:
+            last[r] = len(code)
+        for k, (fn, out, args) in enumerate(code):
+            f, a = twin[fn], args[0]
+            x, xs = values[a]
             if len(args) == 1:
                 d = f(x)
-                values[out] = d, {r: v for r, a in xs.items() if (v := f(a)) != d}
-            else:
-                d, cost, rows, kept = f(x, y), len(xs) + len(ys), None, None
-                for default, own, other in ((x, xs, args[1]), (y, ys, args[0])):
-                    if len(own) < cost and default in (absorbing.get(fn), unit.get(fn)):
-                        cost, rows = len(own), own
-                        kept = other if default == unit.get(fn) else None
-                if kept is None:
-                    rows = xs.keys() | ys.keys() if rows is None else rows
-                    values[out] = d, {r: v for r in rows
-                                      if (v := f(xs.get(r, x), ys.get(r, y))) != d}
-                else:   # d is the kept side's default
-                    column = values[kept][1]
-                    if last[kept] != k or args[0] == args[1]:
-                        column = dict(column)
-                    for r in rows:
-                        v = column[r] = f(xs.get(r, x), ys.get(r, y))
-                        if v == d:
-                            del column[r]
-                    values[out] = d, column
-            for a in args:
+                values[out] = d, {r: v for r, u in xs.items() if (v := f(u)) != d}
                 if last[a] == k:
                     values[a] = None
+                continue
+            b = args[1]
+            y, ys = values[b]
+            d, zero, one = f(x, y), absorbing.get(fn), unit.get(fn)
+            rows = kept = None
+            if ys and (x == zero or x == one):
+                rows, kept = xs, b if x == one else None
+            if len(ys) < (len(xs) if rows is not None else len(xs) + len(ys)) \
+                    and (y == zero or y == one):
+                rows, kept = ys, a if y == one else None
+            if kept is None:
+                rows = xs.keys() | ys.keys() if rows is None else rows
+                values[out] = d, {r: v for r in rows
+                                  if (v := f(xs.get(r, x), ys.get(r, y))) != d}
+            else:   # d is the kept side's default
+                column = values[kept][1]
+                if last[kept] != k or a == b:
+                    column = dict(column)
+                for r in rows:
+                    v = column[r] = f(xs.get(r, x), ys.get(r, y))
+                    if v == d:
+                        del column[r]
+                values[out] = d, column
+            if last[a] == k:
+                values[a] = None
+            if last[b] == k:
+                values[b] = None
         return [values[r] for r in self._roots]
 
     def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
@@ -915,10 +947,23 @@ def free_variables(f: Formula) -> list[str]:
     """Variable names in first-occurrence, left-to-right order; a `Subst` is
     read in place, each bound name of its body giving its binding's names."""
     names: dict[str, None] = {}
-    for node in _post_order([f]):
-        if type(node) is Var:
+    seen: set[int] = set()
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:    # pre-order, arguments left to right, each node once
+        node = pop()
+        kind = type(node)
+        if kind is App:
+            if id(node) not in seen:
+                seen.add(id(node))
+                args = node.args
+                if len(args) == 2:
+                    push(args[1])
+                push(args[0])
+        elif kind is Var:
             names[node.name] = None
-        elif type(node) is Subst:
+        elif kind is Subst and id(node) not in seen:
+            seen.add(id(node))
             bound = dict(node.bindings)
             for name in free_variables(node.body):
                 names.update(dict.fromkeys(free_variables(bound.get(name, Var(name)))))

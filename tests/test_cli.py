@@ -430,6 +430,19 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: boom"
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    from mvgames import cli
+
+    def huge(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_corpus", huge)
+    code, out, err = run(capsys, "corpus", "love_and_hate", "--n", "12", "--m", "4",
+                         "--out", "unused")
+    assert code == 2 and out == ""
+    assert err == "input error: out of memory (input too large)\n"
+
+
 def test_the_parser_built_once_dispatches_to_a_patched_verb(capsys, monkeypatch):
     from mvgames import cli
 

@@ -184,3 +184,97 @@ def test_at_off_the_strategies_runs_the_program(monkeypatch):
         ran.clear()
         assert table.at(pairs(values), values) == cold.at(pairs(values), values)
         assert ran == [table.program, cold.program]
+
+
+# --- the column run against one run per row -------------------------------------
+# `_columns` computes an op only at the rows its sides allow, and may update
+# a dying argument's column in place; the values must be those of
+# `_execute` run row by row, and a column read again must stay as it was.
+
+def by_rows(program, scale, columns, size):
+    """Each root's value at every row, from one `_execute` per row."""
+    rows = [program._execute(scale, [e.get(r, d) for d, e in columns]) for r in range(size)]
+    return [list(column) for column in zip(*rows)]
+
+
+def by_columns(program, scale, columns, size):
+    """Each root's value at every row, from one `_columns` run on copies of
+    `columns`, which must keep no exception equal to its default."""
+    out = program._columns(scale, [(d, dict(e)) for d, e in columns])
+    assert all(v != d for d, e in out for v in e.values())
+    return [[e.get(r, d) for r in range(size)] for d, e in out]
+
+
+XS, YS = Var("x"), Var("y")
+# Formula over x and y, their columns (default, {row: value}) as numerators
+# over 4 in L_4 on 6 rows, and the variable whose column the root takes over
+# in place; `and` absorbs at 0 and has unit 4.
+SIDES = {
+    "absorbing default on the left": (
+        App("and", (XS, YS)), (0, {1: 4}), (2, {0: 1, 2: 3, 3: 4}), None),
+    "absorbing default on the right": (
+        App("and", (XS, YS)), (2, {0: 1, 2: 3, 3: 4}), (0, {1: 4}), None),
+    "unit default, the kept column dies here": (
+        App("and", (XS, YS)), (4, {1: 2, 5: 3}), (3, {0: 1, 2: 0, 4: 2}), "y"),
+    "unit default, the kept column is read again": (
+        App("or", (App("and", (XS, YS)), YS)), (4, {1: 2}), (3, {0: 1, 2: 0}), None),
+    "x op x, x read again": (
+        App("or", (App("and_strong", (XS, XS)), XS)), (4, {1: 2}), None, None),
+    "a side with no exceptions": (
+        App("and", (XS, YS)), (2, {0: 4, 3: 1}), (4, {}), "x"),
+}
+
+
+@pytest.mark.parametrize("case", SIDES)
+def test_each_side_choice_computes_the_rows_of_one_run_per_row(case):
+    f, x, y, in_place = SIDES[case]
+    program = Program([f], catalog_lookup("L_4"))
+    given = {"x": x, "y": y}
+    columns = [given[name] for name, _ in program._variables]
+    assert by_columns(program, 4, columns, 6) == by_rows(program, 4, columns, 6)
+    inputs = [(d, dict(e)) for d, e in columns]
+    (_, out), = program._columns(4, inputs)
+    assert [name for (name, _), (_, e) in zip(program._variables, inputs) if e is out] == \
+        ([in_place] if in_place else [])
+    if in_place is None:    # no input column changed
+        assert inputs == columns
+
+
+@st.composite
+def column_runs(draw):
+    """A program on one D with no calls, and a column per variable; a
+    variable that is also a root has its column read to the end."""
+    alg = draw(st.sampled_from([a for a in ALGEBRAS if not {"odot", "imp_pi"} & set(a.ops)]))
+    ops = set(alg.ops) | {"neg"}
+    unary = sorted(op for op in ops if op in ("neg", "delta"))
+    binary = sorted(ops - set(unary))
+    over_variables = st.recursive(st.sampled_from([XS, YS, Var("z")]), lambda children: st.one_of(
+        st.tuples(st.sampled_from(binary), children, children).map(
+            lambda t: App(t[0], (t[1], t[2]))),
+        st.tuples(st.sampled_from(unary), children).map(lambda t: App(t[0], (t[1],)))),
+        max_leaves=10)
+    roots = draw(st.lists(over_variables | formulas(alg, ["x", "y", "z"])[0],
+                          min_size=1, max_size=3))
+    roots += draw(st.lists(st.sampled_from([XS, YS]), max_size=2))
+    try:
+        program = Program(roots, alg)
+    except SemanticError:
+        program = None
+    size = draw(st.integers(1, 6))
+    values = st.sampled_from(values_of(alg) + [ZERO, ONE] * 2)
+    columns = [(draw(values), draw(st.dictionaries(st.integers(0, size - 1), values)))
+               for _ in (program._variables if program else ())]
+    return program, size, columns
+
+
+@PROPERTY
+@given(column_runs())
+def test_columns_compute_what_one_run_per_row_computes(case):
+    program, size, columns = case
+    if program is None:
+        return
+    scale = lcm(program._scale, *(v.denominator for d, e in columns for v in (d, *e.values())))
+    columns = [(d.numerator * (scale // d.denominator),
+                {r: n for r, v in e.items() if (n := v.numerator * (scale // v.denominator))
+                 != d.numerator * (scale // d.denominator)}) for d, e in columns]
+    assert by_columns(program, scale, columns, size) == by_rows(program, scale, columns, size)

@@ -10,6 +10,7 @@ on every error.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 from mvgames import (App, Const, Subst, Var, catalog_lookup, evaluate, free_variables,
                      parse, substitute, to_text)
 from mvgames.algebra import INTEGER_TWINS
-from mvgames.equilibria import build_mixed_encoding, check_mixed_ne
+from mvgames.equilibria import build_encoding, build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
-from mvgames.formula import Program
-from mvgames.game import MixedProfile, logical_to_strategic
+from mvgames.formula import _ABSORBING, _UNIT, Program, Table, _post_order, pairs
+from mvgames.game import MixedProfile, logical_to_strategic, make_game
 from mvgames.oracle import expected_payoffs
-from conftest import random_distribution, random_logical_game
+from mvgames.represent import (represent_rational_gmc_delta, represent_rational_lm,
+                               represent_rational_qg_delta)
+from conftest import random_distribution, random_logical_game, random_rational_game
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -220,6 +223,21 @@ def test_each_identity_folds(op, constant, on_left, result):
     assert program.run(env) == [env["x"] if result is X else result]
 
 
+def test_folding_compares_no_fractions(monkeypatch):
+    # A vi representation of a 7x7 game: its payoff DNF folds constant
+    # arguments thousands of times, each decided on numerators.
+    rng = random.Random(7)
+    levels = [F(j, 4) for j in range(5)]
+    game = make_game((7, 7), lambda profile: [rng.choice(levels) for _ in profile])
+    lg = represent_rational_qg_delta(game).target
+    calls = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+    program = Program(lg.payoff_formulas, lg.algebra)
+    monkeypatch.undo()
+    assert calls == [] and program._code
+
+
 # The error-carrying subterm s sits where folding discards it: s /\ 0,
 # s -> 1 and 0 -> s all fold to a constant without looking at s.
 SHAPES = {
@@ -414,3 +432,217 @@ def test_run_checks_every_assigned_value_on_every_run():
         else:
             assert program.run(env) == expected
     assert raised == 2 * 5
+
+
+# --- the compile against the walk it replaced ------------------------------------
+# `ReferenceProgram` is the compile as it was written over `_post_order`, one
+# generator step per node and a tuple of argument slots per connective.  The
+# inline walk must build the same program from every formula: the same
+# slots in the same order, variables, code, roots, scale and error text.
+
+def reference_fold_identity(op, args, x, y, one):
+    if op == "imp":
+        return one if (x is not None and x == 0) or (y is not None and y == 1) else None
+    if op not in _UNIT:
+        return None
+    value, constant, other = (x, args[0], args[1]) if x is not None else (y, args[1], args[0])
+    if value == _ABSORBING[op]:
+        return constant
+    if value == _UNIT[op]:
+        return other
+    return None
+
+
+class ReferenceProgram(Program):
+    def __init__(self, roots, alg, table=None, fixed=None):
+        self.algebra = alg
+        ops, fixed = alg.ops, fixed or {}
+        known, shape, consed, ref, looked = [], [], {}, {}, {}
+        shared = {} if table is None else {id(f): (table, i) for i, f in enumerate(table.formulas)}
+
+        def new(value, what):
+            known.append(value)
+            shape.append(what)
+            return len(shape) - 1
+
+        def constant(value):
+            key = (value.numerator, value.denominator)
+            index = consed.get(key)
+            if index is None:
+                index = consed[key] = new(value, None)
+            return index
+
+        def literal(value):
+            if not alg.contains(value):
+                raise SemanticError(f"constant {value} outside the domain of {alg.id}")
+            return constant(value)
+
+        def variable(name):
+            index = consed.get(name)
+            if index is None:
+                index = consed[name] = literal(fixed[name]) if name in fixed else new(None, name)
+            return index
+
+        def call(node):
+            served, i = shared.get(id(node.body), (None, 0))
+            values = looked.get((id(served), id(node.bindings)))
+            if values is not None:
+                return constant(values[i])
+            body, bound = node.body, dict(node.bindings)
+            try:
+                if id(body) not in shared:
+                    shared[id(body)] = Table([body], alg), 0
+                served, i = shared[id(body)]
+                inputs = [bound.get(name, Var(name)) for name in served.names]
+                fits = served.program and all(
+                    type(v) is Var and served.algebra is alg
+                    or type(v) is Const and served.algebra.contains(v.value) for v in inputs)
+            except SemanticError:
+                fits = False
+            if not fits:
+                served, i = Table([substitute(node, {})], alg), 0
+                inputs = [Var(name) for name in served.names]
+            slots = tuple(variable(v.name) if type(v) is Var else constant(v.value)
+                          for v in inputs)
+            if all(known[s] is not None for s in slots):
+                values = [known[s] for s in slots]
+                values = served.at(pairs(values), values)
+                if fits and all(type(v) is Const for v in inputs):
+                    looked[id(served), id(node.bindings)] = values
+                return constant(values[i])
+            return new(None, (served, slots, i))
+
+        one = constant(ONE)
+        for f in _post_order(roots):
+            if type(f) is Var:
+                ref[id(f)] = variable(f.name)
+                continue
+            if type(f) is Const:
+                ref[id(f)] = literal(f.value)
+                continue
+            if type(f) is Subst:
+                ref[id(f)] = call(f)
+                continue
+            op, fn, fargs = f.op, ops.get(f.op), f.args
+            args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
+                (ref[id(fargs[0])], ref[id(fargs[1])])
+            if fn is None:
+                if op != "neg" or "imp" not in ops:
+                    raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
+                op, fn = "imp", ops["imp"]
+                args += (constant(ZERO),)
+            key = (op, *args)
+            index = consed.get(key)
+            if index is None:
+                x, y = known[args[0]], known[args[-1]]
+                if x is not None and y is not None:
+                    index = constant(fn(x, y) if len(args) == 2 else fn(x))
+                elif x is not None or y is not None:
+                    index = reference_fold_identity(op, args, x, y, one)
+                if index is None:
+                    index = new(None, (fn, args))
+                consed[key] = index
+            ref[id(f)] = index
+        roots = [ref[id(f)] for f in roots]
+        live = [False] * len(shape)
+        for r in roots:
+            live[r] = True
+        for index in range(len(shape) - 1, -1, -1):
+            if live[index] and type(shape[index]) is tuple:
+                for a in shape[index][1]:
+                    live[a] = True
+        self._slots = known
+        self._variables = [(what, index) for index, what in enumerate(shape)
+                           if type(what) is str]
+        code = [(what[0], index, *what[1:]) for index, what in enumerate(shape)
+                if live[index] and type(what) is tuple]
+        self._calls = [i for i in code if type(i[0]) is Table]
+        self._code = [i for i in code if type(i[0]) is not Table]
+        self._roots = roots
+        self._product = ops.get("odot")
+        scales = [c[0].program._scale for c in self._calls]
+        self._base = lcm(*(v.denominator for v in known if v is not None), *scales) \
+            if None not in scales and all(i[0] in INTEGER_TWINS or i[0] is self._product
+                                          for i in self._code) else None
+        self._scale = None if any(i[0] is self._product for i in self._code) else self._base
+        self._kernel = None
+        self._gathers = None
+
+
+def compiled(make, *args, **kwargs):
+    """What a compile built, tables by their formulas' text, or its error."""
+    try:
+        p = make(*args, **kwargs)
+    except SemanticError as exc:
+        return str(exc)
+    calls = [(tuple(map(to_text, c[0].formulas)), c[0].names, *c[1:]) for c in p._calls]
+    return p._slots, p._variables, p._code, calls, p._roots, p._base, p._scale
+
+
+@st.composite
+def compile_cases(draw):
+    """Substitution cases (shared bodies, constants outside a chain, odot
+    outside most signatures), with ~ (lowered to x -> 0 in a Godel algebra),
+    x op x and a node under two parents; some names fixed to a value."""
+    alg, roots, _ = draw(subst_cases())
+    op = draw(st.sampled_from(sorted(set(alg.ops) - {"neg", "delta"})))
+    s, t = roots[0], roots[-1]
+    roots += [App("neg", (s,)), App(op, (s, s)),
+              App(op, (App(op, (s, t)), App(op, (t, App("neg", (s,))))))]
+    fixed = draw(st.dictionaries(st.sampled_from(NAMES),
+                                 st.sampled_from(values_of(alg) + [F(2, 5)]), max_size=2))
+    return alg, draw(st.permutations(roots)), fixed
+
+
+def reference_free_variables(f, memo=None):
+    """Names in first-occurrence, left-to-right order, by recursion on the
+    literal copy, in which every `Subst` is carried out."""
+    memo = {} if memo is None else memo
+    if id(f) not in memo:
+        if type(f) is Subst:
+            names = reference_free_variables(substitute(f, {}), memo)
+        elif type(f) is App:
+            names = list(dict.fromkeys(n for a in f.args for n in reference_free_variables(a, memo)))
+        else:
+            names = [f.name] if type(f) is Var else []
+        memo[id(f)] = f, names     # holding f keeps its id unique
+    return memo[id(f)][1]
+
+
+@PROPERTY
+@given(compile_cases())
+def test_compile_and_free_variables_match_their_references(case):
+    alg, roots, fixed = case
+    expected = compiled(ReferenceProgram, roots, alg, fixed=fixed)
+    assert compiled(Program, roots, alg, fixed=fixed) == expected
+    for f in roots:
+        assert free_variables(f) == reference_free_variables(f)
+
+
+def test_compile_of_encodings_over_a_payoff_table_is_unchanged(seed):
+    # Gamma on both routes (the weak one fixes each q_a) and the mixed trace,
+    # each reading the game's payoff table.
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(4):
+        lg = random_logical_game(rng)
+        cases.append((lg, [root for _, root in build_mixed_encoding(lg).trace], {}))
+        cases.append((lg, [build_encoding(lg).gamma], {}))
+    for represent in (represent_rational_qg_delta, represent_rational_lm,
+                      represent_rational_gmc_delta):
+        lg = represent(random_rational_game(rng)).target
+        enc = build_encoding(lg)
+        cases.append((lg, [enc.gamma], {name: a for a, name in enc.aux_q.items()}))
+    assert any(fixed for _, _, fixed in cases)
+    for lg, roots, fixed in cases:
+        expected = compiled(ReferenceProgram, roots, lg.algebra, lg.payoff_table, fixed)
+        assert compiled(Program, roots, lg.algebra, lg.payoff_table, fixed) == expected
+
+
+def test_compile_and_free_variables_of_a_100000_deep_chain():
+    f = Var("v0")
+    for k in range(100_000):
+        f = App("neg", (f,)) if k % 2 else App("or", (f, Var(f"v{k % 3}")))
+    alg = catalog_lookup("L_4")
+    assert compiled(Program, [f], alg) == compiled(ReferenceProgram, [f], alg)
+    assert free_variables(f) == ["v0", "v2", "v1"]
