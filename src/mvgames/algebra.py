@@ -203,7 +203,7 @@ class Algebra:
             return True
         if self.constants == "chain":
             return True  # all domain elements have constants
-        return value in (ZERO, ONE)
+        return value.numerator in (0, value.denominator)     # 0 or 1, on integers
 
     def __repr__(self):
         return f"Algebra({self.id})"

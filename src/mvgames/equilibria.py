@@ -150,15 +150,14 @@ def decide_pure_ne(lg: LogicalGame,
     """All gamma-satisfying strategy profiles, plus the SAT verdict.
 
     Enumerating the strategy space is complete: the existence formula's
-    membership disjunct confines satisfying assignments to profiles.  Where
-    the payoff table fills, gamma runs once over all its rows; otherwise
-    once per profile.
+    membership disjunct confines satisfying assignments to profiles.  Gamma
+    runs once over all the rows of the payoff table; an encoding that
+    `over_rows` cannot run, such as a hand-built literal gamma, runs once
+    per profile.
     """
     if enc is None:
         enc = build_encoding(lg)
-    table = enc.game.payoff_table
-    table.fill(enc.game.strategies)
-    rows = enc.gamma_program.over_rows(table)
+    rows = enc.gamma_program.over_rows(enc.game.payoff_table)
     if rows is None:
         found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
     else:

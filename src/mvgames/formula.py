@@ -27,9 +27,10 @@ subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
 An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
-for its literal copy: a program reads the body's value from a `Table`, a memo
-keyed on the body's own variables (Michie, 1968) that runs the body only on a
-miss; the printer prints the body under its bindings' texts.
+for its literal copy: a program reads a payoff formula's value from the
+logical game's payoff `Table`, filled at every profile on its first read, and
+compiles any other `Subst` inline, each bound name as its binding's slot; the
+printer prints the body under its bindings' texts.
 
 A program whose live code does not divide (no `imp_pi`) runs on integers,
 each slot a numerator over a power D^e of one D, e fixed by the program.
@@ -49,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product, repeat
 from math import lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
@@ -439,13 +440,14 @@ class Program:
     signature; subterms with constant arguments are folded, as are the
     identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
     x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
-    have their variables checked by `run`, so folding hides no error.  Each
-    `Subst` reads its body's value from a `Table`, before the instructions
-    and on the caller's D, or folds it: `table` (a logical game's payoff
-    table, whose unbound names become variables here) for its formulas, a
-    table compiled here for other bodies, the literal copy's if neither fits.
-    Constants binding every input read the table once per bindings tuple.
-    A name in `fixed` compiles as its value, checked as a constant is.
+    have their variables checked by `run`, so folding hides no error.  A
+    `Subst` of one of `table`'s formulas (a logical game's payoff table,
+    whose unbound names become variables here) reads its value there,
+    before the instructions and on the caller's D, or folds it where
+    constants bind every input, once per bindings tuple.  Any other `Subst`,
+    or one whose bindings the table cannot take, compiles as its literal
+    copy does, without building it.  A name in `fixed` compiles as its
+    value, checked as a constant is.
 
     Unless `imp_pi` is live, `run` scales constants and assignment to
     numerators over a common denominator D and runs on integers: variables,
@@ -467,10 +469,9 @@ class Program:
         # denominator) and a connective's (op, *argument nodes) map to the
         # node they compiled to, folded or not.
         consed: dict = {}
-        ref: dict[int, int] = {}
-        # id(body) -> (its table, its index there): `table`'s, or one compiled here
-        shared = {} if table is None else {id(f): (table, i) for i, f in enumerate(table.formulas)}
-        # (id(table), id(bindings)) -> the table's values where constants bind every input
+        # id(payoff formula) -> its index in `table`
+        payoffs = {} if table is None else {id(f): i for i, f in enumerate(table.formulas)}
+        # id(bindings) -> the table's values where constants bind every input
         looked: dict = {}
 
         def new(value, what) -> int:
@@ -497,82 +498,113 @@ class Program:
                 index = consed[name] = literal(fixed[name]) if name in fixed else new(None, name)
             return index
 
-        def call(node: Subst) -> int:
-            served, i = shared.get(id(node.body), (None, 0))
-            values = looked.get((id(served), id(node.bindings)))
+        def call(node: Subst) -> Optional[int]:
+            """A call of `table`: its payoff formula's value where the formulas
+            compile and each input is bound to a constant of the table's
+            algebra or, in one algebra, left or bound to a variable; else None."""
+            i = payoffs.get(id(node.body))
+            if i is None:
+                return None
+            values = looked.get(id(node.bindings))
             if values is not None:
                 return constant(values[i])
-            body, bound = node.body, dict(node.bindings)
-            try:    # the table of the body, if it compiles and takes these bindings
-                if id(body) not in shared:
-                    shared[id(body)] = Table([body], alg), 0
-                served, i = shared[id(body)]
-                inputs = [bound.get(name, Var(name)) for name in served.names]
-                fits = served.program and all(
-                    type(v) is Var and served.algebra is alg
-                    or type(v) is Const and served.algebra.contains(v.value) for v in inputs)
-            except SemanticError:
-                fits = False
-            if not fits:    # the literal copy's program raises what the copy raises
-                served, i = Table([substitute(node, {})], alg), 0
-                inputs = [Var(name) for name in served.names]
-            slots = tuple(variable(v.name) if type(v) is Var else constant(v.value)
-                          for v in inputs)
-            if all(known[s] is not None for s in slots):
-                values = [known[s] for s in slots]
-                values = served.at(pairs(values), values)
-                if fits and all(type(v) is Const for v in inputs):
-                    looked[id(served), id(node.bindings)] = values
-                return constant(values[i])
-            return new(None, (served, len(shape), slots, i))
+            try:
+                table.program
+            except SemanticError:   # the copy raises what the copy raises
+                return None
+            bound, same, inputs = dict(node.bindings), table.algebra is alg, []
+            for name in table.names:
+                v = bound.get(name)
+                if v is None and same:
+                    inputs.append(name)
+                elif type(v) is Var and same:
+                    inputs.append(v.name)
+                elif type(v) is Const and table.algebra.contains(v.value):
+                    inputs.append(v.value)
+                else:
+                    return None
+            slots = tuple(variable(v) if type(v) is str else constant(v) for v in inputs)
+            values = [known[s] for s in slots]
+            if any(v is None for v in values):
+                return new(None, (table, len(shape), slots, i))
+            values = looked[id(node.bindings)] = table.at(pairs(values), values)
+            return constant(values[i])
+
+        def lookup(scope, name) -> int:
+            """The slot of `name` in an inline body: its binding's, compiled
+            where the literal copy compiles it, or the enclosing scope's."""
+            while scope[0] is not None:
+                bound, outer, _ = scope
+                binding = bound.get(name)
+                if binding is not None:
+                    return walk([binding], outer)[id(binding)]
+                scope = outer
+            return variable(name)
+
+        def walk(nodes, scope) -> dict:
+            """Compile `nodes` in `scope` = (bound names -> bindings, the
+            enclosing scope, id -> slot in this scope); the roots' scope binds
+            nothing.  A `Subst` there calls `table` if it can, and any other
+            compiles inline: its body in a scope of its own, a bound name
+            compiling its binding, so the program is the literal copy's."""
+            bound, _, ref = scope
+            name = variable if bound is None else partial(lookup, scope)
+            # Post-order, each node once, arguments left to right: a connective
+            # goes back on the stack under the arguments not compiled yet, and
+            # `ref` is the seen map, since a node pushed twice is popped the
+            # second time only after its first copy has compiled.
+            stack = list(nodes)[::-1]
+            pop, push, get = stack.pop, stack.append, ref.get
+            while stack:
+                f = pop()
+                if (fid := id(f)) in ref:
+                    continue
+                kind = type(f)
+                if kind is not App:
+                    if kind is Var:
+                        ref[fid] = name(f.name)
+                    elif kind is Const:
+                        ref[fid] = literal(f.value)
+                    else:
+                        index = call(f) if bound is None else None
+                        ref[fid] = index if index is not None else walk(
+                            [f.body], (dict(f.bindings), scope, {}))[id(f.body)]
+                    continue
+                fargs = f.args
+                a0, a1 = get(id(fargs[0])), get(id(fargs[-1]))
+                if a0 is None or a1 is None:
+                    push(f)
+                    if a1 is None:
+                        push(fargs[-1])
+                    if a0 is None:
+                        push(fargs[0])
+                    continue
+                if len(fargs) == 1:
+                    a1 = None
+                op, fn = f.op, ops.get(f.op)
+                if fn is None:
+                    if op != "neg" or "imp" not in ops:
+                        raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
+                    op, fn, a1 = "imp", ops["imp"], constant(ZERO)
+                key = (op, a0) if a1 is None else (op, a0, a1)
+                index = consed.get(key)
+                if index is None:
+                    x = known[a0]
+                    y = x if a1 is None else known[a1]
+                    if x is not None and y is not None:
+                        index = constant(fn(x) if a1 is None else fn(x, y))
+                    elif x is not None or y is not None:
+                        index = _fold_identity(op, a0, a1, x, y, one)
+                    if index is None:
+                        index = len(shape)
+                        known.append(None)
+                        shape.append((fn, index, (a0,) if a1 is None else (a0, a1)))
+                    consed[key] = index
+                ref[fid] = index
+            return ref
 
         one = constant(ONE)
-        # Post-order, each node once, arguments left to right: a connective
-        # goes back on the stack under the arguments not compiled yet, and
-        # `ref` is the seen map, since a node pushed twice is popped the
-        # second time only after its first copy has compiled.
-        stack = list(roots)[::-1]
-        pop, push, get = stack.pop, stack.append, ref.get
-        while stack:
-            f = pop()
-            if (fid := id(f)) in ref:
-                continue
-            kind = type(f)
-            if kind is not App:
-                ref[fid] = variable(f.name) if kind is Var else \
-                    literal(f.value) if kind is Const else call(f)
-                continue
-            fargs = f.args
-            a0, a1 = get(id(fargs[0])), get(id(fargs[-1]))
-            if a0 is None or a1 is None:
-                push(f)
-                if a1 is None:
-                    push(fargs[-1])
-                if a0 is None:
-                    push(fargs[0])
-                continue
-            if len(fargs) == 1:
-                a1 = None
-            op, fn = f.op, ops.get(f.op)
-            if fn is None:
-                if op != "neg" or "imp" not in ops:
-                    raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
-                op, fn, a1 = "imp", ops["imp"], constant(ZERO)
-            key = (op, a0) if a1 is None else (op, a0, a1)
-            index = consed.get(key)
-            if index is None:
-                x = known[a0]
-                y = x if a1 is None else known[a1]
-                if x is not None and y is not None:
-                    index = constant(fn(x) if a1 is None else fn(x, y))
-                elif x is not None or y is not None:
-                    index = _fold_identity(op, a0, a1, x, y, one)
-                if index is None:
-                    index = len(shape)
-                    known.append(None)
-                    shape.append((fn, index, (a0,) if a1 is None else (a0, a1)))
-                consed[key] = index
-            ref[fid] = index
+        ref = walk(roots, (None, None, {}))
         roots = [ref[id(f)] for f in roots]
         live = [False] * len(shape)
         for r in roots:
@@ -616,21 +648,14 @@ class Program:
             made = {kind: self._op(scale, *kind) for kind in set(kinds)}
             code = [(made[kind], out, args[0], args[-1])
                     for (_, out, args), kind in zip(self._code, kinds)]
-            # (the table's entries over D, its key's slots, result slot, table, ...)
-            calls = [(table.memo.setdefault(scale, [{} for _ in table.formulas])[i],
-                      _picker([args[p] for p in table.positions[i]]), out, table, i, args)
-                     for table, out, args, i in self._calls]
-            kernel = self._kernel = (scale, code, slots, calls, [power[r] for r in self._roots])
+            kernel = self._kernel = (scale, code, slots, self._calls,
+                                     [power[r] for r in self._roots])
         values = list(kernel[2])
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
-        for memo, pick, out, table, i, args in kernel[3]:
-            key = pick(values)
-            value = memo.get(key)
-            if value is None:
-                full = [values[a] for a in args]
-                value = memo[key] = table.at(pairs(full, scale), full, scale)[i]
-            values[out] = value
+        for table, out, args, i in kernel[3]:
+            given = [values[a] for a in args]
+            values[out] = table.at(pairs(given, scale), given, scale)[i]
         for fn, out, a, b in kernel[1]:
             values[out] = fn(values[a], values[b])
         return [values[r] for r in self._roots]
@@ -707,14 +732,14 @@ class Program:
         return [values[r] for r in self._roots]
 
     def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
-        """(D, each root's numerators over D at every row of the filled
-        `table`), from one pass that runs each instruction over whole dense
-        columns; None unless the program runs on one D and every call reads
-        `table` with each block bound to the row's own variables or to the
-        constants of one of its strategies t.  Such a call's column is the
-        formula's, gathered at row r + (t - s(r)) * stride, s(r) the
-        block's strategy at r."""
-        if self._scale is None or table.rows is None:
+        """(D, each root's numerators over D at every row of `table`), from
+        one pass that runs each instruction over whole dense columns; None
+        unless the program runs on one D and every call reads `table` with
+        each block bound to the row's own variables or to the constants of
+        one of its strategies t.  Such a call's column is the formula's,
+        gathered at row r + (t - s(r)) * stride, s(r) the block's strategy
+        at r."""
+        if self._scale is None:
             return None
         if self._gathers is None or self._gathers[0] is not table:
             self._gathers = table, _row_gathers(self, table)
@@ -761,13 +786,9 @@ class Program:
         return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]
 
 
-def _picker(positions: Sequence[int]):
-    return itemgetter(*positions) if positions else lambda values: ()
-
-
 def _row_gathers(program: Program, table: Table):
-    """Per call of `program`, the (stride, count, t) of each block of the
-    filled `table` that it binds to the constants of strategy t, the other
+    """Per call of `program`, the (stride, count, t) of each block of
+    `table` that it binds to the constants of strategy t, the other
     blocks bound to the row's own variables; False if a call does not fit,
     or an instruction reads a variable, which has no column."""
     known, own = program._slots, {index: name for name, index in program._variables}
@@ -781,8 +802,8 @@ def _row_gathers(program: Program, table: Table):
         for start, end, index, stride in table.blocks:
             slots = args[start:end]
             if any(own.get(s) != name for s, name in zip(slots, table.names[start:end])):
-                t = None if None in (known[s] for s in slots) else \
-                    index.get(tuple(pairs(known[s] for s in slots)))
+                values = [known[s] for s in slots]
+                t = None if any(v is None for v in values) else index.get(tuple(pairs(values)))
                 if t is None:
                     return False
                 gathers.append((stride, len(index), t))
@@ -798,138 +819,119 @@ def pairs(values: Iterable, scale=None) -> list[int]:
 
 
 class Table:
-    """Formulas' values in one algebra, memoized per formula on the exact
-    values of its own variables (Michie's memo functions, 1968).  An input
-    gives a value to each of `names`; `inputs[i]` names formula i's
-    variables.  A miss runs the program of all the formulas once and fills
-    every entry.  `memo[D]` indexes numerators over D in front of the exact
-    entries, so a program on the integer kernel hits without a `Fraction`.
-    `fill` computes every input of a product of strategy sets at once and
-    keeps the values by row: `rows[i][r]` is formula i at row r of the
-    product, `numerators[i][r]` its numerator over `scale`, and `blocks`
-    holds each strategy set's (start, end) in `names`, its `pairs` -> index
-    map and its stride, so row r takes strategy (r // stride) % len(map)."""
+    """A logical game's payoff formulas' values at every strategy profile,
+    kept by row and computed on the first read of `rows`, `numerators`,
+    `scale` or `at`.  `names` lists the players' variables, block by block,
+    and `positions[i]` the places there of formula i's variables (`inputs[i]`).
+    `rows[i][r]` is formula i at row r of the product of the strategy sets,
+    `numerators[i][r]` its numerator over `scale`, and `blocks` holds each
+    strategy set's (start, end) in `names`, its `pairs` -> index map and its
+    stride, so row r takes strategy (r // stride) % len(map)."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
-                 names: Optional[Sequence[str]] = None, inputs: Sequence[Sequence[str]] = ()):
-        self.formulas, self.algebra = tuple(formulas), alg
-        if names is None:   # one formula, its variables in the order its program reads them
-            names = [name for name, _ in self.program._variables]
-            inputs = [names]
-        self.names = tuple(names)
+                 variables: Sequence[Sequence[str]],
+                 strategies: Sequence[Sequence[Sequence[Fraction]]],
+                 inputs: Sequence[Sequence[str]]):
+        self.formulas, self.algebra, self.strategies = tuple(formulas), alg, strategies
+        self.names = tuple(name for block in variables for name in block)
         position = {name: k for k, name in enumerate(self.names)}
         self.positions = [[position[name] for name in own] for own in inputs]
-        self._own = [_picker(own) for own in self.positions]
-        self._picks = [_picker([k for p in own for k in (2 * p, 2 * p + 1)])
-                       for own in self.positions]
-        self._exact = [{} for _ in self.formulas]    # per formula: input pairs -> value
-        self.memo: dict = {}    # D (None: Fractions) -> per formula: input -> value over D
-        self.rows: Optional[list[list[Fraction]]] = None    # set by `fill`
+        self.blocks, start, stride = [], 0, prod(map(len, strategies))
+        for block, tuples in zip(variables, strategies):
+            stride //= len(tuples)
+            self.blocks.append((start, start + len(block),
+                                {tuple(pairs(t)): s for s, t in enumerate(tuples)}, stride))
+            start += len(block)
 
     @cached_property
     def program(self) -> Program:
         """All the formulas, compiled on first need."""
         return Program(self.formulas, self.algebra)
 
+    rows = property(lambda self: self._filled[0])
+    numerators = property(lambda self: self._filled[1])
+    scale = property(lambda self: self._filled[2])
+
     def at(self, key: Sequence[int], values: Sequence, scale=None) -> tuple:
         """Every formula's value at an input: `key` its `pairs`, `values` its
         values as numerators over `scale` (Fractions for None), the form the
-        results take.  With a `scale`, a miss runs on the numerators as they
-        are and fills the index `memo[scale]` too.  A filled table reads the
-        row where each block's part of `key` is one of its strategies."""
-        if self.rows is not None:
-            row = 0
-            for start, end, index, stride in self.blocks:
-                s = index.get(tuple(key[2 * start:2 * end]))
-                if s is None:
-                    break
-                row += s * stride
-            else:
-                out = [values[row] for values in self.rows]
-                return tuple(out) if scale is None else \
-                    tuple(v.numerator * (scale // v.denominator) for v in out)
-        out = [memo.get(pick(key)) for memo, pick in zip(self._exact, self._picks)]
-        if None in out:
-            if scale is None:
-                out = self.program.run(dict(zip(self.names, values)))
-            else:
-                out = [Fraction(v, scale) for v in self.program._execute(
-                    scale, [values[k] for k in self._reads])]
-            for memo, pick, value in zip(self._exact, self._picks, out):
-                memo[pick(key)] = value
-        if scale is None:
-            return tuple(out)
-        out = tuple(v.numerator * (scale // v.denominator) for v in out)
-        for memo, pick, value in zip(self.memo[scale], self._own, out):
-            memo[pick(values)] = value
-        return out
+        results take.  An input whose every block is one of that block's
+        strategies reads its row; any other runs `program` once."""
+        rows, row = self.rows, 0
+        for start, end, index, stride in self.blocks:
+            s = index.get(tuple(key[2 * start:2 * end]))
+            if s is None:
+                exact = values if scale is None else [Fraction(v, scale) for v in values]
+                out = self.program.run(dict(zip(self.names, exact)))
+                break
+            row += s * stride
+        else:
+            out = [column[row] for column in rows]
+        return tuple(out) if scale is None else \
+            tuple(v.numerator * (scale // v.denominator) for v in out)
 
-    def fill(self, blocks: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-        """Fill an empty table at each row of the product of `blocks` (`names`
-        lists their variables), over the least scale of the programs and the
-        tuples.  The formulas that read the variables of the same blocks
-        form a group, and its program runs once on columns over the product
-        of those blocks alone; each row of the whole product reads the row
+    @cached_property
+    def _filled(self) -> tuple:
+        """(rows, numerators, scale), over the least scale of the programs,
+        the strategies and the values.  `program` compiles first, so a
+        formula that does not compile raises what compiling every formula in
+        order raises.  The formulas that read the variables of the same
+        blocks form a group, and its program runs over the product of those
+        blocks alone: on columns where it runs on one D, else once per row
+        (a live `*` or `=>`).  Each row of the whole product reads the row
         there that its strategies of those blocks name.  A group of every
-        formula runs `program`.  Where a group's program is off the integer
-        kernel, calls a table or does not compile, the misses fill the
-        table, and raise what they always have."""
-        if self.rows is not None or any(self._exact):
-            return
-        spans, end = [], 0
-        for block in blocks:
-            start, end = end, end + len(block[0])
-            spans.append(range(start, end))
+        formula runs `program`."""
+        blocks, spans = self.strategies, [range(start, end) for start, end, _, _ in self.blocks]
         owner = {p: b for b, span in enumerate(spans) for p in span}
         groups: dict = {}   # the blocks some formulas read -> those formulas
         for i, own in enumerate(self.positions):
             groups.setdefault(tuple(sorted({owner[p] for p in own})), []).append(i)
-        try:
-            programs = [self.program] if len(groups) == 1 else \
-                [Program([self.formulas[i] for i in group], self.algebra)
-                 for group in groups.values()]
-        except SemanticError:   # the misses raise it
-            return
-        if any(program._scale is None or program._calls for program in programs):
-            return
-        scale = lcm(*(program._scale for program in programs),
-                    *(x.denominator for block in blocks for t in block for x in t))
-        size, self.numerators = prod(map(len, blocks)), [None] * len(self.formulas)
-        for read, group, program in zip(groups, groups.values(), programs):
-            names = [self.names[p] for b in read for p in spans[b]]
-            rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
-                    for row in product(*(blocks[b] for b in read))]
-            columns = []
-            for name, _ in program._variables:  # a variable's most frequent value is its default
-                k = names.index(name)
-                column = [values[k] for values in rows]
-                d = max(set(column), key=column.count)
-                columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
+        programs = [self.program]
+        if len(groups) > 1:
+            programs = [Program([self.formulas[i] for i in group], self.algebra)
+                        for group in groups.values()]
+        names = [[self.names[p] for b in read for p in spans[b]] for read in groups]
+        runs = [None if program._scale is not None else
+                [program.run(dict(zip(own, (x for t in row for x in t))))
+                 for row in product(*(blocks[b] for b in read))]
+                for read, own, program in zip(groups, names, programs)]
+        scale = lcm(*(program._scale for program in programs if program._scale is not None),
+                    *(x.denominator for block in blocks for t in block for x in t),
+                    *{v.denominator for values in runs if values for row in values for v in row})
+        size, numerators = prod(map(len, blocks)), [None] * len(self.formulas)
+        for read, group, program, own, values in zip(groups, groups.values(), programs,
+                                                     names, runs):
+            count = prod(len(blocks[b]) for b in read)
+            if values is None:
+                rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
+                        for row in product(*(blocks[b] for b in read))]
+                columns = []
+                for name, _ in program._variables:  # a variable's most frequent value is its default
+                    k = own.index(name)
+                    column = [row[k] for row in rows]
+                    d = max(set(column), key=column.count)
+                    columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
+                values = []
+                for d, column in program._columns(scale, columns):
+                    dense = [d] * count
+                    for r, v in column.items():
+                        dense[r] = v
+                    values.append(dense)
+            else:
+                values = [[v.numerator * (scale // v.denominator) for v in column]
+                          for column in zip(*values)]
             spread = None
-            if len(rows) < size:    # each row's row in the group's product
-                spread, stride = [0], len(rows)
+            if count < size:    # each row's row in the group's product
+                spread, stride = [0], count
                 for b, block in enumerate(blocks):
                     step = 0
                     if b in read:
                         step = stride = stride // len(block)
                     spread = [r + s * step for r in spread for s in range(len(block))]
-            for i, (d, column) in zip(group, program._columns(scale, columns)):
-                dense = [d] * len(rows)
-                for r, v in column.items():
-                    dense[r] = v
-                self.numerators[i] = dense if spread is None else [dense[r] for r in spread]
-        exact = {v: Fraction(v, scale) for column in self.numerators for v in set(column)}
-        self.rows = [[exact[v] for v in column] for column in self.numerators]
-        self.scale, self.blocks, stride = scale, [], size
-        for span, block in zip(spans, blocks):
-            stride //= len(block)
-            self.blocks.append((span.start, span.stop,
-                                {tuple(pairs(t)): s for s, t in enumerate(block)}, stride))
-
-    @cached_property
-    def _reads(self) -> list[int]:
-        """The position in an input of each variable of `program`."""
-        return [self.names.index(name) for name, _ in self.program._variables]
+            for i, dense in zip(group, values):
+                numerators[i] = dense if spread is None else [dense[r] for r in spread]
+        exact = {v: Fraction(v, scale) for column in numerators for v in set(column)}
+        return [[exact[v] for v in column] for column in numerators], numerators, scale
 
 
 def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fraction:

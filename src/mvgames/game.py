@@ -121,11 +121,9 @@ class LogicalGame:
             if extra:
                 raise SemanticError(
                     f"payoff formula of player {i + 1} uses unknown variables {sorted(extra)}")
-        # The payoff values that `payoff`, gamma and the mixed check all read,
-        # and each strategy's `pairs`, its part of a key there.
-        object.__setattr__(self, "payoff_table",
-                           fm.Table(self.payoff_formulas, self.algebra, flat, inputs))
-        object.__setattr__(self, "_keys", [{t: fm.pairs(t) for t in b} for b in self.strategies])
+        # The payoff values that `payoff`, gamma and the mixed check all read.
+        object.__setattr__(self, "payoff_table", fm.Table(
+            self.payoff_formulas, self.algebra, self.variables, self.strategies, inputs))
 
     @property
     def n_players(self) -> int:
@@ -149,25 +147,14 @@ def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ..
     """Per-player formula values at the strategy profile."""
     if len(profile) != lg.n_players:
         raise SemanticError(f"a profile needs {lg.n_players} strategies, got {len(profile)}")
-    key, values = [], []
-    for i, tup in enumerate(profile):
-        part = lg._keys[i].get(tuple(tup))
-        if part is None:
+    table, key, values = lg.payoff_table, [], []
+    for i, (tup, (_, _, index, _)) in enumerate(zip(profile, table.blocks)):
+        part = fm.pairs(tup)
+        if tuple(part) not in index:
             raise SemanticError(f"{tuple(tup)} is not a strategy of player {i + 1}")
         key += part
         values += tup
-    return lg.payoff_table.at(key, values)
-
-
-def table_inputs(parts, profiles):
-    """Each profile of strategy ids with its payoff-table key and values, from
-    `parts[i][s]`: player i's strategy s as (its `pairs`, its value tuple)."""
-    for profile in profiles:
-        key, values = [], []
-        for part, s in zip(parts, profile):
-            key += part[s][0]
-            values += part[s][1]
-        yield profile, key, values
+    return table.at(key, values)
 
 
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
@@ -198,18 +185,10 @@ def classify(lg: LogicalGame) -> GameFlags:
 
 
 def logical_to_strategic(lg: LogicalGame) -> StrategicGame:
-    """Forget the logical structure: strategy ids are lexicographic ranks.
-    A filled table's rows are the profiles in that order; otherwise one
-    table read per profile, each strategy's key part looked up once."""
-    table = lg.payoff_table
-    table.fill(lg.strategies)
+    """Forget the logical structure: strategy ids are lexicographic ranks,
+    and the payoff table's rows are the profiles in that order."""
     ids = itertools.product(*[range(len(block)) for block in lg.strategies])
-    if table.rows is not None:
-        payoffs = dict(zip(ids, zip(*table.rows)))
-    else:
-        parts = [[(keys[t], t) for t in block] for keys, block in zip(lg._keys, lg.strategies)]
-        payoffs = {profile: table.at(key, values)
-                   for profile, key, values in table_inputs(parts, ids)}
+    payoffs = dict(zip(ids, zip(*lg.payoff_table.rows)))
     names = tuple(tuple(map(format_strategy, block)) for block in lg.strategies)
     return StrategicGame(names, payoffs)
 
@@ -315,7 +294,7 @@ def lgame_from_json(doc: dict) -> LogicalGame:
         alg = catalog_lookup(doc["algebra"])
         variables = tuple(map(tuple, json_array(doc["variables"], "variables", 2)))
         for name in itertools.chain(*variables):
-            if not _reads_back(name):
+            if not _parses_back(name):
                 raise InputError(f"variable name {name!r} does not parse as that variable")
         strategies = tuple(tuple(tuple(map(parse_rational, tup)) for tup in block)
                            for block in json_array(doc["strategies"], "strategies", 3))
@@ -325,7 +304,7 @@ def lgame_from_json(doc: dict) -> LogicalGame:
     return LogicalGame(alg, variables, strategies, formulas)
 
 
-def _reads_back(name) -> bool:
+def _parses_back(name) -> bool:
     """Is `name` a string the formula grammar reads back as that variable?"""
     try:
         return isinstance(name, str) and fm.parse(name) == fm.Var(name)

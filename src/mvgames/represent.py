@@ -36,7 +36,6 @@ from .chars import characteristic, is_prime, zeta
 from .errors import InputError, SemanticError
 # `payoff` stays a module attribute, where perfbench's tracer wraps it.
 from .game import LogicalGame, StrategicGame, ValueTuple, json_array, payoff  # noqa: F401
-from .game import table_inputs
 from .formula import App, Const, conj_all, disj_all, pairs
 
 
@@ -137,9 +136,9 @@ def verify_representation(rep: Representation) -> VerificationReport:
     """Exhaustively check f_i(s) = g(phi_i(c(s))) over all profiles and players.
 
     g is applied once per distinct phi value, and a cell whose phi value and
-    payoff object passed together before passes at once.  A filled table
+    payoff object passed together before passes at once.  The payoff table
     gives phi as an integer numerator and games share one payoff object per
-    value, so no cell of a filled check hashes or compares a `Fraction`."""
+    value, so no cell of the check hashes or compares a `Fraction`."""
     affine = rep.is_affine()
     scale, cells = _phis(rep)
     g_at: dict = {}
@@ -155,7 +154,7 @@ def verify_representation(rep: Representation) -> VerificationReport:
             actual = g_at.get(phi)
             if actual is None:
                 try:
-                    actual = g_at[phi] = rep.g(phi if scale is None else Fraction(phi, scale))
+                    actual = g_at[phi] = rep.g(Fraction(phi, scale))
                 except SemanticError as exc:
                     return VerificationReport(False, affine, (profile, i, expected, None),
                                               f"profile {profile}, player {i + 1}: {exc}")
@@ -169,29 +168,20 @@ def verify_representation(rep: Representation) -> VerificationReport:
 
 
 def _phis(rep: Representation):
-    """The scale of the target's payoff values (None: `Fraction`s) and each
-    source profile with those values at its code, or the error reading them
-    raises.  A filled table gives numerators over its scale, read at the row
-    of each profile: the sum of each code's index times its block's stride.
-    Otherwise each source strategy's part of the table key and its value
-    tuple are looked up once, and the table is read once per profile."""
+    """The scale of the target's payoff values and each source profile with
+    their numerators over it at its code: the table's row there, the sum of
+    each code's index times its block's stride.  A payoff formula that does
+    not compile gives its error at the first source profile instead."""
     table = rep.target.payoff_table
-    table.fill(rep.target.strategies)
-    if table.rows is not None:
-        offsets = [[index[tuple(pairs(tup))] * stride for tup in coding]
-                   for coding, (_, _, index, stride) in zip(rep.coding, table.blocks)]
-        rows = [sum(row) for row in product(*offsets)]
-        return table.scale, zip(rep.source.profiles(), zip(
-            *([column[r] for r in rows] for column in table.numerators)))
-    parts = [[(pairs(tup), tup) for tup in coding] for coding in rep.coding]
-
-    def read():
-        for profile, key, values in table_inputs(parts, rep.source.profiles()):
-            try:
-                yield profile, table.at(key, values)
-            except SemanticError as exc:
-                yield profile, exc
-    return None, read()
+    try:
+        numerators = table.numerators
+    except SemanticError as exc:
+        return None, [(next(rep.source.profiles()), exc)]
+    offsets = [[index[tuple(pairs(tup))] * stride for tup in coding]
+               for coding, (_, _, index, stride) in zip(rep.coding, table.blocks)]
+    rows = [sum(row) for row in product(*offsets)]
+    return table.scale, zip(rep.source.profiles(), zip(
+        *([column[r] for r in rows] for column in numerators)))
 
 
 # --- the construction ---------------------------------------------------------

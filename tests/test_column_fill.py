@@ -1,15 +1,17 @@
-"""`Table.fill` against the per-profile path it stands in for.
+"""The payoff table's fill against one run per profile.
 
 On random logical games -- 1 to 3 players, 1 to 5 strategies each, a player
 with one strategy possibly controlling no variable -- whose payoff formulas
-each read every variable, one fill must leave no per-profile entry, and its
-rows must hold exactly the values that `payoff` at every profile (one
-`Program.run` per miss) and then a caller's run over D read: the exact
-values and their numerators over D, in profile order; `at` on the filled
-table reads the same at every profile, and runs the program at an input
-off the strategies.  Where the program has no integer kernel (a live `*` or
-`=>`), or fails to compile, the fill leaves the table empty and the
-per-profile path raises as before; any other fault in the fill propagates.
+each read every variable, the table fills on its first read, whichever of
+`rows`, `numerators`, `scale` or `at` it is, and holds exactly the values
+that one `Program([phi], alg).run` per formula and profile gives: the exact
+values and their numerators over the table's scale, in profile order.  `at`
+reads the same at every profile, as numerators over any multiple of that
+scale too, and runs the game's program once at an input off the
+strategies.  A program on one D runs on columns; one with a live `*` or
+`=>` runs once per row.  Where a formula fails to compile, every read raises
+what compiling the formulas in order raises; any other fault in the fill
+propagates.
 """
 
 import itertools
@@ -83,74 +85,83 @@ def games(draw):
     return LogicalGame(alg, tuple(variables), tuple(strategies), tuple(payoffs))
 
 
-def _copy(lg):
-    return LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
+def per_profile(lg):
+    """Each profile's payoff values, from one `Program([phi], alg).run` per
+    formula and profile; or the error compiling the first formula that does
+    not compile raises, which is the error of compiling them all in order."""
+    try:
+        programs = [Program([phi], lg.algebra) for phi in lg.payoff_formulas]
+    except SemanticError as exc:
+        return str(exc)
+    return [tuple(program.run(lg.assignment(profile))[0] for program in programs)
+            for profile in lg.profiles()]
 
 
-def _per_profile(lg, scale):
-    """The table after `payoff` at every profile, then a run over `scale`
-    reading it at every profile; or the first error `payoff` raises."""
-    table = lg.payoff_table
-    table.memo[scale] = [{} for _ in table.formulas]
-    for profile in lg.profiles():
-        try:
-            payoff(lg, profile)
-        except SemanticError as exc:
-            return str(exc)
-        values = [x for t in profile for x in t]
-        table.at(pairs(values), [x.numerator * (scale // x.denominator) for x in values], scale)
-    return table
+READS = {
+    "rows": lambda table: table.rows,
+    "numerators": lambda table: table.numerators,
+    "scale": lambda table: table.scale,
+    "at": lambda table: table.at(pairs(x for b in table.strategies for x in b[0]),
+                                 [x for b in table.strategies for x in b[0]]),
+}
 
 
 @PROPERTY
-@given(games())
-def test_fill_leaves_the_entries_of_the_per_profile_path(lg):
-    filled = _copy(lg)
-    filled.payoff_table.fill(filled.strategies)
-    table = filled.payoff_table
-    try:
-        program = table.program
-    except SemanticError:
-        program = None
-    # The fill writes no per-profile entry; it keeps rows, or nothing.
-    assert table.memo == {} and table._exact == [{} for _ in table.formulas]
-    if program is None or program._scale is None:     # no integer kernel: no fill
-        assert table.rows is None
-        scale = 1
-    else:
-        scale = lcm(program._scale, *(x.denominator for block in lg.strategies
-                                      for t in block for x in t))
-        assert table.scale == scale
-    reference = _per_profile(_copy(lg), scale)
-    if isinstance(reference, str):      # the per-profile path raises what it always has
+@given(games(), st.sampled_from(sorted(READS)))
+def test_fill_leaves_the_entries_of_the_per_profile_path(lg, first):
+    table, reference = lg.payoff_table, per_profile(lg)
+    if isinstance(reference, str):      # every read raises the compile error
+        for read in [READS[first]] + list(READS.values()):
+            with pytest.raises(SemanticError) as info:
+                read(table)
+            assert str(info.value) == reference
         with pytest.raises(SemanticError) as info:
-            for profile in filled.profiles():
-                payoff(filled, profile)
+            payoff(lg, next(lg.profiles()))
         assert str(info.value) == reference
-    elif program is not None and program._scale is not None:
-        exact, over_d = [], []
-        for profile in lg.profiles():
-            values = [x for t in profile for x in t]
-            key, numerators = pairs(values), [x.numerator * (scale // x.denominator)
-                                              for x in values]
-            exact.append(tuple(memo[pick(key)] for memo, pick
-                               in zip(reference._exact, reference._picks)))
-            over_d.append(tuple(memo[own(numerators)] for memo, own
-                                in zip(reference.memo[scale], reference._own)))
-            assert table.at(key, values) == exact[-1]
-            assert table.at(key, numerators, scale) == over_d[-1]
-        assert list(zip(*table.rows)) == exact and list(zip(*table.numerators)) == over_d
-        assert table.memo == {} and table._exact == [{} for _ in table.formulas]
+        return
+    READS[first](table)     # the first read fills the table, whichever it is
+    program = table.program
+    scale = lcm(*(x.denominator for block in lg.strategies for t in block for x in t),
+                *(v.denominator for values in reference for v in values),
+                program._scale or 1)
+    assert table.scale == scale
+    assert list(zip(*table.rows)) == reference
+    assert list(zip(*table.numerators)) == [tuple(v.numerator * (scale // v.denominator)
+                                                  for v in values) for values in reference]
+    for profile, exact in zip(lg.profiles(), reference):
+        values = [x for t in profile for x in t]
+        assert payoff(lg, profile) == exact
+        for over in (scale, 3 * scale):
+            numerators = [x.numerator * (over // x.denominator) for x in values]
+            assert table.at(pairs(values), numerators, over) == \
+                tuple(v.numerator * (over // v.denominator) for v in exact)
 
 
-def test_fill_leaves_a_live_product_to_the_misses():
+def _spy(monkeypatch, name):
+    """The programs that run `Program.<name>` from now on, once per run."""
+    ran, method = [], getattr(Program, name)
+    monkeypatch.setattr(Program, name, lambda self, *args: ran.append(self) or method(self, *args))
+    return ran
+
+
+def test_fill_leaves_a_live_product_to_the_misses(monkeypatch):
+    # x * y keeps the one group's program off one D: it runs once per row,
+    # 9 rows, and the values 1/4 and 1/2 put the table over D = 4.
     pl = catalog_lookup("STD_PL")
     halves = ((F(0),), (F(1, 2),), (F(1),))
     lg = LogicalGame(pl, (("x",), ("y",)), (halves, halves),
                      (App("odot", (Var("x"), Var("y"))), App("or", (Var("x"), Var("y")))))
-    lg.payoff_table.fill(lg.strategies)
-    assert lg.payoff_table.memo == {} and lg.payoff_table._exact == [{}, {}]
+    reference = per_profile(lg)
+    runs, columns = _spy(monkeypatch, "run"), _spy(monkeypatch, "_columns")
+    table = lg.payoff_table
+    assert table.program._scale is None
+    assert list(zip(*table.rows)) == reference
+    assert runs == [table.program] * 9 and columns == []
+    assert table.scale == 4
+    assert table.numerators == [[0, 0, 0, 0, 1, 2, 0, 2, 4], [0, 2, 4, 2, 2, 4, 4, 4, 4]]
+    runs.clear()
     assert [payoff(lg, p) for p in itertools.product(halves, halves)][4] == (F(1, 4), F(1, 2))
+    assert runs == []
 
 
 def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
@@ -168,22 +179,23 @@ def test_at_off_the_strategies_runs_the_program(monkeypatch):
     l4 = catalog_lookup("L_4")
     lg = LogicalGame(l4, (("x",), ("y",)), (((F(0),), (F(1),)), ((F(1, 4),),)),
                      (App("oplus", (Var("x"), Var("y"))), App("imp", (Var("y"), Var("x")))))
-    table, cold = lg.payoff_table, _copy(lg).payoff_table
-    table.fill(lg.strategies)
-    assert table.rows == [[F(1, 4), F(1)], [F(3, 4), F(1)]]
-    ran = []
-    execute = Program._execute
-    monkeypatch.setattr(Program, "_execute", lambda self, scale, inputs: ran.append(self) or
-                        execute(self, scale, inputs))
-    for values in ([F(0), F(1, 4)], [F(1), F(1, 4)]):        # rows: nothing runs
-        assert table.at(pairs(values), values) == cold.at(pairs(values), values)
-        assert table.at(pairs(values), [4 * v for v in values], 4) == \
-            tuple(4 * v for v in cold.at(pairs(values), values))
-    assert ran == [cold.program] * 2
-    for values in ([F(1, 2), F(1, 4)], [F(1), F(0)]):        # off the rows: the program runs
+    table = lg.payoff_table
+
+    def reference(values):
+        env = dict(zip(("x", "y"), values))
+        return tuple(Program([phi], l4).run(env)[0] for phi in lg.payoff_formulas)
+
+    ran = _spy(monkeypatch, "_execute")
+    assert table.rows == [[F(1, 4), F(1)], [F(3, 4), F(1)]]     # on columns: nothing runs
+    assert ran == []
+    for values, runs in (([F(0), F(1, 4)], 0), ([F(1), F(1, 4)], 0),    # rows: nothing runs
+                         ([F(1, 2), F(1, 4)], 2), ([F(1), F(0)], 2)):   # off them: the program
+        expected = reference(values)
         ran.clear()
-        assert table.at(pairs(values), values) == cold.at(pairs(values), values)
-        assert ran == [table.program, cold.program]
+        assert table.at(pairs(values), values) == expected
+        assert table.at(pairs(values), [4 * v for v in values], 4) == \
+            tuple(4 * v for v in expected)
+        assert ran == [table.program] * runs
 
 
 # --- the column run against one run per row -------------------------------------

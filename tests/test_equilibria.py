@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -605,6 +606,16 @@ def reference_decide_pure_ne(lg, enc):
     return sorted(found), bool(found)
 
 
+def literal_decide_pure_ne(enc):
+    """The decision by one run of gamma's literal copy per profile, each q_a
+    assigned a; the copy reads no payoff table."""
+    lg, pins = enc.game, {name: a for a, name in enc.aux_q.items()}
+    program = Program([substitute(enc.gamma, {})], lg.algebra)
+    found = [profile for profile in lg.profiles()
+             if program.run(lg.assignment(profile) | pins)[0] == 1]
+    return sorted(found), bool(found)
+
+
 def _fresh(lg):
     """An equal game with a table of its own, still empty."""
     return LogicalGame(lg.algebra, lg.variables, lg.strategies, lg.payoff_formulas)
@@ -627,17 +638,19 @@ def _decided(decide, lg, build):
 
 def _assert_decides_as_reference(lg, after):
     """On every route: decide on a cold copy of `lg`, and on one that `after`
-    filled first, answers as the per-profile run on a copy that no fill
-    reads; returns how many of those decisions ran over rows."""
+    read first, answers as one run of gamma per profile on a copy of its
+    own; returns how many of those decisions ran gamma over rows."""
     over_rows = 0
     for build in _routes(lg):
         expected = _decided(reference_decide_pure_ne, _fresh(lg), build)
         for fill in (None, after):
-            copy = _fresh(lg)
+            copy, made = _fresh(lg), []
             if fill is not None:
                 fill(copy)
-            assert _decided(decide_pure_ne, copy, build) == expected, (build.__name__, fill)
-            over_rows += copy.payoff_table.rows is not None
+            answer = _decided(decide_pure_ne, copy, lambda g: made.append(build(g)) or made[-1])
+            assert answer == expected, (build.__name__, fill)
+            over_rows += type(answer) is not str and \
+                made[-1].gamma_program.over_rows(copy.payoff_table) is not None
     return over_rows
 
 
@@ -684,8 +697,6 @@ def test_decide_over_rows_as_per_profile_on_the_battery(battery_representations)
             cases += 1
             over_rows += _assert_decides_as_reference(rep.target, logical_to_strategic)
     assert methods == {"ab_i", "ab_ii", "ab_iii", "vi", "vi_gmc", "vi_lm", "vii"}
-    # A binary DNF with no disjunct is a constant, which reads no variable
-    # and leaves the table to the misses; every other one fills.
     assert over_rows > 1.5 * cases
 
 
@@ -700,26 +711,47 @@ def test_decide_over_rows_as_per_profile_on_drawn_games(lg):
     _assert_decides_as_reference(lg, logical_to_strategic)
 
 
-def test_a_call_that_does_not_fit_leaves_gamma_per_profile():
+def test_a_call_that_does_not_fit_leaves_gamma_per_profile(monkeypatch):
     # A deviation that binds v1 to v2's variable reads no row of the table.
     lg = _fresh(NT.logical)
     phi = lg.payoff_formulas[0]
     gamma = App("imp", (Subst(phi, (("v1", Var("v2")),)), Subst(phi, ())))
     enc = PureNEEncoding(lg, gamma, True, {}, "EXPRESSIBLE")
-    lg.payoff_table.fill(lg.strategies)
-    assert lg.payoff_table.rows is not None and enc.gamma_program.over_rows(lg.payoff_table) is None
-    cold = _fresh(lg)
-    assert decide_pure_ne(lg, enc) == reference_decide_pure_ne(cold, PureNEEncoding(
-        cold, gamma, True, {}, "EXPRESSIBLE"))
-    assert cold.payoff_table.rows is None
+    assert enc.gamma_program.over_rows(lg.payoff_table) is None
+    profiles = []
+    run = equilibria.satisfies_gamma
+    monkeypatch.setattr(equilibria, "satisfies_gamma",
+                        lambda enc, profile: profiles.append(profile) or run(enc, profile))
+    assert decide_pure_ne(lg, enc) == literal_decide_pure_ne(enc)
+    assert profiles == list(lg.profiles())      # one run of gamma per profile
 
 
 def test_gamma_runs_over_the_rows_of_its_own_table_only():
     lg, other = _fresh(NT.logical), _fresh(NT.logical)
     enc = build_encoding(lg)
-    for game in (lg, other):
-        game.payoff_table.fill(game.strategies)
     program = enc.gamma_program
-    assert program.over_rows(lg.payoff_table) is not None
+    rows = program.over_rows(lg.payoff_table)
     assert program.over_rows(other.payoff_table) is None
-    assert program.over_rows(lg.payoff_table) == program.over_rows(lg.payoff_table)
+    assert program.over_rows(lg.payoff_table) == rows
+    scale, (gamma,) = rows
+    literal = Program([substitute(enc.gamma, {})], lg.algebra)
+    assert [Fraction(v, scale) for v in gamma] == \
+        [literal.run(lg.assignment(profile))[0] for profile in lg.profiles()]
+
+
+def test_deciding_compares_no_fractions_in_row_gathers_or_has_constant(monkeypatch):
+    # A prime Lukasiewicz chain has no constants, so classifying asks
+    # `has_constant` of each relevant element; gamma's calls bind blocks to
+    # constants, which `_row_gathers` reads.  Both decide on integers.
+    rng = random.Random(5)
+    levels = [F(j, 4) for j in range(5)]
+    lg = represent_rational_lm(make_game((4, 4), lambda p: [rng.choice(levels)
+                                                            for _ in p])).target
+    assert lg.algebra.constants == "bounds"
+    callers = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: callers.append(
+        sys._getframe(1).f_code.co_name) or eq(a, b))
+    decide_pure_ne(_fresh(lg))
+    monkeypatch.undo()
+    assert not {"_row_gathers", "has_constant"} & set(callers)

@@ -1,19 +1,21 @@
-"""`Table.fill` on payoff formulas that read some of the players.
+"""The payoff table's fill on payoff formulas that read some of the players.
 
 On random logical games over L_4_C -- 1 to 4 players, 1 to 3 strategies
 each, a player with one strategy possibly controlling no variable -- each
 phi_i reads a drawn set of variables: any players' variables, part of a
 player's block, or none.  The fill runs one program per group of formulas
 that read the same players, over those players' strategies alone, and
-spreads its columns over every profile.  The filled table must read, at
-every profile, what `at` reads on a copy that no fill touches, exact and
+spreads its columns over every profile.  The table must read, at every
+profile, what one `Program([phi], alg).run` per formula gives, exact and
 over the table's scale; decide must list the equilibria that one run of
-gamma per profile finds; and verify must report a payoff fault as a check
-of one table read per profile does, at the same first profile.  Where one
-phi_i does not compile, no group fills and the misses raise as before.
+gamma's literal copy per profile finds; and verify must report a payoff
+fault as a check by one run per formula and profile does, at the same
+first profile.  Where phi_i do not compile, every read raises the error of
+compiling them in order, whichever groups they fall in.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -21,14 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (Affine, App, LogicalGame, Representation, StrategicGame, Var,
+from mvgames import (Affine, App, Const, LogicalGame, Representation, StrategicGame, Var,
                      VerificationReport, catalog_lookup, decide_pure_ne, free_variables,
                      logical_to_strategic, payoff, verify_representation)
 from mvgames.equilibria import build_gamma
 from mvgames.errors import SemanticError
-from mvgames.formula import pairs
-from test_column_fill import formulas
-from test_equilibria import reference_decide_pure_ne
+from mvgames.formula import Program, pairs
+from test_column_fill import READS, formulas, per_profile
+from test_equilibria import literal_decide_pure_ne
 from test_program import values_of
 
 F = Fraction
@@ -65,14 +67,17 @@ def _copy(lg):
 
 
 def reference_verify_representation(rep):
-    """The check by one table read per profile, on a copy no fill touches."""
-    target, affine = _copy(rep.target), rep.is_affine()
+    """The check by one `Program([phi], alg).run` per formula and profile;
+    a formula that does not compile fails it at the first profile."""
+    target, affine = rep.target, rep.is_affine()
+    try:
+        programs = [Program([phi], target.algebra) for phi in target.payoff_formulas]
+    except SemanticError as exc:
+        return VerificationReport(False, affine, (next(rep.source.profiles()), None, None, None),
+                                  f"profile {next(rep.source.profiles())}: {exc}")
     for profile in rep.source.profiles():
-        try:
-            phis = payoff(target, rep.encode(profile))
-        except SemanticError as exc:
-            return VerificationReport(False, affine, (profile, None, None, None),
-                                      f"profile {profile}: {exc}")
+        env = target.assignment(rep.encode(profile))
+        phis = [program.run(env)[0] for program in programs]
         for i, (phi, expected) in enumerate(zip(phis, rep.source.payoffs[profile])):
             actual = rep.g(phi)
             if actual != expected:
@@ -85,26 +90,19 @@ def reference_verify_representation(rep):
 @PROPERTY
 @given(some_reader_games(), st.data())
 def test_group_fill_reads_as_the_per_profile_path(lg, data):
-    filled, cold = _copy(lg), _copy(lg)
-    table = filled.payoff_table
-    table.fill(filled.strategies)
-    assert table.rows is not None and table.memo == {}
-    assert table._exact == [{} for _ in table.formulas]
+    table, reference = lg.payoff_table, per_profile(lg)
     scale = lcm(table.program._scale, *(x.denominator for block in lg.strategies
                                         for t in block for x in t))
     assert table.scale == scale
-    cold.payoff_table.memo[scale] = [{} for _ in lg.payoff_formulas]
-    for r, profile in enumerate(lg.profiles()):
+    assert list(zip(*table.rows)) == reference
+    for r, (profile, exact) in enumerate(zip(lg.profiles(), reference)):
         values = [x for t in profile for x in t]
-        numerators = [x.numerator * (scale // x.denominator) for x in values]
-        exact = cold.payoff_table.at(pairs(values), values)
-        assert tuple(column[r] for column in table.rows) == exact
         assert tuple(column[r] for column in table.numerators) == \
-            cold.payoff_table.at(pairs(values), numerators, scale)
+            tuple(v.numerator * (scale // v.denominator) for v in exact)
         assert table.at(pairs(values), values) == exact
 
     enc = build_gamma(_copy(lg))
-    assert decide_pure_ne(_copy(lg), enc) == reference_decide_pure_ne(_copy(lg), enc)
+    assert decide_pure_ne(_copy(lg), enc) == literal_decide_pure_ne(enc)
 
     # A payoff fault at one or two drawn profiles of the source.
     source = logical_to_strategic(_copy(lg))
@@ -119,7 +117,6 @@ def test_group_fill_reads_as_the_per_profile_path(lg, data):
                          lg.strategies, Affine(1, 0))
     report = verify_representation(rep)
     assert report == reference_verify_representation(rep) and not report.ok
-    assert rep.target.payoff_table.rows is not None
     assert verify_representation(dataclasses.replace(rep, source=source,
                                                      target=_copy(lg))).ok
 
@@ -129,11 +126,41 @@ def test_a_formula_off_the_signature_leaves_every_group_to_the_misses():
     values = tuple((v,) for v in values_of(L4C))
     lg = LogicalGame(L4C, (("x",), ("y",)), (values, values),
                      (App("neg", (Var("x"),)), App("delta", (Var("y"),))))
-    lg.payoff_table.fill(lg.strategies)
-    assert lg.payoff_table.rows is None and lg.payoff_table.memo == {}
     message = "connective 'delta' not in signature of L_4_C"
-    for game in (lg, _copy(lg)):
-        with pytest.raises(SemanticError, match=message):
-            payoff(game, ((F(0),), (F(1),)))
-        with pytest.raises(SemanticError, match=message):
-            logical_to_strategic(game)
+    assert per_profile(lg) == message
+    _assert_every_read_raises(lg, message)
+
+
+def _assert_every_read_raises(lg, message):
+    """Every read of the table, each verb that reads it, and verify raise or
+    report `message`, the error at the first profile."""
+    for read in READS.values():
+        with pytest.raises(SemanticError) as info:
+            read(lg.payoff_table)
+        assert str(info.value) == message
+    for reader in (lambda: payoff(lg, next(lg.profiles())), lambda: logical_to_strategic(lg)):
+        with pytest.raises(SemanticError) as info:
+            reader()
+        assert str(info.value) == message
+    counts = [len(block) for block in lg.strategies]
+    names = tuple(tuple(f"s{k}" for k in range(c)) for c in counts)
+    source = StrategicGame(names, {p: (F(0),) * len(counts)
+                                   for p in itertools.product(*map(range, counts))})
+    rep = Representation(source, lg, lg.strategies, Affine(1, 0))
+    report = verify_representation(rep)
+    assert report == reference_verify_representation(rep)
+    assert report.message == f"profile {(0,) * len(counts)}: {message}"
+
+
+def test_two_groups_failing_raise_the_error_of_the_first_formula_in_order():
+    # phi_1 and phi_3 read x, phi_2 reads y: groups [phi_1, phi_3] and
+    # [phi_2].  Compiled group by group, phi_3's error would come first;
+    # compiled in order, phi_2's does.
+    values = tuple((v,) for v in values_of(L4C))
+    lg = LogicalGame(L4C, (("x",), ("y",), ()), (values, values, ((),)),
+                     (App("neg", (Var("x"),)), App("or", (Var("y"), Const(F(1, 3)))),
+                      App("delta", (Var("x"),))))
+    assert lg.payoff_table.positions == [[0], [1], [0]]
+    message = "constant 1/3 outside the domain of L_4_C"
+    assert per_profile(lg) == message
+    _assert_every_read_raises(lg, message)

@@ -1,13 +1,14 @@
 """The payoff table a logical game shares between `payoff`, gamma and the
 mixed check.
 
-Whichever consumer fills the table first, every answer is the one a fresh
-game gives; a consumer that finds the table full runs no payoff program of
-its own; and the errors are those of the game without a table.  Verify and
-decide fill the table by column runs, one per group of payoff formulas that
-read the same players, each over the product of those players' strategies
-alone, and read it by row: verify runs no program per profile, and decide
-runs gamma once over all the rows, no program run at all.
+The table fills on its first read, so whichever consumer reads it first,
+every answer is the one a fresh game gives; a consumer that finds the table
+full runs no payoff program of its own; and a payoff formula that does not
+compile raises its error at the first read.  Verify and decide fill the
+table by column runs, one per group of payoff formulas that read the same
+players, each over the product of those players' strategies alone, and read
+it by row: verify runs no program per profile, and decide runs gamma once
+over all the rows, no program run at all.
 """
 
 import dataclasses
@@ -16,15 +17,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvgames import (LogicalGame, MixedProfile, StrategicGame, Subst, Var, catalog_lookup,
-                     check_mixed_ne, decide_pure_ne, logical_to_strategic, love_and_hate,
-                     new_technology, parse, payoff, represent_rational_qg_delta,
-                     verify_representation)
+from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Subst, Var,
+                     catalog_lookup, check_mixed_ne, decide_pure_ne, evaluate,
+                     logical_to_strategic, love_and_hate, new_technology, parse, payoff,
+                     represent_rational_qg_delta, verify_representation)
 from mvgames.equilibria import PureNEEncoding, build_encoding, satisfies_gamma
 from mvgames.errors import SemanticError
 from mvgames.formula import Program, substitute
 from conftest import random_distribution
+from test_column_fill import per_profile
+from test_group_fill import reference_verify_representation
+from test_program import formulas, values_of
 
 F = Fraction
 LH44 = love_and_hate(4, 4)
@@ -72,7 +78,7 @@ def test_answers_do_not_depend_on_who_fills_the_table(seed, battery_representati
 
 def _programs_run(monkeypatch):
     """The programs run from now on, once per run; `Program.run` and every
-    table miss go through `_execute`."""
+    read off the table's rows go through `_execute`."""
     ran = []
     execute = Program._execute
 
@@ -165,8 +171,8 @@ def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
     monkeypatch.setattr(Program, "_columns", spy)
     assert verify_representation(rep).ok
     table = rep.target.payoff_table
-    assert table.rows is not None and len(table.rows[0]) == 5 ** 4
-    assert ran == [] and table.memo == {}
+    assert len(table.rows[0]) == 5 ** 4
+    assert ran == []
     assert [len(program._roots) for program, _ in columns] == [1] * 4
     for _, inputs in columns:   # two variables, each 5 values on 5 of 25 rows
         assert len(inputs) == 2
@@ -175,7 +181,9 @@ def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
             assert sorted(Counter(exceptions.values()).values()) == [5] * 4
     enc = build_encoding(rep.target)
     decide_pure_ne(rep.target, enc)
-    assert ran == [] and enc.gamma_program._gathers[1] and table.memo == {}
+    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 4
+    monkeypatch.undo()
+    assert list(zip(*table.rows)) == per_profile(rep.target)
 
 
 def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
@@ -184,13 +192,59 @@ def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
     payoffs[3, 2] = (payoffs[3, 2][0], payoffs[3, 2][1] + 1)
     payoffs[4, 1] = (payoffs[4, 1][0] - 1, payoffs[4, 1][1])
     source = StrategicGame(rep.source.strategy_names, payoffs)
-    filled = dataclasses.replace(rep, source=source, target=_fresh(rep.target))
-    per_profile = dataclasses.replace(rep, source=source, target=_fresh(rep.target))
-    payoff(per_profile.target, next(per_profile.target.profiles()))     # not empty: no fill
-    report = verify_representation(filled)
-    assert report == verify_representation(per_profile)
-    assert filled.target.payoff_table.rows is not None
-    assert per_profile.target.payoff_table.rows is None
+    faulty = dataclasses.replace(rep, source=source, target=_fresh(rep.target))
+    report = verify_representation(faulty)
+    assert report == reference_verify_representation(faulty)
     assert report.counterexample[:2] == ((3, 2), 1)
     assert report.message == f"profile (3, 2), player 2: g(phi) = {payoffs[3, 2][1] - 1} " \
                              f"but f = {payoffs[3, 2][1]}"
+
+
+# --- calls of a table with a live * or => ------------------------------------------
+# Such a table fills once per row, over a scale that its values set, while a
+# calling program takes its D from the table's program, which is off one D.
+# Either way a call's value is its literal copy's, wherever it is read.
+
+PRODUCT_ALGEBRAS = [catalog_lookup("STD_QPL_DELTA"), catalog_lookup("STD_LPIH")]
+XYZ = ("x", "y", "z")
+
+
+@st.composite
+def product_calls(draw):
+    """A 3-player game whose phi_i each hold a `*` or `=>`, roots made of
+    calls of them bound to constants and variables, and assignments on the
+    strategies and off them."""
+    alg = draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    values = st.sampled_from(values_of(alg))
+    strategies = tuple(tuple((v,) for v in draw(st.lists(values, min_size=1, max_size=3,
+                                                         unique=True))) for _ in XYZ)
+    products = sorted({"odot", "imp_pi"} & set(alg.ops))
+    payoffs = tuple(App(draw(st.sampled_from(products)), (draw(formulas(alg)), Var(name)))
+                    for name in XYZ)
+    lg = LogicalGame(alg, tuple((name,) for name in XYZ), strategies, payoffs)
+    binding = st.one_of(st.sampled_from([Var(name) for name in XYZ]), values.map(Const))
+    calls = st.builds(lambda phi, bound: Subst(phi, tuple(bound.items())),
+                      st.sampled_from(payoffs),
+                      st.dictionaries(st.sampled_from(XYZ), binding, max_size=3))
+    roots = draw(st.lists(calls | st.tuples(st.sampled_from(sorted(set(alg.ops) - {"neg", "delta"})),
+                                            calls, calls).map(lambda t: App(t[0], t[1:])),
+                          min_size=1, max_size=3))
+    on = [dict(zip(XYZ, (t[0] for t in draw(st.tuples(*map(st.sampled_from, strategies))))))
+          for _ in range(2)]
+    off = [dict(zip(XYZ, draw(st.tuples(values, values, values)))) for _ in range(2)]
+    return lg, roots, on + off
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(product_calls())
+def test_calls_of_a_product_table_read_their_literal_copies(case):
+    lg, roots, assignments = case
+    alg = lg.algebra
+    expected = [[evaluate(substitute(root, {}), alg, env) for root in roots]
+                for env in assignments]
+    for filled_first in (False, True):
+        game = _fresh(lg)
+        if filled_first:
+            game.payoff_table.rows
+        program = Program(roots, alg, game.payoff_table)
+        assert [program.run(env) for env in assignments] == expected

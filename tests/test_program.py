@@ -436,9 +436,11 @@ def test_run_checks_every_assigned_value_on_every_run():
 
 # --- the compile against the walk it replaced ------------------------------------
 # `ReferenceProgram` is the compile as it was written over `_post_order`, one
-# generator step per node and a tuple of argument slots per connective.  The
-# inline walk must build the same program from every formula: the same
-# slots in the same order, variables, code, roots, scale and error text.
+# generator step per node and a tuple of argument slots per connective, and a
+# `Subst` that is not a call of the payoff table compiles its literal copy,
+# built by `substitute`.  The inline walk must build the same program from
+# every formula: the same slots in the same order, variables, code, roots,
+# scale and error text.
 
 def reference_fold_identity(op, args, x, y, one):
     if op == "imp":
@@ -457,8 +459,8 @@ class ReferenceProgram(Program):
     def __init__(self, roots, alg, table=None, fixed=None):
         self.algebra = alg
         ops, fixed = alg.ops, fixed or {}
-        known, shape, consed, ref, looked = [], [], {}, {}, {}
-        shared = {} if table is None else {id(f): (table, i) for i, f in enumerate(table.formulas)}
+        known, shape, consed, ref, looked, copies = [], [], {}, {}, {}, []
+        payoffs = {} if table is None else {id(f): i for i, f in enumerate(table.formulas)}
 
         def new(value, what):
             known.append(value)
@@ -484,65 +486,72 @@ class ReferenceProgram(Program):
             return index
 
         def call(node):
-            served, i = shared.get(id(node.body), (None, 0))
-            values = looked.get((id(served), id(node.bindings)))
+            """A call of the payoff table, or None: the literal copy compiles."""
+            i = payoffs.get(id(node.body))
+            if i is None:
+                return None
+            values = looked.get(id(node.bindings))
             if values is not None:
                 return constant(values[i])
-            body, bound = node.body, dict(node.bindings)
+            bound = dict(node.bindings)
             try:
-                if id(body) not in shared:
-                    shared[id(body)] = Table([body], alg), 0
-                served, i = shared[id(body)]
-                inputs = [bound.get(name, Var(name)) for name in served.names]
-                fits = served.program and all(
-                    type(v) is Var and served.algebra is alg
-                    or type(v) is Const and served.algebra.contains(v.value) for v in inputs)
+                table.program
+                inputs = [bound.get(name, Var(name)) for name in table.names]
+                fits = all(type(v) is Var and table.algebra is alg
+                           or type(v) is Const and table.algebra.contains(v.value) for v in inputs)
             except SemanticError:
                 fits = False
             if not fits:
-                served, i = Table([substitute(node, {})], alg), 0
-                inputs = [Var(name) for name in served.names]
+                return None
             slots = tuple(variable(v.name) if type(v) is Var else constant(v.value)
                           for v in inputs)
             if all(known[s] is not None for s in slots):
                 values = [known[s] for s in slots]
-                values = served.at(pairs(values), values)
-                if fits and all(type(v) is Const for v in inputs):
-                    looked[id(served), id(node.bindings)] = values
+                values = table.at(pairs(values), values)
+                if all(type(v) is Const for v in inputs):
+                    looked[id(node.bindings)] = values
                 return constant(values[i])
-            return new(None, (served, slots, i))
+            return new(None, (table, slots, i))
+
+        def compile_nodes(nodes):
+            for f in _post_order(nodes):
+                if type(f) is Var:
+                    ref[id(f)] = variable(f.name)
+                    continue
+                if type(f) is Const:
+                    ref[id(f)] = literal(f.value)
+                    continue
+                if type(f) is Subst:
+                    index = call(f)
+                    if index is None:
+                        copies.append(substitute(f, {}))    # held, so its ids stay unique
+                        compile_nodes(copies[-1:])
+                        index = ref[id(copies[-1])]
+                    ref[id(f)] = index
+                    continue
+                op, fn, fargs = f.op, ops.get(f.op), f.args
+                args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
+                    (ref[id(fargs[0])], ref[id(fargs[1])])
+                if fn is None:
+                    if op != "neg" or "imp" not in ops:
+                        raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
+                    op, fn = "imp", ops["imp"]
+                    args += (constant(ZERO),)
+                key = (op, *args)
+                index = consed.get(key)
+                if index is None:
+                    x, y = known[args[0]], known[args[-1]]
+                    if x is not None and y is not None:
+                        index = constant(fn(x, y) if len(args) == 2 else fn(x))
+                    elif x is not None or y is not None:
+                        index = reference_fold_identity(op, args, x, y, one)
+                    if index is None:
+                        index = new(None, (fn, args))
+                    consed[key] = index
+                ref[id(f)] = index
 
         one = constant(ONE)
-        for f in _post_order(roots):
-            if type(f) is Var:
-                ref[id(f)] = variable(f.name)
-                continue
-            if type(f) is Const:
-                ref[id(f)] = literal(f.value)
-                continue
-            if type(f) is Subst:
-                ref[id(f)] = call(f)
-                continue
-            op, fn, fargs = f.op, ops.get(f.op), f.args
-            args = (ref[id(fargs[0])],) if len(fargs) == 1 else \
-                (ref[id(fargs[0])], ref[id(fargs[1])])
-            if fn is None:
-                if op != "neg" or "imp" not in ops:
-                    raise SemanticError(f"connective {op!r} not in signature of {alg.id}")
-                op, fn = "imp", ops["imp"]
-                args += (constant(ZERO),)
-            key = (op, *args)
-            index = consed.get(key)
-            if index is None:
-                x, y = known[args[0]], known[args[-1]]
-                if x is not None and y is not None:
-                    index = constant(fn(x, y) if len(args) == 2 else fn(x))
-                elif x is not None or y is not None:
-                    index = reference_fold_identity(op, args, x, y, one)
-                if index is None:
-                    index = new(None, (fn, args))
-                consed[key] = index
-            ref[id(f)] = index
+        compile_nodes(roots)
         roots = [ref[id(f)] for f in roots]
         live = [False] * len(shape)
         for r in roots:
