@@ -195,8 +195,12 @@ class MixedNEEncoding:
 
     @cached_property
     def program(self) -> fm.Program:
-        """Every trace root, compiled once for every profile."""
-        return fm.Program([root for _, root in self.trace], self.algebra, self.game.payoff_table)
+        """Every trace root, compiled once for every profile.  The payoff
+        formulas compile first, in the game's own algebra, so a formula that
+        is not one of its terms raises there and not in the lifted algebra."""
+        table = self.game.payoff_table
+        table.program
+        return fm.Program([root for _, root in self.trace], self.algebra, table)
 
     def assignment(self, profile: MixedProfile) -> dict[str, Fraction]:
         if len(profile.probabilities) != len(self.prob_vars):

@@ -19,6 +19,7 @@ import os
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
@@ -33,7 +34,10 @@ ValueTuple = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class StrategicGame:
-    """Normal-form game with rational payoffs, total over all profiles."""
+    """Normal-form game with rational payoffs, total over all profiles.
+
+    `payoffs` must not be mutated after construction: `integer_payoffs`,
+    which the oracle reads, is computed from it once and kept."""
 
     strategy_names: tuple[tuple[str, ...], ...]
     payoffs: dict[Profile, tuple[Fraction, ...]]
@@ -62,6 +66,22 @@ class StrategicGame:
 
     def payoff(self, profile: Profile, player: int) -> Fraction:
         return self.payoffs[tuple(profile)][player]
+
+    @cached_property
+    def integer_payoffs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per player, (level, numerators): the player's payoffs as integer
+        numerators over their lcm, the level, in profile order.  Each
+        distinct payoff object is converted once, keyed by identity as in
+        `payoff_values`."""
+        rows = [self.payoffs[profile] for profile in self.profiles()]
+        out = []
+        for column in (zip(*rows) if rows else [()] * self.n_players):
+            objects = {id(v): v for v in column}
+            level = lcm(*{v.denominator for v in objects.values()})
+            numerator = {key: v.numerator * (level // v.denominator)
+                         for key, v in objects.items()}
+            out.append((level, tuple(map(numerator.__getitem__, map(id, column)))))
+        return tuple(out)
 
     def payoff_values(self) -> tuple[Fraction, ...]:
         """Sorted distinct payoff values of all players.  The payoffs are

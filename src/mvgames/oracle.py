@@ -3,37 +3,43 @@
 Everything here works on plain payoff tables with exact rational arithmetic:
 pure equilibria by a best-response scan over integer payoffs, a mixed
 profile's expected payoffs and verdict (checking pure deviations only, which
-suffices for finite games) from one pass over the payoff table, and a
-2-player mixed-equilibrium finder by support enumeration over exact rational
-linear systems.  Logical games are accepted everywhere by first collapsing
-them to their payoff tables.
+suffices for finite games) by contracting each player's payoff column, and
+a 2-player mixed-equilibrium finder by support enumeration over exact
+rational linear systems.  Logical games are accepted everywhere by first
+collapsing them to their payoff tables.
 
-The mixed oracle runs on integers until it keeps a candidate: each player's
-payoffs are scaled to integer numerators over their lcm, and each distinct
-support system is solved once per call, by fraction-free Gauss-Jordan
-elimination (Bareiss), which reaches the same reduced row echelon form as
-rational elimination.  Degenerate support systems are solved parametrically;
-one rational representative per solution face is emitted and flagged.  A
-support pair is solved only when no strategy in either support is strictly
-beaten, at every strategy of the other support, by another strategy of the
-same player (conditional dominance; Porter, Nudelman and Shoham, 2008).  A
-candidate the finder keeps puts positive weight on the whole opposing
-support, and every strategy of its own support earns the same u.  A strategy
-k strictly beating one of them would earn more than u: outside the support
-it fails the best-response check, inside it breaks the equalities.  So the
-skipped pairs hold no candidate and no answer changes.  Dominance must be
-strict: a tie, or a weak dominance, would drop candidates of degenerate
-games.  The finder is complete for nondegenerate games; n-player
-mixed-equilibrium search is out of scope (verification is n-player).
+Every function reads a table's payoffs through its one integer view,
+`StrategicGame.integer_payoffs` (per player, the numerators over their lcm,
+the level, in profile order), which the game computes once and keeps; so a
+table's `payoffs` must not be mutated after construction.  Nothing else is
+kept across calls.  The mixed oracle runs on integers until it keeps a
+candidate: each distinct support system is solved once per call, by
+fraction-free Gauss-Jordan elimination (Bareiss), which reaches the same
+reduced row echelon form as rational elimination.  Degenerate support
+systems are solved parametrically; one rational representative per solution
+face is emitted and flagged.  A support pair is solved only when no
+strategy in either support is strictly beaten, at every strategy of the
+other support, by another strategy of the same player (conditional
+dominance; Porter, Nudelman and Shoham, 2008).  A candidate the finder
+keeps puts positive weight on the whole opposing support, and every
+strategy of its own support earns the same u.  A strategy k strictly
+beating one of them would earn more than u: outside the support it fails
+the best-response check, inside it breaks the equalities.  So the skipped
+pairs hold no candidate and no answer changes.  Dominance must be strict: a
+tie, or a weak dominance, would drop candidates of degenerate games.  The
+finder is complete for nondegenerate games; n-player mixed-equilibrium
+search is out of scope (verification is n-player).
 
 A system is its opponent support and the set of own rows restricted to it:
 duplicate or reordered equations leave the reduced form, so the samples,
-unchanged.  The support's rows all earn u, so one best-response test on a
-sample's payoffs to every own strategy serves every own support of the
-system.  A support one strategy larger than one whose system has at most
-one solution is not solved: an added equation only shrinks the solution
-set, so it keeps that solution iff the added row earns u there.  Stability
-and expected payoffs are sums over the two kept payoff vectors.
+unchanged.  Per opponent support each distinct restricted row has one bit,
+and the memo keys a set of rows by the OR of their bits.  The support's
+rows all earn u, so one best-response test on a sample's payoffs to every
+own strategy serves every own support of the system.  A support one
+strategy larger than one whose system has at most one solution is not
+solved: an added equation only shrinks the solution set, so it keeps that
+solution iff the added row earns u there.  Stability and expected payoffs
+are sums over the two kept payoff vectors.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import and_, eq
+from operator import add, and_, eq, gt, mul
 from typing import Optional, Sequence, Union
 
 from .errors import SemanticError
@@ -61,22 +67,18 @@ def pure_ne_scan(game: Game) -> list[Profile]:
     a profile is one iff each player's payoff there is the largest the
     player earns against the same opponents.
 
-    Player i's payoffs, as integer numerators over their lcm, form a column
-    in profile order; the profiles that differ only in i's strategy are k_i
+    Player i's column of the integer payoffs (`integer_payoffs`) is in
+    profile order; the profiles that differ only in i's strategy are k_i
     slices of it, one stride apart, so their maxima come from one pass per
     block of k_i slices."""
     table = _as_table(game)
     profiles = list(table.profiles())
     if not profiles:    # a player has no strategy
         return []
-    rows = [table.payoffs[profile] for profile in profiles]
-    stable = [True] * len(rows)
-    stride = len(rows)
-    for i, k in enumerate(table.strategy_counts):
+    stable = [True] * len(profiles)
+    stride = len(profiles)
+    for (_, column), k in zip(table.integer_payoffs, table.strategy_counts):
         stride //= k
-        own = [values[i] for values in rows]
-        level = lcm(*(v.denominator for v in own))
-        column = [v.numerator * (level // v.denominator) for v in own]
         best = []
         for base in range(0, len(column), k * stride):
             slices = (column[start:start + stride]
@@ -86,35 +88,50 @@ def pure_ne_scan(game: Game) -> list[Profile]:
     return list(itertools.compress(profiles, stable))
 
 
+def _contract(column, weights, counts, player):
+    """Player's column (row-major over `counts`) weighted by every other
+    player's weights and summed over their axes: one entry per own strategy.
+
+    Axes after the player's go last to first, each then the last axis left,
+    so a strategy's entries are a strided slice; axes before it go first to
+    last, each then the first axis left, so they are a contiguous slice.
+    Zero weights are skipped."""
+    for j in [*range(len(counts) - 1, player, -1), *range(player)]:
+        c = counts[j]
+        size = len(column) // c
+        total = [0] * size
+        for s, w in enumerate(weights[j]):
+            if w:
+                part = column[s::c] if j > player else column[s * size:(s + 1) * size]
+                total = list(map(add, total, map(mul, part, itertools.repeat(w))))
+        column = total
+    return column
+
+
 def _payoff_sums(table: StrategicGame,
                  profile: MixedProfile) -> tuple[tuple[Fraction, ...], bool]:
     """Each player's expected payoff under `profile`, and whether no pure
-    deviation pays any player more, from one pass over the payoff table.
+    deviation pays any player more, from the integer payoffs.
 
     The sums are of integers: player i's payoffs as numerators over their
-    lcm L_i, each probability vector as numerators w_j over its own lcm D_j.
-    Row i holds, per pure strategy s of i, the payoffs times the other
-    players' weights, summed over the profiles in which i plays s, skipping
-    terms of zero weight.  Player i earns sum_s w_i[s] * row[s] over L_i and
-    every D_j, and no deviation pays i more iff max(row) * D_i <= that sum.
+    level L_i (`integer_payoffs`), each probability vector as numerators w_j
+    over its own lcm D_j.  Row i holds, per pure strategy s of i, the
+    payoffs times the other players' weights, summed over the profiles in
+    which i plays s (`_contract`).  Player i earns sum_s w_i[s] * row[s]
+    over L_i and every D_j, and no deviation pays i more iff
+    max(row) * D_i <= that sum.
     """
     probabilities = profile.probabilities
-    if tuple(len(v) for v in probabilities) != table.strategy_counts:
+    counts = table.strategy_counts
+    if tuple(len(v) for v in probabilities) != counts:
         raise SemanticError("mixed profile does not match the game's strategy counts")
     scales = [lcm(*(p.denominator for p in vector)) for vector in probabilities]
     weights = [[p.numerator * (d // p.denominator) for p in vector]
                for vector, d in zip(probabilities, scales)]
-    levels = [lcm(*(values[i].denominator for values in table.payoffs.values()))
-              for i in range(len(scales))]
-    rows = [[0] * c for c in table.strategy_counts]
-    for pure, values in table.payoffs.items():
-        ws = [vector[s] for vector, s in zip(weights, pure)]
-        for i, s in enumerate(pure):
-            others = ws[:i] + ws[i + 1:]
-            if all(others):
-                v = values[i]
-                rows[i][s] += v.numerator * (levels[i] // v.denominator) * prod(others)
-    totals = [sum(w * x for w, x in zip(vector, row)) for vector, row in zip(weights, rows)]
+    levels = [level for level, _ in table.integer_payoffs]
+    rows = [_contract(column, weights, counts, i)
+            for i, (_, column) in enumerate(table.integer_payoffs)]
+    totals = [sum(map(mul, vector, row)) for vector, row in zip(weights, rows)]
     expected = tuple(Fraction(t, level * prod(scales)) for t, level in zip(totals, levels))
     return expected, all(max(row) * d <= t for row, d, t in zip(rows, scales, totals))
 
@@ -209,9 +226,11 @@ class MixedCandidate:
     degenerate: bool
 
 
-def _indifference_samples(payoffs, level, own_support, other_support):
+def _indifference_samples(payoffs, level, own_support, other_support, restricted=None):
     """Solve the system making `own_support` indifferent against a mix over
     `other_support` (unknowns: the mix, then u, whose column holds -level).
+    `restricted` holds every row of `payoffs` restricted to `other_support`,
+    when the caller has them.
 
     Returns whether it has at most one solution, and the samples that are
     positive and earn no own strategy more than u: (the mix as lowest-terms
@@ -219,8 +238,10 @@ def _indifference_samples(payoffs, level, own_support, other_support):
     each own strategy's payoff against it, the largest).  A rank-deficient
     system is sampled at its particular solution and at steps 1, -1, 1/2,
     1/4 along each free direction, flagged degenerate."""
+    if restricted is None:
+        restricted = [[row[j] for j in other_support] for row in payoffs]
     k = len(other_support)
-    rows = [[payoffs[i][j] for j in other_support] + [-level] for i in own_support]
+    rows = [[*restricted[i], -level] for i in own_support]
     rows.append([1] * k + [0])
     solution = solve_linear(rows, [0] * len(own_support) + [1])
     if solution is None:
@@ -232,40 +253,55 @@ def _indifference_samples(payoffs, level, own_support, other_support):
         if min(mix) <= 0:
             continue
         g = gcd(*mix)
-        probs = [0] * len(payoffs[0])
-        for j, x in zip(other_support, mix):
-            probs[j] = x // g
-        values = [sum(row[j] * probs[j] for j in other_support) for row in payoffs]
+        if g != 1:
+            mix = [x // g for x in mix]
+        values = [sum(map(mul, row, mix)) for row in restricted]
         top = max(values)
         if top == values[own_support[0]]:
+            probs = [0] * len(payoffs[0])
+            for j, x in zip(other_support, mix):
+                probs[j] = x
             # The mix sums to one: its numerators sum to its denominator.
-            samples.append((tuple(probs), sum(mix) // g, not solution.unique, values, top))
+            samples.append((tuple(probs), sum(mix), not solution.unique, values, top))
     return solution.unique, samples
 
 
 def _system_memo(payoffs, level):
     """`samples(own_support, other_support)`: `_indifference_samples`'s kept
-    samples, with each distinct system solved once (see the module docstring)."""
-    memo: dict[tuple, tuple[bool, list]] = {}
-    restricted = {}     # per other support, every own row restricted to it
+    samples, with each distinct system solved once (see the module docstring).
+
+    Per other support, each distinct restricted own row gets one bit, so a
+    set of restricted rows is the OR of its rows' bits."""
+    systems = {}    # per other support: (restricted rows, their bits, memo by set)
 
     def samples(own_support, other_support):
-        rows = restricted.get(other_support)
-        if rows is None:
-            rows = restricted[other_support] = [tuple(row[j] for j in other_support)
-                                                for row in payoffs]
-        key = (other_support, frozenset(rows[i] for i in own_support))
-        if key not in memo:
+        system = systems.get(other_support)
+        if system is None:
+            restricted = [tuple(row[j] for j in other_support) for row in payoffs]
+            index = {}
+            bits = [1 << index.setdefault(row, len(index)) for row in restricted]
+            system = systems[other_support] = restricted, bits, {}
+        restricted, bits, memo = system
+        key = 0
+        for i in own_support:
+            key |= bits[i]
+        found = memo.get(key)
+        if found is None:
             for i in own_support:
-                smaller = memo.get((other_support,
-                                    frozenset(rows[s] for s in own_support if s != i)))
+                rest = 0
+                for s in own_support:
+                    if s != i:
+                        rest |= bits[s]
+                smaller = memo.get(rest)
                 if smaller and smaller[0]:
                     # Row i's equation keeps the one solution iff row i earns its top.
-                    memo[key] = True, [s for s in smaller[1] if s[3][i] == s[4]]
+                    found = True, [s for s in smaller[1] if s[3][i] == s[4]]
                     break
             else:
-                memo[key] = _indifference_samples(payoffs, level, own_support, other_support)
-        return memo[key][1]
+                found = _indifference_samples(payoffs, level, own_support, other_support,
+                                              restricted)
+            memo[key] = found
+        return found[1]
     return samples
 
 
@@ -280,38 +316,36 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     table = _as_table(game)
     if table.n_players != 2:
         raise SemanticError("support enumeration handles exactly 2 players")
-    counts = table.strategy_counts
-    # Each player's payoffs as integer numerators over their lcm, the level.
-    row_level, col_level = (lcm(*(v[i].denominator for v in table.payoffs.values()))
-                            for i in (0, 1))
-    row_payoffs = [[v.numerator * (row_level // v.denominator)
-                    for v in (table.payoffs[(i, j)][0] for j in range(counts[1]))]
-                   for i in range(counts[0])]
-    col_payoffs = [[v.numerator * (col_level // v.denominator)
-                    for v in (table.payoffs[(i, j)][1] for i in range(counts[0]))]
-                   for j in range(counts[1])]
+    n1, n2 = table.strategy_counts
+    (row_level, row_column), (col_level, col_column) = table.integer_payoffs
+    # Rows are each player's own strategies.
+    row_payoffs = [list(row_column[i * n2:(i + 1) * n2]) for i in range(n1)]
+    col_payoffs = [list(col_column[j::n2]) for j in range(n2)]
 
     # Per opponent support, the own strategies no own strategy strictly beats
     # on it; a pair with a support outside these sets has no candidate.
-    allowed1 = _undominated(row_payoffs, counts[1])
-    allowed2 = _undominated(col_payoffs, counts[0])
+    allowed1 = _undominated(row_payoffs, n2)
+    allowed2 = _undominated(col_payoffs, n1)
+    outside1 = {sup2: ~_mask(allowed) for sup2, allowed in allowed1.items()}
+    supports2 = {allowed: _supports(allowed) for allowed in set(allowed2.values())}
     row_samples = _system_memo(row_payoffs, row_level)
     col_samples = _system_memo(col_payoffs, col_level)
 
     # Each candidate's support is its pair's, and a pair's samples are
     # distinct points, so no profile is found twice.
     found = []
-    for sup1 in _supports(range(counts[0])):
-        for sup2 in _supports(allowed2[sup1]):
-            if not all(i in allowed1[sup2] for i in sup1):
+    for sup1 in _supports(range(n1)):
+        mask = _mask(sup1)
+        for sup2 in supports2[allowed2[sup1]]:
+            if mask & outside1[sup2]:
                 continue
             q_samples = row_samples(sup1, sup2)
             p_samples = col_samples(sup2, sup1) if q_samples else ()
             for q, q_den, deg_q, row_values, row_top in q_samples:
                 for p, p_den, deg_p, col_values, col_top in p_samples:
                     # The stability test of `_payoff_sums`: max(row) * D <= sum w * row.
-                    row_sum = sum(p[i] * row_values[i] for i in sup1)
-                    col_sum = sum(q[j] * col_values[j] for j in sup2)
+                    row_sum = sum(map(mul, p, row_values))
+                    col_sum = sum(map(mul, q, col_values))
                     if row_top * p_den <= row_sum and col_top * q_den <= col_sum:
                         found.append((p, p_den, q, q_den, row_sum, col_sum, deg_q or deg_p))
 
@@ -319,11 +353,25 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
     p_scale, q_scale = lcm(*(c[1] for c in found)), lcm(*(c[3] for c in found))
     found.sort(key=lambda c: ([x * (p_scale // c[1]) for x in c[0]],
                               [x * (q_scale // c[3]) for x in c[2]]))
-    return [MixedCandidate(MixedProfile((tuple(Fraction(x, p_den) for x in p),
-                                         tuple(Fraction(x, q_den) for x in q))),
+    made = {}   # each probability, by (numerator, denominator)
+
+    def fractions(numerators, denominator):
+        out = []
+        for x in numerators:
+            value = made.get((x, denominator))
+            if value is None:
+                value = made[x, denominator] = Fraction(x, denominator)
+            out.append(value)
+        return tuple(out)
+
+    return [MixedCandidate(MixedProfile((fractions(p, p_den), fractions(q, q_den))),
                            (Fraction(row_sum, row_level * p_den * q_den),
                             Fraction(col_sum, col_level * p_den * q_den)), degenerate)
             for p, p_den, q, q_den, row_sum, col_sum, degenerate in found]
+
+
+def _mask(strategies) -> int:
+    return sum(1 << s for s in strategies)
 
 
 def _supports(strategies) -> list[tuple[int, ...]]:
@@ -335,12 +383,22 @@ def _supports(strategies) -> list[tuple[int, ...]]:
 def _undominated(payoffs, other_count) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map each support of the opponent to the own strategies (rows of
     `payoffs`) that no own strategy strictly beats at every column of it."""
-    # beats[i][k]: the columns at which own strategy k beats i, as a bitmask.
-    beats = [[sum(1 << j for j in range(other_count) if other[j] > row[j]) for other in payoffs]
-             for row in payoffs]
-    masks = {support: sum(1 << j for j in support) for support in _supports(range(other_count))}
-    return {support: tuple(i for i, row in enumerate(beats) if not any(b & m == m for b in row))
-            for support, m in masks.items()}
+    bits = [1 << j for j in range(other_count)]
+    # covered[i]: every column mask at all of which some own strategy beats i.
+    covered = []
+    for row in payoffs:
+        masks = set()
+        for other in payoffs:
+            beats = sum(itertools.compress(bits, map(gt, other, row)))
+            # A mask already covered was a submask of one whose submasks are in.
+            if beats not in masks:
+                sub = beats
+                while sub:
+                    masks.add(sub)
+                    sub = (sub - 1) & beats
+        covered.append(masks)
+    return {support: tuple(i for i, masks in enumerate(covered) if m not in masks)
+            for support, m in ((s, _mask(s)) for s in _supports(range(other_count)))}
 
 
 def transform_payoffs(game: StrategicGame, slopes: Sequence[Fraction],

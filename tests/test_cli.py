@@ -642,6 +642,22 @@ def test_zero_player_logical_game_is_rejected_by_every_verb(capsys, tmp_path):
         assert (code, out, err) == (3, "", "error: a game needs at least one player\n"), argv
 
 
+def test_payoff_formula_off_its_algebra_is_rejected_by_every_verb(capsys, tmp_path):
+    # c(1/3) is no constant of L_4_C; the mixed encoding's lifted algebra has
+    # it, so the mixed check must compile the payoff formulas in L_4_C first.
+    values = [[v] for v in ("0", "1/4", "1/2", "3/4", "1")]
+    path = _write_json(tmp_path, "lg.json", {
+        "algebra": "L_4_C", "variables": [["x"], ["y"]], "strategies": [values, values],
+        "payoff_formulas": ["y \\/ c(1/3)", "D x"]})
+    profile = _write_json(tmp_path, "profile.json", [{"0": "1"}, {"0": "1"}])
+    for argv in (("pure-ne", "--lgame", path),
+                 ("mixed-check", "--lgame", path, "--profile", profile),
+                 ("oracle", "mixed-verify", "--game", path, "--profile", profile)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            3, "", "error: constant 1/3 outside the domain of L_4_C\n"), argv
+
+
 # --- standard output and error as files -------------------------------------------
 
 def _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True,

@@ -1,5 +1,6 @@
 """Brute-force oracle: scans, exact expectations, support enumeration."""
 
+import functools
 import itertools
 import math
 import random
@@ -330,6 +331,114 @@ def test_payoff_sums_match_reference_on_big_denominators():
         verdicts.append(verdict)
     assert verdicts[:2] == [True, False] and verdicts[4]
     assert not all(verdicts)
+
+
+def test_payoff_sums_match_reference_on_four_player_games(seed):
+    # The sums contract each player's column over the other axes one at a
+    # time; a zero weight on the first, a middle or the last axis drops
+    # whole slices of it.
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(12):
+        counts = tuple(rng.randint(2, 3) for _ in range(4))
+        levels = rng.sample(PAYOFF_POOL, rng.randint(2, 4)) + [TINY, DEBT]
+        game = make_game(counts, lambda p: [rng.choice(levels) for _ in counts])
+        for zeros in [(axis,) for axis in range(4)] + [(0, 3), (0, 1, 2, 3)]:
+            vectors = []
+            for axis, c in enumerate(counts):
+                weights = [rng.randint(1, 3) for _ in range(c)]
+                if axis in zeros:
+                    weights[rng.randrange(c)] = 0
+                vectors.append(tuple(F(w, sum(weights)) for w in weights))
+            profile = MixedProfile(tuple(vectors))
+            assert expected_payoffs(game, profile) == reference_expected_payoffs(game, profile)
+            verdict = verify_mixed(game, profile)
+            assert verdict == reference_verify_mixed(game, profile)
+            verdicts.add(verdict)
+        for pure in pure_ne_scan(game)[:1] + [(0, 1, 1, 0)]:
+            point = dirac(counts, pure)
+            assert expected_payoffs(game, point) == reference_expected_payoffs(game, point)
+            assert verify_mixed(game, point) == reference_verify_mixed(game, point)
+            verdicts.add(verify_mixed(game, point))
+    assert verdicts == {True, False}
+
+
+# --- the integer view of a payoff table ----------------------------------------
+
+def reference_integer_payoffs(table):
+    """Per player, the lcm of the payoff denominators and the payoffs times
+    it, in profile order, computed in Fractions."""
+    out = []
+    for i in range(table.n_players):
+        column = [F(table.payoffs[profile][i]) for profile in table.profiles()]
+        level = math.lcm(*(v.denominator for v in column))
+        out.append((level, tuple(int(v * level) for v in column)))
+    return tuple(out)
+
+
+@st.composite
+def integer_view_games(draw):
+    """1-4 players of 1-3 strategies, payoffs from a pool that holds negative
+    values and the huge coprime denominators of the big-denominator cases;
+    each payoff is either the pool's object or an equal but distinct one,
+    and the payoff dict is sometimes not in profile order."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    pool = draw(st.lists(rationals | st.sampled_from([TINY, DEBT, -TINY, F(PROB, 3)]),
+                         min_size=1, max_size=4))
+    payoffs = {}
+    for profile in itertools.product(*map(range, counts)):
+        values = []
+        for _ in counts:
+            v = draw(st.sampled_from(pool))
+            values.append(F(v.numerator, v.denominator) if draw(st.booleans()) else v)
+        payoffs[profile] = tuple(values)
+    if draw(st.booleans()):
+        payoffs = dict(reversed(payoffs.items()))
+    return StrategicGame(tuple(tuple(f"s{k}" for k in range(c)) for c in counts), payoffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(integer_view_games())
+def test_integer_payoffs_match_fraction_reference(table):
+    view = table.integer_payoffs
+    assert view == reference_integer_payoffs(table)
+    assert all(type(level) is int and all(type(x) is int for x in column)
+               for level, column in view)
+    assert table.integer_payoffs is view
+
+
+def test_integer_payoffs_of_the_big_denominator_cases():
+    for game, _ in _big_denominator_cases():
+        assert game.integer_payoffs == reference_integer_payoffs(game)
+    solo = _big_denominator_cases()[0][0]
+    level = math.lcm(TINY.denominator, DEBT.denominator)
+    assert solo.integer_payoffs == ((level, (level // TINY.denominator,) * 2
+                                     + (-7 * (level // DEBT.denominator),)),)
+
+
+def test_the_oracle_computes_a_tables_integer_view_once(monkeypatch):
+    computed = []
+    compute = StrategicGame.integer_payoffs.func
+
+    def spy(table):
+        computed.append(id(table))
+        return compute(table)
+
+    view = functools.cached_property(spy)
+    view.__set_name__(StrategicGame, "integer_payoffs")
+    monkeypatch.setattr(StrategicGame, "integer_payoffs", view)
+    table = _pinned_tie_heavy_games()[0]
+    counts = table.strategy_counts
+    candidates = find_mixed_2p(table)
+    pure = pure_ne_scan(table)
+    profiles = [c.profile for c in candidates] + [dirac(counts, p) for p in pure]
+    for profile in profiles:
+        assert verify_mixed(table, profile)
+        expected_payoffs(table, profile)
+    assert len(candidates) == 16 and len(pure) == 5 and computed == [id(table)]
+    # A logical game is collapsed to a fresh table on every call.
+    pure_ne_scan(love_and_hate(2, 4).logical)
+    assert len(computed) == 2
 
 
 # --- reference: the unilateral-deviation scan ----------------------------------
