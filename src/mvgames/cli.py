@@ -154,6 +154,7 @@ def cmd_verify_representation(args) -> int:
 def cmd_pure_ne(args) -> int:
     lg = _load_lgame(args.lgame)
     enc = equilibria.build_gamma_weak(lg) if args.weak else equilibria.build_encoding(lg)
+    lg.payoff_table.program     # a formula that does not compile fails the run here
     if args.emit_formula:
         game.write_text(args.emit_formula, formula.to_text(enc.existence) + "\n")
     profiles, sat = equilibria.decide_pure_ne(lg, enc)
@@ -166,10 +167,11 @@ def cmd_pure_ne(args) -> int:
 def cmd_mixed_check(args) -> int:
     lg = _load_lgame(args.lgame)
     enc = equilibria.build_mixed_encoding(lg)
-    if args.emit_formula:
-        game.write_text(args.emit_formula, formula.to_text(enc.full) + "\n")
     counts = [len(block) for block in lg.strategies]
     profile = game.profile_from_json(game.load_json(args.profile), counts)
+    enc.program     # compiles the payoff formulas first: a failed run writes no file
+    if args.emit_formula:
+        game.write_text(args.emit_formula, formula.to_text(enc.full) + "\n")
     ok, trace = equilibria.check_mixed_ne(lg, profile, enc=enc)
     if args.trace:
         print(equilibria.format_trace(trace))

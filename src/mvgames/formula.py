@@ -454,7 +454,10 @@ class Program:
     constants and table calls over D, `odot` over D to the sum of its
     arguments' exponents, any other op over the larger one; each root comes
     back as `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only
-    then does `_scale`, the least D, serve callers on one D.
+    then does `_scale`, the least D, serve callers on one D.  The kernel's
+    shape (each e, each op's kind, the code by kind) is built on the first
+    run; a run at a new D binds it, scaling the constants and making one op
+    per kind, and only the last binding is kept.
     """
 
     def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None,
@@ -622,42 +625,55 @@ class Program:
         self._roots = roots
         # Every constant's denominator, here and in the tables called,
         # divides `_base`; None keeps the Fraction ops, as a table off one D does.
+        # `_own` is the constants' least D where every live op keeps one D.
         self._product = ops.get("odot")
         scales = [c[0].program._scale for c in self._calls]
         fns = {i[0] for i in self._code}
-        self._base = lcm(*(v.denominator for v in known if v is not None), *scales) \
+        own = lcm(*(v.denominator for v in known if v is not None))
+        self._own = own if all(fn in INTEGER_TWINS for fn in fns) else None
+        self._base = lcm(own, *scales) \
             if None not in scales and all(fn in INTEGER_TWINS or fn is self._product
                                           for fn in fns) else None
         self._scale = None if self._product in fns else self._base
-        self._kernel = None     # the last (D, code, constants, calls, root exponents) built
+        self._kernel = None     # the last (D, ops, constants, code, root exponents) bound
         self._gathers = None    # (table, `over_rows`' reading of the calls on it), made once
+
+    @cached_property
+    def _shape(self) -> tuple:
+        """The kernel's shape, the same at every D: each distinct op kind
+        (fn, arity, e, e - x, e - y), for an op over D^e whose arguments lie
+        over D^x and D^y; the code as (kind index, out, a, b); each root's e."""
+        power, kinds, code = [1] * len(self._slots), {}, []
+        for fn, out, args in self._code:
+            a, b = args[0], args[-1]
+            x, y = power[a], power[b]
+            e = power[out] = x + y if fn is self._product else x if x > y else y
+            code.append((kinds.setdefault((fn, len(args), e, e - x, e - y), len(kinds)),
+                         out, a, b))
+        return list(kinds), code, [power[r] for r in self._roots]
 
     def _execute(self, scale, inputs) -> list:
         """Root values on `inputs`: numerators over powers of `scale`, or
-        Fractions for None."""
+        Fractions for None.  A new `scale` binds the shape: it scales the
+        constants and makes one op per kind."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
-            slots, power, kinds = self._slots, [1] * len(self._slots), []
+            kinds, code, exponents = self._shape
+            slots = self._slots
             if scale is not None:
                 slots = [v if v is None else v.numerator * (scale // v.denominator)
                          for v in slots]
-            for fn, out, args in self._code:    # each slot's e of D^e, each op's kind
-                x, y = power[args[0]], power[args[-1]]
-                e = power[out] = x + y if fn is self._product else x if x > y else y
-                kinds.append((fn, len(args), e, e - x, e - y))
-            made = {kind: self._op(scale, *kind) for kind in set(kinds)}
-            code = [(made[kind], out, args[0], args[-1])
-                    for (_, out, args), kind in zip(self._code, kinds)]
-            kernel = self._kernel = (scale, code, slots, self._calls,
-                                     [power[r] for r in self._roots])
-        values = list(kernel[2])
+            kernel = self._kernel = (scale, [self._op(scale, *kind) for kind in kinds],
+                                     slots, code, exponents)
+        _, ops, values, code, _ = kernel
+        values = list(values)
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
-        for table, out, args, i in kernel[3]:
+        for table, out, args, i in self._calls:
             given = [values[a] for a in args]
             values[out] = table.at(pairs(given, scale), given, scale)[i]
-        for fn, out, a, b in kernel[1]:
-            values[out] = fn(values[a], values[b])
+        for k, out, a, b in code:
+            values[out] = ops[k](values[a], values[b])
         return [values[r] for r in self._roots]
 
     def _op(self, scale, fn, arity, e, dx, dy):
@@ -734,18 +750,19 @@ class Program:
     def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
         """(D, each root's numerators over D at every row of `table`), from
         one pass that runs each instruction over whole dense columns; None
-        unless the program runs on one D and every call reads `table` with
-        each block bound to the row's own variables or to the constants of
-        one of its strategies t.  Such a call's column is the formula's,
-        gathered at row r + (t - s(r)) * stride, s(r) the block's strategy
-        at r."""
-        if self._scale is None:
+        unless the program's own ops and constants keep one D and every call
+        reads `table` with each block bound to the row's own variables or to
+        the constants of one of its strategies t.  Such a call's column is
+        the formula's numerators over `table.scale`, which every filled
+        table has, its formulas on one D or not, gathered at row
+        r + (t - s(r)) * stride, s(r) the block's strategy at r."""
+        if self._own is None:
             return None
         if self._gathers is None or self._gathers[0] is not table:
             self._gathers = table, _row_gathers(self, table)
         if self._gathers[1] is False:
             return None
-        scale = lcm(self._scale, table.scale)
+        scale = lcm(self._own, table.scale)
         lift, size = scale // table.scale, len(table.rows[0])
         values = [v if v is None else v.numerator * (scale // v.denominator)
                   for v in self._slots]

@@ -15,7 +15,10 @@ table's `payoffs` must not be mutated after construction.  Nothing else is
 kept across calls.  The mixed oracle runs on integers until it keeps a
 candidate: each distinct support system is solved once per call, by
 fraction-free Gauss-Jordan elimination (Bareiss), which reaches the same
-reduced row echelon form as rational elimination.  Degenerate support
+reduced row echelon form as rational elimination.  The finder checks once
+per call that its payoffs are ints and hands each system, an augmented
+int matrix, to the bare core `_solve`; `solve_linear` is the public,
+type-checked entry to the same core.  Degenerate support
 systems are solved parametrically; one rational representative per solution
 face is emitted and flagged.  A support pair is solved only when no
 strategy in either support is strictly beaten, at every strategy of the
@@ -167,16 +170,24 @@ def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
 
     Returns None when inconsistent; otherwise a particular solution plus a
     basis of the nullspace (empty iff the solution is unique), read off the
-    reduced row echelon form.  Fraction-free Gauss-Jordan elimination
-    (Bareiss) ends at d times that form, d the last pivot, with every entry
-    an integer minor on the way.
+    reduced row echelon form (`_solve`).
     """
     m = [[*row, b] for row, b in zip(rows, rhs)]
     # Exact division floors a non-integral entry to a wrong point, silently.
     if not set(map(type, itertools.chain.from_iterable(m))) <= {int}:
         raise TypeError("solve_linear takes int entries only")
+    solution = _solve(m)
+    return solution if solution is None else LinearSolution(*solution)
+
+
+def _solve(m: list[list[int]]) -> Optional[tuple[list[int], list[list[int]], int]]:
+    """`solve_linear` on the augmented matrix [A | b] of int entries, which
+    it overwrites: (particular, directions, denominator), or None when
+    inconsistent.  Fraction-free Gauss-Jordan elimination (Bareiss) ends at
+    d times the reduced row echelon form, d the last pivot, with every entry
+    an integer minor on the way."""
     n_rows = len(m)
-    n_cols = len(rows[0]) if n_rows else 0
+    n_cols = len(m[0]) - 1 if n_rows else 0
     pivot_cols = []
     previous = 1
     r = 0
@@ -214,7 +225,7 @@ def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
         for row, c in zip(m, pivot_cols):
             vector[c] = -sign * row[free]
         nullspace.append(vector)
-    return LinearSolution(particular, nullspace, sign * previous)
+    return particular, nullspace, sign * previous
 
 
 # --- 2-player support enumeration ---------------------------------------------
@@ -230,7 +241,7 @@ def _indifference_samples(payoffs, level, own_support, other_support, restricted
     """Solve the system making `own_support` indifferent against a mix over
     `other_support` (unknowns: the mix, then u, whose column holds -level).
     `restricted` holds every row of `payoffs` restricted to `other_support`,
-    when the caller has them.
+    when the caller has them; the caller checks that every entry is an int.
 
     Returns whether it has at most one solution, and the samples that are
     positive and earn no own strategy more than u: (the mix as lowest-terms
@@ -241,15 +252,16 @@ def _indifference_samples(payoffs, level, own_support, other_support, restricted
     if restricted is None:
         restricted = [[row[j] for j in other_support] for row in payoffs]
     k = len(other_support)
-    rows = [[*restricted[i], -level] for i in own_support]
-    rows.append([1] * k + [0])
-    solution = solve_linear(rows, [0] * len(own_support) + [1])
+    system = [[*restricted[i], -level, 0] for i in own_support]
+    system.append([1] * k + [0, 1])
+    solution = _solve(system)
     if solution is None:
         return True, []
-    point = solution.numerators[:k]
+    particular, directions, _ = solution
+    point = particular[:k]
     samples = []
     for mix in [point] + [[4 * x + step * d for x, d in zip(point, direction)]
-                          for direction in solution.directions for step in (4, -4, 2, 1)]:
+                          for direction in directions for step in (4, -4, 2, 1)]:
         if min(mix) <= 0:
             continue
         g = gcd(*mix)
@@ -262,8 +274,8 @@ def _indifference_samples(payoffs, level, own_support, other_support, restricted
             for j, x in zip(other_support, mix):
                 probs[j] = x
             # The mix sums to one: its numerators sum to its denominator.
-            samples.append((tuple(probs), sum(mix), not solution.unique, values, top))
-    return solution.unique, samples
+            samples.append((tuple(probs), sum(mix), bool(directions), values, top))
+    return not directions, samples
 
 
 def _system_memo(payoffs, level):
@@ -318,6 +330,10 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
         raise SemanticError("support enumeration handles exactly 2 players")
     n1, n2 = table.strategy_counts
     (row_level, row_column), (col_level, col_column) = table.integer_payoffs
+    # `_solve` divides exactly: it would floor a non-integral entry to a wrong point.
+    if not {type(row_level), type(col_level), *map(type, row_column),
+            *map(type, col_column)} <= {int}:
+        raise TypeError("support enumeration takes int payoff numerators only")
     # Rows are each player's own strategies.
     row_payoffs = [list(row_column[i * n2:(i + 1) * n2]) for i in range(n1)]
     col_payoffs = [list(col_column[j::n2]) for j in range(n2)]

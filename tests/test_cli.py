@@ -658,6 +658,27 @@ def test_payoff_formula_off_its_algebra_is_rejected_by_every_verb(capsys, tmp_pa
             3, "", "error: constant 1/3 outside the domain of L_4_C\n"), argv
 
 
+def test_a_run_that_fails_to_compile_writes_no_formula_file(capsys, tmp_path):
+    # The encodings print, but c(1/3) is no constant of L_4_C: both verbs
+    # exit 3 and neither creates the file nor rewrites one already there.
+    values = [[v] for v in ("0", "1/4", "1/2", "3/4", "1")]
+    path = _write_json(tmp_path, "lg.json", {
+        "algebra": "L_4_C", "variables": [["x"], ["y"]], "strategies": [values, values],
+        "payoff_formulas": ["y \\/ c(1/3)", "D x"]})
+    profile = _write_json(tmp_path, "profile.json", [{"0": "1"}, {"0": "1"}])
+    kept = tmp_path / "kept.txt"
+    kept.write_text("an earlier run's formula\n", encoding="utf-8")
+    for argv in (("pure-ne", "--lgame", path), ("pure-ne", "--lgame", path, "--weak"),
+                 ("mixed-check", "--lgame", path, "--profile", profile)):
+        emitted = tmp_path / "emitted.txt"
+        for target in (emitted, kept):
+            code, out, err = run(capsys, *argv, "--emit-formula", str(target))
+            assert (code, out, err) == (
+                3, "", "error: constant 1/3 outside the domain of L_4_C\n"), argv
+        assert not emitted.exists(), argv
+        assert kept.read_text(encoding="utf-8") == "an earlier run's formula\n"
+
+
 # --- standard output and error as files -------------------------------------------
 
 def _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True,

@@ -755,3 +755,37 @@ def test_deciding_compares_no_fractions_in_row_gathers_or_has_constant(monkeypat
     decide_pure_ne(_fresh(lg))
     monkeypatch.undo()
     assert not {"_row_gathers", "has_constant"} & set(callers)
+
+
+def _row_fill_games():
+    """CI's games whose payoff programs are off one D: a live * on a 4x3
+    `STD_QPL_DELTA` game, and => and * on a 3-player `STD_LPIH` one."""
+    qpl = LogicalGame(catalog_lookup("STD_QPL_DELTA"), (("x",), ("y",)),
+                      (tuple((F(k, 3),) for k in range(4)), ((F(0),), (F(1, 2),), (F(1),))),
+                      (parse("(x * ~y) + (y * c(1/2))"), parse("(y * ~x) + D (x -> c(1/3))")))
+    lpih = LogicalGame(catalog_lookup("STD_LPIH"), (("a",), ("b",), ("c",)),
+                       (((F(1, 4),), (F(1, 2),), (F(1),)), ((F(1, 3),), (F(1),)),
+                        ((F(0),), (F(1, 2),))),
+                       (parse("(b => a) * (a + c)"), parse("(a * b) => (c \\/ b)"),
+                        parse("((a => c) * b) + c")))
+    return [(qpl, 6), (lpih, 3)]
+
+
+def test_gamma_over_a_table_off_one_d_runs_over_its_rows(monkeypatch):
+    # The payoff programs are off one D, gamma's own ops are not: gamma reads
+    # the filled table over its scale, and no profile runs gamma alone.
+    profiles = []
+    run = equilibria.satisfies_gamma
+    monkeypatch.setattr(equilibria, "satisfies_gamma",
+                        lambda enc, profile: profiles.append(profile) or run(enc, profile))
+    for lg, count in _row_fill_games():
+        assert len(_routes(lg)) == 2
+        assert lg.payoff_table.program._scale is None
+        for build in _routes(lg):
+            enc = build(_fresh(lg))
+            assert enc.gamma_program._scale is None
+            found, sat = decide_pure_ne(enc.game, enc)
+            assert sat and len(found) == count
+            assert found == [tuple(lg.strategies[i][k] for i, k in enumerate(ids))
+                             for ids in pure_ne_scan(lg)]
+    assert profiles == []

@@ -191,6 +191,18 @@ def test_solve_linear_rejects_non_integer_entries():
             solve_linear(*bad)
 
 
+def test_find_mixed_rejects_a_non_integer_view():
+    # The finder checks its matrices and levels once per call, since its
+    # systems reach the fraction-free core unchecked.
+    for bad in ((F(1), 0), (1, F(1, 2)), (1.0, 1), (1, True)):
+        table = make_game((2, 2), lambda p: (F(p[0]), F(p[1])))
+        column = table.integer_payoffs[0][1]
+        view = ((bad[0], (bad[1],) + column[1:]), table.integer_payoffs[1])
+        object.__setattr__(table, "integer_payoffs", view)
+        with pytest.raises(TypeError):
+            find_mixed_2p(table)
+
+
 def test_degenerate_game_flagged():
     # duplicate rows make the indifference system rank-deficient
     game = make_game((2, 2), lambda p: (F(1), F(1)))
@@ -740,22 +752,25 @@ def _benchmark_shaped_tables(rng):
 def test_find_mixed_matches_reference_on_benchmark_shaped_games(seed, monkeypatch):
     # Each (own support, other support) system is solved once per call: the
     # column player's candidates are shared by every passing row candidate.
+    # Every system goes through the fraction-free core, which must see some
+    # on every table: no pruning drops the support pair of an equilibrium.
     solved = set()
-    solve = oracle.solve_linear
+    solve = oracle._solve
 
-    def spy(rows, rhs):
+    def spy(system):
         caller = sys._getframe(1).f_locals
         key = (id(caller["payoffs"]), caller["own_support"], caller["other_support"])
         assert key not in solved, f"system {key[1:]} solved twice"
         solved.add(key)
-        return solve(rows, rhs)
+        return solve(system)
 
-    monkeypatch.setattr(oracle, "solve_linear", spy)
+    monkeypatch.setattr(oracle, "_solve", spy)
     candidates = degenerate = 0
     for table in _benchmark_shaped_tables(random.Random(seed)):
         solved.clear()
         found = find_mixed_2p(table)
         assert found == reference_find_mixed_2p(table)
+        assert solved
         candidates += len(found)
         degenerate += sum(c.degenerate for c in found)
     assert degenerate * 2 >= candidates > 0
@@ -809,15 +824,15 @@ def test_find_mixed_never_solves_a_dominated_support_pair(monkeypatch):
     for player in (0, 1):
         assert reference_undominated(table, player, (0, 1, 2, 3)) == (0, 1, 2, 3)
     solved = []
-    solve = oracle.solve_linear
+    solve = oracle._solve
 
-    def spy(rows, rhs):
+    def spy(system):
         caller = sys._getframe(1).f_locals
         own, other = caller["own_support"], caller["other_support"]
         solved.append((own, other) if caller["payoffs"] == row else (other, own))
-        return solve(rows, rhs)
+        return solve(system)
 
-    monkeypatch.setattr(oracle, "solve_linear", spy)
+    monkeypatch.setattr(oracle, "_solve", spy)
     found = find_mixed_2p(table)
     assert found == reference_find_mixed_2p(table)
     assert solved
@@ -876,17 +891,17 @@ def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
     row_payoffs = _integer_payoffs(table, 0)
     assert row_payoffs != _integer_payoffs(table, 1)
     solved = []
-    solve = oracle.solve_linear
+    solve = oracle._solve
 
-    def spy(rows, rhs):
+    def spy(system):
         caller = sys._getframe(1).f_locals
         payoffs, other = caller["payoffs"], caller["other_support"]
         solved.append((payoffs == row_payoffs, other,
                        frozenset(tuple(payoffs[i][j] for j in other)
                                  for i in caller["own_support"])))
-        return solve(rows, rhs)
+        return solve(system)
 
-    monkeypatch.setattr(oracle, "solve_linear", spy)
+    monkeypatch.setattr(oracle, "_solve", spy)
     found = find_mixed_2p(table)
     assert len(found) == 21 and sum(c.degenerate for c in found) == 13
     supports = [s for size in range(1, 7) for s in itertools.combinations(range(6), size)]
@@ -896,7 +911,7 @@ def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
     row_systems = {(sup2, frozenset(tuple(row_payoffs[i][j] for j in sup2) for i in sup1))
                    for sup1, sup2 in visited}
     assert len(set(solved)) == len(solved) < len(visited)
-    assert sum(row for row, *_ in solved) < len(row_systems) < len(visited)
+    assert 0 < sum(row for row, *_ in solved) < len(row_systems) < len(visited)
 
 
 def _memo_walk(seed):

@@ -202,6 +202,89 @@ def test_product_programs_run_on_integers_over_powers_of_d(case):
     assert program._kernel[4][:len(texts)] == [EXPONENTS[text] for text in texts]
 
 
+# Denominators that move D back and forth: 1000003 and 7 each need a D the
+# other's does not divide, so the kernel is bound again at a D it had before.
+REBINDS = [1000003, 7, 1000003]
+
+
+def spread(counts, d):
+    """Per block, 1/d on every strategy but the last, which takes the rest
+    (a Dirac profile where d is too small)."""
+    return MixedProfile(tuple((F(1, d),) * (c - 1) + (1 - F(c - 1, d),) if d >= c - 1
+                              else (ZERO,) * (c - 1) + (ONE,) for c in counts))
+
+
+@st.composite
+def rebind_cases(draw):
+    """(program, its roots, algebra, table, assignments): formulas over a
+    product algebra with a live * (slots over D^2 and D^3), and sometimes
+    a live => (the Fraction kernel), or a small game's mixed trace and calls
+    of its payoff table; their denominators move D back and forth."""
+    denominators = REBINDS + draw(st.lists(st.sampled_from([1, 2, 3, 6, 7, 10 ** 20 + 39]),
+                                           min_size=1, max_size=4))
+    if draw(st.booleans()):
+        alg = catalog_lookup(draw(st.sampled_from(PRODUCT_ALGEBRAS)))
+        roots = draw(st.lists(formulas(alg), max_size=2)) + [parse("(x * y) * (z + x)")]
+        if "imp_pi" in alg.ops and draw(st.booleans()):
+            roots.append(parse("(x * y) => z"))
+        table = None
+        steps = [{"x": F(1, d), "y": ONE - F(1, d), "z": F(1, 2)} for d in denominators]
+    else:
+        lg = random_logical_game(random.Random(draw(st.integers(0, 2 ** 32))))
+        enc = build_mixed_encoding(lg)
+        assert enc.algebra is lg.algebra
+        # Each payoff formula read at the players' first probabilities: calls
+        # the table runs, on its rows or off them, where the trace's fold.
+        firsts = [(name, Var(block[0])) for names, block in zip(lg.variables, enc.prob_vars)
+                  for name in names]
+        alg, table = enc.algebra, lg.payoff_table
+        roots = [root for _, root in enc.trace] + [Subst(phi, tuple(firsts))
+                                                   for phi in lg.payoff_formulas]
+        counts = [len(block) for block in lg.strategies]
+        steps = [enc.assignment(spread(counts, d)) for d in denominators]
+    return Program(roots, alg, table), roots, alg, table, steps
+
+
+@PROPERTY
+@given(rebind_cases())
+def test_one_program_rebinding_per_d_equals_a_fresh_program_per_run(case):
+    program, roots, alg, table, steps = case
+    scales = []
+    for env in steps:
+        got = program.run(env)
+        assert [(v, type(v)) for v in got] == \
+            [(v, type(v)) for v in Program(roots, alg, table).run(env)]
+        scales.append(program._kernel[0])
+    # The kernel went back to the D of 1000003 after one for 7, or stayed
+    # on the Fraction ops.
+    assert scales[0] == scales[2] != scales[1] or scales == [None] * len(steps)
+
+
+def test_a_program_builds_its_kernel_shape_once(monkeypatch):
+    # A run at a new D scales the constants and makes one op per kind of the
+    # shape; the exponents, the kinds and the code are built once.
+    alg = catalog_lookup("STD_QPL_DELTA")
+    roots = [parse(text) for text in ("((x * y) * z) + (x -> c(1/2))", "(x * y) \\/ ~z",
+                                      "D (x + y)", "(y * c(1/3)) & (x * y)")]
+    program = Program(roots, alg)
+    made = []
+    op = Program._op
+    monkeypatch.setattr(Program, "_op", lambda self, *kind: made.append(kind) or op(self, *kind))
+    shape = scale = None
+    for d in REBINDS + [3, 7]:
+        env = {"x": F(1, d), "y": F(2, 5), "z": ONE - F(1, d)}
+        assert program.run(env) == [reference(f, alg, env) for f in roots]
+        shape = shape or program._shape
+        kinds, code, exponents = program._shape
+        assert program._shape is shape and program._kernel[4] is exponents
+        assert exponents == [3, 2, 1, 2]
+        bound, scale = scale != program._kernel[0], program._kernel[0]
+        assert made == ([(scale, *kind) for kind in kinds] if bound else [])
+        assert len(program._kernel[1]) == len(kinds) < len(code) == len(program._code)
+        made.clear()
+    assert scale == 7 * 30
+
+
 L4 = catalog_lookup("L_4")
 X = Var("x")
 
