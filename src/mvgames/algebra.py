@@ -16,6 +16,7 @@ expansions.  Algebras are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -145,6 +146,86 @@ INTEGER_TWINS = {
     _ominus: lambda D: lambda a, b: a - b if a > b else 0,
     _delta: lambda D: lambda a: D if a == D else 0,
 }
+
+# struct codes of little-endian ints by size; wider lanes are packed by slicing bytes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class Lanes:
+    """Columns of `size` numerators over D in [0, D], each packed in one int
+    (SWAR, "SIMD within a register": Lamport, CACM 1975; Knuth, TAOCP 4A,
+    7.1.3).  Row i holds bits [i*w, (i+1)*w), w = 8 * `width` for the least
+    width 1, 2, 4, 8, ... with 2D < 2^(w-1): a sum of two numerators stays
+    below each lane's top bit, the guard.  `twins[op]` is `INTEGER_TWINS[op](D)`
+    on such columns, a few whole-int operations that no lane borrows from or
+    carries out of; `twins` takes unary ops as (a, a)."""
+
+    def __init__(self, D: int, size: int):
+        width = 1
+        while 2 * D >= 1 << (8 * width - 1):
+            width *= 2
+        self.D, self.size, self.width = D, size, width
+        self.ones = self.repunit(size, width)
+        top = 8 * width - 1
+        # the guard bit and D in every lane, and one lane of ones
+        guard, D, full = self.ones << top, D * self.ones, (2 << top) - 1
+
+        def ge(a, b):       # each lane all ones where a >= b, else 0
+            return ((((a | guard) - b) & guard) >> top) * full
+
+        def sat(a, b):      # max(a - b, 0)
+            t = (a | guard) - b
+            g = t & guard
+            return t & (g - (g >> top))
+
+        def low(a, b):
+            return b ^ ((a ^ b) & ge(b, a))
+
+        def high(a, b):
+            return a ^ ((a ^ b) & ge(b, a))
+
+        self.twins = {
+            _and: low, _or: high, _ominus: sat,
+            _imp_luk: lambda a, b: D - sat(a, b),
+            _imp_godel: lambda a, b: b ^ ((D ^ b) & ge(b, a)),
+            _imp_bool: lambda a, b: high(D - a, b),
+            _neg_luk: lambda a, _: D - a,
+            _and_strong: lambda a, b: sat(a + b, D),
+            _oplus: lambda a, b: low(a + b, D),
+            _delta: lambda a, _: D & ge(a, D),
+        }
+
+    @staticmethod
+    def repunit(count: int, width: int) -> int:
+        """1 in each of `count` lanes of `width` bytes."""
+        return int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+
+    def pack(self, column) -> int:
+        """The int whose lane i holds column[i]."""
+        code = _CODES.get(self.width)
+        if code is None:
+            data = b"".join(v.to_bytes(self.width, "little") for v in column)
+        else:
+            data = struct.pack(f"<{self.size}{code}", *column)
+        return int.from_bytes(data, "little")
+
+    def unpack(self, packed: int) -> list[int]:
+        """The numerators in the lanes of `packed`, row by row."""
+        data, width = packed.to_bytes(self.size * self.width, "little"), self.width
+        code = _CODES.get(width)
+        if code is None:
+            return [int.from_bytes(data[i:i + width], "little")
+                    for i in range(0, len(data), width)]
+        return list(struct.unpack(f"<{self.size}{code}", data))
+
+    def gather(self, column: int, stride: int, count: int, t: int) -> int:
+        """Row r + (t - s) * stride of `column` at each row r, s = (r // stride)
+        % count: in each span of stride * count rows, its t-th run of stride
+        rows repeated count times (a shift, a span mask, a repunit product)."""
+        run = stride * self.width
+        keep = int.from_bytes((b"\xff" * run + bytes(run * (count - 1)))
+                              * (self.size // (stride * count)), "little")
+        return ((column >> 8 * run * t) & keep) * self.repunit(count, run)
 
 
 _MV_OPS = {

@@ -39,7 +39,9 @@ The Lukasiewicz connectives are piecewise linear with integer coefficients
 0 or 1, so on values over D^e each returns a value over D^e: its integer
 twin (`algebra.INTEGER_TWINS`) made for D^e computes it exactly, the lower
 argument lifted to D^e.  `odot` multiplies numerators and adds the powers,
-as fraction-free elimination carries its denominators (Bareiss, 1968).
+as fraction-free elimination carries its denominators (Bareiss, 1968).  The
+payoff table's fill and gamma's pass over its rows run such a program once
+over whole columns, each an int with one lane per row (`algebra.Lanes`).
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product, repeat
+from itertools import product
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, as_truth_value
+from .algebra import ARITY, INTEGER_TWINS, ONE, ZERO, Algebra, Lanes, as_truth_value
 from .errors import InputError, SemanticError
 
 
@@ -454,10 +456,11 @@ class Program:
     constants and table calls over D, `odot` over D to the sum of its
     arguments' exponents, any other op over the larger one; each root comes
     back as `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only
-    then does `_scale`, the least D, serve callers on one D.  The kernel's
-    shape (each e, each op's kind, the code by kind) is built on the first
-    run; a run at a new D binds it, scaling the constants and making one op
-    per kind, and only the last binding is kept.
+    then does `_scale`, the least D, serve callers on one D, and `_columns`
+    run the code over packed columns.  The kernel's shape (each e, each
+    op's kind, the code by kind) is built on the first run; a run at a new
+    D binds it, scaling the constants and making one op per kind, and only
+    the last binding is kept.
     """
 
     def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None,
@@ -612,10 +615,16 @@ class Program:
         live = [False] * len(shape)
         for r in roots:
             live[r] = True
+        # (instruction, slot) flattened, last instruction first, for each
+        # slot that no later instruction or root reads
+        dying: list = []
         for what in reversed(shape):
             if type(what) is tuple and live[what[1]]:
                 for a in what[2]:
-                    live[a] = True
+                    if not live[a]:
+                        live[a] = True
+                        dying.append(what[1])
+                        dying.append(a)
         self._slots = known         # constants in place; run fills the rest
         self._variables = [(what, index) for index, what in enumerate(shape)
                            if type(what) is str]
@@ -631,6 +640,7 @@ class Program:
         fns = {i[0] for i in self._code}
         own = lcm(*(v.denominator for v in known if v is not None))
         self._own = own if all(fn in INTEGER_TWINS for fn in fns) else None
+        self._dying = None if self._own is None else dying     # kept where `_columns` may run
         self._base = lcm(own, *scales) \
             if None not in scales and all(fn in INTEGER_TWINS or fn is self._product
                                           for fn in fns) else None
@@ -687,74 +697,32 @@ class Program:
             fn = twin if x == y == 1 else lambda a, b: twin(a * x, b * y)
         return fn if arity == 2 else lambda a, _: fn(a)
 
-    def _columns(self, scale, inputs) -> list:
-        """Root columns on `inputs`, one per variable, on the integer kernel
-        (columnar execution; Boncz et al., MonetDB/X100, 2005).  A column is
-        (default, {row: numerator over `scale`}), no exception equal to its
-        default.  An op computes the fewest rows its sides allow: the
-        exceptions of one whose default is its absorbing value, or its unit
-        (then updating the other's column, in place where that dies here),
-        else the union of both sides' exceptions."""
-        twin = {fn: make(scale) for fn, make in INTEGER_TWINS.items()}
-        ops = self.algebra.ops
-        absorbing, unit = ({ops[op]: v.numerator * scale for op, v in same.items() if op in ops}
-                           for same in (_ABSORBING, _UNIT))
-        values = [v if v is None else (v.numerator * (scale // v.denominator), {})
+    def _columns(self, lanes: Lanes, inputs: Mapping[int, int]) -> list[int]:
+        """Each root's column, numerators over `lanes.D` packed in `lanes`, from
+        one pass that runs each instruction once over whole columns as its
+        packed twin (columnar execution; Boncz et al., MonetDB/X100, 2005).
+        `inputs` maps the slot of each variable or call read to its column."""
+        D, ones, twins, dying = lanes.D, lanes.ones, lanes.twins, self._dying
+        values = [v if v is None else ones * (v.numerator * (D // v.denominator))
                   for v in self._slots]
-        for (_, index), column in zip(self._variables, inputs):
+        for index, column in inputs.items():
             values[index] = column
-        code = self._code
-        last = [-1] * len(values)   # per slot, the last instruction that reads it
-        for k, (_, _, args) in enumerate(code):
-            for a in args:
-                last[a] = k
-        for r in self._roots:
-            last[r] = len(code)
-        for k, (fn, out, args) in enumerate(code):
-            f, a = twin[fn], args[0]
-            x, xs = values[a]
-            if len(args) == 1:
-                d = f(x)
-                values[out] = d, {r: v for r, u in xs.items() if (v := f(u)) != d}
-                if last[a] == k:
-                    values[a] = None
-                continue
-            b = args[1]
-            y, ys = values[b]
-            d, zero, one = f(x, y), absorbing.get(fn), unit.get(fn)
-            rows = kept = None
-            if ys and (x == zero or x == one):
-                rows, kept = xs, b if x == one else None
-            if len(ys) < (len(xs) if rows is not None else len(xs) + len(ys)) \
-                    and (y == zero or y == one):
-                rows, kept = ys, a if y == one else None
-            if kept is None:
-                rows = xs.keys() | ys.keys() if rows is None else rows
-                values[out] = d, {r: v for r in rows
-                                  if (v := f(xs.get(r, x), ys.get(r, y))) != d}
-            else:   # d is the kept side's default
-                column = values[kept][1]
-                if last[kept] != k or a == b:
-                    column = dict(column)
-                for r in rows:
-                    v = column[r] = f(xs.get(r, x), ys.get(r, y))
-                    if v == d:
-                        del column[r]
-                values[out] = d, column
-            if last[a] == k:
-                values[a] = None
-            if last[b] == k:
-                values[b] = None
+        k = len(dying) - 2
+        for fn, out, args in self._code:
+            values[out] = twins[fn](values[args[0]], values[args[-1]])
+            while k >= 0 and dying[k] <= out:   # a column dies after its last read
+                values[dying[k + 1]] = None
+                k -= 2
         return [values[r] for r in self._roots]
 
     def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
         """(D, each root's numerators over D at every row of `table`), from
-        one pass that runs each instruction over whole dense columns; None
-        unless the program's own ops and constants keep one D and every call
-        reads `table` with each block bound to the row's own variables or to
-        the constants of one of its strategies t.  Such a call's column is
-        the formula's numerators over `table.scale`, which every filled
-        table has, its formulas on one D or not, gathered at row
+        `_columns`; None unless the program's own ops and constants keep one
+        D, no instruction or root reads a variable, and every call reads
+        `table` with each block bound to the row's own variables or to the
+        constants of one of its strategies t.  Such a call's column is the
+        formula's numerators over `table.scale`, which every filled table
+        has, its formulas on one D or not, packed and gathered from row
         r + (t - s(r)) * stride, s(r) the block's strategy at r."""
         if self._own is None:
             return None
@@ -763,22 +731,15 @@ class Program:
         if self._gathers[1] is False:
             return None
         scale = lcm(self._own, table.scale)
-        lift, size = scale // table.scale, len(table.rows[0])
-        values = [v if v is None else v.numerator * (scale // v.denominator)
-                  for v in self._slots]
+        lanes, packed, inputs = Lanes(scale, len(table.rows[0])), {}, {}
         for (_, out, _, i), gathers in zip(self._calls, self._gathers[1]):
-            column = table.numerators[i]
+            column = packed.get(i)
+            if column is None:
+                column = packed[i] = lanes.pack(table.numerators[i]) * (scale // table.scale)
             for stride, count, t in gathers:
-                span, gathered = stride * count, []
-                for base in range(t * stride, size, span):
-                    gathered += column[base:base + stride] * count
-                column = gathered
-            values[out] = column if lift == 1 else [v * lift for v in column]
-        for fn, out, args in self._code:
-            values[out] = list(map(INTEGER_TWINS[fn](scale), *(
-                values[a] if type(values[a]) is list else repeat(values[a]) for a in args)))
-        return scale, [v if type(v) is list else [v] * size
-                       for v in (values[r] for r in self._roots)]
+                column = lanes.gather(column, stride, count, t)
+            inputs[out] = column
+        return scale, [lanes.unpack(column) for column in self._columns(lanes, inputs)]
 
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
@@ -807,18 +768,21 @@ def _row_gathers(program: Program, table: Table):
     """Per call of `program`, the (stride, count, t) of each block of
     `table` that it binds to the constants of strategy t, the other
     blocks bound to the row's own variables; False if a call does not fit,
-    or an instruction reads a variable, which has no column."""
-    known, own = program._slots, {index: name for name, index in program._variables}
-    if any(a in own for _, _, args in program._code for a in args):
+    or an instruction or root reads a variable, which has no column."""
+    known, slot = program._slots, {name: index for name, index in program._variables}
+    read = {a for _, _, args in program._code for a in args}.union(program._roots)
+    if not read.isdisjoint(slot.values()):
         return False
+    own = [tuple(slot.get(name) for name in table.names[start:end])
+           for start, end, _, _ in table.blocks]
     out = []
     for served, _, args, _ in program._calls:
         if served is not table:
             return False
         gathers = []
-        for start, end, index, stride in table.blocks:
+        for (start, end, index, stride), mine in zip(table.blocks, own):
             slots = args[start:end]
-            if any(own.get(s) != name for s, name in zip(slots, table.names[start:end])):
+            if slots != mine:
                 values = [known[s] for s in slots]
                 t = None if any(v is None for v in values) else index.get(tuple(pairs(values)))
                 if t is None:
@@ -894,10 +858,10 @@ class Table:
         formula that does not compile raises what compiling every formula in
         order raises.  The formulas that read the variables of the same
         blocks form a group, and its program runs over the product of those
-        blocks alone: on columns where it runs on one D, else once per row
-        (a live `*` or `=>`).  Each row of the whole product reads the row
-        there that its strategies of those blocks name.  A group of every
-        formula runs `program`."""
+        blocks alone: once on packed columns (`_columns`) where it runs on
+        one D, else once per row (a live `*` or `=>`).  Each row of the
+        whole product reads the row there that its strategies of those
+        blocks name.  A group of every formula runs `program`."""
         blocks, spans = self.strategies, [range(start, end) for start, end, _, _ in self.blocks]
         owner = {p: b for b, span in enumerate(spans) for p in span}
         groups: dict = {}   # the blocks some formulas read -> those formulas
@@ -919,21 +883,17 @@ class Table:
         for read, group, program, own, values in zip(groups, groups.values(), programs,
                                                      names, runs):
             count = prod(len(blocks[b]) for b in read)
-            if values is None:
-                rows = [[x.numerator * (scale // x.denominator) for t in row for x in t]
-                        for row in product(*(blocks[b] for b in read))]
-                columns = []
-                for name, _ in program._variables:  # a variable's most frequent value is its default
-                    k = own.index(name)
-                    column = [row[k] for row in rows]
-                    d = max(set(column), key=column.count)
-                    columns.append((d, {r: v for r, v in enumerate(column) if v != d}))
-                values = []
-                for d, column in program._columns(scale, columns):
-                    dense = [d] * count
-                    for r, v in column.items():
-                        dense[r] = v
-                    values.append(dense)
+            if values is None:     # each variable's column over the group's rows
+                lanes, inputs = Lanes(scale, count), {}
+                for name, index in program._variables:
+                    p = self.names.index(name)
+                    b = owner[p]
+                    column, stride = [], prod(len(blocks[c]) for c in read if c > b)
+                    for t in blocks[b]:
+                        x = t[p - spans[b].start]
+                        column += [x.numerator * (scale // x.denominator)] * stride
+                    inputs[index] = lanes.pack(column * (count // len(column)))
+                values = [lanes.unpack(column) for column in program._columns(lanes, inputs)]
             else:
                 values = [[v.numerator * (scale // v.denominator) for v in column]
                           for column in zip(*values)]

@@ -235,6 +235,13 @@ class MixedProfile:
                 raise SemanticError(
                     f"player {i + 1}: probabilities sum to {Fraction(total, scale)}, not 1")
 
+    @classmethod
+    def _unchecked(cls, probabilities) -> MixedProfile:
+        """A profile of vectors its caller built as distributions, not checked again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "probabilities", probabilities)
+        return profile
+
 
 def dirac(counts: Sequence[int], profile: Profile) -> MixedProfile:
     """The mixed profile concentrated at one pure profile."""

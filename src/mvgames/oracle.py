@@ -380,7 +380,7 @@ def find_mixed_2p(game: Game) -> list[MixedCandidate]:
             out.append(value)
         return tuple(out)
 
-    return [MixedCandidate(MixedProfile((fractions(p, p_den), fractions(q, q_den))),
+    return [MixedCandidate(MixedProfile._unchecked((fractions(p, p_den), fractions(q, q_den))),
                            (Fraction(row_sum, row_level * p_den * q_den),
                             Fraction(col_sum, col_level * p_den * q_den)), degenerate)
             for p, p_den, q, q_den, row_sum, col_sum, degenerate in found]

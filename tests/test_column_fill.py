@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from mvgames import (App, Const, LogicalGame, Var, catalog_lookup, free_variables, payoff,
                      represent_rational_qg_delta, verify_representation)
+from mvgames.algebra import Lanes
 from mvgames.errors import SemanticError
 from mvgames.formula import Program, pairs
 from conftest import random_rational_game
@@ -165,7 +166,7 @@ def test_fill_leaves_a_live_product_to_the_misses(monkeypatch):
 
 
 def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
-    def broken(self, scale, inputs):
+    def broken(self, lanes, inputs):
         raise RuntimeError("column run broken")
 
     monkeypatch.setattr(Program, "_columns", broken)
@@ -199,57 +200,55 @@ def test_at_off_the_strategies_runs_the_program(monkeypatch):
 
 
 # --- the column run against one run per row -------------------------------------
-# `_columns` computes an op only at the rows its sides allow, and may update
-# a dying argument's column in place; the values must be those of
-# `_execute` run row by row, and a column read again must stay as it was.
+# `_columns` runs each op once over whole packed columns; unpacked, its
+# values must be those of `_execute` run row by row, with no bit set outside
+# the rows' lanes, and a column read again must stay as it was.
 
 def by_rows(program, scale, columns, size):
     """Each root's value at every row, from one `_execute` per row."""
-    rows = [program._execute(scale, [e.get(r, d) for d, e in columns]) for r in range(size)]
+    rows = [program._execute(scale, [column[r] for column in columns]) for r in range(size)]
     return [list(column) for column in zip(*rows)]
 
 
 def by_columns(program, scale, columns, size):
-    """Each root's value at every row, from one `_columns` run on copies of
-    `columns`, which must keep no exception equal to its default."""
-    out = program._columns(scale, [(d, dict(e)) for d, e in columns])
-    assert all(v != d for d, e in out for v in e.values())
-    return [[e.get(r, d) for r in range(size)] for d, e in out]
+    """Each root's value at every row, from one `_columns` run on `columns`
+    packed; the input lists stay as they were."""
+    kept = [list(column) for column in columns]
+    lanes = Lanes(scale, size)
+    out = program._columns(lanes, {index: lanes.pack(column) for (_, index), column
+                                   in zip(program._variables, columns)})
+    assert columns == kept
+    values = [lanes.unpack(column) for column in out]
+    assert [lanes.pack(column) for column in values] == out   # nothing past the lanes
+    return values
 
 
 XS, YS = Var("x"), Var("y")
-# Formula over x and y, their columns (default, {row: value}) as numerators
-# over 4 in L_4 on 6 rows, and the variable whose column the root takes over
-# in place; `and` absorbs at 0 and has unit 4.
+# Formula over x and y and their columns as numerators over 4 in L_4 on 6
+# rows; `and` is 0 where either side is 0 and the other side where one is 4.
 SIDES = {
     "absorbing default on the left": (
-        App("and", (XS, YS)), (0, {1: 4}), (2, {0: 1, 2: 3, 3: 4}), None),
+        App("and", (XS, YS)), [0, 4, 0, 0, 0, 0], [1, 2, 3, 4, 2, 2]),
     "absorbing default on the right": (
-        App("and", (XS, YS)), (2, {0: 1, 2: 3, 3: 4}), (0, {1: 4}), None),
+        App("and", (XS, YS)), [1, 2, 3, 4, 2, 2], [0, 4, 0, 0, 0, 0]),
     "unit default, the kept column dies here": (
-        App("and", (XS, YS)), (4, {1: 2, 5: 3}), (3, {0: 1, 2: 0, 4: 2}), "y"),
+        App("and", (XS, YS)), [4, 2, 4, 4, 4, 3], [1, 3, 0, 3, 2, 3]),
     "unit default, the kept column is read again": (
-        App("or", (App("and", (XS, YS)), YS)), (4, {1: 2}), (3, {0: 1, 2: 0}), None),
+        App("or", (App("and", (XS, YS)), YS)), [4, 2, 4, 4, 4, 4], [1, 3, 0, 3, 3, 3]),
     "x op x, x read again": (
-        App("or", (App("and_strong", (XS, XS)), XS)), (4, {1: 2}), None, None),
+        App("or", (App("and_strong", (XS, XS)), XS)), [4, 2, 4, 4, 4, 4], None),
     "a side with no exceptions": (
-        App("and", (XS, YS)), (2, {0: 4, 3: 1}), (4, {}), "x"),
+        App("and", (XS, YS)), [4, 2, 2, 1, 2, 2], [4] * 6),
 }
 
 
 @pytest.mark.parametrize("case", SIDES)
 def test_each_side_choice_computes_the_rows_of_one_run_per_row(case):
-    f, x, y, in_place = SIDES[case]
+    f, x, y = SIDES[case]
     program = Program([f], catalog_lookup("L_4"))
     given = {"x": x, "y": y}
     columns = [given[name] for name, _ in program._variables]
     assert by_columns(program, 4, columns, 6) == by_rows(program, 4, columns, 6)
-    inputs = [(d, dict(e)) for d, e in columns]
-    (_, out), = program._columns(4, inputs)
-    assert [name for (name, _), (_, e) in zip(program._variables, inputs) if e is out] == \
-        ([in_place] if in_place else [])
-    if in_place is None:    # no input column changed
-        assert inputs == columns
 
 
 @st.composite
@@ -274,7 +273,7 @@ def column_runs(draw):
         program = None
     size = draw(st.integers(1, 6))
     values = st.sampled_from(values_of(alg) + [ZERO, ONE] * 2)
-    columns = [(draw(values), draw(st.dictionaries(st.integers(0, size - 1), values)))
+    columns = [draw(st.lists(values, min_size=size, max_size=size))
                for _ in (program._variables if program else ())]
     return program, size, columns
 
@@ -285,8 +284,6 @@ def test_columns_compute_what_one_run_per_row_computes(case):
     program, size, columns = case
     if program is None:
         return
-    scale = lcm(program._scale, *(v.denominator for d, e in columns for v in (d, *e.values())))
-    columns = [(d.numerator * (scale // d.denominator),
-                {r: n for r, v in e.items() if (n := v.numerator * (scale // v.denominator))
-                 != d.numerator * (scale // d.denominator)}) for d, e in columns]
+    scale = lcm(program._scale, *(v.denominator for column in columns for v in column))
+    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
     assert by_columns(program, scale, columns, size) == by_rows(program, scale, columns, size)

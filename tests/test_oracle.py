@@ -881,6 +881,32 @@ def _pinned_tie_heavy_games():
             game_from_json(seeded_game(23, 6, ["0", "1/2", "1"]))]
 
 
+def test_find_mixed_builds_the_profiles_the_checked_constructor_builds(monkeypatch):
+    # The finder builds its candidates' profiles without `MixedProfile`'s
+    # check.  On the pinned tie-heavy games and seeded ones, every candidate,
+    # its order, payoffs and flag are what the checked constructor gives.
+    games = _pinned_tie_heavy_games() + [game_from_json(seeded_game(seed, 5, ["0", "1/2", "1"]))
+                                         for seed in range(3)]
+    unchecked = [find_mixed_2p(game) for game in games]
+    built = []
+
+    def checked(cls, probabilities):
+        built.append(probabilities)
+        return cls(probabilities)
+
+    monkeypatch.setattr(MixedProfile, "_unchecked", classmethod(checked))
+    assert [find_mixed_2p(game) for game in games] == unchecked
+    assert len(built) == sum(map(len, unchecked)) > len(games)
+    for candidate in (c for found in unchecked for c in found):
+        assert type(candidate.profile) is MixedProfile
+        assert all(type(p) is F for vector in candidate.profile.probabilities for p in vector)
+    monkeypatch.undo()
+    with pytest.raises(SemanticError, match="player 1: negative probability"):
+        MixedProfile(((F(3, 2), F(-1, 2)), (F(1),)))
+    with pytest.raises(SemanticError, match="player 2: probabilities sum to 3/4, not 1"):
+        MixedProfile(((F(1),), (F(1, 4), F(1, 2))))
+
+
 def test_find_mixed_solves_fewer_systems_than_it_visits_pairs(monkeypatch):
     # The tie-heavy 6x6 game CI pins.  Every pair the finder visits needs a
     # row system, so one solve per pair would be at least one per visit.  No

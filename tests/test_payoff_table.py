@@ -164,24 +164,26 @@ def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
     ran, columns = _programs_run(monkeypatch), []
     run_columns = Program._columns
 
-    def spy(self, scale, inputs):
-        columns.append((self, inputs))
-        return run_columns(self, scale, inputs)
+    def spy(self, lanes, inputs):
+        columns.append((self, lanes, inputs))
+        return run_columns(self, lanes, inputs)
 
     monkeypatch.setattr(Program, "_columns", spy)
     assert verify_representation(rep).ok
     table = rep.target.payoff_table
     assert len(table.rows[0]) == 5 ** 4
     assert ran == []
-    assert [len(program._roots) for program, _ in columns] == [1] * 4
-    for _, inputs in columns:   # two variables, each 5 values on 5 of 25 rows
-        assert len(inputs) == 2
-        for _, exceptions in inputs:
-            assert len(exceptions) == 20 and max(exceptions) == 24
-            assert sorted(Counter(exceptions.values()).values()) == [5] * 4
+    assert [len(program._roots) for program, _, _ in columns] == [1] * 4
+    for _, lanes, inputs in columns:    # two variables, each 5 values on 5 of 25 rows
+        assert len(inputs) == 2 and lanes.size == 25
+        for packed in inputs.values():
+            column = lanes.unpack(packed)
+            assert sorted(Counter(column).values()) == [5] * 5
+            assert lanes.pack(column) == packed
     enc = build_encoding(rep.target)
     decide_pure_ne(rep.target, enc)
-    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 4
+    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 5
+    assert columns[4][0] is enc.gamma_program and columns[4][1].size == 5 ** 4
     monkeypatch.undo()
     assert list(zip(*table.rows)) == per_profile(rep.target)
 
