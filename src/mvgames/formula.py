@@ -16,8 +16,9 @@ printer writes a shared subterm out where it occurs): a group whose text it
 has parsed before is that node, its text skipped unread.  A skipped group
 held no error, so an error is raised where a parse of every token raises
 it, a lex error anywhere before a parse error.  Every traversal -- the
-printer, free variables, substitution and compilation -- walks the DAG once
-per distinct node, iteratively, so neither sharing nor depth is a problem.
+printer, free variables, substitution, compilation and the payoff table's
+walk for the players each formula reads -- walks the DAG once per distinct
+node, iteratively, so neither sharing nor depth is a problem.
 
 Evaluation compiles formulas once per algebra into a `Program`: nodes are
 hash-consed by structure (a formula built without sharing gains it),
@@ -802,8 +803,7 @@ def pairs(values: Iterable, scale=None) -> list[int]:
 class Table:
     """A logical game's payoff formulas' values at every strategy profile,
     kept by row and computed on the first read of `rows`, `numerators`,
-    `scale` or `at`.  `names` lists the players' variables, block by block,
-    and `positions[i]` the places there of formula i's variables (`inputs[i]`).
+    `scale` or `at`.  `names` lists the players' variables, block by block.
     `rows[i][r]` is formula i at row r of the product of the strategy sets,
     `numerators[i][r]` its numerator over `scale`, and `blocks` holds each
     strategy set's (start, end) in `names`, its `pairs` -> index map and its
@@ -811,12 +811,9 @@ class Table:
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  variables: Sequence[Sequence[str]],
-                 strategies: Sequence[Sequence[Sequence[Fraction]]],
-                 inputs: Sequence[Sequence[str]]):
+                 strategies: Sequence[Sequence[Sequence[Fraction]]]):
         self.formulas, self.algebra, self.strategies = tuple(formulas), alg, strategies
         self.names = tuple(name for block in variables for name in block)
-        position = {name: k for k, name in enumerate(self.names)}
-        self.positions = [[position[name] for name in own] for own in inputs]
         self.blocks, start, stride = [], 0, prod(map(len, strategies))
         for block, tuples in zip(variables, strategies):
             stride //= len(tuples)
@@ -826,8 +823,35 @@ class Table:
 
     @cached_property
     def program(self) -> Program:
-        """All the formulas, compiled on first need."""
+        """All the formulas, compiled once; `LogicalGame` compiles them at
+        construction.  A compile error is not kept: each read raises it."""
         return Program(self.formulas, self.algebra)
+
+    @property
+    def groups(self) -> dict[tuple[int, ...], list[int]]:
+        """The blocks some formulas read -> the indices of those formulas, in
+        order.  A formula reads the blocks of its `free_variables`, folded
+        away in `program` or not.  Each walk takes the right argument first,
+        so on a left fold it starts in the last part, and stops once it has
+        seen every block that has a variable."""
+        owner = {name: b for b, (start, end, _, _) in enumerate(self.blocks)
+                 for name in self.names[start:end]}
+        count, groups = len(set(owner.values())), {}
+        for i, f in enumerate(self.formulas):
+            read, seen, stack = set(), set(), [f]
+            while stack and len(read) < count:
+                node = stack.pop()
+                kind = type(node)
+                if kind is Var:
+                    read.add(owner[node.name])
+                elif kind is not Const and id(node) not in seen:
+                    seen.add(id(node))
+                    if kind is App:
+                        stack += node.args
+                    else:   # a Subst
+                        read.update(map(owner.__getitem__, free_variables(node)))
+            groups.setdefault(tuple(sorted(read)), []).append(i)
+        return groups
 
     rows = property(lambda self: self._filled[0])
     numerators = property(lambda self: self._filled[1])
@@ -864,9 +888,7 @@ class Table:
         blocks name.  A group of every formula runs `program`."""
         blocks, spans = self.strategies, [range(start, end) for start, end, _, _ in self.blocks]
         owner = {p: b for b, span in enumerate(spans) for p in span}
-        groups: dict = {}   # the blocks some formulas read -> those formulas
-        for i, own in enumerate(self.positions):
-            groups.setdefault(tuple(sorted({owner[p] for p in own})), []).append(i)
+        groups = self.groups
         programs = [self.program]
         if len(groups) > 1:
             programs = [Program([self.formulas[i] for i in group], self.algebra)

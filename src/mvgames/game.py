@@ -104,7 +104,12 @@ def make_game(counts: Sequence[int], payoff_fn, names=None) -> StrategicGame:
 
 @dataclass(frozen=True)
 class LogicalGame:
-    """Game whose strategies assign algebra values to controlled variables."""
+    """Game whose strategies assign algebra values to controlled variables.
+
+    Construction compiles the payoff formulas (`payoff_table.program`) and
+    checks the program's variables against the players': a payoff formula
+    that uses another name raises here, and one that does not compile
+    raises at the payoff table's first read."""
 
     algebra: Algebra
     variables: tuple[tuple[str, ...], ...]
@@ -135,15 +140,20 @@ class LogicalGame:
                         raise SemanticError(
                             f"strategy component {component} outside the domain of "
                             f"{self.algebra.id}")
-        allowed, inputs = set(flat), [fm.free_variables(phi) for phi in self.payoff_formulas]
-        for i, names in enumerate(inputs):
-            extra = set(names) - allowed
-            if extra:
-                raise SemanticError(
-                    f"payoff formula of player {i + 1} uses unknown variables {sorted(extra)}")
         # The payoff values that `payoff`, gamma and the mixed check all read.
-        object.__setattr__(self, "payoff_table", fm.Table(
-            self.payoff_formulas, self.algebra, self.variables, self.strategies, inputs))
+        table = fm.Table(self.payoff_formulas, self.algebra, self.variables, self.strategies)
+        object.__setattr__(self, "payoff_table", table)
+        allowed = set(flat)
+        try:    # the program's variables are those of every phi_i, folded away or not
+            known = allowed.issuperset(name for name, _ in table.program._variables)
+        except SemanticError:   # raised again at the table's first read
+            known = False
+        if not known:
+            for i, phi in enumerate(self.payoff_formulas):
+                extra = set(fm.free_variables(phi)) - allowed
+                if extra:
+                    raise SemanticError(
+                        f"payoff formula of player {i + 1} uses unknown variables {sorted(extra)}")
 
     @property
     def n_players(self) -> int:

@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python tests/scale_check.py
 
-Through the API, on a seeded 32x32 game represented by `vi` and by `vi_lm`
-and on a seeded 8x8x8 game represented by `vi_lm` (payoffs drawn from j/4,
-j = 0..4): `verify_representation` must pass, and `decide_pure_ne` on the
-verified target must return exactly the encoded `pure_ne_scan` equilibria,
-in the same order.  Prints the wall time of each verify, of building and
-compiling gamma, of `decide_pure_ne` given the compiled encoding, and of the
-scan.
+Through the API, on seeded 32x32 and 64x64 games represented by `vi` and
+by `vi_lm` and on a seeded 8x8x8 game represented by `vi_lm` (payoffs drawn
+from j/4, j = 0..4): `verify_representation` must pass, and `decide_pure_ne`
+on the verified target must return exactly the encoded `pure_ne_scan`
+equilibria, in the same order.  Prints the wall time of building each
+representation (its logical game compiles the payoff formulas), of each
+verify, of building and compiling gamma, of `decide_pure_ne` given the
+compiled encoding, and of the scan.
 Exits 1 if a check fails.
 """
 
@@ -24,6 +25,8 @@ from mvgames.equilibria import build_encoding, decide_pure_ne
 
 CASES = [("vi", represent_rational_qg_delta, (32, 32), 1),
          ("vi_lm", represent_rational_lm, (32, 32), 1),
+         ("vi", represent_rational_qg_delta, (64, 64), 1),
+         ("vi_lm", represent_rational_lm, (64, 64), 1),
          ("vi_lm", represent_rational_lm, (8, 8, 8), 2)]
 
 
@@ -44,7 +47,7 @@ def main() -> int:
     failed = 0
     for method, represent, counts, seed in CASES:
         source = seeded(seed, counts)
-        rep = represent(source)
+        rep, represent_ms = timed(lambda: represent(source))
         report, verify_ms = timed(lambda: verify_representation(rep))
         enc, build_ms = timed(lambda: build_encoding(rep.target))
         _, compile_ms = timed(lambda: enc.gamma_program)
@@ -53,7 +56,8 @@ def main() -> int:
         expected = sorted(rep.encode(p) for p in scan)
         ok = report.ok and found == expected and sat == bool(expected)
         failed += not ok
-        print(f"{method} {'x'.join(map(str, counts))}: verify {verify_ms:.1f} ms, "
+        print(f"{method} {'x'.join(map(str, counts))}: represented {represent_ms:.1f} ms, "
+              f"verify {verify_ms:.1f} ms, "
               f"gamma built {build_ms:.1f} ms and compiled {compile_ms:.1f} ms, "
               f"decide {decide_ms:.1f} ms, scan {scan_ms:.1f} ms, "
               f"{len(found)} pure equilibria, {'ok' if ok else 'FAILED'}")

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Var,
+from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Subst, Var,
                      catalog_lookup, classify, dirac, logical_to_strategic,
                      love_and_hate, new_technology, parse, payoff, pure_ne_scan,
                      relevant_elements, verify_mixed, vickrey)
 from mvgames.algebra import format_rational
 from mvgames.errors import SemanticError
-from mvgames.formula import Program
+from mvgames.formula import Program, pairs
 from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_json,
                           lgame_from_json, lgame_to_json, load_json, make_game,
                           profile_from_json, profile_to_json, write_text)
@@ -112,6 +112,48 @@ def test_variable_blocks_must_be_disjoint():
     with pytest.raises(SemanticError):
         LogicalGame(alg, (("v1",), ("v1",)),
                     (((F(0),),), ((F(0),),)), (parse("v1"), parse("v1")))
+
+
+def _xy_game(*formulas):
+    """A game over L_4: player 1 controls x, player 2 controls y."""
+    values = tuple((F(k, 4),) for k in range(5))
+    return LogicalGame(catalog_lookup("L_4"), (("x",), ("y",)), (values, values), formulas)
+
+
+X, Y, GHOST = Var("x"), Var("y"), Var("ghost")
+OFF_SIGNATURE = App("odot", (X, Y))     # L_4 has no odot: it does not compile
+
+
+@pytest.mark.parametrize("formulas, message", [
+    ((X, App("and", (Var("z"), App("or", (Var("a"), Y))))),
+     "payoff formula of player 2 uses unknown variables ['a', 'z']"),
+    ((App("or", (X, Var("b"))), App("and", (Var("a"), Y))),
+     "payoff formula of player 1 uses unknown variables ['b']"),
+    ((X, App("or", (Y, App("and", (GHOST, Const(F(0))))))),
+     "payoff formula of player 2 uses unknown variables ['ghost']"),
+    ((Subst(App("or", (X, Var("w"))), (("w", GHOST),)), Y),
+     "payoff formula of player 1 uses unknown variables ['ghost']"),
+    ((OFF_SIGNATURE, App("and", (Y, GHOST))),
+     "payoff formula of player 2 uses unknown variables ['ghost']"),
+    ((App("or", (OFF_SIGNATURE, GHOST)), Y),
+     "payoff formula of player 1 uses unknown variables ['ghost']"),
+], ids=["sorted", "first player", "folded away", "subst binding", "other does not compile",
+        "same does not compile"])
+def test_construction_rejects_unknown_variables(formulas, message):
+    with pytest.raises(SemanticError) as info:
+        _xy_game(*formulas)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("read", ["rows", "numerators", "at", "program"])
+def test_a_formula_that_only_fails_to_compile_raises_at_the_first_read(read):
+    lg = _xy_game(X, App("or", (Y, OFF_SIGNATURE)))
+    table, first = lg.payoff_table, [F(0), F(0)]
+    reads = {"rows": lambda: table.rows, "numerators": lambda: table.numerators,
+             "at": lambda: table.at(pairs(first), first), "program": lambda: table.program}
+    with pytest.raises(SemanticError) as info:
+        reads[read]()
+    assert str(info.value) == "connective 'odot' not in signature of L_4"
 
 
 def test_monotone_transform_invariance(seed):

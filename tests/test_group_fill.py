@@ -160,7 +160,16 @@ def test_two_groups_failing_raise_the_error_of_the_first_formula_in_order():
     lg = LogicalGame(L4C, (("x",), ("y",), ()), (values, values, ((),)),
                      (App("neg", (Var("x"),)), App("or", (Var("y"), Const(F(1, 3)))),
                       App("delta", (Var("x"),))))
-    assert lg.payoff_table.positions == [[0], [1], [0]]
+    assert lg.payoff_table.groups == {(0,): [0, 2], (1,): [1]}
     message = "constant 1/3 outside the domain of L_4_C"
     assert per_profile(lg) == message
     _assert_every_read_raises(lg, message)
+
+
+def test_a_formula_folded_to_a_constant_keeps_the_players_it_reads():
+    # phi_1 = x /\ 0 compiles to the constant 0 and still reads player 1.
+    values = tuple((v,) for v in values_of(L4C))
+    lg = LogicalGame(L4C, (("x",), ("y",)), (values, values),
+                     (App("and", (Var("x"), Const(F(0)))), App("neg", (Var("y"),))))
+    assert lg.payoff_table.groups == {(0,): [0], (1,): [1]}
+    assert list(zip(*lg.payoff_table.rows)) == per_profile(lg)

@@ -709,6 +709,14 @@ def test_compile_and_free_variables_match_their_references(case):
     assert compiled(Program, roots, alg, fixed=fixed) == expected
     for f in roots:
         assert free_variables(f) == reference_free_variables(f)
+    # A compiled program's variables are its formulas', folded away or not:
+    # a logical game checks its payoff formulas' names on these.
+    roots = roots + [App("and", (App("or", (roots[0], Var("w"))), Const(ZERO)))]
+    try:
+        names = {n for n, _ in Program(roots, alg)._variables}
+    except SemanticError:
+        return
+    assert names == set().union(*map(free_variables, roots))
 
 
 def test_compile_of_encodings_over_a_payoff_table_is_unchanged(seed):
