@@ -16,9 +16,9 @@ printer writes a shared subterm out where it occurs): a group whose text it
 has parsed before is that node, its text skipped unread.  A skipped group
 held no error, so an error is raised where a parse of every token raises
 it, a lex error anywhere before a parse error.  Every traversal -- the
-printer, free variables, substitution, compilation and the payoff table's
-walk for the players each formula reads -- walks the DAG once per distinct
-node, iteratively, so neither sharing nor depth is a problem.
+printer, free variables, substitution and compilation -- walks the DAG
+once per distinct node, iteratively, so neither sharing nor depth is a
+problem.
 
 Evaluation compiles formulas once per algebra into a `Program`: nodes are
 hash-consed by structure (a formula built without sharing gains it),
@@ -827,32 +827,6 @@ class Table:
         construction.  A compile error is not kept: each read raises it."""
         return Program(self.formulas, self.algebra)
 
-    @property
-    def groups(self) -> dict[tuple[int, ...], list[int]]:
-        """The blocks some formulas read -> the indices of those formulas, in
-        order.  A formula reads the blocks of its `free_variables`, folded
-        away in `program` or not.  Each walk takes the right argument first,
-        so on a left fold it starts in the last part, and stops once it has
-        seen every block that has a variable."""
-        owner = {name: b for b, (start, end, _, _) in enumerate(self.blocks)
-                 for name in self.names[start:end]}
-        count, groups = len(set(owner.values())), {}
-        for i, f in enumerate(self.formulas):
-            read, seen, stack = set(), set(), [f]
-            while stack and len(read) < count:
-                node = stack.pop()
-                kind = type(node)
-                if kind is Var:
-                    read.add(owner[node.name])
-                elif kind is not Const and id(node) not in seen:
-                    seen.add(id(node))
-                    if kind is App:
-                        stack += node.args
-                    else:   # a Subst
-                        read.update(map(owner.__getitem__, free_variables(node)))
-            groups.setdefault(tuple(sorted(read)), []).append(i)
-        return groups
-
     rows = property(lambda self: self._filled[0])
     numerators = property(lambda self: self._filled[1])
     scale = property(lambda self: self._filled[2])
@@ -877,58 +851,36 @@ class Table:
 
     @cached_property
     def _filled(self) -> tuple:
-        """(rows, numerators, scale), over the least scale of the programs,
+        """(rows, numerators, scale), over the least scale of the program,
         the strategies and the values.  `program` compiles first, so a
         formula that does not compile raises what compiling every formula in
-        order raises.  The formulas that read the variables of the same
-        blocks form a group, and its program runs over the product of those
-        blocks alone: once on packed columns (`_columns`) where it runs on
-        one D, else once per row (a live `*` or `=>`).  Each row of the
-        whole product reads the row there that its strategies of those
-        blocks name.  A group of every formula runs `program`."""
-        blocks, spans = self.strategies, [range(start, end) for start, end, _, _ in self.blocks]
-        owner = {p: b for b, span in enumerate(spans) for p in span}
-        groups = self.groups
-        programs = [self.program]
-        if len(groups) > 1:
-            programs = [Program([self.formulas[i] for i in group], self.algebra)
-                        for group in groups.values()]
-        names = [[self.names[p] for b in read for p in spans[b]] for read in groups]
-        runs = [None if program._scale is not None else
-                [program.run(dict(zip(own, (x for t in row for x in t))))
-                 for row in product(*(blocks[b] for b in read))]
-                for read, own, program in zip(groups, names, programs)]
-        scale = lcm(*(program._scale for program in programs if program._scale is not None),
+        order raises.  It runs over the whole product of the strategy sets:
+        once on packed columns (`_columns`) where it keeps one D, each
+        variable's column its block's values, each repeated `stride` times;
+        else once per row (a live `*` or `=>`)."""
+        program, blocks = self.program, self.strategies
+        runs = None if program._scale is not None else \
+            [program.run(dict(zip(self.names, (x for t in row for x in t))))
+             for row in product(*blocks)]
+        scale = lcm(program._scale or 1,
                     *(x.denominator for block in blocks for t in block for x in t),
-                    *{v.denominator for values in runs if values for row in values for v in row})
-        size, numerators = prod(map(len, blocks)), [None] * len(self.formulas)
-        for read, group, program, own, values in zip(groups, groups.values(), programs,
-                                                     names, runs):
-            count = prod(len(blocks[b]) for b in read)
-            if values is None:     # each variable's column over the group's rows
-                lanes, inputs = Lanes(scale, count), {}
-                for name, index in program._variables:
-                    p = self.names.index(name)
-                    b = owner[p]
-                    column, stride = [], prod(len(blocks[c]) for c in read if c > b)
-                    for t in blocks[b]:
-                        x = t[p - spans[b].start]
-                        column += [x.numerator * (scale // x.denominator)] * stride
-                    inputs[index] = lanes.pack(column * (count // len(column)))
-                values = [lanes.unpack(column) for column in program._columns(lanes, inputs)]
-            else:
-                values = [[v.numerator * (scale // v.denominator) for v in column]
-                          for column in zip(*values)]
-            spread = None
-            if count < size:    # each row's row in the group's product
-                spread, stride = [0], count
-                for b, block in enumerate(blocks):
-                    step = 0
-                    if b in read:
-                        step = stride = stride // len(block)
-                    spread = [r + s * step for r in spread for s in range(len(block))]
-            for i, dense in zip(group, values):
-                numerators[i] = dense if spread is None else [dense[r] for r in spread]
+                    *{v.denominator for row in runs or () for v in row})
+        if runs is not None:
+            numerators = [[v.numerator * (scale // v.denominator) for v in column]
+                          for column in zip(*runs)]
+        else:
+            size = prod(map(len, blocks))
+            lanes, inputs = Lanes(scale, size), {}
+            place = {name: (block, p, stride)
+                     for block, (start, end, _, stride) in zip(blocks, self.blocks)
+                     for p, name in enumerate(self.names[start:end])}
+            for name, index in program._variables:
+                block, p, stride = place[name]
+                column = []
+                for t in block:
+                    column += [t[p].numerator * (scale // t[p].denominator)] * stride
+                inputs[index] = lanes.pack(column * (size // len(column)))
+            numerators = [lanes.unpack(column) for column in program._columns(lanes, inputs)]
         exact = {v: Fraction(v, scale) for column in numerators for v in set(column)}
         return [[exact[v] for v in column] for column in numerators], numerators, scale
 
@@ -948,23 +900,10 @@ def free_variables(f: Formula) -> list[str]:
     """Variable names in first-occurrence, left-to-right order; a `Subst` is
     read in place, each bound name of its body giving its binding's names."""
     names: dict[str, None] = {}
-    seen: set[int] = set()
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:    # pre-order, arguments left to right, each node once
-        node = pop()
-        kind = type(node)
-        if kind is App:
-            if id(node) not in seen:
-                seen.add(id(node))
-                args = node.args
-                if len(args) == 2:
-                    push(args[1])
-                push(args[0])
-        elif kind is Var:
+    for node in _post_order([f]):
+        if type(node) is Var:
             names[node.name] = None
-        elif kind is Subst and id(node) not in seen:
-            seen.add(id(node))
+        elif type(node) is Subst:
             bound = dict(node.bindings)
             for name in free_variables(node.body):
                 names.update(dict.fromkeys(free_variables(bound.get(name, Var(name)))))

@@ -146,23 +146,31 @@ def _spy(monkeypatch, name):
 
 
 def test_fill_leaves_a_live_product_to_the_misses(monkeypatch):
-    # x * y keeps the one group's program off one D: it runs once per row,
-    # 9 rows, and the values 1/4 and 1/2 put the table over D = 4.
+    # x * y, or x * x beside a formula of y alone, keeps the program off one
+    # D: it runs once per row of the full product, 9 rows, and the values
+    # 1/4 and 1/2 put the table over D = 4.
     pl = catalog_lookup("STD_PL")
     halves = ((F(0),), (F(1, 2),), (F(1),))
-    lg = LogicalGame(pl, (("x",), ("y",)), (halves, halves),
-                     (App("odot", (Var("x"), Var("y"))), App("or", (Var("x"), Var("y")))))
-    reference = per_profile(lg)
-    runs, columns = _spy(monkeypatch, "run"), _spy(monkeypatch, "_columns")
-    table = lg.payoff_table
-    assert table.program._scale is None
-    assert list(zip(*table.rows)) == reference
-    assert runs == [table.program] * 9 and columns == []
-    assert table.scale == 4
-    assert table.numerators == [[0, 0, 0, 0, 1, 2, 0, 2, 4], [0, 2, 4, 2, 2, 4, 4, 4, 4]]
-    runs.clear()
-    assert [payoff(lg, p) for p in itertools.product(halves, halves)][4] == (F(1, 4), F(1, 2))
-    assert runs == []
+    x, y = Var("x"), Var("y")
+    for payoffs, numerators in (
+            ((App("odot", (x, y)), App("or", (x, y))),
+             [[0, 0, 0, 0, 1, 2, 0, 2, 4], [0, 2, 4, 2, 2, 4, 4, 4, 4]]),
+            ((App("odot", (x, x)), App("neg", (y,))),
+             [[0, 0, 0, 1, 1, 1, 4, 4, 4], [4, 2, 0, 4, 2, 0, 4, 2, 0]])):
+        lg = LogicalGame(pl, (("x",), ("y",)), (halves, halves), payoffs)
+        reference = per_profile(lg)
+        runs, columns = _spy(monkeypatch, "run"), _spy(monkeypatch, "_columns")
+        table = lg.payoff_table
+        assert table.program._scale is None
+        assert list(zip(*table.rows)) == reference
+        assert runs == [table.program] * 9 and columns == []
+        assert table.scale == 4
+        assert table.numerators == numerators
+        runs.clear()
+        assert [payoff(lg, p) for p in itertools.product(halves, halves)][4] == \
+            (F(1, 4), F(1, 2))
+        assert runs == []
+        monkeypatch.undo()
 
 
 def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):

@@ -3,15 +3,14 @@
 On random logical games over L_4_C -- 1 to 4 players, 1 to 3 strategies
 each, a player with one strategy possibly controlling no variable -- each
 phi_i reads a drawn set of variables: any players' variables, part of a
-player's block, or none.  The fill runs one program per group of formulas
-that read the same players, over those players' strategies alone, and
-spreads its columns over every profile.  The table must read, at every
-profile, what one `Program([phi], alg).run` per formula gives, exact and
-over the table's scale; decide must list the equilibria that one run of
+player's block, or none.  The fill runs the game's one payoff program over
+every profile, whichever players each formula reads.  The table must read,
+at every profile, what one `Program([phi], alg).run` per formula gives,
+exact and over the table's scale; decide must list the equilibria that one run of
 gamma's literal copy per profile finds; and verify must report a payoff
 fault as a check by one run per formula and profile does, at the same
 first profile.  Where phi_i do not compile, every read raises the error of
-compiling them in order, whichever groups they fall in.
+compiling them in order, whichever players they read.
 """
 
 import dataclasses
@@ -152,24 +151,23 @@ def _assert_every_read_raises(lg, message):
     assert report.message == f"profile {(0,) * len(counts)}: {message}"
 
 
-def test_two_groups_failing_raise_the_error_of_the_first_formula_in_order():
-    # phi_1 and phi_3 read x, phi_2 reads y: groups [phi_1, phi_3] and
-    # [phi_2].  Compiled group by group, phi_3's error would come first;
-    # compiled in order, phi_2's does.
+def test_two_failing_formulas_raise_the_error_of_the_first_in_order():
+    # phi_1 and phi_3 read x, phi_2 reads y, and phi_2 and phi_3 do not
+    # compile.  Compiled by the players they read, x first, phi_3's error
+    # would come first; compiled in order, phi_2's does.
     values = tuple((v,) for v in values_of(L4C))
     lg = LogicalGame(L4C, (("x",), ("y",), ()), (values, values, ((),)),
                      (App("neg", (Var("x"),)), App("or", (Var("y"), Const(F(1, 3)))),
                       App("delta", (Var("x"),))))
-    assert lg.payoff_table.groups == {(0,): [0, 2], (1,): [1]}
     message = "constant 1/3 outside the domain of L_4_C"
     assert per_profile(lg) == message
     _assert_every_read_raises(lg, message)
 
 
-def test_a_formula_folded_to_a_constant_keeps_the_players_it_reads():
-    # phi_1 = x /\ 0 compiles to the constant 0 and still reads player 1.
+def test_a_formula_folded_to_a_constant_keeps_its_variable_in_the_program():
+    # phi_1 = x /\ 0 compiles to the constant 0 and x keeps its slot.
     values = tuple((v,) for v in values_of(L4C))
     lg = LogicalGame(L4C, (("x",), ("y",)), (values, values),
                      (App("and", (Var("x"), Const(F(0)))), App("neg", (Var("y"),))))
-    assert lg.payoff_table.groups == {(0,): [0], (1,): [1]}
+    assert "x" in [name for name, _ in lg.payoff_table.program._variables]
     assert list(zip(*lg.payoff_table.rows)) == per_profile(lg)

@@ -5,10 +5,10 @@ The table fills on its first read, so whichever consumer reads it first,
 every answer is the one a fresh game gives; a consumer that finds the table
 full runs no payoff program of its own; and a payoff formula that does not
 compile raises its error at the first read.  Verify and decide fill the
-table by column runs, one per group of payoff formulas that read the same
-players, each over the product of those players' strategies alone, and read
-it by row: verify runs no program per profile, and decide runs gamma once
-over all the rows, no program run at all.
+table by one column run of the game's payoff program over every profile,
+whichever players each formula reads, and read it by row: verify runs no
+program per profile, and decide runs gamma once over all the rows, no
+program run at all.
 """
 
 import dataclasses
@@ -90,9 +90,9 @@ def _programs_run(monkeypatch):
     return ran
 
 
-# love_and_hate's phi_i read 2 of 4 players' variables, so its table fills by
-# groups; new_technology's phi_i read every variable, so it fills in one run.
-# Either way gamma runs once over the rows.
+# love_and_hate's phi_i read 2 of 4 players' variables, new_technology's read
+# every variable: either way the table fills in one column run and gamma runs
+# once over the rows.
 @pytest.mark.parametrize("rep", [LH44.representation, NT.representation],
                          ids=["love_and_hate", "new_technology"])
 def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
@@ -157,9 +157,9 @@ def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
     assert enc.gamma_program._gathers[1]
 
 
-def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
-    # phi_i of love_and_hate(4, 4) reads players i and i + 1 (mod 4): four
-    # groups of one formula, each run on columns over 5 x 5 = 25 rows.
+def test_formulas_reading_some_players_fill_in_one_column_run_over_every_row(monkeypatch):
+    # phi_i of love_and_hate(4, 4) reads players i and i + 1 (mod 4); the
+    # table's program still runs once on columns, over all 5^4 = 625 rows.
     rep = dataclasses.replace(LH44.representation, target=_fresh(LH44.representation.target))
     ran, columns = _programs_run(monkeypatch), []
     run_columns = Program._columns
@@ -172,18 +172,17 @@ def test_formulas_reading_some_players_fill_over_their_own_rows(monkeypatch):
     assert verify_representation(rep).ok
     table = rep.target.payoff_table
     assert len(table.rows[0]) == 5 ** 4
-    assert ran == []
-    assert [len(program._roots) for program, _, _ in columns] == [1] * 4
-    for _, lanes, inputs in columns:    # two variables, each 5 values on 5 of 25 rows
-        assert len(inputs) == 2 and lanes.size == 25
-        for packed in inputs.values():
-            column = lanes.unpack(packed)
-            assert sorted(Counter(column).values()) == [5] * 5
-            assert lanes.pack(column) == packed
+    assert ran == [] and len(columns) == 1
+    program, lanes, inputs = columns[0]
+    assert program is table.program and lanes.size == 5 ** 4 and len(inputs) == 4
+    for packed in inputs.values():      # a player's variable, each of 5 values on 125 rows
+        column = lanes.unpack(packed)
+        assert sorted(Counter(column).values()) == [125] * 5
+        assert lanes.pack(column) == packed
     enc = build_encoding(rep.target)
     decide_pure_ne(rep.target, enc)
-    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 5
-    assert columns[4][0] is enc.gamma_program and columns[4][1].size == 5 ** 4
+    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 2
+    assert columns[1][0] is enc.gamma_program and columns[1][1].size == 5 ** 4
     monkeypatch.undo()
     assert list(zip(*table.rows)) == per_profile(rep.target)
 
