@@ -152,8 +152,9 @@ def decide_pure_ne(lg: LogicalGame,
     Enumerating the strategy space is complete: the existence formula's
     membership disjunct confines satisfying assignments to profiles.  Gamma
     runs once over all the rows of the payoff table; an encoding that
-    `over_rows` cannot run, such as a hand-built literal gamma, runs once
-    per profile.
+    `over_rows` cannot run, such as a hand-built literal gamma or one whose
+    call binds another player's variable, runs once per profile, each of
+    its calls running the table's program.
     """
     if enc is None:
         enc = build_encoding(lg)

@@ -28,10 +28,12 @@ subterms are folded.  The program then runs for many assignments.  Folding
 happens inside the program only: formula objects, and so the printed text,
 never change, and an error the formula would raise is never folded away.
 An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
-for its literal copy: a program reads a payoff formula's value from the
-logical game's payoff `Table`, filled at every profile on its first read, and
-compiles any other `Subst` inline, each bound name as its binding's slot; the
-printer prints the body under its bindings' texts.
+for its literal copy.  A program reads a call of the logical game's payoff
+`Table`, each player's block bound to the row's own variables or to the
+constants of one of its strategies, from the table, filled at every profile
+on its first read, or runs the table's program on it; any other `Subst`
+compiles as its literal copy, built by `substitute`.  The printer prints the
+body under its bindings' texts.
 
 A program whose live code does not divide (no `imp_pi`) runs on integers,
 each slot a numerator over a power D^e of one D, e fixed by the program.
@@ -444,13 +446,14 @@ class Program:
     identities x/\\0=0, x/\\1=x, x\\/0=x, x\\/1=1, x&0=0, x&1=x, x+0=x,
     x+1=1, x*0=0, x*1=x, 0->x=1 and x->1=1.  Subterms folded away still
     have their variables checked by `run`, so folding hides no error.  A
-    `Subst` of one of `table`'s formulas (a logical game's payoff table,
-    whose unbound names become variables here) reads its value there,
-    before the instructions and on the caller's D, or folds it where
-    constants bind every input, once per bindings tuple.  Any other `Subst`,
-    or one whose bindings the table cannot take, compiles as its literal
-    copy does, without building it.  A name in `fixed` compiles as its
-    value, checked as a constant is.
+    `Subst` of one of `table`'s formulas (a logical game's payoff table)
+    is a call where each block of the table's names is bound to the row's
+    own variables (left unbound, or bound to its own names, in the table's
+    algebra) or to the constants of one of its strategies t: it folds to
+    the table's row where every block is constant, and otherwise runs
+    `table.program` on its arguments, before the instructions and on the
+    caller's D.  Any other `Subst` compiles as its literal copy.  A name in
+    `fixed` compiles as its value, checked as a constant is.
 
     Unless `imp_pi` is live, `run` scales constants and assignment to
     numerators over a common denominator D and runs on integers: variables,
@@ -469,16 +472,20 @@ class Program:
         self.algebra = alg
         ops, fixed = alg.ops, fixed or {}
         known: list = []        # per compiled node: its value if constant, else None
-        # per node: None, a variable name, or its instruction (fn or table,
-        # its own index, argument indices[, formula index])
+        # per node: None, a variable name, or its instruction: (fn, its own
+        # index, argument indices), or a call (table, its own index,
+        # arguments, formula index, gathers)
         shape: list = []
         # Hash-consing: a variable's name, a constant's (numerator,
         # denominator) and a connective's (op, *argument nodes) map to the
         # node they compiled to, folded or not.
         consed: dict = {}
+        ref: dict = {}          # id(formula node) -> its node
+        copies: list = []       # the literal copies compiled, held so their ids stay unique
         # id(payoff formula) -> its index in `table`
         payoffs = {} if table is None else {id(f): i for i, f in enumerate(table.formulas)}
-        # id(bindings) -> the table's values where constants bind every input
+        # id(bindings) -> None where a call does not fit, its row where
+        # constants bind every block, else (arguments, gathers)
         looked: dict = {}
 
         def new(value, what) -> int:
@@ -505,61 +512,56 @@ class Program:
                 index = consed[name] = literal(fixed[name]) if name in fixed else new(None, name)
             return index
 
+        def fits(bound: dict):
+            """What `looked` keeps for a call with these bindings; it makes no
+            slot before the call is known to fit."""
+            try:
+                program = table.program
+            except SemanticError:   # the copy raises what the copy raises
+                return None
+            names, own, values, gathers, row = table.names, alg is table.algebra, {}, [], 0
+            for start, end, index, stride in table.blocks:
+                mine = names[start:end]
+                given = [bound.get(name) or Var(name) for name in mine]
+                if own and all(type(v) is Var and v.name == name and name not in fixed
+                               for v, name in zip(given, mine)):
+                    continue
+                block = [fixed.get(v.name) if type(v) is Var else
+                         v.value if type(v) is Const else None for v in given]
+                t = None if any(v is None for v in block) else index.get(tuple(pairs(block)))
+                if t is None:
+                    return None
+                values.update(zip(mine, block))
+                gathers.append((stride, len(index), t))
+                row += t * stride
+            if len(values) == len(names):
+                return row
+            return tuple(constant(values[name]) if name in values else variable(name)
+                         for name, _ in program._variables), gathers
+
         def call(node: Subst) -> Optional[int]:
-            """A call of `table`: its payoff formula's value where the formulas
-            compile and each input is bound to a constant of the table's
-            algebra or, in one algebra, left or bound to a variable; else None."""
+            """The node of a call of `table`, or None where it does not fit."""
             i = payoffs.get(id(node.body))
             if i is None:
                 return None
-            values = looked.get(id(node.bindings))
-            if values is not None:
-                return constant(values[i])
-            try:
-                table.program
-            except SemanticError:   # the copy raises what the copy raises
+            key = id(node.bindings)
+            if key not in looked:
+                looked[key] = fits(dict(node.bindings))
+            how = looked[key]
+            if how is None:
                 return None
-            bound, same, inputs = dict(node.bindings), table.algebra is alg, []
-            for name in table.names:
-                v = bound.get(name)
-                if v is None and same:
-                    inputs.append(name)
-                elif type(v) is Var and same:
-                    inputs.append(v.name)
-                elif type(v) is Const and table.algebra.contains(v.value):
-                    inputs.append(v.value)
-                else:
-                    return None
-            slots = tuple(variable(v) if type(v) is str else constant(v) for v in inputs)
-            values = [known[s] for s in slots]
-            if any(v is None for v in values):
-                return new(None, (table, len(shape), slots, i))
-            values = looked[id(node.bindings)] = table.at(pairs(values), values)
-            return constant(values[i])
+            if type(how) is int:
+                return constant(table.rows[i][how])
+            args, gathers = how
+            return new(None, (table, len(shape), args, i, gathers))
 
-        def lookup(scope, name) -> int:
-            """The slot of `name` in an inline body: its binding's, compiled
-            where the literal copy compiles it, or the enclosing scope's."""
-            while scope[0] is not None:
-                bound, outer, _ = scope
-                binding = bound.get(name)
-                if binding is not None:
-                    return walk([binding], outer)[id(binding)]
-                scope = outer
-            return variable(name)
-
-        def walk(nodes, scope) -> dict:
-            """Compile `nodes` in `scope` = (bound names -> bindings, the
-            enclosing scope, id -> slot in this scope); the roots' scope binds
-            nothing.  A `Subst` there calls `table` if it can, and any other
-            compiles inline: its body in a scope of its own, a bound name
-            compiling its binding, so the program is the literal copy's."""
-            bound, _, ref = scope
-            name = variable if bound is None else partial(lookup, scope)
-            # Post-order, each node once, arguments left to right: a connective
-            # goes back on the stack under the arguments not compiled yet, and
-            # `ref` is the seen map, since a node pushed twice is popped the
-            # second time only after its first copy has compiled.
+        def walk(nodes) -> None:
+            """Compile `nodes` into `ref`: post-order, each node once,
+            arguments left to right.  A connective goes back on the stack under
+            the arguments not compiled yet, and `ref` is the seen map, since a
+            node pushed twice is popped the second time only after its first
+            copy has compiled.  A `Subst` calls `table` if it can, and else
+            compiles its literal copy, which holds no `Subst`."""
             stack = list(nodes)[::-1]
             pop, push, get = stack.pop, stack.append, ref.get
             while stack:
@@ -569,13 +571,16 @@ class Program:
                 kind = type(f)
                 if kind is not App:
                     if kind is Var:
-                        ref[fid] = name(f.name)
+                        ref[fid] = variable(f.name)
                     elif kind is Const:
                         ref[fid] = literal(f.value)
                     else:
-                        index = call(f) if bound is None else None
-                        ref[fid] = index if index is not None else walk(
-                            [f.body], (dict(f.bindings), scope, {}))[id(f.body)]
+                        index = call(f)
+                        if index is None:
+                            copies.append(substitute(f, {}))
+                            walk(copies[-1:])
+                            index = ref[id(copies[-1])]
+                        ref[fid] = index
                     continue
                 fargs = f.args
                 a0, a1 = get(id(fargs[0])), get(id(fargs[-1]))
@@ -608,10 +613,9 @@ class Program:
                         shape.append((fn, index, (a0,) if a1 is None else (a0, a1)))
                     consed[key] = index
                 ref[fid] = index
-            return ref
 
         one = constant(ONE)
-        ref = walk(roots, (None, None, {}))
+        walk(roots)
         roots = [ref[id(f)] for f in roots]
         live = [False] * len(shape)
         for r in roots:
@@ -647,7 +651,6 @@ class Program:
                                           for fn in fns) else None
         self._scale = None if self._product in fns else self._base
         self._kernel = None     # the last (D, ops, constants, code, root exponents) bound
-        self._gathers = None    # (table, `over_rows`' reading of the calls on it), made once
 
     @cached_property
     def _shape(self) -> tuple:
@@ -680,9 +683,8 @@ class Program:
         values = list(values)
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
-        for table, out, args, i in self._calls:
-            given = [values[a] for a in args]
-            values[out] = table.at(pairs(given, scale), given, scale)[i]
+        for table, out, args, i, _ in self._calls:
+            values[out] = table.program._execute(scale, [values[a] for a in args])[i]
         for k, out, a, b in code:
             values[out] = ops[k](values[a], values[b])
         return [values[r] for r in self._roots]
@@ -719,21 +721,19 @@ class Program:
     def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
         """(D, each root's numerators over D at every row of `table`), from
         `_columns`; None unless the program's own ops and constants keep one
-        D, no instruction or root reads a variable, and every call reads
-        `table` with each block bound to the row's own variables or to the
-        constants of one of its strategies t.  Such a call's column is the
-        formula's numerators over `table.scale`, which every filled table
-        has, its formulas on one D or not, packed and gathered from row
-        r + (t - s(r)) * stride, s(r) the block's strategy at r."""
-        if self._own is None:
-            return None
-        if self._gathers is None or self._gathers[0] is not table:
-            self._gathers = table, _row_gathers(self, table)
-        if self._gathers[1] is False:
+        D, every call reads `table`, and no instruction or root reads a
+        variable, which has no column.  A call's column is its formula's
+        numerators over `table.scale`, which every filled table has, its
+        formulas on one D or not, packed and, for each (stride, count, t) it
+        carries, gathered from row r + (t - s(r)) * stride, s(r) the
+        block's strategy at r."""
+        read = {a for _, _, args in self._code for a in args}.union(self._roots)
+        if self._own is None or any(call[0] is not table for call in self._calls) or \
+                not read.isdisjoint(index for _, index in self._variables):
             return None
         scale = lcm(self._own, table.scale)
         lanes, packed, inputs = Lanes(scale, len(table.rows[0])), {}, {}
-        for (_, out, _, i), gathers in zip(self._calls, self._gathers[1]):
+        for _, out, _, i, gathers in self._calls:
             column = packed.get(i)
             if column is None:
                 column = packed[i] = lanes.pack(table.numerators[i]) * (scale // table.scale)
@@ -765,49 +765,21 @@ class Program:
         return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]
 
 
-def _row_gathers(program: Program, table: Table):
-    """Per call of `program`, the (stride, count, t) of each block of
-    `table` that it binds to the constants of strategy t, the other
-    blocks bound to the row's own variables; False if a call does not fit,
-    or an instruction or root reads a variable, which has no column."""
-    known, slot = program._slots, {name: index for name, index in program._variables}
-    read = {a for _, _, args in program._code for a in args}.union(program._roots)
-    if not read.isdisjoint(slot.values()):
-        return False
-    own = [tuple(slot.get(name) for name in table.names[start:end])
-           for start, end, _, _ in table.blocks]
-    out = []
-    for served, _, args, _ in program._calls:
-        if served is not table:
-            return False
-        gathers = []
-        for (start, end, index, stride), mine in zip(table.blocks, own):
-            slots = args[start:end]
-            if slots != mine:
-                values = [known[s] for s in slots]
-                t = None if any(v is None for v in values) else index.get(tuple(pairs(values)))
-                if t is None:
-                    return False
-                gathers.append((stride, len(index), t))
-        out.append(gathers)
-    return out
-
-
-def pairs(values: Iterable, scale=None) -> list[int]:
-    """Each value's lowest-terms (numerator, denominator), flattened; for a
-    `scale` the values are numerators over it."""
-    exact = values if scale is None else (Fraction(n, scale) for n in values)
-    return [x for v in exact for x in (v.numerator, v.denominator)]
+def pairs(values: Iterable[Fraction]) -> list[int]:
+    """Each value's lowest-terms (numerator, denominator), flattened."""
+    return [x for v in values for x in (v.numerator, v.denominator)]
 
 
 class Table:
     """A logical game's payoff formulas' values at every strategy profile,
-    kept by row and computed on the first read of `rows`, `numerators`,
-    `scale` or `at`.  `names` lists the players' variables, block by block.
+    kept by row and computed on the first read of `rows`, `numerators` or
+    `scale`.  `names` lists the players' variables, block by block.
     `rows[i][r]` is formula i at row r of the product of the strategy sets,
     `numerators[i][r]` its numerator over `scale`, and `blocks` holds each
     strategy set's (start, end) in `names`, its `pairs` -> index map and its
-    stride, so row r takes strategy (r // stride) % len(map)."""
+    stride, so row r takes strategy (r // stride) % len(map), and the
+    profile of strategies s_j is row sum(s_j * stride_j).  A program
+    compiled over the table reads its calls here, or runs `program`."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  variables: Sequence[Sequence[str]],
@@ -830,24 +802,6 @@ class Table:
     rows = property(lambda self: self._filled[0])
     numerators = property(lambda self: self._filled[1])
     scale = property(lambda self: self._filled[2])
-
-    def at(self, key: Sequence[int], values: Sequence, scale=None) -> tuple:
-        """Every formula's value at an input: `key` its `pairs`, `values` its
-        values as numerators over `scale` (Fractions for None), the form the
-        results take.  An input whose every block is one of that block's
-        strategies reads its row; any other runs `program` once."""
-        rows, row = self.rows, 0
-        for start, end, index, stride in self.blocks:
-            s = index.get(tuple(key[2 * start:2 * end]))
-            if s is None:
-                exact = values if scale is None else [Fraction(v, scale) for v in values]
-                out = self.program.run(dict(zip(self.names, exact)))
-                break
-            row += s * stride
-        else:
-            out = [column[row] for column in rows]
-        return tuple(out) if scale is None else \
-            tuple(v.numerator * (scale // v.denominator) for v in out)
 
     @cached_property
     def _filled(self) -> tuple:
@@ -897,17 +851,10 @@ def evaluate(f: Formula, alg: Algebra, assignment: Mapping[str, Fraction]) -> Fr
 
 
 def free_variables(f: Formula) -> list[str]:
-    """Variable names in first-occurrence, left-to-right order; a `Subst` is
-    read in place, each bound name of its body giving its binding's names."""
-    names: dict[str, None] = {}
-    for node in _post_order([f]):
-        if type(node) is Var:
-            names[node.name] = None
-        elif type(node) is Subst:
-            bound = dict(node.bindings)
-            for name in free_variables(node.body):
-                names.update(dict.fromkeys(free_variables(bound.get(name, Var(name)))))
-    return list(names)
+    """Variable names in first-occurrence, left-to-right order, read off the
+    literal copy, in which every `Subst` is carried out."""
+    return list(dict.fromkeys(node.name for node in _post_order([substitute(f, {})])
+                              if type(node) is Var))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:

@@ -177,14 +177,13 @@ def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ..
     """Per-player formula values at the strategy profile."""
     if len(profile) != lg.n_players:
         raise SemanticError(f"a profile needs {lg.n_players} strategies, got {len(profile)}")
-    table, key, values = lg.payoff_table, [], []
-    for i, (tup, (_, _, index, _)) in enumerate(zip(profile, table.blocks)):
-        part = fm.pairs(tup)
-        if tuple(part) not in index:
+    table, row = lg.payoff_table, 0
+    for i, (tup, (_, _, index, stride)) in enumerate(zip(profile, table.blocks)):
+        s = index.get(tuple(fm.pairs(tup)))
+        if s is None:
             raise SemanticError(f"{tuple(tup)} is not a strategy of player {i + 1}")
-        key += part
-        values += tup
-    return table.at(key, values)
+        row += s * stride
+    return tuple(column[row] for column in table.rows)
 
 
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:

@@ -3,14 +3,16 @@
 On random logical games -- 1 to 3 players, 1 to 5 strategies each, a player
 with one strategy possibly controlling no variable -- whose payoff formulas
 each read every variable, the table fills on its first read, whichever of
-`rows`, `numerators`, `scale` or `at` it is, and holds exactly the values
+`rows`, `numerators`, `scale` or `payoff` it is, and holds exactly the values
 that one `Program([phi], alg).run` per formula and profile gives: the exact
-values and their numerators over the table's scale, in profile order.  `at`
-reads the same at every profile, as numerators over any multiple of that
-scale too, and runs the game's program once at an input off the
-strategies.  A program on one D runs on columns; one with a live `*` or
-`=>` runs once per row.  Where a formula fails to compile, every read raises
-what compiling the formulas in order raises; any other fault in the fill
+values and their numerators over the table's scale, in profile order.  A
+program's call of the table on the row's own variables reads the same at
+every profile, as numerators over any multiple of that scale too, and runs
+the game's program once, on the strategies or off them; a call bound to
+constants off the strategies folds to its literal copy's constant.  A
+program on one D runs on columns; one with a live `*` or `=>` runs once
+per row.  Where a formula fails to compile, every read raises what
+compiling the formulas in order raises; any other fault in the fill
 propagates.
 """
 
@@ -23,11 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgames import (App, Const, LogicalGame, Var, catalog_lookup, free_variables, payoff,
-                     represent_rational_qg_delta, verify_representation)
+from mvgames import (App, Const, LogicalGame, Subst, Var, catalog_lookup, free_variables,
+                     payoff, represent_rational_qg_delta, substitute, verify_representation)
 from mvgames.algebra import Lanes
 from mvgames.errors import SemanticError
-from mvgames.formula import Program, pairs
+from mvgames.formula import Program
 from conftest import random_rational_game
 from test_program import ALGEBRAS, values_of
 
@@ -98,12 +100,11 @@ def per_profile(lg):
             for profile in lg.profiles()]
 
 
-READS = {
-    "rows": lambda table: table.rows,
-    "numerators": lambda table: table.numerators,
-    "scale": lambda table: table.scale,
-    "at": lambda table: table.at(pairs(x for b in table.strategies for x in b[0]),
-                                 [x for b in table.strategies for x in b[0]]),
+READS = {     # each read of a game's payoff table
+    "rows": lambda lg: lg.payoff_table.rows,
+    "numerators": lambda lg: lg.payoff_table.numerators,
+    "scale": lambda lg: lg.payoff_table.scale,
+    "payoff": lambda lg: payoff(lg, next(lg.profiles())),
 }
 
 
@@ -114,13 +115,10 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg, first):
     if isinstance(reference, str):      # every read raises the compile error
         for read in [READS[first]] + list(READS.values()):
             with pytest.raises(SemanticError) as info:
-                read(table)
+                read(lg)
             assert str(info.value) == reference
-        with pytest.raises(SemanticError) as info:
-            payoff(lg, next(lg.profiles()))
-        assert str(info.value) == reference
         return
-    READS[first](table)     # the first read fills the table, whichever it is
+    READS[first](lg)        # the first read fills the table, whichever it is
     program = table.program
     scale = lcm(*(x.denominator for block in lg.strategies for t in block for x in t),
                 *(v.denominator for values in reference for v in values),
@@ -129,12 +127,21 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg, first):
     assert list(zip(*table.rows)) == reference
     assert list(zip(*table.numerators)) == [tuple(v.numerator * (scale // v.denominator)
                                                   for v in values) for values in reference]
+    # One call per formula on the row's own variables, run at D = scale and
+    # 3 * scale, where the table's program keeps one D, else on Fractions.
+    calls = Program([Subst(phi, ()) for phi in lg.payoff_formulas], lg.algebra, table)
+    assert len(calls._calls) == (len(lg.payoff_formulas) if table.names else 0)
     for profile, exact in zip(lg.profiles(), reference):
-        values = [x for t in profile for x in t]
         assert payoff(lg, profile) == exact
+        env = lg.assignment(profile)
+        values = [env[name] for name, _ in calls._variables]
+        assert tuple(calls.run(env)) == exact
+        if calls._base is None:
+            assert tuple(calls._execute(None, values)) == exact
+            continue
         for over in (scale, 3 * scale):
             numerators = [x.numerator * (over // x.denominator) for x in values]
-            assert table.at(pairs(values), numerators, over) == \
+            assert tuple(calls._execute(over, numerators)) == \
                 tuple(v.numerator * (over // v.denominator) for v in exact)
 
 
@@ -183,7 +190,7 @@ def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
         verify_representation(rep)
 
 
-def test_at_off_the_strategies_runs_the_program(monkeypatch):
+def test_a_call_off_the_strategies_runs_the_program_or_folds_as_its_copy(monkeypatch):
     # x takes 0 or 1 and y only 1/4: an input with x = 1/2, or y = 0, is no row.
     l4 = catalog_lookup("L_4")
     lg = LogicalGame(l4, (("x",), ("y",)), (((F(0),), (F(1),)), ((F(1, 4),),)),
@@ -197,14 +204,25 @@ def test_at_off_the_strategies_runs_the_program(monkeypatch):
     ran = _spy(monkeypatch, "_execute")
     assert table.rows == [[F(1, 4), F(1)], [F(3, 4), F(1)]]     # on columns: nothing runs
     assert ran == []
-    for values, runs in (([F(0), F(1, 4)], 0), ([F(1), F(1, 4)], 0),    # rows: nothing runs
-                         ([F(1, 2), F(1, 4)], 2), ([F(1), F(0)], 2)):   # off them: the program
+    for values, row in (([F(0), F(1, 4)], 0), ([F(1), F(1, 4)], 1),     # rows
+                        ([F(1, 2), F(1, 4)], None), ([F(1), F(0)], None)):  # off them
         expected = reference(values)
-        ran.clear()
-        assert table.at(pairs(values), values) == expected
-        assert table.at(pairs(values), [4 * v for v in values], 4) == \
-            tuple(4 * v for v in expected)
-        assert ran == [table.program] * runs
+        for i, phi in enumerate(lg.payoff_formulas):
+            # On the row's own variables: one run of the table's program.
+            call = Program([Subst(phi, ())], l4, table)
+            ran.clear()
+            assert call.run(dict(zip(("x", "y"), values))) == [expected[i]]
+            assert ran == [call, table.program]
+            # Bound to constants: the row's value, or off the strategies the
+            # literal copy's constant; neither leaves a call.
+            bound = Subst(phi, tuple(zip(("x", "y"), map(Const, values))))
+            ran.clear()
+            folded = Program([bound], l4, table)
+            copy = Program([substitute(bound, {})], l4)
+            assert ran == [] and folded._calls == []
+            assert folded._slots[folded._roots[0]] == copy._slots[copy._roots[0]] == expected[i]
+            if row is not None:
+                assert expected[i] == table.rows[i][row]
 
 
 # --- the column run against one run per row -------------------------------------

@@ -739,10 +739,11 @@ def test_gamma_runs_over_the_rows_of_its_own_table_only():
         [literal.run(lg.assignment(profile))[0] for profile in lg.profiles()]
 
 
-def test_deciding_compares_no_fractions_in_row_gathers_or_has_constant(monkeypatch):
+def test_deciding_compares_no_fractions_in_the_call_analysis_or_has_constant(monkeypatch):
     # A prime Lukasiewicz chain has no constants, so classifying asks
     # `has_constant` of each relevant element; gamma's calls bind blocks to
-    # constants, which `_row_gathers` reads.  Both decide on integers.
+    # each q_a, fixed to a, which the compile's call analysis (`call` and
+    # `fits` in `Program`) reads.  Both decide on integers.
     rng = random.Random(5)
     levels = [F(j, 4) for j in range(5)]
     lg = represent_rational_lm(make_game((4, 4), lambda p: [rng.choice(levels)
@@ -752,9 +753,12 @@ def test_deciding_compares_no_fractions_in_row_gathers_or_has_constant(monkeypat
     eq = Fraction.__eq__
     monkeypatch.setattr(Fraction, "__eq__", lambda a, b: callers.append(
         sys._getframe(1).f_code.co_name) or eq(a, b))
-    decide_pure_ne(_fresh(lg))
+    lg = _fresh(lg)
+    enc = build_encoding(lg)
+    decide_pure_ne(lg, enc)
     monkeypatch.undo()
-    assert not {"_row_gathers", "has_constant"} & set(callers)
+    assert enc.aux_q and enc.gamma_program._calls
+    assert not {"call", "fits", "has_constant"} & set(callers)
 
 
 def _row_fill_games():

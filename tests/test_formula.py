@@ -170,16 +170,20 @@ def test_free_variables_order():
     assert free_variables(parse(r"(x -> y) & (z \/ x)")) == ["x", "y", "z"]
 
 
-def test_free_variables_read_each_subst_in_place(monkeypatch):
-    def no_copy(*args):
-        raise AssertionError("free_variables built a literal copy")
+def test_free_variables_read_each_subst_through_its_literal_copy(monkeypatch):
+    copied, substitute_ = [], formula.substitute
 
-    monkeypatch.setattr(formula, "substitute", no_copy)
+    def spy(f, mapping):
+        copied.append(f)
+        return substitute_(f, mapping)
+
+    monkeypatch.setattr(formula, "substitute", spy)
     body = parse(r"(y /\ x) -> (z \/ x)")
     f = Subst(body, (("x", parse("b -> a")), ("z", Const(Fraction(1, 2))), ("w", Var("q"))))
     assert free_variables(f) == ["y", "b", "a"]
-    assert free_variables(App("and", (Var("a"), Subst(f, (("b", Var("c")),))))) == \
-        ["a", "y", "c"]
+    g = App("and", (Var("a"), Subst(f, (("b", Var("c")),))))
+    assert free_variables(g) == ["a", "y", "c"]
+    assert copied[0] is f and g in copied
 
 
 def test_free_variables_agree_with_the_literal_copy(battery_representations):

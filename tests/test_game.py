@@ -18,7 +18,7 @@ from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Subst
                      relevant_elements, verify_mixed, vickrey)
 from mvgames.algebra import format_rational
 from mvgames.errors import SemanticError
-from mvgames.formula import Program, pairs
+from mvgames.formula import Program
 from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_json,
                           lgame_from_json, lgame_to_json, load_json, make_game,
                           profile_from_json, profile_to_json, write_text)
@@ -145,12 +145,12 @@ def test_construction_rejects_unknown_variables(formulas, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("read", ["rows", "numerators", "at", "program"])
+@pytest.mark.parametrize("read", ["rows", "numerators", "payoff", "program"])
 def test_a_formula_that_only_fails_to_compile_raises_at_the_first_read(read):
     lg = _xy_game(X, App("or", (Y, OFF_SIGNATURE)))
-    table, first = lg.payoff_table, [F(0), F(0)]
+    table, first = lg.payoff_table, ((F(0),), (F(0),))
     reads = {"rows": lambda: table.rows, "numerators": lambda: table.numerators,
-             "at": lambda: table.at(pairs(first), first), "program": lambda: table.program}
+             "payoff": lambda: payoff(lg, first), "program": lambda: table.program}
     with pytest.raises(SemanticError) as info:
         reads[read]()
     assert str(info.value) == "connective 'odot' not in signature of L_4"

@@ -15,6 +15,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from mvgames.formula import Program, substitute
 from conftest import random_distribution
 from test_column_fill import per_profile
 from test_group_fill import reference_verify_representation
-from test_program import formulas, values_of
+from test_program import ReferenceProgram, compiled, formulas, values_of
 
 F = Fraction
 LH44 = love_and_hate(4, 4)
@@ -103,7 +104,7 @@ def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
     decide_pure_ne(rep.target, enc)
     assert rep.target.payoff_table.rows is not None
     # No payoff program and no `Program.run`: one pass over the rows.
-    assert ran == [] and enc.gamma_program._gathers[1]
+    assert ran == [] and enc.gamma_program.over_rows(rep.target.payoff_table) is not None
 
 
 def test_cold_decide_runs_each_payoff_once_per_own_input(monkeypatch):
@@ -154,7 +155,7 @@ def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
     # Neither the payoff programs nor gamma run per profile, nor at all.
     assert ran == []
     assert rep.target.payoff_table.rows is not None and lg.payoff_table.rows is not None
-    assert enc.gamma_program._gathers[1]
+    assert enc.gamma_program.over_rows(lg.payoff_table) is not None
 
 
 def test_formulas_reading_some_players_fill_in_one_column_run_over_every_row(monkeypatch):
@@ -181,8 +182,9 @@ def test_formulas_reading_some_players_fill_in_one_column_run_over_every_row(mon
         assert lanes.pack(column) == packed
     enc = build_encoding(rep.target)
     decide_pure_ne(rep.target, enc)
-    assert ran == [] and enc.gamma_program._gathers[1] and len(columns) == 2
+    assert ran == [] and len(columns) == 2
     assert columns[1][0] is enc.gamma_program and columns[1][1].size == 5 ** 4
+    assert enc.gamma_program.over_rows(table) is not None
     monkeypatch.undo()
     assert list(zip(*table.rows)) == per_profile(rep.target)
 
@@ -201,51 +203,96 @@ def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
                              f"but f = {payoffs[3, 2][1]}"
 
 
-# --- calls of a table with a live * or => ------------------------------------------
-# Such a table fills once per row, over a scale that its values set, while a
-# calling program takes its D from the table's program, which is off one D.
-# Either way a call's value is its literal copy's, wherever it is read.
+# --- calls of a table, on one D or off it --------------------------------------
+# A table with a live * or => fills once per row, over a scale that its values
+# set, while a calling program takes its D from the table's program, which is
+# off one D; a table on one D runs its kernel, for a call on the row's own
+# variables, at the caller's integer D.  Either way a call's value is its
+# literal copy's, wherever it is read, and a call that binds another
+# player's variable, or constants off the strategies, compiles as that copy.
 
 PRODUCT_ALGEBRAS = [catalog_lookup("STD_QPL_DELTA"), catalog_lookup("STD_LPIH")]
+ONE_D_ALGEBRAS = [catalog_lookup("L_4"), catalog_lookup("STD_L"), catalog_lookup("G_4_C_DELTA")]
 XYZ = ("x", "y", "z")
 
 
 @st.composite
-def product_calls(draw):
-    """A 3-player game whose phi_i each hold a `*` or `=>`, roots made of
-    calls of them bound to constants and variables, and assignments on the
-    strategies and off them."""
-    alg = draw(st.sampled_from(PRODUCT_ALGEBRAS))
+def table_calls(draw):
+    """A 3-player game whose phi_i each hold a `*` or `=>` in a product
+    algebra, or any binary op in a one-D one, roots made of calls of them
+    bound to constants and variables, and assignments on the strategies and
+    off them."""
+    alg = draw(st.sampled_from(PRODUCT_ALGEBRAS + ONE_D_ALGEBRAS))
     values = st.sampled_from(values_of(alg))
     strategies = tuple(tuple((v,) for v in draw(st.lists(values, min_size=1, max_size=3,
                                                          unique=True))) for _ in XYZ)
-    products = sorted({"odot", "imp_pi"} & set(alg.ops))
-    payoffs = tuple(App(draw(st.sampled_from(products)), (draw(formulas(alg)), Var(name)))
+    binary = sorted(set(alg.ops) - {"neg", "delta"})
+    tops = sorted({"odot", "imp_pi"} & set(alg.ops)) or binary
+    payoffs = tuple(App(draw(st.sampled_from(tops)), (draw(formulas(alg)), Var(name)))
                     for name in XYZ)
     lg = LogicalGame(alg, tuple((name,) for name in XYZ), strategies, payoffs)
     binding = st.one_of(st.sampled_from([Var(name) for name in XYZ]), values.map(Const))
     calls = st.builds(lambda phi, bound: Subst(phi, tuple(bound.items())),
                       st.sampled_from(payoffs),
                       st.dictionaries(st.sampled_from(XYZ), binding, max_size=3))
-    roots = draw(st.lists(calls | st.tuples(st.sampled_from(sorted(set(alg.ops) - {"neg", "delta"})),
-                                            calls, calls).map(lambda t: App(t[0], t[1:])),
-                          min_size=1, max_size=3))
+    roots = draw(st.lists(calls | st.tuples(st.sampled_from(binary), calls, calls).map(
+        lambda t: App(t[0], t[1:])), min_size=1, max_size=3))
     on = [dict(zip(XYZ, (t[0] for t in draw(st.tuples(*map(st.sampled_from, strategies))))))
           for _ in range(2)]
     off = [dict(zip(XYZ, draw(st.tuples(values, values, values)))) for _ in range(2)]
     return lg, roots, on + off
 
 
+def _fit(call, lg):
+    """Per block of a call, "own" or "constant"; None where a block binds
+    another player's variable or constants off the strategies."""
+    bound, kinds = dict(call.bindings), []
+    for name, block in zip(XYZ, lg.strategies):
+        v = bound.get(name, Var(name))
+        if v == Var(name):
+            kinds.append("own")
+        elif type(v) is Const and (v.value,) in block:
+            kinds.append("constant")
+        else:
+            return None
+    return kinds
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(product_calls())
-def test_calls_of_a_product_table_read_their_literal_copies(case):
+@given(table_calls())
+def test_calls_of_a_table_read_their_literal_copies(case):
     lg, roots, assignments = case
     alg = lg.algebra
     expected = [[evaluate(substitute(root, {}), alg, env) for root in roots]
                 for env in assignments]
+    calls = [f for root in roots for f in ([root] if type(root) is Subst else root.args)]
+    for call in calls:
+        alone, kinds = Program([call], alg, lg.payoff_table), _fit(call, lg)
+        assert len(alone._calls) == (kinds is not None and "own" in kinds)
+        if kinds is None:       # the literal copy's program: its slots, in order
+            assert compiled(Program, [call], alg, lg.payoff_table) == \
+                compiled(Program, [substitute(call, {})], alg)
+    execute, ran = Program._execute, []
+
+    def spy(self, scale, inputs):
+        ran.append((self, scale))
+        return execute(self, scale, inputs)
+
     for filled_first in (False, True):
         game = _fresh(lg)
         if filled_first:
             game.payoff_table.rows
         program = Program(roots, alg, game.payoff_table)
-        assert [program.run(env) for env in assignments] == expected
+        assert compiled(Program, roots, alg, game.payoff_table) == \
+            compiled(ReferenceProgram, roots, alg, game.payoff_table)
+        for env, values in zip(assignments, expected):
+            ran.clear()
+            with mock.patch.object(Program, "_execute", spy):
+                assert program.run(env) == values
+            # Each call runs the table's kernel once, at the caller's D: an
+            # int where the table's program keeps one D.
+            assert ran == [(program, program._kernel[0])] + \
+                [(game.payoff_table.program, program._kernel[0])] * len(program._calls)
+            assert (type(program._kernel[0]) is int) == (program._base is not None)
+            if alg in ONE_D_ALGEBRAS:
+                assert program._base is not None

@@ -8,6 +8,7 @@ algebra family, rich in the constants 0 and 1, make every folding rule of
 on every error.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -21,7 +22,7 @@ from mvgames import (App, Const, Subst, Var, catalog_lookup, evaluate, free_vari
 from mvgames.algebra import INTEGER_TWINS
 from mvgames.equilibria import build_encoding, build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
-from mvgames.formula import _ABSORBING, _UNIT, Program, Table, _post_order, pairs
+from mvgames.formula import _ABSORBING, _UNIT, Program, Table, _post_order
 from mvgames.game import MixedProfile, logical_to_strategic, make_game
 from mvgames.oracle import expected_payoffs
 from mvgames.represent import (represent_rational_gmc_delta, represent_rational_lm,
@@ -519,11 +520,12 @@ def test_run_checks_every_assigned_value_on_every_run():
 
 # --- the compile against the walk it replaced ------------------------------------
 # `ReferenceProgram` is the compile as it was written over `_post_order`, one
-# generator step per node and a tuple of argument slots per connective, and a
+# generator step per node and a tuple of argument slots per connective; a
 # `Subst` that is not a call of the payoff table compiles its literal copy,
-# built by `substitute`.  The inline walk must build the same program from
-# every formula: the same slots in the same order, variables, code, roots,
-# scale and error text.
+# built by `substitute`, and each call is derived on its own, by comparing
+# values.  The inline walk must build the same program from every formula:
+# the same slots in the same order, variables, code, calls, roots, scale and
+# error text.
 
 def reference_fold_identity(op, args, x, y, one):
     if op == "imp":
@@ -569,32 +571,52 @@ class ReferenceProgram(Program):
             return index
 
         def call(node):
-            """A call of the payoff table, or None: the literal copy compiles."""
+            """A call of the payoff table, or None: the literal copy compiles.
+            Each block is the row's own or one strategy's constants, found by
+            comparing values; a constant call's row is its strategies'
+            position in the product, and a block's stride the count of the
+            later blocks' profiles."""
             i = payoffs.get(id(node.body))
             if i is None:
                 return None
-            values = looked.get(id(node.bindings))
-            if values is not None:
-                return constant(values[i])
-            bound = dict(node.bindings)
             try:
                 table.program
-                inputs = [bound.get(name, Var(name)) for name in table.names]
-                fits = all(type(v) is Var and table.algebra is alg
-                           or type(v) is Const and table.algebra.contains(v.value) for v in inputs)
             except SemanticError:
-                fits = False
-            if not fits:
                 return None
-            slots = tuple(variable(v.name) if type(v) is Var else constant(v.value)
-                          for v in inputs)
-            if all(known[s] is not None for s in slots):
-                values = [known[s] for s in slots]
-                values = table.at(pairs(values), values)
-                if all(type(v) is Const for v in inputs):
-                    looked[id(node.bindings)] = values
-                return constant(values[i])
-            return new(None, (table, slots, i))
+            bound, start, picked, own, gathers, ts = dict(node.bindings), 0, [], set(), [], []
+            for j, block in enumerate(table.strategies):
+                names = table.names[start:start + len(block[0])]
+                start += len(names)
+                inputs = [bound.get(name, Var(name)) for name in names]
+                if table.algebra is alg and all(v == Var(name) and name not in fixed
+                                                for v, name in zip(inputs, names)):
+                    own.update(names)
+                    picked.append(None)
+                    ts.append(0)
+                    continue
+                if not all(type(v) is Const or type(v) is Var and v.name in fixed
+                           for v in inputs):
+                    return None
+                values = tuple(v.value if type(v) is Const else fixed[v.name] for v in inputs)
+                if values not in [tuple(t) for t in block]:
+                    return None
+                t = [tuple(t) for t in block].index(values)
+                picked.append(dict(zip(names, values)))
+                ts.append(t)
+                stride = 1
+                for later in table.strategies[j + 1:]:
+                    stride *= len(later)
+                gathers.append((stride, len(block), t))
+            if not own:
+                row = list(itertools.product(*(range(len(b)) for b in table.strategies))).index(
+                    tuple(ts))
+                return constant(table.rows[i][row])
+            key = id(node.bindings)
+            if key not in looked:
+                constants = {name: v for p in picked if p is not None for name, v in p.items()}
+                looked[key] = tuple(variable(name) if name in own else constant(constants[name])
+                                    for name, _ in table.program._variables)
+            return new(None, (table, looked[key], i, gathers))
 
         def compile_nodes(nodes):
             for f in _post_order(nodes):
@@ -658,7 +680,6 @@ class ReferenceProgram(Program):
                                           for i in self._code) else None
         self._scale = None if any(i[0] is self._product for i in self._code) else self._base
         self._kernel = None
-        self._gathers = None
 
 
 def compiled(make, *args, **kwargs):
