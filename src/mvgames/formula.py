@@ -451,8 +451,8 @@ class Program:
     own variables (left unbound, or bound to its own names, in the table's
     algebra) or to the constants of one of its strategies t: it folds to
     the table's row where every block is constant, and otherwise runs
-    `table.program` on its arguments, before the instructions and on the
-    caller's D.  Any other `Subst` compiles as its literal copy.  A name in
+    `table.program` on its arguments, once for the calls on the same ones,
+    before the instructions and on the caller's D.  Any other `Subst` compiles as its literal copy.  A name in
     `fixed` compiles as its value, checked as a constant is.
 
     Unless `imp_pi` is live, `run` scales constants and assignment to
@@ -669,7 +669,8 @@ class Program:
     def _execute(self, scale, inputs) -> list:
         """Root values on `inputs`: numerators over powers of `scale`, or
         Fractions for None.  A new `scale` binds the shape: it scales the
-        constants and makes one op per kind."""
+        constants and makes one op per kind.  The calls of one argument
+        tuple share one run of the table's program, at `scale`."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
             kinds, code, exponents = self._shape
@@ -683,8 +684,12 @@ class Program:
         values = list(values)
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
+        runs: dict = {}     # argument tuple -> the table's root values
         for table, out, args, i, _ in self._calls:
-            values[out] = table.program._execute(scale, [values[a] for a in args])[i]
+            got = runs.get(args)
+            if got is None:
+                got = runs[args] = table.program._execute(scale, [values[a] for a in args])
+            values[out] = got[i]
         for k, out, a, b in code:
             values[out] = ops[k](values[a], values[b])
         return [values[r] for r in self._roots]
@@ -759,7 +764,9 @@ class Program:
         scale = None
         if self._base is not None:
             d, kernel = lcm(*(v.denominator for v in given)), self._kernel
-            scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._base, d)
+            # a caller off one D may have bound this kernel to None
+            scale = kernel[0] if kernel and kernel[0] and not kernel[0] % d \
+                else lcm(self._base, d)
             given = [v.numerator * (scale // v.denominator) for v in given]
         values = self._execute(scale, given)
         return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]

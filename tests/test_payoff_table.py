@@ -243,6 +243,21 @@ def table_calls(draw):
     return lg, roots, on + off
 
 
+def test_a_product_table_fills_after_gamma_ran_its_kernel_off_one_d():
+    """phi_i = x * y on STD_QPL_DELTA keeps one D in the table's program but
+    not in gamma's, which runs the table's kernel on Fractions; the table's
+    own fill after that still reads each row at an integer D."""
+    alg = catalog_lookup("STD_QPL_DELTA")
+    block = tuple((v,) for v in (F(0), F(1, 2), F(1)))
+    lg = LogicalGame(alg, (("x",), ("y",)), (block, block),
+                     (parse("x * y"), parse("y * x")))
+    enc = build_encoding(lg)
+    profile = ((F(1, 2),), (F(1),))
+    assert satisfies_gamma(enc, profile) is False
+    assert payoff(lg, profile) == (F(1, 2), F(1, 2))
+    assert list(zip(*lg.payoff_table.rows)) == per_profile(_fresh(lg))
+
+
 def _fit(call, lg):
     """Per block of a call, "own" or "constant"; None where a block binds
     another player's variable or constants off the strategies."""
@@ -289,10 +304,13 @@ def test_calls_of_a_table_read_their_literal_copies(case):
             ran.clear()
             with mock.patch.object(Program, "_execute", spy):
                 assert program.run(env) == values
-            # Each call runs the table's kernel once, at the caller's D: an
-            # int where the table's program keeps one D.
+            # The calls of one argument tuple run the table's kernel once, at
+            # the caller's D: an int where the table's program keeps one D.
             assert ran == [(program, program._kernel[0])] + \
-                [(game.payoff_table.program, program._kernel[0])] * len(program._calls)
+                [(game.payoff_table.program, program._kernel[0])] * \
+                len({args for _, _, args, _, _ in program._calls})
             assert (type(program._kernel[0]) is int) == (program._base is not None)
             if alg in ONE_D_ALGEBRAS:
                 assert program._base is not None
+        # A table that fills after the runs has the values of its formulas.
+        assert list(zip(*game.payoff_table.rows)) == per_profile(game)
