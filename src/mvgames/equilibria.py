@@ -9,7 +9,10 @@ expressible games route them through auxiliary variables q_a pinned to the
 value a by pseudo-characteristic formulas.  An existence formula conjoins
 gamma with a disjunction asserting that the variables spell out some
 strategy profile, so it is satisfiable iff a pure equilibrium exists; for
-full games the membership disjunction is redundant and dropped.
+full games the membership disjunction is redundant and dropped.  Deciding
+fixes each q_a to a, where the block of pseudo-characteristic formulas is
+1, so it compiles the deviation conjuncts alone; the block is built when
+gamma is first read, to be printed.
 
 Mixed equilibria need truncated addition and product, i.e. an algebra
 expanding the standard MV-algebra with the product connective.  One fresh
@@ -53,22 +56,37 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 @dataclass(frozen=True)
 class PureNEEncoding:
+    """Gamma of a logical game, held as its deviation conjunction
+    /\\_{i,s} (phi_i(s) -> phi_i(v)); on the weak route each s plugs in
+    q_a for a, and gamma conjoins the chi block /\\_a chi_a(q_a) before it."""
     game: LogicalGame
-    gamma: fm.Formula
+    deviations: fm.Formula
     full: Optional[bool]             # from `classify`: membership is redundant
     aux_q: dict[Fraction, str]       # empty in the expressible variant
     variant: str                     # "EXPRESSIBLE" | "WEAKLY_EXPRESSIBLE"
 
     @cached_property
+    def gamma(self) -> fm.Formula:
+        """The deviations, after the chi block on the weak route; built on
+        first read, since deciding reads the deviations alone."""
+        if self.variant == "EXPRESSIBLE":
+            return self.deviations
+        chi_block = conj_all(pseudo_char(self.game.algebra, a, name)
+                             for a, name in self.aux_q.items())
+        return App("and", (chi_block, self.deviations))
+
+    @cached_property
     def existence(self) -> fm.Formula:
         """Gamma, conjoined with membership unless the game is full; built on
-        first read, since deciding reads gamma alone."""
+        first read, since deciding reads neither."""
         return self.gamma if self.full else App("and", (_membership(self.game), self.gamma))
 
     @cached_property
     def gamma_program(self) -> fm.Program:
-        """Gamma, compiled once for every profile, each q_a compiled as a."""
-        return fm.Program([self.gamma], self.game.algebra, self.game.payoff_table,
+        """The deviations, compiled once for every profile with each q_a
+        fixed to a.  There chi_a(q_a) is 1, so this program gives gamma's
+        values: compiled, the chi block would fold to 1 and leave no slot."""
+        return fm.Program([self.deviations], self.game.algebra, self.game.payoff_table,
                           fixed={name: a for a, name in self.aux_q.items()})
 
 
@@ -99,17 +117,14 @@ def _membership(lg: LogicalGame) -> fm.Formula:
 
 
 def _build_pure(lg: LogicalGame, flags: GameFlags, weak: bool) -> PureNEEncoding:
-    """Gamma, plugging in for each relevant element a its truth constant, or
-    on the weak route a fresh q_a pinned to a by a chi block."""
+    """The deviations, plugging in for each relevant element a its truth
+    constant, or on the weak route a fresh q_a, which gamma pins to a."""
     relevant, taken = flags.relevant, set(lg.all_variables)
     aux_q = {a: _fresh(f"q_{a.numerator}_{a.denominator}", taken)
              for a in relevant} if weak else {}
-    gamma = conj_all(_gamma_conjuncts(
+    deviations = conj_all(_gamma_conjuncts(
         lg, {a: Var(aux_q[a]) if weak else Const(a) for a in relevant}))
-    if weak:
-        chi_block = conj_all(pseudo_char(lg.algebra, a, aux_q[a]) for a in relevant)
-        gamma = App("and", (chi_block, gamma))
-    return PureNEEncoding(lg, gamma, flags.full, aux_q,
+    return PureNEEncoding(lg, deviations, flags.full, aux_q,
                           "WEAKLY_EXPRESSIBLE" if weak else "EXPRESSIBLE")
 
 
@@ -125,7 +140,8 @@ def build_gamma(lg: LogicalGame, flags: Optional[GameFlags] = None) -> PureNEEnc
 
 def build_gamma_weak(lg: LogicalGame, flags: Optional[GameFlags] = None) -> PureNEEncoding:
     """Auxiliary-variable encoding; q_a variables play the role of constants.
-    `flags` is `classify(lg)`, where the caller has it."""
+    Its chi block, which pins each q_a to a, is built on the first read of
+    `gamma`.  `flags` is `classify(lg)`, where the caller has it."""
     flags = classify(lg) if flags is None else flags
     if not flags.weakly_expressible:
         raise SemanticError(f"game over {lg.algebra.id} is not weakly expressible")
@@ -147,11 +163,12 @@ def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:
 def decide_pure_ne(lg: LogicalGame,
                    enc: Optional[PureNEEncoding] = None
                    ) -> tuple[list[tuple[ValueTuple, ...]], bool]:
-    """All gamma-satisfying strategy profiles, plus the SAT verdict.
+    """All gamma-satisfying strategy profiles, in the game's profile order,
+    which is sorted since each strategy set is, plus the SAT verdict.
 
     Enumerating the strategy space is complete: the existence formula's
-    membership disjunct confines satisfying assignments to profiles.  Gamma
-    runs once over all the rows of the payoff table; an encoding that
+    membership disjunct confines satisfying assignments to profiles.  Gamma's
+    program runs once over all the rows of the payoff table; an encoding that
     `over_rows` cannot run, such as a hand-built literal gamma or one whose
     call binds another player's variable, runs once per profile, each of
     its calls running the table's program.
@@ -164,7 +181,7 @@ def decide_pure_ne(lg: LogicalGame,
     else:
         scale, (gamma,) = rows
         found = list(itertools.compress(lg.profiles(), (v == scale for v in gamma)))
-    return sorted(found), bool(found)
+    return found, bool(found)
 
 
 # --- mixed equilibria ---------------------------------------------------------

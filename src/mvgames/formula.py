@@ -522,13 +522,25 @@ class Program:
             names, own, values, gathers, row = table.names, alg is table.algebra, {}, [], 0
             for start, end, index, stride in table.blocks:
                 mine = names[start:end]
-                given = [bound.get(name) or Var(name) for name in mine]
-                if own and all(type(v) is Var and v.name == name and name not in fixed
-                               for v, name in zip(given, mine)):
+                if own and bound.keys().isdisjoint(mine) and fixed.keys().isdisjoint(mine):
+                    continue        # the row's own variables
+                block, unfixed = [], 0      # unfixed: names left as the row's own
+                for name in mine:
+                    v = bound.get(name)
+                    if type(v) is Const:
+                        block.append(v.value)
+                        continue
+                    if v is not None and type(v) is not Var:
+                        return None
+                    value = fixed.get(name if v is None else v.name)
+                    if value is None:
+                        if not own or v is not None and v.name != name:
+                            return None
+                        unfixed += 1
+                    block.append(value)
+                if unfixed == len(mine):
                     continue
-                block = [fixed.get(v.name) if type(v) is Var else
-                         v.value if type(v) is Const else None for v in given]
-                t = None if any(v is None for v in block) else index.get(tuple(pairs(block)))
+                t = None if unfixed else index.get(tuple(pairs(block)))
                 if t is None:
                     return None
                 values.update(zip(mine, block))

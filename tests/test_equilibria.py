@@ -20,11 +20,11 @@ from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      represent_rational_gmc_delta, represent_rational_lm,
                      represent_rational_qg_delta, to_text, verify_mixed,
                      verify_representation)
-from mvgames import equilibria
+from mvgames import chars, equilibria
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
                                 build_prob_distr, lift_algebra_for_mixed, satisfies_gamma)
-from mvgames.formula import Program, Subst, substitute
+from mvgames.formula import Const, Program, Subst, conj_all, disj_all, substitute
 from mvgames.game import classify, make_game
 from mvgames.errors import SemanticError
 from conftest import random_distribution, random_logical_game
@@ -398,8 +398,14 @@ def test_check_mixed_agrees_with_oracle_on_random_profiles(seed):
 # literal encodings, and both must give the same answers.
 
 def _literal_gamma(enc):
-    return PureNEEncoding(enc.game, substitute(enc.gamma, {}), enc.full, enc.aux_q,
-                          enc.variant)
+    """Gamma's literal copy, held as the deviations: on the weak route it
+    keeps the chi block, so its compile folds that block, each q_a fixed."""
+    literal = PureNEEncoding(enc.game, deviations=substitute(enc.gamma, {}), full=enc.full,
+                             aux_q=enc.aux_q, variant=enc.variant)
+    if enc.variant == "WEAKLY_EXPRESSIBLE":
+        chi_block = literal.deviations.args[0]
+        assert literal.deviations.op == "and" and chi_block == enc.gamma.args[0]
+    return literal
 
 
 def _literal_mixed(enc):
@@ -478,6 +484,112 @@ def test_pin_outside_the_domain_raises_the_constant_error():
         with pytest.raises(SemanticError) as info:
             attempt()
         assert str(info.value) == message
+
+
+# --- deciding without the chi block ---------------------------------------------
+# Deciding fixes each q_a to a, where chi_a(q_a) is 1: it compiles the
+# deviations alone, and the chi block is built on the first read of gamma.
+
+def _weak_encodings(battery_representations):
+    """Every weak-route encoding of the battery, and `build_gamma_weak` on
+    the expressible new_technology games over L_4_C."""
+    encodings, methods = [], set()
+    for method, rep in battery_representations:
+        enc = build_encoding(rep.target)
+        if enc.variant == "WEAKLY_EXPRESSIBLE":
+            methods.add(method)
+            encodings.append(enc)
+    assert methods == {"ab_ii", "ab_iii", "vi_lm"}
+    for c in (F(1), F(3, 2)):
+        lg = new_technology(c).logical
+        assert lg.algebra.id == "L_4_C" and classify(lg).expressible
+        encodings.append(build_gamma_weak(lg))
+    return encodings
+
+
+def test_deciding_without_the_chi_block_is_exact(battery_representations):
+    encodings, over_rows = _weak_encodings(battery_representations), 0
+    for enc in encodings:
+        lg, pins = enc.game, {name: a for a, name in enc.aux_q.items()}
+        chi_block, deviations = enc.gamma.args
+        assert deviations is enc.deviations and pins
+        # The chi block alone, each q_a fixed, compiles to the constant 1.
+        alone = Program([chi_block], lg.algebra, fixed=pins)
+        assert alone._code == alone._calls == alone._variables == []
+        assert alone.run({}) == [1]
+        whole = Program([enc.gamma], lg.algebra, lg.payoff_table, fixed=pins)
+        rows = enc.gamma_program.over_rows(lg.payoff_table)
+        assert rows == whole.over_rows(lg.payoff_table)
+        over_rows += rows is not None
+        for profile in lg.profiles():
+            assert satisfies_gamma(enc, profile) == \
+                (whole.run(lg.assignment(profile))[0] == 1)
+    assert over_rows == len(encodings) > 400
+
+
+def _eager_existence(lg, weak):
+    """The existence formula built whole, as the encoding built it before
+    its chi block was built on first read: gamma with its chi block first on
+    the weak route, then membership before it unless the game is full."""
+    flags, taken, aux_q = classify(lg), set(lg.all_variables), {}
+    for a in flags.relevant if weak else ():
+        aux_q[a] = f"q_{a.numerator}_{a.denominator}"
+        while aux_q[a] in taken:
+            aux_q[a] = "_" + aux_q[a]
+        taken.add(aux_q[a])
+    node_at = {a: Var(aux_q[a]) if weak else Const(a) for a in flags.relevant}
+    gamma = conj_all(
+        App("imp", (Subst(phi, tuple((name, node_at[value])
+                                     for name, value in zip(lg.variables[i], strategy))),
+                    Subst(phi, ())))
+        for i, phi in enumerate(lg.payoff_formulas) for strategy in lg.strategies[i])
+    if weak:
+        gamma = App("and", (conj_all(chars.pseudo_char(lg.algebra, a, aux_q[a])
+                                     for a in flags.relevant), gamma))
+    if flags.full:
+        return gamma
+    membership = disj_all(conj_all(chars.pseudo_char(lg.algebra, value, name)
+                                   for block, tup in zip(lg.variables, profile)
+                                   for name, value in zip(block, tup))
+                          for profile in lg.profiles())
+    return App("and", (membership, gamma))
+
+
+def test_deciding_builds_no_chi_block(monkeypatch):
+    calls = []
+    build = equilibria.pseudo_char
+    monkeypatch.setattr(equilibria, "pseudo_char",
+                        lambda *args: calls.append(args) or build(*args))
+    mp_lm = represent_rational_lm(matching_pennies().strategic).target
+    for lg, make in ((LH.logical, build_encoding), (mp_lm, build_encoding),
+                     (NT.logical, build_gamma_weak)):
+        calls.clear()
+        enc = make(lg)
+        assert enc.variant == "WEAKLY_EXPRESSIBLE"
+        decide_pure_ne(lg, enc)
+        assert calls == []
+        gamma = enc.gamma           # one chi_a(q_a) per relevant element
+        assert calls == [(lg.algebra, a, name) for a, name in enc.aux_q.items()]
+        assert len(calls) == len(relevant_elements(lg))
+        assert enc.gamma is gamma and len(calls) == len(relevant_elements(lg))
+        assert to_text(enc.existence) == to_text(_eager_existence(lg, weak=True))
+    for lg in (NT.logical, MP_REP.target):
+        assert to_text(build_encoding(lg).existence) == to_text(_eager_existence(lg, weak=False))
+
+
+def test_decide_lists_profiles_sorted_on_both_branches(battery_representations, monkeypatch):
+    answers, several = [], 0
+    for method, rep in battery_representations:
+        enc = build_encoding(rep.target)
+        found, sat = decide_pure_ne(rep.target, enc)
+        assert found == sorted(found) and sat == bool(found), method
+        answers.append((enc, found))
+        several += len(found) > 1
+    assert several > 100
+    # No encoding runs over the rows: each runs gamma once per profile.
+    monkeypatch.setattr(Program, "over_rows", lambda self, table: None)
+    for enc, found in answers:
+        assert decide_pure_ne(enc.game, enc) == (found, bool(found))
 
 
 def test_mixed_formula_text_is_pinned():
@@ -716,7 +828,8 @@ def test_a_call_that_does_not_fit_leaves_gamma_per_profile(monkeypatch):
     lg = _fresh(NT.logical)
     phi = lg.payoff_formulas[0]
     gamma = App("imp", (Subst(phi, (("v1", Var("v2")),)), Subst(phi, ())))
-    enc = PureNEEncoding(lg, gamma, True, {}, "EXPRESSIBLE")
+    enc = PureNEEncoding(lg, deviations=gamma, full=True, aux_q={}, variant="EXPRESSIBLE")
+    assert enc.gamma is gamma       # the constant route's gamma is its deviations
     assert enc.gamma_program.over_rows(lg.payoff_table) is None
     profiles = []
     run = equilibria.satisfies_gamma

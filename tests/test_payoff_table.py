@@ -131,7 +131,8 @@ def test_binding_outside_the_game_algebra_raises_what_the_copy_raises():
     logical_to_strategic(lg)
     call = Subst(lg.payoff_formulas[0], (("x", Var("y")), ("y", parse("c(1/3)"))))
     for gamma in (call, substitute(call, {})):
-        enc = PureNEEncoding(lg, gamma, False, {}, "EXPRESSIBLE")
+        enc = PureNEEncoding(lg, deviations=gamma, full=False, aux_q={}, variant="EXPRESSIBLE")
+        assert enc.gamma is gamma   # the constant route's gamma is its deviations
         with pytest.raises(SemanticError, match="constant 1/3 outside the domain of L_4"):
             satisfies_gamma(enc, ((F(0),), (F(1),)))
 

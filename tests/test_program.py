@@ -23,7 +23,7 @@ from mvgames.algebra import INTEGER_TWINS
 from mvgames.equilibria import build_encoding, build_mixed_encoding, check_mixed_ne
 from mvgames.errors import SemanticError
 from mvgames.formula import _ABSORBING, _UNIT, Program, Table, _post_order
-from mvgames.game import MixedProfile, logical_to_strategic, make_game
+from mvgames.game import LogicalGame, MixedProfile, logical_to_strategic, make_game
 from mvgames.oracle import expected_payoffs
 from mvgames.represent import (represent_rational_gmc_delta, represent_rational_lm,
                                represent_rational_qg_delta)
@@ -758,6 +758,34 @@ def test_compile_of_encodings_over_a_payoff_table_is_unchanged(seed):
     for lg, roots, fixed in cases:
         expected = compiled(ReferenceProgram, roots, lg.algebra, lg.payoff_table, fixed)
         assert compiled(Program, roots, lg.algebra, lg.payoff_table, fixed) == expected
+
+
+def test_a_fixed_name_of_the_row_s_own_block_is_its_constant(seed):
+    # A call left unbound reads the row's own variables, except a name the
+    # program fixes: a block fixed whole is that strategy's constants, and a
+    # block fixed in part is no call, so the literal copy compiles.
+    rng = random.Random(seed)
+    pairs_game = LogicalGame(catalog_lookup("L_4"), (("x1", "x2"), ("y",)),
+                             (((F(0), F(1, 2)), (F(1, 4), F(1)), (F(1), F(3, 4))),
+                              ((F(0),), (F(1, 2),), (F(1),))),
+                             (parse("(x1 & y) \\/ ~x2"), parse("(x2 -> y) + x1")))
+    games = [pairs_game] + [random_logical_game(rng) for _ in range(6)]
+    for lg in games:
+        alg, table = lg.algebra, lg.payoff_table
+        roots = [Subst(phi, ()) for phi in lg.payoff_formulas]
+        for i, block in enumerate(lg.variables):
+            strategy = rng.choice(lg.strategies[i])
+            for fixed in (dict(zip(block, strategy)), {block[0]: strategy[0]}):
+                expected = compiled(ReferenceProgram, roots, alg, table, fixed)
+                assert compiled(Program, roots, alg, table, fixed) == expected
+                if type(expected) is str:
+                    continue
+                bound = [Subst(phi, tuple((name, Const(v)) for name, v in fixed.items()))
+                         for phi in lg.payoff_formulas]
+                program, twin = Program(roots, alg, table, fixed), Program(bound, alg, table)
+                for profile in lg.profiles():
+                    assignment = lg.assignment(profile)
+                    assert program.run(assignment) == twin.run(assignment)
 
 
 def test_compile_and_free_variables_of_a_100000_deep_chain():
