@@ -66,7 +66,11 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Lowest-terms 'm/n'; integers are printed bare."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:      # more digits than the interpreter prints: an input too large
+        raise InputError("value too long to print (input too large)") from None
 
 
 def as_truth_value(value) -> Fraction:

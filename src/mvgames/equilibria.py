@@ -89,6 +89,12 @@ class PureNEEncoding:
         return fm.Program([self.deviations], self.game.algebra, self.game.payoff_table,
                           fixed={name: a for a, name in self.aux_q.items()})
 
+    @cached_property
+    def literal_program(self) -> fm.Program:
+        """`gamma_program` with no table, each call its literal copy: it runs per profile."""
+        return fm.Program([self.deviations], self.game.algebra,
+                          fixed={name: a for a, name in self.aux_q.items()})
+
 
 def _gamma_conjuncts(lg: LogicalGame, node_at: dict) -> list[fm.Formula]:
     """One conjunct per (player, strategy s): phi_i(node_at[s]) -> phi_i(v),
@@ -156,8 +162,8 @@ def build_encoding(lg: LogicalGame) -> PureNEEncoding:
 
 
 def satisfies_gamma(enc: PureNEEncoding, profile: Sequence[ValueTuple]) -> bool:
-    """Evaluate gamma at the profile (q_a pinned to a in the weak variant)."""
-    return enc.gamma_program.run(enc.game.assignment(profile))[0] == ONE
+    """Gamma as printed at the profile, each call its literal copy and each q_a pinned to a."""
+    return enc.literal_program.run(enc.game.assignment(profile))[0] == ONE
 
 
 def decide_pure_ne(lg: LogicalGame,
@@ -168,10 +174,10 @@ def decide_pure_ne(lg: LogicalGame,
 
     Enumerating the strategy space is complete: the existence formula's
     membership disjunct confines satisfying assignments to profiles.  Gamma's
-    program runs once over all the rows of the payoff table; an encoding that
-    `over_rows` cannot run, such as a hand-built literal gamma or one whose
-    call binds another player's variable, runs once per profile, each of
-    its calls running the table's program.
+    program runs once over all the rows of the payoff table, each call a
+    fold or a gather; an encoding that `over_rows` cannot run, such as a
+    hand-built literal gamma or one whose call binds another player's
+    variable, runs once per profile as printed, each call its literal copy.
     """
     if enc is None:
         enc = build_encoding(lg)

@@ -31,7 +31,8 @@ An explicit substitution `Subst(body, bindings)` (Abadi et al., 1991) stands
 for its literal copy.  A program reads a call of the logical game's payoff
 `Table`, each player's block bound to the row's own variables or to the
 constants of one of its strategies, from the table, filled at every profile
-on its first read, or runs the table's program on it; any other `Subst`
+on its first read: it folds to a row's value or gathers over the rows.  Any
+other `Subst`, and every `Subst` of a program compiled without a table,
 compiles as its literal copy, built by `substitute`.  The printer prints the
 body under its bindings' texts.
 
@@ -450,18 +451,19 @@ class Program:
     is a call where each block of the table's names is bound to the row's
     own variables (left unbound, or bound to its own names, in the table's
     algebra) or to the constants of one of its strategies t: it folds to
-    the table's row where every block is constant, and otherwise runs
-    `table.program` on its arguments, once for the calls on the same ones,
-    before the instructions and on the caller's D.  Any other `Subst` compiles as its literal copy.  A name in
-    `fixed` compiles as its value, checked as a constant is.
+    the table's row where every block is constant, and otherwise keeps a
+    gather per constant block, which only `over_rows` reads: `run` refuses
+    a program that holds such a call.  Any other `Subst` compiles as its
+    literal copy.  A name in `fixed` compiles as its value, checked as a
+    constant is.
 
     Unless `imp_pi` is live, `run` scales constants and assignment to
-    numerators over a common denominator D and runs on integers: variables,
-    constants and table calls over D, `odot` over D to the sum of its
-    arguments' exponents, any other op over the larger one; each root comes
-    back as `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only
-    then does `_scale`, the least D, serve callers on one D, and `_columns`
-    run the code over packed columns.  The kernel's shape (each e, each
+    numerators over a common denominator D and runs on integers: variables
+    and constants over D, `odot` over D to the sum of its arguments'
+    exponents, any other op over the larger one; each root comes back as
+    `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only then
+    is `_scale` that least D, and can `_columns` run the code over packed
+    columns (`over_rows`, the table's fill).  The kernel's shape (each e, each
     op's kind, the code by kind) is built on the first run; a run at a new
     D binds it, scaling the constants and making one op per kind, and only
     the last binding is kept.
@@ -473,8 +475,8 @@ class Program:
         ops, fixed = alg.ops, fixed or {}
         known: list = []        # per compiled node: its value if constant, else None
         # per node: None, a variable name, or its instruction: (fn, its own
-        # index, argument indices), or a call (table, its own index,
-        # arguments, formula index, gathers)
+        # index, argument indices), or a call (table, its own index, (),
+        # formula index, gathers)
         shape: list = []
         # Hash-consing: a variable's name, a constant's (numerator,
         # denominator) and a connective's (op, *argument nodes) map to the
@@ -485,7 +487,7 @@ class Program:
         # id(payoff formula) -> its index in `table`
         payoffs = {} if table is None else {id(f): i for i, f in enumerate(table.formulas)}
         # id(bindings) -> None where a call does not fit, its row where
-        # constants bind every block, else (arguments, gathers)
+        # constants bind every block, else its gathers
         looked: dict = {}
 
         def new(value, what) -> int:
@@ -513,13 +515,12 @@ class Program:
             return index
 
         def fits(bound: dict):
-            """What `looked` keeps for a call with these bindings; it makes no
-            slot before the call is known to fit."""
+            """What `looked` keeps for a call with these bindings; it makes no slot."""
             try:
-                program = table.program
+                table.program
             except SemanticError:   # the copy raises what the copy raises
                 return None
-            names, own, values, gathers, row = table.names, alg is table.algebra, {}, [], 0
+            names, own, plugged, gathers, row = table.names, alg is table.algebra, 0, [], 0
             for start, end, index, stride in table.blocks:
                 mine = names[start:end]
                 if own and bound.keys().isdisjoint(mine) and fixed.keys().isdisjoint(mine):
@@ -543,13 +544,10 @@ class Program:
                 t = None if unfixed else index.get(tuple(pairs(block)))
                 if t is None:
                     return None
-                values.update(zip(mine, block))
+                plugged += len(mine)
                 gathers.append((stride, len(index), t))
                 row += t * stride
-            if len(values) == len(names):
-                return row
-            return tuple(constant(values[name]) if name in values else variable(name)
-                         for name, _ in program._variables), gathers
+            return row if plugged == len(names) else gathers
 
         def call(node: Subst) -> Optional[int]:
             """The node of a call of `table`, or None where it does not fit."""
@@ -564,8 +562,7 @@ class Program:
                 return None
             if type(how) is int:
                 return constant(table.rows[i][how])
-            args, gathers = how
-            return new(None, (table, len(shape), args, i, gathers))
+            return new(None, (table, len(shape), (), i, how))
 
         def walk(nodes) -> None:
             """Compile `nodes` into `ref`: post-order, each node once,
@@ -649,19 +646,13 @@ class Program:
         self._calls = [i for i in code if type(i[0]) is Table]
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
-        # Every constant's denominator, here and in the tables called,
-        # divides `_base`; None keeps the Fraction ops, as a table off one D does.
-        # `_own` is the constants' least D where every live op keeps one D.
+        # Every constant's denominator divides `_base`; None keeps the Fraction ops.
         self._product = ops.get("odot")
-        scales = [c[0].program._scale for c in self._calls]
         fns = {i[0] for i in self._code}
-        own = lcm(*(v.denominator for v in known if v is not None))
-        self._own = own if all(fn in INTEGER_TWINS for fn in fns) else None
-        self._dying = None if self._own is None else dying     # kept where `_columns` may run
-        self._base = lcm(own, *scales) \
-            if None not in scales and all(fn in INTEGER_TWINS or fn is self._product
-                                          for fn in fns) else None
+        self._base = lcm(*(v.denominator for v in known if v is not None)) \
+            if all(fn in INTEGER_TWINS or fn is self._product for fn in fns) else None
         self._scale = None if self._product in fns else self._base
+        self._dying = None if self._scale is None else dying   # kept where `_columns` may run
         self._kernel = None     # the last (D, ops, constants, code, root exponents) bound
 
     @cached_property
@@ -681,8 +672,7 @@ class Program:
     def _execute(self, scale, inputs) -> list:
         """Root values on `inputs`: numerators over powers of `scale`, or
         Fractions for None.  A new `scale` binds the shape: it scales the
-        constants and makes one op per kind.  The calls of one argument
-        tuple share one run of the table's program, at `scale`."""
+        constants and makes one op per kind."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
             kinds, code, exponents = self._shape
@@ -696,12 +686,6 @@ class Program:
         values = list(values)
         for (_, index), value in zip(self._variables, inputs):
             values[index] = value
-        runs: dict = {}     # argument tuple -> the table's root values
-        for table, out, args, i, _ in self._calls:
-            got = runs.get(args)
-            if got is None:
-                got = runs[args] = table.program._execute(scale, [values[a] for a in args])
-            values[out] = got[i]
         for k, out, a, b in code:
             values[out] = ops[k](values[a], values[b])
         return [values[r] for r in self._roots]
@@ -745,10 +729,10 @@ class Program:
         carries, gathered from row r + (t - s(r)) * stride, s(r) the
         block's strategy at r."""
         read = {a for _, _, args in self._code for a in args}.union(self._roots)
-        if self._own is None or any(call[0] is not table for call in self._calls) or \
+        if self._scale is None or any(call[0] is not table for call in self._calls) or \
                 not read.isdisjoint(index for _, index in self._variables):
             return None
-        scale = lcm(self._own, table.scale)
+        scale = lcm(self._scale, table.scale)
         lanes, packed, inputs = Lanes(scale, len(table.rows[0])), {}, {}
         for _, out, _, i, gathers in self._calls:
             column = packed.get(i)
@@ -761,7 +745,11 @@ class Program:
 
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
-        variable of the formulas, folded away or not, a value in the domain."""
+        variable of the formulas, folded away or not, a value in the domain.
+        A call of a payoff table has a value at the table's rows only, read
+        by `over_rows`: a program that holds one does not run."""
+        if self._calls:
+            raise RuntimeError("a program that calls a payoff table runs over its rows only")
         alg = self.algebra
         given = []
         for name, _ in self._variables:
@@ -776,9 +764,7 @@ class Program:
         scale = None
         if self._base is not None:
             d, kernel = lcm(*(v.denominator for v in given)), self._kernel
-            # a caller off one D may have bound this kernel to None
-            scale = kernel[0] if kernel and kernel[0] and not kernel[0] % d \
-                else lcm(self._base, d)
+            scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._base, d)
             given = [v.numerator * (scale // v.denominator) for v in given]
         values = self._execute(scale, given)
         return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]
@@ -798,7 +784,7 @@ class Table:
     strategy set's (start, end) in `names`, its `pairs` -> index map and its
     stride, so row r takes strategy (r // stride) % len(map), and the
     profile of strategies s_j is row sum(s_j * stride_j).  A program
-    compiled over the table reads its calls here, or runs `program`."""
+    compiled over the table reads its calls here, over every row at once."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  variables: Sequence[Sequence[str]],

@@ -443,6 +443,36 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert err == "input error: out of memory (input too large)\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on printed digits in this interpreter")
+def test_a_value_too_long_to_print_exits_2(capsys, tmp_path):
+    # 1/N has 2,501 digits and reads back; (1/N)^2 has 5,001, past the
+    # interpreter's default limit of 4,300 printed digits: in `eval`'s value
+    # and in the products of a mixed-check trace.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        n = 10 ** 2500 + 1
+        code, out, err = run(capsys, "eval", "--algebra", "STD_PL", "--formula", "v",
+                             "--assign", f"v=1/{n}")
+        assert code == 0 and out == f"1/{n}\n" and err == ""
+        run(capsys, "corpus", "matching_pennies", "--out", str(tmp_path / "mp"))
+        run(capsys, "represent", "--game", str(tmp_path / "mp" / "game.json"),
+            "--method", "ab_i", "--out-lgame", str(tmp_path / "lg.json"),
+            "--out-rep", str(tmp_path / "rep.json"))
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps([{"0": f"1/{n}", "1": f"{n - 1}/{n}"}] * 2))
+        for argv in (("eval", "--algebra", "STD_PL", "--formula", "v * w",
+                      "--assign", f"v=1/{n},w=1/{n}"),
+                     ("mixed-check", "--lgame", str(tmp_path / "lg.json"),
+                      "--profile", str(profile), "--trace")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "input error: value too long to print (input too large)\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_the_parser_built_once_dispatches_to_a_patched_verb(capsys, monkeypatch):
     from mvgames import cli
 

@@ -7,13 +7,13 @@ each read every variable, the table fills on its first read, whichever of
 that one `Program([phi], alg).run` per formula and profile gives: the exact
 values and their numerators over the table's scale, in profile order.  A
 program's call of the table on the row's own variables reads the same at
-every profile, as numerators over any multiple of that scale too, and runs
-the game's program once, on the strategies or off them; a call bound to
-constants off the strategies folds to its literal copy's constant.  A
-program on one D runs on columns; one with a live `*` or `=>` runs once
-per row.  Where a formula fails to compile, every read raises what
-compiling the formulas in order raises; any other fault in the fill
-propagates.
+every row, through `over_rows`, and does not run; its literal copy runs
+alike at any profile, as numerators over any multiple of that scale too.
+A call bound to constants folds to its row's value, or off the strategies
+to its literal copy's constant.  A program on one D runs on columns; one
+with a live `*` or `=>` runs once per row.  Where a formula fails to
+compile, every read raises what compiling the formulas in order raises;
+any other fault in the fill propagates.
 """
 
 import itertools
@@ -127,22 +127,29 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg, first):
     assert list(zip(*table.rows)) == reference
     assert list(zip(*table.numerators)) == [tuple(v.numerator * (scale // v.denominator)
                                                   for v in values) for values in reference]
-    # One call per formula on the row's own variables, run at D = scale and
-    # 3 * scale, where the table's program keeps one D, else on Fractions.
-    calls = Program([Subst(phi, ()) for phi in lg.payoff_formulas], lg.algebra, table)
+    # One call per formula on the row's own variables, read over the rows;
+    # its literal copy runs per profile at D = scale and 3 * scale, where
+    # the table's program keeps one D, else on Fractions.
+    roots = [Subst(phi, ()) for phi in lg.payoff_formulas]
+    calls, copies = Program(roots, lg.algebra, table), Program(roots, lg.algebra)
     assert len(calls._calls) == (len(lg.payoff_formulas) if table.names else 0)
+    assert copies._calls == [] and calls.over_rows(table) == (scale, table.numerators)
+    if calls._calls:
+        with pytest.raises(RuntimeError, match="runs over its rows only"):
+            calls.run(lg.assignment(next(lg.profiles())))
     for profile, exact in zip(lg.profiles(), reference):
         assert payoff(lg, profile) == exact
         env = lg.assignment(profile)
-        values = [env[name] for name, _ in calls._variables]
-        assert tuple(calls.run(env)) == exact
-        if calls._base is None:
-            assert tuple(calls._execute(None, values)) == exact
+        values = [env[name] for name, _ in copies._variables]
+        assert tuple(copies.run(env)) == exact
+        if copies._base is None:
+            assert tuple(copies._execute(None, values)) == exact
             continue
-        for over in (scale, 3 * scale):
+        for over in (scale, 3 * scale):     # each root over D^e, e its exponent
             numerators = [x.numerator * (over // x.denominator) for x in values]
-            assert tuple(calls._execute(over, numerators)) == \
-                tuple(v.numerator * (over // v.denominator) for v in exact)
+            assert tuple(copies._execute(over, numerators)) == \
+                tuple(v.numerator * (over ** e // v.denominator)
+                      for v, e in zip(exact, copies._shape[2]))
 
 
 def _spy(monkeypatch, name):
@@ -190,7 +197,7 @@ def test_fill_lets_a_fault_in_the_column_run_propagate(monkeypatch):
         verify_representation(rep)
 
 
-def test_a_call_off_the_strategies_runs_the_program_or_folds_as_its_copy(monkeypatch):
+def test_a_call_reads_the_rows_and_off_the_strategies_folds_as_its_copy(monkeypatch):
     # x takes 0 or 1 and y only 1/4: an input with x = 1/2, or y = 0, is no row.
     l4 = catalog_lookup("L_4")
     lg = LogicalGame(l4, (("x",), ("y",)), (((F(0),), (F(1),)), ((F(1, 4),),)),
@@ -208,11 +215,15 @@ def test_a_call_off_the_strategies_runs_the_program_or_folds_as_its_copy(monkeyp
                         ([F(1, 2), F(1, 4)], None), ([F(1), F(0)], None)):  # off them
         expected = reference(values)
         for i, phi in enumerate(lg.payoff_formulas):
-            # On the row's own variables: one run of the table's program.
-            call = Program([Subst(phi, ())], l4, table)
+            # On the row's own variables: read over the rows, never run; the
+            # literal copy runs once, alone, on the strategies or off them.
+            call, copy = Program([Subst(phi, ())], l4, table), Program([Subst(phi, ())], l4)
             ran.clear()
-            assert call.run(dict(zip(("x", "y"), values))) == [expected[i]]
-            assert ran == [call, table.program]
+            with pytest.raises(RuntimeError, match="runs over its rows only"):
+                call.run(dict(zip(("x", "y"), values)))
+            assert call.over_rows(table) == (4, [table.numerators[i]])
+            assert copy.run(dict(zip(("x", "y"), values))) == [expected[i]]
+            assert ran == [copy]
             # Bound to constants: the row's value, or off the strategies the
             # literal copy's constant; neither leaves a call.
             bound = Subst(phi, tuple(zip(("x", "y"), map(Const, values))))

@@ -19,7 +19,7 @@ from mvgames import (App, LogicalGame, MixedProfile, Var, catalog_lookup,
                      represent_binary_general, represent_general,
                      represent_rational_gmc_delta, represent_rational_lm,
                      represent_rational_qg_delta, to_text, verify_mixed,
-                     verify_representation)
+                     verify_representation, vickrey)
 from mvgames import chars, equilibria
 from mvgames.equilibria import (MixedNEEncoding, PureNEEncoding, build_encoding,
                                 build_gamma, build_gamma_weak, build_mixed_encoding,
@@ -466,11 +466,13 @@ def test_pinned_gamma_decides_as_unpinned(battery_representations):
             enc = build_gamma_weak(lg)
         weak += 1
         pinned = {name: a for a, name in enc.aux_q.items()}
-        unpinned = Program([enc.gamma], lg.algebra, lg.payoff_table)
+        unpinned = Program([enc.gamma], lg.algebra)
         assert not set(pinned) & {name for name, _ in enc.gamma_program._variables}
-        for profile in lg.profiles():
+        assert not set(pinned) & {name for name, _ in enc.literal_program._variables}
+        scale, (rows,) = enc.gamma_program.over_rows(lg.payoff_table)
+        for profile, row in zip(lg.profiles(), rows):
             value = unpinned.run(lg.assignment(profile) | pinned)[0]
-            assert satisfies_gamma(enc, profile) == (value == 1), method
+            assert satisfies_gamma(enc, profile) == (value == 1) == (row == scale), method
     assert weak > 200
 
 
@@ -521,9 +523,12 @@ def test_deciding_without_the_chi_block_is_exact(battery_representations):
         rows = enc.gamma_program.over_rows(lg.payoff_table)
         assert rows == whole.over_rows(lg.payoff_table)
         over_rows += rows is not None
-        for profile in lg.profiles():
+        # Per profile, the whole gamma's literal copy, each q_a fixed.
+        literal = Program([enc.gamma], lg.algebra, fixed=pins)
+        scale, (values,) = rows
+        for profile, value in zip(lg.profiles(), values):
             assert satisfies_gamma(enc, profile) == \
-                (whole.run(lg.assignment(profile))[0] == 1)
+                (literal.run(lg.assignment(profile))[0] == 1) == (value == scale)
     assert over_rows == len(encodings) > 400
 
 
@@ -852,6 +857,55 @@ def test_gamma_runs_over_the_rows_of_its_own_table_only():
         [literal.run(lg.assignment(profile))[0] for profile in lg.profiles()]
 
 
+# --- one call path ---------------------------------------------------------------
+# A call of the payoff table is a fold or a gather over its rows: a program
+# that holds one does not run at a profile, and no program runs the table's.
+
+def test_a_program_that_holds_a_call_does_not_run():
+    lg = _fresh(NT.logical)
+    enc = build_encoding(lg)
+    assert enc.gamma_program._calls and enc.literal_program._calls == []
+    profile = next(lg.profiles())
+    with pytest.raises(RuntimeError, match="runs over its rows only"):
+        enc.gamma_program.run(lg.assignment(profile))
+    # Only the program with calls refuses: its literal twin runs, so
+    # satisfies_gamma answers, and the rows give the same answer.
+    scale, (gamma,) = enc.gamma_program.over_rows(lg.payoff_table)
+    assert satisfies_gamma(enc, profile) == (gamma[0] == scale)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(column_fill_games())
+def test_every_mixed_program_on_drawn_games_holds_no_call(lg):
+    try:
+        enc = build_mixed_encoding(lg)
+    except SemanticError:
+        return
+    assert enc.program._calls == []
+
+
+def test_every_mixed_program_holds_no_call(seed, battery_representations):
+    # Every call of the mixed formula binds each block to a strategy's
+    # constants, so it folds to its row: check_mixed_ne never reaches the
+    # refusal in `Program.run`, also where the lifted algebra is the game's.
+    rng = random.Random(seed)
+    games = [rep.target for _, rep in battery_representations] + [
+        NT.logical, new_technology(F(3, 2)).logical, LH.logical, MP_REP.target,
+        love_and_hate(4, 4).logical, vickrey([F(3, 4), F(1, 2)], F(1), F(1, 4)).logical]
+    games += [random_logical_game(rng) for _ in range(30)]
+    games += [random_logical_game(rng, name) for name in ("STD_PL", "STD_PL_DELTA", "STD_LPIH")]
+    built = own = 0
+    for lg in games:
+        try:
+            enc = build_mixed_encoding(lg)
+        except SemanticError:
+            continue
+        assert enc.program._calls == []
+        built += 1
+        own += enc.algebra is lg.algebra
+    assert built > len(games) // 2 and own > 30
+
+
 def test_deciding_compares_no_fractions_in_the_call_analysis_or_has_constant(monkeypatch):
     # A prime Lukasiewicz chain has no constants, so classifying asks
     # `has_constant` of each relevant element; gamma's calls bind blocks to
@@ -889,8 +943,9 @@ def _row_fill_games():
 
 
 def test_gamma_over_a_table_off_one_d_runs_over_its_rows(monkeypatch):
-    # The payoff programs are off one D, gamma's own ops are not: gamma reads
-    # the filled table over its scale, and no profile runs gamma alone.
+    # The payoff programs are off one D, gamma's own ops are not: gamma keeps
+    # its own D, reads the filled table over its scale, and no profile runs
+    # gamma alone.
     profiles = []
     run = equilibria.satisfies_gamma
     monkeypatch.setattr(equilibria, "satisfies_gamma",
@@ -900,9 +955,11 @@ def test_gamma_over_a_table_off_one_d_runs_over_its_rows(monkeypatch):
         assert lg.payoff_table.program._scale is None
         for build in _routes(lg):
             enc = build(_fresh(lg))
-            assert enc.gamma_program._scale is None
+            assert type(enc.gamma_program._scale) is int
             found, sat = decide_pure_ne(enc.game, enc)
             assert sat and len(found) == count
             assert found == [tuple(lg.strategies[i][k] for i, k in enumerate(ids))
                              for ids in pure_ne_scan(lg)]
+            # Run per profile, gamma's literal copy finds the same ones.
+            assert found == [profile for profile in lg.profiles() if run(enc, profile)]
     assert profiles == []

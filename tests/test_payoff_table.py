@@ -206,11 +206,12 @@ def test_fill_reports_the_first_failing_profile_of_the_per_profile_path():
 
 # --- calls of a table, on one D or off it --------------------------------------
 # A table with a live * or => fills once per row, over a scale that its values
-# set, while a calling program takes its D from the table's program, which is
-# off one D; a table on one D runs its kernel, for a call on the row's own
-# variables, at the caller's integer D.  Either way a call's value is its
-# literal copy's, wherever it is read, and a call that binds another
-# player's variable, or constants off the strategies, compiles as that copy.
+# set; a table on one D fills on columns.  Either way a call's value is its
+# literal copy's: a program over the table reads its calls over the rows
+# (`over_rows`) and never runs at one profile, where the program compiled
+# with no table, every `Subst` its literal copy, runs.  A call that binds
+# another player's variable, or constants off the strategies, compiles as
+# that copy.
 
 PRODUCT_ALGEBRAS = [catalog_lookup("STD_QPL_DELTA"), catalog_lookup("STD_LPIH")]
 ONE_D_ALGEBRAS = [catalog_lookup("L_4"), catalog_lookup("STD_L"), catalog_lookup("G_4_C_DELTA")]
@@ -294,6 +295,8 @@ def test_calls_of_a_table_read_their_literal_copies(case):
         ran.append((self, scale))
         return execute(self, scale, inputs)
 
+    copies = Program(roots, alg)
+    assert copies._calls == []
     for filled_first in (False, True):
         game = _fresh(lg)
         if filled_first:
@@ -304,14 +307,25 @@ def test_calls_of_a_table_read_their_literal_copies(case):
         for env, values in zip(assignments, expected):
             ran.clear()
             with mock.patch.object(Program, "_execute", spy):
-                assert program.run(env) == values
-            # The calls of one argument tuple run the table's kernel once, at
-            # the caller's D: an int where the table's program keeps one D.
-            assert ran == [(program, program._kernel[0])] + \
-                [(game.payoff_table.program, program._kernel[0])] * \
-                len({args for _, _, args, _, _ in program._calls})
-            assert (type(program._kernel[0]) is int) == (program._base is not None)
+                if program._calls:
+                    with pytest.raises(RuntimeError, match="runs over its rows only"):
+                        program.run(env)
+                else:
+                    assert program.run(env) == values
+                assert copies.run(env) == values
+            # No program runs the table's: each that runs runs its own
+            # kernel alone, at an int D where it keeps one D.
+            assert ran == [(p, p._kernel[0]) for p in (program, copies) if not p._calls]
+            for p in (program, copies)[bool(program._calls):]:
+                assert (type(p._kernel[0]) is int) == (p._base is not None)
             if alg in ONE_D_ALGEBRAS:
-                assert program._base is not None
+                assert program._base is not None and copies._base is not None
         # A table that fills after the runs has the values of its formulas.
         assert list(zip(*game.payoff_table.rows)) == per_profile(game)
+        # Read over the rows, each root is its literal copy's value there.
+        rows = program.over_rows(game.payoff_table)
+        if rows is not None:
+            scale, columns = rows
+            for profile, *numerators in zip(game.profiles(), *columns):
+                assert [F(n, scale) for n in numerators] == \
+                    copies.run(game.assignment(profile))

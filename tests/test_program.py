@@ -544,7 +544,7 @@ class ReferenceProgram(Program):
     def __init__(self, roots, alg, table=None, fixed=None):
         self.algebra = alg
         ops, fixed = alg.ops, fixed or {}
-        known, shape, consed, ref, looked, copies = [], [], {}, {}, {}, []
+        known, shape, consed, ref, copies = [], [], {}, {}, []
         payoffs = {} if table is None else {id(f): i for i, f in enumerate(table.formulas)}
 
         def new(value, what):
@@ -575,7 +575,7 @@ class ReferenceProgram(Program):
             Each block is the row's own or one strategy's constants, found by
             comparing values; a constant call's row is its strategies'
             position in the product, and a block's stride the count of the
-            later blocks' profiles."""
+            later blocks' profiles.  Any other call keeps its gathers alone."""
             i = payoffs.get(id(node.body))
             if i is None:
                 return None
@@ -583,7 +583,7 @@ class ReferenceProgram(Program):
                 table.program
             except SemanticError:
                 return None
-            bound, start, picked, own, gathers, ts = dict(node.bindings), 0, [], set(), [], []
+            bound, start, own, gathers, ts = dict(node.bindings), 0, set(), [], []
             for j, block in enumerate(table.strategies):
                 names = table.names[start:start + len(block[0])]
                 start += len(names)
@@ -591,7 +591,6 @@ class ReferenceProgram(Program):
                 if table.algebra is alg and all(v == Var(name) and name not in fixed
                                                 for v, name in zip(inputs, names)):
                     own.update(names)
-                    picked.append(None)
                     ts.append(0)
                     continue
                 if not all(type(v) is Const or type(v) is Var and v.name in fixed
@@ -601,7 +600,6 @@ class ReferenceProgram(Program):
                 if values not in [tuple(t) for t in block]:
                     return None
                 t = [tuple(t) for t in block].index(values)
-                picked.append(dict(zip(names, values)))
                 ts.append(t)
                 stride = 1
                 for later in table.strategies[j + 1:]:
@@ -611,12 +609,7 @@ class ReferenceProgram(Program):
                 row = list(itertools.product(*(range(len(b)) for b in table.strategies))).index(
                     tuple(ts))
                 return constant(table.rows[i][row])
-            key = id(node.bindings)
-            if key not in looked:
-                constants = {name: v for p in picked if p is not None for name, v in p.items()}
-                looked[key] = tuple(variable(name) if name in own else constant(constants[name])
-                                    for name, _ in table.program._variables)
-            return new(None, (table, looked[key], i, gathers))
+            return new(None, (table, (), i, gathers))
 
         def compile_nodes(nodes):
             for f in _post_order(nodes):
@@ -674,10 +667,8 @@ class ReferenceProgram(Program):
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
         self._product = ops.get("odot")
-        scales = [c[0].program._scale for c in self._calls]
-        self._base = lcm(*(v.denominator for v in known if v is not None), *scales) \
-            if None not in scales and all(i[0] in INTEGER_TWINS or i[0] is self._product
-                                          for i in self._code) else None
+        self._base = lcm(*(v.denominator for v in known if v is not None)) \
+            if all(i[0] in INTEGER_TWINS or i[0] is self._product for i in self._code) else None
         self._scale = None if any(i[0] is self._product for i in self._code) else self._base
         self._kernel = None
 
@@ -782,7 +773,12 @@ def test_a_fixed_name_of_the_row_s_own_block_is_its_constant(seed):
                     continue
                 bound = [Subst(phi, tuple((name, Const(v)) for name, v in fixed.items()))
                          for phi in lg.payoff_formulas]
+                # Over the rows, or, where a root reads a variable, per
+                # profile through the literal copies.
                 program, twin = Program(roots, alg, table, fixed), Program(bound, alg, table)
+                assert program.over_rows(table) == twin.over_rows(table)
+                assert (program.over_rows(table) is None) == (len(fixed) < len(block))
+                program, twin = Program(roots, alg, fixed=fixed), Program(bound, alg)
                 for profile in lg.profiles():
                     assignment = lg.assignment(profile)
                     assert program.run(assignment) == twin.run(assignment)
