@@ -174,19 +174,14 @@ def decide_pure_ne(lg: LogicalGame,
 
     Enumerating the strategy space is complete: the existence formula's
     membership disjunct confines satisfying assignments to profiles.  Gamma's
-    program runs once over all the rows of the payoff table, each call a
-    fold or a gather; an encoding that `over_rows` cannot run, such as a
-    hand-built literal gamma or one whose call binds another player's
-    variable, runs once per profile as printed, each call its literal copy.
+    program runs once over all the rows of the payoff table
+    (`Program.over_rows`), each call a fold, a gather or its literal copy,
+    each variable its block's column.
     """
     if enc is None:
         enc = build_encoding(lg)
-    rows = enc.gamma_program.over_rows(enc.game.payoff_table)
-    if rows is None:
-        found = [profile for profile in lg.profiles() if satisfies_gamma(enc, profile)]
-    else:
-        scale, (gamma,) = rows
-        found = list(itertools.compress(lg.profiles(), (v == scale for v in gamma)))
+    scale, (gamma,) = enc.gamma_program.over_rows(enc.game.payoff_table)
+    found = list(itertools.compress(lg.profiles(), (v == scale for v in gamma)))
     return found, bool(found)
 
 

@@ -43,9 +43,10 @@ The Lukasiewicz connectives are piecewise linear with integer coefficients
 0 or 1, so on values over D^e each returns a value over D^e: its integer
 twin (`algebra.INTEGER_TWINS`) made for D^e computes it exactly, the lower
 argument lifted to D^e.  `odot` multiplies numerators and adds the powers,
-as fraction-free elimination carries its denominators (Bareiss, 1968).  The
-payoff table's fill and gamma's pass over its rows run such a program once
-over whole columns, each an int with one lane per row (`algebra.Lanes`).
+as fraction-free elimination carries its denominators (Bareiss, 1968).  One
+runner, `Program.over_rows`, runs a program over a table's rows: on one D
+once over whole columns, each an int with a lane per row (`algebra.Lanes`);
+else once per row.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -462,11 +462,11 @@ class Program:
     and constants over D, `odot` over D to the sum of its arguments'
     exponents, any other op over the larger one; each root comes back as
     `Fraction(n, D^e)`.  With no live `odot` every e is 1, and only then
-    is `_scale` that least D, and can `_columns` run the code over packed
-    columns (`over_rows`, the table's fill).  The kernel's shape (each e, each
-    op's kind, the code by kind) is built on the first run; a run at a new
-    D binds it, scaling the constants and making one op per kind, and only
-    the last binding is kept.
+    is `_scale` that least D, and can `over_rows` run the code once over
+    packed columns (`_columns`); else it runs `_execute` once per row.  The
+    kernel's shape (each e, each op's kind, the code by kind) is built on
+    the first run; a run at a new D binds it, scaling the constants and
+    making one op per kind, and only the last binding is kept.
     """
 
     def __init__(self, roots: Sequence[Formula], alg: Algebra, table: Optional[Table] = None,
@@ -646,6 +646,7 @@ class Program:
         self._calls = [i for i in code if type(i[0]) is Table]
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
+        self._table = table
         # Every constant's denominator divides `_base`; None keeps the Fraction ops.
         self._product = ops.get("odot")
         fns = {i[0] for i in self._code}
@@ -669,10 +670,10 @@ class Program:
                          out, a, b))
         return list(kinds), code, [power[r] for r in self._roots]
 
-    def _execute(self, scale, inputs) -> list:
-        """Root values on `inputs`: numerators over powers of `scale`, or
-        Fractions for None.  A new `scale` binds the shape: it scales the
-        constants and makes one op per kind."""
+    def _execute(self, scale, inputs: Mapping[int, object]) -> list:
+        """Root values on `inputs` (slot -> value): numerators over powers of
+        `scale`, or Fractions for None.  A new `scale` binds the shape: it
+        scales the constants and makes one op per kind."""
         kernel = self._kernel
         if kernel is None or kernel[0] != scale:
             kinds, code, exponents = self._shape
@@ -684,7 +685,7 @@ class Program:
                                      slots, code, exponents)
         _, ops, values, code, _ = kernel
         values = list(values)
-        for (_, index), value in zip(self._variables, inputs):
+        for index, value in inputs.items():
             values[index] = value
         for k, out, a, b in code:
             values[out] = ops[k](values[a], values[b])
@@ -719,21 +720,32 @@ class Program:
                 k -= 2
         return [values[r] for r in self._roots]
 
-    def over_rows(self, table: Table) -> Optional[tuple[int, list[list[int]]]]:
-        """(D, each root's numerators over D at every row of `table`), from
-        `_columns`; None unless the program's own ops and constants keep one
-        D, every call reads `table`, and no instruction or root reads a
-        variable, which has no column.  A call's column is its formula's
-        numerators over `table.scale`, which every filled table has, its
-        formulas on one D or not, packed and, for each (stride, count, t) it
-        carries, gathered from row r + (t - s(r)) * stride, s(r) the
-        block's strategy at r."""
-        read = {a for _, _, args in self._code for a in args}.union(self._roots)
-        if self._scale is None or any(call[0] is not table for call in self._calls) or \
-                not read.isdisjoint(index for _, index in self._variables):
-            return None
-        scale = lcm(self._scale, table.scale)
-        lanes, packed, inputs = Lanes(scale, len(table.rows[0])), {}, {}
+    def over_rows(self, table: Table) -> tuple[int, list[list[int]]]:
+        """(S, each root's numerators over S at every row of `table`).  The
+        inputs are columns over D, the lcm of `_base`, the strategies' and,
+        if compiled over `table`, `table.scale`: a variable's block's values,
+        each repeated `stride` times, or a call's formula, gathered for each
+        (stride, count, t) it carries from row r + (t - s(r)) * stride, s(r)
+        the block's strategy at r.  On one D, `_columns` runs once and S is
+        D; else `_execute` runs per row, at D or, where `_base` is None, on
+        Fractions, and S is the least scale of inputs and values.  A name
+        outside `table.names` raises what `run` raises."""
+        if self._calls and self._table is not table:
+            raise RuntimeError("a program runs over the rows of the table it calls only")
+        slots = dict(self._variables)       # each variable not yet given its column
+        given = lcm(*(x.denominator for block in table.strategies for t in block for x in t),
+                    table.scale if self._table is table else 1)
+        scale, size = lcm(self._base or 1, given), prod(map(len, table.strategies))
+        lanes, packed, inputs = Lanes(scale, size), {}, {}
+        for block, (start, end, _, stride) in zip(table.strategies, table.blocks):
+            for p, name in enumerate(table.names[start:end]):
+                if name in slots:
+                    column = []
+                    for t in block:
+                        column += [t[p].numerator * (scale // t[p].denominator)] * stride
+                    inputs[slots.pop(name)] = lanes.pack(column * (size // len(column)))
+        if slots:
+            raise SemanticError(f"unknown variable {next(iter(slots))!r}")
         for _, out, _, i, gathers in self._calls:
             column = packed.get(i)
             if column is None:
@@ -741,7 +753,21 @@ class Program:
             for stride, count, t in gathers:
                 column = lanes.gather(column, stride, count, t)
             inputs[out] = column
-        return scale, [lanes.unpack(column) for column in self._columns(lanes, inputs)]
+        if self._scale is not None:
+            return scale, [lanes.unpack(column) for column in self._columns(lanes, inputs)]
+        kernel = None if self._base is None else scale
+        columns = [lanes.unpack(column) for column in inputs.values()]
+        if kernel is None:
+            columns = [list(map({v: Fraction(v, scale) for v in set(column)}.__getitem__, column))
+                       for column in columns]
+        runs = [self._execute(kernel, dict(zip(inputs, row))) for row in zip(*columns)]
+        columns = list(zip(*runs))
+        exact = [{v: Fraction(v, kernel ** e if kernel else 1) for v in set(column)}
+                 for column, e in zip(columns, self._kernel[4])]
+        scale = lcm(given, *(v.denominator for values in exact for v in values.values()))
+        return scale, [list(map({v: x.numerator * (scale // x.denominator)
+                                 for v, x in values.items()}.__getitem__, column))
+                       for column, values in zip(columns, exact)]
 
     def run(self, assignment: Mapping[str, Fraction]) -> list[Fraction]:
         """Value of each root under the assignment, which must give every
@@ -751,8 +777,8 @@ class Program:
         if self._calls:
             raise RuntimeError("a program that calls a payoff table runs over its rows only")
         alg = self.algebra
-        given = []
-        for name, _ in self._variables:
+        given = {}
+        for name, index in self._variables:
             try:
                 value = assignment[name]
             except KeyError:
@@ -760,12 +786,12 @@ class Program:
             if not alg.contains(value):
                 raise SemanticError(
                     f"assignment {name} = {value} outside the domain of {alg.id}")
-            given.append(value)
+            given[index] = value
         scale = None
         if self._base is not None:
-            d, kernel = lcm(*(v.denominator for v in given)), self._kernel
+            d, kernel = lcm(*(v.denominator for v in given.values())), self._kernel
             scale = kernel[0] if kernel and not kernel[0] % d else lcm(self._base, d)
-            given = [v.numerator * (scale // v.denominator) for v in given]
+            given = {index: v.numerator * (scale // v.denominator) for index, v in given.items()}
         values = self._execute(scale, given)
         return [Fraction(v, scale ** e if scale else 1) for v, e in zip(values, self._kernel[4])]
 
@@ -783,8 +809,9 @@ class Table:
     `numerators[i][r]` its numerator over `scale`, and `blocks` holds each
     strategy set's (start, end) in `names`, its `pairs` -> index map and its
     stride, so row r takes strategy (r // stride) % len(map), and the
-    profile of strategies s_j is row sum(s_j * stride_j).  A program
-    compiled over the table reads its calls here, over every row at once."""
+    profile of strategies s_j is row sum(s_j * stride_j).  The table's own
+    program fills it, and a program compiled over the table reads its calls
+    here, each over every row in one `Program.over_rows`."""
 
     def __init__(self, formulas: Sequence[Formula], alg: Algebra,
                  variables: Sequence[Sequence[str]],
@@ -810,36 +837,9 @@ class Table:
 
     @cached_property
     def _filled(self) -> tuple:
-        """(rows, numerators, scale), over the least scale of the program,
-        the strategies and the values.  `program` compiles first, so a
-        formula that does not compile raises what compiling every formula in
-        order raises.  It runs over the whole product of the strategy sets:
-        once on packed columns (`_columns`) where it keeps one D, each
-        variable's column its block's values, each repeated `stride` times;
-        else once per row (a live `*` or `=>`)."""
-        program, blocks = self.program, self.strategies
-        runs = None if program._scale is not None else \
-            [program.run(dict(zip(self.names, (x for t in row for x in t))))
-             for row in product(*blocks)]
-        scale = lcm(program._scale or 1,
-                    *(x.denominator for block in blocks for t in block for x in t),
-                    *{v.denominator for row in runs or () for v in row})
-        if runs is not None:
-            numerators = [[v.numerator * (scale // v.denominator) for v in column]
-                          for column in zip(*runs)]
-        else:
-            size = prod(map(len, blocks))
-            lanes, inputs = Lanes(scale, size), {}
-            place = {name: (block, p, stride)
-                     for block, (start, end, _, stride) in zip(blocks, self.blocks)
-                     for p, name in enumerate(self.names[start:end])}
-            for name, index in program._variables:
-                block, p, stride = place[name]
-                column = []
-                for t in block:
-                    column += [t[p].numerator * (scale // t[p].denominator)] * stride
-                inputs[index] = lanes.pack(column * (size // len(column)))
-            numerators = [lanes.unpack(column) for column in program._columns(lanes, inputs)]
+        """(rows, numerators, scale), from `program.over_rows`; a formula
+        that does not compile raises what compiling them in order raises."""
+        scale, numerators = self.program.over_rows(self)
         exact = {v: Fraction(v, scale) for column in numerators for v in set(column)}
         return [[exact[v] for v in column] for column in numerators], numerators, scale
 

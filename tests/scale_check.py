@@ -12,7 +12,13 @@ same order.  Prints the wall time of building each game and its
 representation (its logical game compiles the payoff formulas), of filling
 the payoff table, of verify on the filled table, of building and compiling
 gamma, of `decide_pure_ne` given the compiled encoding, and of the scan.
-Exits 1 if a check fails.
+
+Then a ring on `STD_QPL_DELTA`: phi_i = x_i * x_{i+1} (mod 6), six
+players of five strategies j/4, so 15,625 rows that the payoff table fills
+once per row (a live `*`).  Each of 100 seeded rows must hold each phi_i's
+`evaluate` at its profile, and `decide_pure_ne` must return the logical
+game's `pure_ne_scan` equilibria, in the same order.  Prints the fill,
+decide and scan times.  Exits 1 if a check fails.
 """
 
 import itertools
@@ -22,7 +28,8 @@ from fractions import Fraction
 from functools import partial
 from time import perf_counter
 
-from mvgames import (StrategicGame, love_and_hate, pure_ne_scan, represent_rational_lm,
+from mvgames import (App, LogicalGame, StrategicGame, Var, catalog_lookup, evaluate,
+                     love_and_hate, pure_ne_scan, represent_rational_lm,
                      represent_rational_qg_delta, verify_representation)
 from mvgames.equilibria import build_encoding, decide_pure_ne
 
@@ -69,7 +76,31 @@ def main() -> int:
               f"gamma built {build_ms:.1f} ms and compiled {compile_ms:.1f} ms, "
               f"decide {decide_ms:.1f} ms, scan {scan_ms:.1f} ms, "
               f"{len(found)} pure equilibria, {'ok' if ok else 'FAILED'}")
-    return 1 if failed else 0
+    return 1 if failed or not ring_check() else 0
+
+
+def ring_check(n=6, k=5) -> bool:
+    """The STD_QPL_DELTA ring x_i * x_{i+1} of `n` players of `k` strategies."""
+    alg, block = catalog_lookup("STD_QPL_DELTA"), tuple((Fraction(j, k - 1),) for j in range(k))
+    names = [f"x{i + 1}" for i in range(n)]
+    lg = LogicalGame(alg, tuple((name,) for name in names), (block,) * n,
+                     tuple(App("odot", (Var(names[i]), Var(names[(i + 1) % n])))
+                           for i in range(n)))
+    table = lg.payoff_table
+    rows, fill_ms = timed(lambda: table.rows)
+    profiles = list(lg.profiles())
+    sampled = random.Random(1).sample(range(len(profiles)), 100)
+    rows_ok = all(rows[i][r] == evaluate(phi, alg, lg.assignment(profiles[r]))
+                  for r in sampled for i, phi in enumerate(lg.payoff_formulas))
+    (found, sat), decide_ms = timed(lambda: decide_pure_ne(lg))
+    scan, scan_ms = timed(lambda: pure_ne_scan(lg))
+    expected = [tuple(lg.strategies[i][s] for i, s in enumerate(ids)) for ids in scan]
+    ok = rows_ok and found == expected and sat == bool(expected)
+    print(f"STD_QPL_DELTA ring x_i * x_(i+1), {n} players of {k} strategies: "
+          f"{len(profiles)} rows, fill {fill_ms:.1f} ms (per row), decide {decide_ms:.1f} ms "
+          f"(with gamma), scan {scan_ms:.1f} ms, {len(found)} pure equilibria, "
+          f"{'ok' if ok else 'FAILED'}")
+    return ok
 
 
 if __name__ == "__main__":

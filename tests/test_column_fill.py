@@ -140,13 +140,14 @@ def test_fill_leaves_the_entries_of_the_per_profile_path(lg, first):
     for profile, exact in zip(lg.profiles(), reference):
         assert payoff(lg, profile) == exact
         env = lg.assignment(profile)
-        values = [env[name] for name, _ in copies._variables]
+        values = {index: env[name] for name, index in copies._variables}
         assert tuple(copies.run(env)) == exact
         if copies._base is None:
             assert tuple(copies._execute(None, values)) == exact
             continue
         for over in (scale, 3 * scale):     # each root over D^e, e its exponent
-            numerators = [x.numerator * (over // x.denominator) for x in values]
+            numerators = {index: x.numerator * (over // x.denominator)
+                          for index, x in values.items()}
             assert tuple(copies._execute(over, numerators)) == \
                 tuple(v.numerator * (over ** e // v.denominator)
                       for v, e in zip(exact, copies._shape[2]))
@@ -161,8 +162,8 @@ def _spy(monkeypatch, name):
 
 def test_fill_leaves_a_live_product_to_the_misses(monkeypatch):
     # x * y, or x * x beside a formula of y alone, keeps the program off one
-    # D: it runs once per row of the full product, 9 rows, and the values
-    # 1/4 and 1/2 put the table over D = 4.
+    # D: its kernel runs once per row of the full product, 9 rows, all at the
+    # strategies' D = 2, and the values 1/4 and 1/2 put the table over 4.
     pl = catalog_lookup("STD_PL")
     halves = ((F(0),), (F(1, 2),), (F(1),))
     x, y = Var("x"), Var("y")
@@ -174,10 +175,13 @@ def test_fill_leaves_a_live_product_to_the_misses(monkeypatch):
         lg = LogicalGame(pl, (("x",), ("y",)), (halves, halves), payoffs)
         reference = per_profile(lg)
         runs, columns = _spy(monkeypatch, "run"), _spy(monkeypatch, "_columns")
+        executed, execute = [], Program._execute
+        monkeypatch.setattr(Program, "_execute", lambda self, scale, inputs: executed.append(
+            (self, scale)) or execute(self, scale, inputs))
         table = lg.payoff_table
         assert table.program._scale is None
         assert list(zip(*table.rows)) == reference
-        assert runs == [table.program] * 9 and columns == []
+        assert executed == [(table.program, 2)] * 9 and runs == columns == []
         assert table.scale == 4
         assert table.numerators == numerators
         runs.clear()
@@ -243,7 +247,9 @@ def test_a_call_reads_the_rows_and_off_the_strategies_folds_as_its_copy(monkeypa
 
 def by_rows(program, scale, columns, size):
     """Each root's value at every row, from one `_execute` per row."""
-    rows = [program._execute(scale, [column[r] for column in columns]) for r in range(size)]
+    rows = [program._execute(scale, {index: column[r] for (_, index), column
+                                     in zip(program._variables, columns)})
+            for r in range(size)]
     return [list(column) for column in zip(*rows)]
 
 

@@ -582,19 +582,16 @@ def test_deciding_builds_no_chi_block(monkeypatch):
         assert to_text(build_encoding(lg).existence) == to_text(_eager_existence(lg, weak=False))
 
 
-def test_decide_lists_profiles_sorted_on_both_branches(battery_representations, monkeypatch):
-    answers, several = [], 0
+def test_decide_lists_profiles_sorted_as_gamma_per_profile(battery_representations):
+    several = 0
     for method, rep in battery_representations:
         enc = build_encoding(rep.target)
         found, sat = decide_pure_ne(rep.target, enc)
         assert found == sorted(found) and sat == bool(found), method
-        answers.append((enc, found))
+        # Gamma as printed, run once per profile, finds the same profiles.
+        assert found == [p for p in enc.game.profiles() if satisfies_gamma(enc, p)], method
         several += len(found) > 1
     assert several > 100
-    # No encoding runs over the rows: each runs gamma once per profile.
-    monkeypatch.setattr(Program, "over_rows", lambda self, table: None)
-    for enc, found in answers:
-        assert decide_pure_ne(enc.game, enc) == (found, bool(found))
 
 
 def test_mixed_formula_text_is_pinned():
@@ -828,20 +825,27 @@ def test_decide_over_rows_as_per_profile_on_drawn_games(lg):
     _assert_decides_as_reference(lg, logical_to_strategic)
 
 
-def test_a_call_that_does_not_fit_leaves_gamma_per_profile(monkeypatch):
-    # A deviation that binds v1 to v2's variable reads no row of the table.
+def test_a_call_that_does_not_fit_runs_as_its_literal_copy_over_the_rows(monkeypatch):
+    # A deviation that binds v1 to v2's variable reads no row of the table:
+    # its literal copy reads v2 and v3 as columns, in the one column pass.
     lg = _fresh(NT.logical)
     phi = lg.payoff_formulas[0]
     gamma = App("imp", (Subst(phi, (("v1", Var("v2")),)), Subst(phi, ())))
     enc = PureNEEncoding(lg, deviations=gamma, full=True, aux_q={}, variant="EXPRESSIBLE")
     assert enc.gamma is gamma       # the constant route's gamma is its deviations
-    assert enc.gamma_program.over_rows(lg.payoff_table) is None
-    profiles = []
-    run = equilibria.satisfies_gamma
+    program = enc.gamma_program
+    assert {name for name, _ in program._variables} == {"v2", "v3"}
+    assert len(program._calls) == 1 and program._scale is not None
+    profiles, columns = [], []
+    run, run_columns = equilibria.satisfies_gamma, Program._columns
     monkeypatch.setattr(equilibria, "satisfies_gamma",
                         lambda enc, profile: profiles.append(profile) or run(enc, profile))
+    monkeypatch.setattr(Program, "_columns", lambda self, lanes, inputs: columns.append(
+        self) or run_columns(self, lanes, inputs))
     assert decide_pure_ne(lg, enc) == literal_decide_pure_ne(enc)
-    assert profiles == list(lg.profiles())      # one run of gamma per profile
+    assert profiles == [] and columns == [lg.payoff_table.program, program]
+    scale, (values,) = program.over_rows(lg.payoff_table)
+    assert [v == scale for v in values] == [run(enc, profile) for profile in lg.profiles()]
 
 
 def test_gamma_runs_over_the_rows_of_its_own_table_only():
@@ -849,7 +853,9 @@ def test_gamma_runs_over_the_rows_of_its_own_table_only():
     enc = build_encoding(lg)
     program = enc.gamma_program
     rows = program.over_rows(lg.payoff_table)
-    assert program.over_rows(other.payoff_table) is None
+    with pytest.raises(RuntimeError, match="runs over the rows of the table it calls only"):
+        program.over_rows(other.payoff_table)
+    assert "_filled" not in other.payoff_table.__dict__      # nor did it fill the other
     assert program.over_rows(lg.payoff_table) == rows
     scale, (gamma,) = rows
     literal = Program([substitute(enc.gamma, {})], lg.algebra)
@@ -963,3 +969,69 @@ def test_gamma_over_a_table_off_one_d_runs_over_its_rows(monkeypatch):
             # Run per profile, gamma's literal copy finds the same ones.
             assert found == [profile for profile in lg.profiles() if run(enc, profile)]
     assert profiles == []
+
+
+# --- one runner over the rows ------------------------------------------------------
+# Gamma runs over the payoff table's rows whatever it holds: on columns where
+# its program keeps one D, once per row on the same columns where it does not,
+# each variable its block's column.  Hand-built gammas reach each case.
+
+def _hand_built(lg, gamma):
+    return PureNEEncoding(lg, deviations=gamma, full=True, aux_q={}, variant="EXPRESSIBLE")
+
+
+def _hand_built_gammas(lg):
+    """phi_1(x := y) -> phi_1, x and y the first variables of players 1 and
+    2: a call bound to another player's variable.  Where the algebra has
+    `*`, also the deviation calls conjoined with (phi_1(s) * phi_2) -> phi_1,
+    s player 1's last strategy: a product of two calls, one a gather."""
+    first, second = lg.payoff_formulas[:2]
+    (x, *_), (y, *_) = lg.variables[:2]
+    gammas = {"variable": App("imp", (Subst(first, ((x, Var(y)),)), Subst(first, ())))}
+    if "odot" in lg.algebra.ops:
+        last = Subst(first, tuple(zip(lg.variables[0], map(Const, lg.strategies[0][-1]))))
+        product = App("imp", (App("odot", (last, Subst(second, ()))), Subst(first, ())))
+        gammas["product"] = App("and", (build_gamma(lg).deviations, product))
+    return gammas
+
+
+def test_hand_built_gammas_decide_over_the_rows_as_per_profile(monkeypatch):
+    profiles = []
+    run = equilibria.satisfies_gamma
+    monkeypatch.setattr(equilibria, "satisfies_gamma",
+                        lambda enc, profile: profiles.append(profile) or run(enc, profile))
+    kinds = []
+    for lg in [NT.logical] + [lg for lg, _ in _row_fill_games()]:
+        for kind, gamma in _hand_built_gammas(lg).items():
+            enc = _hand_built(_fresh(lg), gamma)
+            program = enc.gamma_program
+            if kind == "product":   # off one D, with a gather
+                assert program._scale is None and any(call[4] for call in program._calls)
+            else:                   # player 2's variable as a column
+                assert lg.variables[1][0] in {name for name, _ in program._variables}
+            kinds.append((kind, program._scale is None))
+            assert decide_pure_ne(enc.game, enc) == literal_decide_pure_ne(enc), \
+                (lg.algebra.id, kind)
+            assert profiles == []
+            scale, (values,) = program.over_rows(enc.game.payoff_table)
+            assert [v == scale for v in values] == \
+                [run(enc, profile) for profile in enc.game.profiles()], (lg.algebra.id, kind)
+            profiles.clear()
+    # Products ran per row; a variable ran on columns (NT is on one D) and
+    # per row (under a live * or => of the table's formula).
+    assert {("product", True), ("variable", False), ("variable", True)} <= set(kinds)
+    assert kinds.count(("product", True)) == 2
+
+
+def test_folding_does_not_hide_an_unknown_variable():
+    # z /\ 0 folds to 0, but z is no variable of the game: deciding raises
+    # what gamma as printed raises, at every profile.
+    lg = _fresh(NT.logical)
+    phi = lg.payoff_formulas[0]
+    deviation = App("imp", (Subst(phi, (("v1", Const(F(0))),)), Subst(phi, ())))
+    enc = _hand_built(lg, App("or", (deviation, App("and", (Var("z"), Const(F(0)))))))
+    for decide in (lambda: decide_pure_ne(lg, enc),
+                   lambda: satisfies_gamma(enc, next(lg.profiles()))):
+        with pytest.raises(SemanticError) as info:
+            decide()
+        assert str(info.value) == "unknown variable 'z'"

@@ -754,7 +754,8 @@ def test_compile_of_encodings_over_a_payoff_table_is_unchanged(seed):
 def test_a_fixed_name_of_the_row_s_own_block_is_its_constant(seed):
     # A call left unbound reads the row's own variables, except a name the
     # program fixes: a block fixed whole is that strategy's constants, and a
-    # block fixed in part is no call, so the literal copy compiles.
+    # block fixed in part is no call, so the literal copy compiles, and it
+    # reads the unfixed names over the rows as variables.
     rng = random.Random(seed)
     pairs_game = LogicalGame(catalog_lookup("L_4"), (("x1", "x2"), ("y",)),
                              (((F(0), F(1, 2)), (F(1, 4), F(1)), (F(1), F(3, 4))),
@@ -773,15 +774,19 @@ def test_a_fixed_name_of_the_row_s_own_block_is_its_constant(seed):
                     continue
                 bound = [Subst(phi, tuple((name, Const(v)) for name, v in fixed.items()))
                          for phi in lg.payoff_formulas]
-                # Over the rows, or, where a root reads a variable, per
-                # profile through the literal copies.
+                # Over the rows, where only a block fixed in part leaves a
+                # root or an instruction reading a variable; there and per
+                # profile, each root is its literal copy's value.
                 program, twin = Program(roots, alg, table, fixed), Program(bound, alg, table)
-                assert program.over_rows(table) == twin.over_rows(table)
-                assert (program.over_rows(table) is None) == (len(fixed) < len(block))
+                scale, columns = program.over_rows(table)
+                assert twin.over_rows(table) == (scale, columns)
+                read = {a for _, _, args in program._code for a in args}.union(program._roots)
+                assert bool(read & {i for _, i in program._variables}) == (len(fixed) < len(block))
                 program, twin = Program(roots, alg, fixed=fixed), Program(bound, alg)
-                for profile in lg.profiles():
+                for profile, *numerators in zip(lg.profiles(), *columns):
                     assignment = lg.assignment(profile)
-                    assert program.run(assignment) == twin.run(assignment)
+                    assert program.run(assignment) == twin.run(assignment) == \
+                        [Fraction(n, scale) for n in numerators]
 
 
 def test_compile_and_free_variables_of_a_100000_deep_chain():
