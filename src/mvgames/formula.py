@@ -646,7 +646,6 @@ class Program:
         self._calls = [i for i in code if type(i[0]) is Table]
         self._code = [i for i in code if type(i[0]) is not Table]
         self._roots = roots
-        self._table = table
         # Every constant's denominator divides `_base`; None keeps the Fraction ops.
         self._product = ops.get("odot")
         fns = {i[0] for i in self._code}
@@ -723,18 +722,18 @@ class Program:
     def over_rows(self, table: Table) -> tuple[int, list[list[int]]]:
         """(S, each root's numerators over S at every row of `table`).  The
         inputs are columns over D, the lcm of `_base`, the strategies' and,
-        if compiled over `table`, `table.scale`: a variable's block's values,
+        if the program calls `table`, `table.scale`: a variable's block's values,
         each repeated `stride` times, or a call's formula, gathered for each
         (stride, count, t) it carries from row r + (t - s(r)) * stride, s(r)
         the block's strategy at r.  On one D, `_columns` runs once and S is
         D; else `_execute` runs per row, at D or, where `_base` is None, on
         Fractions, and S is the least scale of inputs and values.  A name
         outside `table.names` raises what `run` raises."""
-        if self._calls and self._table is not table:
+        if any(call[0] is not table for call in self._calls):
             raise RuntimeError("a program runs over the rows of the table it calls only")
         slots = dict(self._variables)       # each variable not yet given its column
         given = lcm(*(x.denominator for block in table.strategies for t in block for x in t),
-                    table.scale if self._table is table else 1)
+                    table.scale if self._calls else 1)
         scale, size = lcm(self._base or 1, given), prod(map(len, table.strategies))
         lanes, packed, inputs = Lanes(scale, size), {}, {}
         for block, (start, end, _, stride) in zip(table.strategies, table.blocks):

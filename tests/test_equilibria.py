@@ -510,7 +510,7 @@ def _weak_encodings(battery_representations):
 
 
 def test_deciding_without_the_chi_block_is_exact(battery_representations):
-    encodings, over_rows = _weak_encodings(battery_representations), 0
+    encodings, on_columns = _weak_encodings(battery_representations), 0
     for enc in encodings:
         lg, pins = enc.game, {name: a for a, name in enc.aux_q.items()}
         chi_block, deviations = enc.gamma.args
@@ -522,14 +522,14 @@ def test_deciding_without_the_chi_block_is_exact(battery_representations):
         whole = Program([enc.gamma], lg.algebra, lg.payoff_table, fixed=pins)
         rows = enc.gamma_program.over_rows(lg.payoff_table)
         assert rows == whole.over_rows(lg.payoff_table)
-        over_rows += rows is not None
+        on_columns += enc.gamma_program._scale is not None
         # Per profile, the whole gamma's literal copy, each q_a fixed.
         literal = Program([enc.gamma], lg.algebra, fixed=pins)
         scale, (values,) = rows
         for profile, value in zip(lg.profiles(), values):
             assert satisfies_gamma(enc, profile) == \
                 (literal.run(lg.assignment(profile))[0] == 1) == (value == scale)
-    assert over_rows == len(encodings) > 400
+    assert on_columns == len(encodings) > 400
 
 
 def _eager_existence(lg, weak):
@@ -753,8 +753,8 @@ def _decided(decide, lg, build):
 def _assert_decides_as_reference(lg, after):
     """On every route: decide on a cold copy of `lg`, and on one that `after`
     read first, answers as one run of gamma per profile on a copy of its
-    own; returns how many of those decisions ran gamma over rows."""
-    over_rows = 0
+    own; returns how many of those decisions ran gamma on packed columns."""
+    on_columns = 0
     for build in _routes(lg):
         expected = _decided(reference_decide_pure_ne, _fresh(lg), build)
         for fill in (None, after):
@@ -763,9 +763,9 @@ def _assert_decides_as_reference(lg, after):
                 fill(copy)
             answer = _decided(decide_pure_ne, copy, lambda g: made.append(build(g)) or made[-1])
             assert answer == expected, (build.__name__, fill)
-            over_rows += type(answer) is not str and \
-                made[-1].gamma_program.over_rows(copy.payoff_table) is not None
-    return over_rows
+            on_columns += type(answer) is not str and \
+                made[-1].gamma_program._scale is not None
+    return on_columns
 
 
 def _pure_dnf_games(seed):
@@ -793,25 +793,25 @@ def _pure_dnf_games(seed):
 
 
 def test_decide_over_rows_as_per_profile_on_pure_dnf_games(seed):
-    over_rows = cases = 0
+    on_columns = cases = 0
     for rep in _pure_dnf_games(seed):
         cases += 1
-        over_rows += _assert_decides_as_reference(
+        on_columns += _assert_decides_as_reference(
             rep.target, lambda lg: verify_representation(dataclasses.replace(rep, target=lg)))
     # Every representation's payoff DNF reads every variable: each route's
-    # cold and after-verify decisions run over the rows.
-    assert cases > 20 and over_rows >= 2 * cases
+    # cold and after-verify decisions run gamma on packed columns.
+    assert cases > 20 and on_columns >= 2 * cases
 
 
 def test_decide_over_rows_as_per_profile_on_the_battery(battery_representations):
-    methods, cases, over_rows = set(), 0, 0
+    methods, cases, on_columns = set(), 0, 0
     for index, (method, rep) in enumerate(battery_representations):
         if index % 5 == 0 or method in ("ab_i", "vii"):
             methods.add(method)
             cases += 1
-            over_rows += _assert_decides_as_reference(rep.target, logical_to_strategic)
+            on_columns += _assert_decides_as_reference(rep.target, logical_to_strategic)
     assert methods == {"ab_i", "ab_ii", "ab_iii", "vi", "vi_gmc", "vi_lm", "vii"}
-    assert over_rows > 1.5 * cases
+    assert on_columns > 1.5 * cases
 
 
 def test_decide_over_rows_as_per_profile_on_the_corpus():

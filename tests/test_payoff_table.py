@@ -104,7 +104,7 @@ def test_decide_after_verify_runs_gamma_alone(monkeypatch, rep):
     decide_pure_ne(rep.target, enc)
     assert rep.target.payoff_table.rows is not None
     # No payoff program and no `Program.run`: one pass over the rows.
-    assert ran == [] and enc.gamma_program.over_rows(rep.target.payoff_table) is not None
+    assert ran == [] and enc.gamma_program._scale is not None
 
 
 def test_cold_decide_runs_each_payoff_once_per_own_input(monkeypatch):
@@ -156,7 +156,7 @@ def test_verify_and_cold_decide_fill_without_per_profile_runs(monkeypatch):
     # Neither the payoff programs nor gamma run per profile, nor at all.
     assert ran == []
     assert rep.target.payoff_table.rows is not None and lg.payoff_table.rows is not None
-    assert enc.gamma_program.over_rows(lg.payoff_table) is not None
+    assert enc.gamma_program._scale is not None
 
 
 def test_formulas_reading_some_players_fill_in_one_column_run_over_every_row(monkeypatch):
@@ -185,7 +185,7 @@ def test_formulas_reading_some_players_fill_in_one_column_run_over_every_row(mon
     decide_pure_ne(rep.target, enc)
     assert ran == [] and len(columns) == 2
     assert columns[1][0] is enc.gamma_program and columns[1][1].size == 5 ** 4
-    assert enc.gamma_program.over_rows(table) is not None
+    assert enc.gamma_program._scale is not None
     monkeypatch.undo()
     assert list(zip(*table.rows)) == per_profile(rep.target)
 
