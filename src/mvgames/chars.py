@@ -20,6 +20,13 @@ The hat is built by walking the Stern-Brocot tree: starting from the hats
 turns the pair of hat formulas (L, R) into L /\ R at c, L - R at a, and
 R - L at b.  The formulas produced share subterms, so their DAG size is
 linear in the path length even though the printed tree is not.
+
+Each gadget is split into its rule and its build.  The rule makes the
+checks on one value and chooses the route, and raises what the gadget
+raises; it tests values on their integer numerators, with no `Fraction`
+arithmetic.  The build makes the formula on one variable.  A caller that
+needs a gadget on many variables derives its rule once per value
+(`characteristic_rule`, `zeta_rule`) and builds it per variable.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .algebra import ONE, ZERO, Algebra
+from .algebra import Algebra
 from .errors import SemanticError
 from .formula import Const, Formula, Var, app, oplus_all
 
@@ -53,9 +60,10 @@ def _chi_rule(alg: Algebra, a: Fraction):
     variable's name; raises where no rule pins `a`."""
     if not alg.contains(a):
         raise SemanticError(f"{a} is not in the domain of {alg.id}")
-    if a == ONE:
+    m, n = a.numerator, a.denominator
+    if m == n:
         return Var
-    if a == ZERO and "imp" in alg.ops:
+    if m == 0 and "imp" in alg.ops:
         # Evaluates as v -> 0 where negation is derived.
         return lambda variable: app("neg", Var(variable))
     if alg.has_constant(a):
@@ -64,7 +72,6 @@ def _chi_rule(alg: Algebra, a: Fraction):
             return app("and", app("imp", v, bar), app("imp", bar, v))
         return chi
     if alg.family == "mv":
-        m, n = a.numerator, a.denominator
         return lambda variable: oplus_all([mcnaughton_hat(m, n, variable)] * n)
     raise SemanticError(f"no pseudo-characteristic formula for {a} in {alg.id}")
 
@@ -102,22 +109,33 @@ def mcnaughton_hat(m: int, n: int, variable: str = "x") -> Formula:
 
 def characteristic(alg: Algebra, a: Fraction, variable: str = "x") -> Formula:
     """One-variable formula valued 1 at `a` and 0 at every other domain element."""
-    a = Fraction(a)
+    return characteristic_rule(alg, Fraction(a))(variable)
+
+
+def characteristic_rule(alg: Algebra, a: Fraction):
+    """The rule `characteristic` builds delta_a by, as a function of the
+    variable's name.  The route is chosen before chi_a's rule is derived,
+    so a value with no route raises "no characteristic formula" here, as
+    `characteristic` does, never chi_a's error."""
     if not alg.contains(a):
         raise SemanticError(f"{a} is not in the domain of {alg.id}")
     if alg.chain == 1:
         # Two-element domain: any pseudo-characteristic formula is characteristic.
-        return pseudo_char(alg, a, variable)
+        return _chi_rule(alg, a)
     if "delta" in alg.ops:
-        return app("delta", pseudo_char(alg, a, variable))
+        chi = _chi_rule(alg, a)
+        return lambda variable: app("delta", chi(variable))
     if alg.family == "mv" and alg.chain is not None:
         # On the chain with denominator n, values below 1 are <= (n-1)/n, so
         # the n-fold strong conjunction collapses them to 0.
-        chi = pseudo_char(alg, a, variable)
-        out = chi
-        for _ in range(alg.chain - 1):
-            out = app("and_strong", out, chi)
-        return out
+        chi, n = _chi_rule(alg, a), alg.chain
+
+        def delta(variable):
+            out = base = chi(variable)
+            for _ in range(n - 1):
+                out = app("and_strong", out, base)
+            return out
+        return delta
     raise SemanticError(f"no characteristic formula for {a} in {alg.id}")
 
 
@@ -141,10 +159,27 @@ def zeta(m: int, a: Fraction, b: Fraction, variable: str = "x") -> Formula:
     if not is_prime(m):
         raise SemanticError(f"zeta needs a prime chain size, got {m}")
     a, b = Fraction(a), Fraction(b)
-    p, q = a * m, b * m
-    if p.denominator != 1 or not 0 < p < m:
+    p = _chain_level(m, a)
+    if p is None or not 0 < p < m:
         raise SemanticError(f"zeta needs a = p/{m} strictly inside the chain, got {a}")
-    if q.denominator != 1 or not 0 <= q <= m:
+    return zeta_rule(m, b)(p, variable)
+
+
+def zeta_rule(m: int, b: Fraction):
+    """The rule `zeta` builds zeta by for the value `b` on the chain L_m, as
+    a function of the integer p, a = p/m, and the variable's name: the
+    q-fold truncated sum of the hat at p/m, where b = q/m.  The checks on
+    `m` and `b` run here, once per value; p must lie strictly inside the
+    chain, as `zeta` checks."""
+    if not is_prime(m):
+        raise SemanticError(f"zeta needs a prime chain size, got {m}")
+    q = _chain_level(m, b)
+    if q is None or not 0 <= q <= m:
         raise SemanticError(f"zeta needs b on the chain with denominator {m}, got {b}")
-    hat = mcnaughton_hat(int(p), m, variable)
-    return oplus_all([hat] * int(q))
+    return lambda p, variable: oplus_all([mcnaughton_hat(p, m, variable)] * q)
+
+
+def _chain_level(m: int, value: Fraction):
+    """The integer k with value = k/m, or None where there is none."""
+    n, d = value.numerator, value.denominator
+    return n * (m // d) if m % d == 0 else None

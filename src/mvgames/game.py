@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from numbers import Rational
 from typing import Iterator, Optional, Sequence
 
 from . import formula as fm
@@ -76,10 +77,7 @@ class StrategicGame:
         rows = [self.payoffs[profile] for profile in self.profiles()]
         out = []
         for column in (zip(*rows) if rows else [()] * self.n_players):
-            objects = {id(v): v for v in column}
-            level = lcm(*{v.denominator for v in objects.values()})
-            numerator = {key: v.numerator * (level // v.denominator)
-                         for key, v in objects.items()}
+            level, numerator = _levels({id(v): v for v in column})
             out.append((level, tuple(map(numerator.__getitem__, map(id, column)))))
         return tuple(out)
 
@@ -125,9 +123,8 @@ class LogicalGame:
         flat = [v for block in self.variables for v in block]
         if len(flat) != len(set(flat)):
             raise SemanticError("controlled variable blocks must be pairwise disjoint")
-        object.__setattr__(
-            self, "strategies",
-            tuple(tuple(sorted(set(map(tuple, block)))) for block in self.strategies))
+        object.__setattr__(self, "strategies", tuple(
+            _strategy_set(i, block) for i, block in enumerate(self.strategies)))
         for i, block in enumerate(self.strategies):
             if not block:
                 raise SemanticError(f"player {i + 1} has an empty strategy set")
@@ -186,10 +183,37 @@ def payoff(lg: LogicalGame, profile: Sequence[ValueTuple]) -> tuple[Fraction, ..
     return tuple(column[row] for column in table.rows)
 
 
+def _levels(objects: dict) -> tuple[int, dict[int, int]]:
+    """For `objects`, a map id(v) -> v of distinct objects, the lcm of their
+    denominators and id(v) -> v's numerator over it: integer keys that
+    order and tell apart the values exactly as the values do, each made
+    once per object."""
+    scale = lcm(*{v.denominator for v in objects.values()})
+    return scale, {key: v.numerator * (scale // v.denominator) for key, v in objects.items()}
+
+
+def _strategy_set(i: int, block) -> tuple[ValueTuple, ...]:
+    """Player i's strategies as tuples, deduplicated and sorted as a set of
+    them would be, on integer keys: of equal tuples the first is kept."""
+    block = list(map(tuple, block))
+    objects = {id(x): x for tup in block for x in tup}
+    for x in objects.values():
+        if not isinstance(x, Rational):
+            raise SemanticError(f"player {i + 1}: strategy component {x!r} is not a rational")
+    (_, level), kept = _levels(objects), {}
+    for tup in block:
+        kept.setdefault(tuple([level[id(x)] for x in tup]), tup)
+    return tuple(kept[key] for key in sorted(kept))
+
+
 def relevant_elements(lg: LogicalGame) -> tuple[Fraction, ...]:
-    """Sorted algebra values that some player can actually assign."""
-    found = {x for block in lg.strategies for tup in block for x in tup}
-    return tuple(sorted(found))
+    """Sorted algebra values that some player can actually assign; of equal
+    values the first found is kept.  On integer keys, as `_strategy_set`."""
+    objects = {id(x): x for block in lg.strategies for tup in block for x in tup}
+    kept = {}
+    for key, level in _levels(objects)[1].items():
+        kept.setdefault(level, objects[key])
+    return tuple(kept[level] for level in sorted(kept))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,13 @@ only assumes characteristic formulas for enough "strategy anchors" and truth
 constants for enough "payoff anchors".
 
 Payoff formulas come out as the literal disjunctive normal form over
-characteristic conjuncts, without minimization.  Each characteristic
-formula is built once per (variable, element), directly on its variable,
-and each profile's conjunct is built once and shared by every player's
-formula, so the DNF is compact as a DAG.
+characteristic conjuncts, without minimization.  Each gadget's rule (its
+checks and its route, see `chars`) is derived once per element, and zeta's
+once per payoff value; the rule then builds the gadget once per variable,
+directly on it.  Each profile's conjunct is built once and shared by every
+player's formula, so the DNF is compact as a DAG.  Values are keyed on
+integers -- digits, payoff object ids, numerators -- never by hashing a
+`Fraction` per node.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .algebra import Algebra, catalog_lookup, format_rational, parse_rational
-from .chars import characteristic, is_prime, zeta
+from .algebra import ONE, ZERO, Algebra, catalog_lookup, format_rational, parse_rational
+# `characteristic`, `zeta` and `payoff` stay module attributes, where
+# perfbench's tracer wraps them.
+from .chars import characteristic, characteristic_rule, is_prime, zeta, zeta_rule  # noqa: F401
 from .errors import InputError, SemanticError
-# `payoff` stays a module attribute, where perfbench's tracer wraps it.
 from .game import LogicalGame, StrategicGame, ValueTuple, json_array, payoff  # noqa: F401
-from .formula import App, Const, conj_all, disj_all, pairs
+from .formula import App, Const, pairs
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,16 @@ class Representation:
     def __post_init__(self):
         if not len(self.coding) == self.source.n_players == self.target.n_players:
             raise SemanticError("source, target and coding: one entry per player")
-        for i, table in enumerate(self.coding):
+        # On `pairs` keys: the target's payoff table holds its strategies' keys.
+        blocks = self.target.payoff_table.blocks
+        for i, (table, (_, _, index, _)) in enumerate(zip(self.coding, blocks)):
             if len(table) != self.source.strategy_counts[i]:
                 raise SemanticError(f"player {i + 1}: coding must cover every strategy")
-            codes = set(table)
-            if len(codes) != len(table) or codes != set(self.target.strategies[i]):
+            try:
+                codes = {tuple(pairs(tup)) for tup in table}
+            except (AttributeError, TypeError):     # a code that is no tuple of rationals
+                codes = None
+            if codes is None or len(codes) != len(table) or codes != index.keys():
                 raise SemanticError(
                     f"player {i + 1}: coding must be a bijection onto the target strategies")
 
@@ -227,21 +236,32 @@ def _dnf_game(game: StrategicGame, alg: Algebra, elements: Sequence[Fraction],
     digits = [[_digits(s, base, widths[i]) for s in range(count)]
               for i, count in enumerate(game.strategy_counts)]
     coding = tuple(tuple(tuple(elements[d] for d in tup) for tup in block) for block in digits)
-    # Keyed on digits, not on their elements: an int hashes at no cost.  In
-    # the elements' order, so an error names the least element lacking a formula.
+    # Keyed on digits, not on their elements: an int hashes at no cost.  Each
+    # element's rule is derived once, in the elements' order, so an error
+    # names the least element lacking a formula; it builds per variable.
     needed = sorted({d for block in digits for tup in block for d in tup},
                     key=elements.__getitem__)
-    delta_at = {(name, d): characteristic(alg, elements[d], name)
-                for block in variables for name in block for d in needed}
+    rules = {d: characteristic_rule(alg, elements[d]) for d in needed}
+    delta_at = {(name, d): rule(name)
+                for block in variables for name in block for d, rule in rules.items()}
     parts = [[[delta_at[name, d] for name, d in zip(block, tup)] for tup in block_digits]
              for block, block_digits in zip(variables, digits)]
-    conjuncts = [(profile, conj_all(delta for part, s in zip(parts, profile)
-                                    for delta in part[s]))
-                 for profile in game.profiles()]
+    # Left folds, as `conj_all` and `disj_all` build them.
+    profiles, conjuncts = list(game.profiles()), []
+    for profile in profiles:
+        conjunct = None
+        for part, s in zip(parts, profile):
+            for delta in part[s]:
+                conjunct = delta if conjunct is None else App("and", (conjunct, delta))
+        conjuncts.append(Const(ONE) if conjunct is None else conjunct)
     formulas = []
     for i in range(game.n_players):
-        parts = (disjunct(i, profile, conjunct) for profile, conjunct in conjuncts)
-        formulas.append(disj_all(part for part in parts if part is not None))
+        phi = None
+        for profile, conjunct in zip(profiles, conjuncts):
+            part = disjunct(i, profile, conjunct)
+            if part is not None:
+                phi = part if phi is None else App("or", (phi, part))
+        formulas.append(Const(ZERO) if phi is None else phi)
     target = LogicalGame(alg, variables, coding, tuple(formulas))
     return Representation(game, target, coding, g)
 
@@ -377,13 +397,18 @@ def represent_rational_lm(game: StrategicGame, m: Optional[int] = None) -> Repre
     elif m < bound:
         raise SemanticError(f"chain size m = {m} below the bound {bound}")
     g = Affine(Fraction(m, q), values[0])
-    target_at = {y: g.inverse(y) for y in values}
-    # One gadget per (player, own strategy, payoff value), shared across disjuncts.
-    zeta_at = _by_payoff(lambda own, y: zeta(m, Fraction(own[1] + 1, m), target_at[y],
-                                             f"v{own[0] + 1}_1"))   # i's one variable
+    # zeta's checks run once per payoff value; one gadget per (player, own
+    # strategy, payoff value), shared across disjuncts, built on the
+    # integer p of its strategy's element p/m.
+    rule_at = _by_payoff(lambda _, y: zeta_rule(m, g.inverse(y)))
+    zeta_at = {}
 
     def value_formula(i, profile):
-        return zeta_at((i, profile[i]), game.payoffs[profile][i])
+        s, rule = profile[i], rule_at(None, game.payoffs[profile][i])
+        found = zeta_at.get((i, s, rule))
+        if found is None:
+            found = zeta_at[i, s, rule] = rule(s + 1, f"v{i + 1}_1")   # i's one variable
+        return found
 
     return _basic_game(game, catalog_lookup("L_n", m),
                        [Fraction(s + 1, m) for s in range(m - 1)], g, value_formula)

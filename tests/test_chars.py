@@ -132,6 +132,29 @@ def test_characteristic_unavailable_on_infinite_mv_chain():
         characteristic(catalog_lookup("G_4_C"), F(1, 2))  # no delta, no MV power
 
 
+@pytest.mark.parametrize("alg_id, a, message", [
+    ("G_3", F(1, 3), "no characteristic formula for 1/3 in G_3"),
+    ("STD_G", F(1, 3), "no characteristic formula for 1/3 in STD_G"),
+    ("STD_L", F(1, 2), "no characteristic formula for 1/2 in STD_L"),
+    ("STD_L", F(0), "no characteristic formula for 0 in STD_L"),
+    ("L_4", F(1, 3), "1/3 is not in the domain of L_4"),
+])
+@pytest.mark.parametrize("rule", [False, True], ids=["characteristic", "rule"])
+def test_characteristic_error_texts(alg_id, a, message, rule):
+    # The route is chosen before chi_a's rule is derived: G_3 has no chi at
+    # 1/3 either, but the error names the characteristic formula.
+    alg = catalog_lookup(alg_id)
+    with pytest.raises(SemanticError) as info:
+        chars.characteristic_rule(alg, a) if rule else characteristic(alg, a)
+    assert str(info.value) == message
+
+
+def test_pseudo_char_error_text():
+    with pytest.raises(SemanticError) as info:
+        pseudo_char(catalog_lookup("G_3"), F(1, 3))
+    assert str(info.value) == "no pseudo-characteristic formula for 1/3 in G_3"
+
+
 def test_characteristic_exhaustive_small_chains():
     for n in range(1, 9):
         alg = catalog_lookup("L_n", n)
@@ -157,6 +180,34 @@ def test_zeta_preconditions():
         zeta(5, F(0), F(1, 5))          # endpoint
     with pytest.raises(SemanticError):
         zeta(5, F(1, 3), F(1, 5))       # off the chain
+
+
+@pytest.mark.parametrize("args, message", [
+    ((4, F(1, 4), F(1, 4)), "zeta needs a prime chain size, got 4"),
+    ((4, F(0), F(1, 3)), "zeta needs a prime chain size, got 4"),
+    ((5, F(0), F(1, 5)), "zeta needs a = p/5 strictly inside the chain, got 0"),
+    ((5, F(1), F(1, 5)), "zeta needs a = p/5 strictly inside the chain, got 1"),
+    ((5, F(1, 3), F(1, 3)), "zeta needs a = p/5 strictly inside the chain, got 1/3"),
+    ((5, F(2, 5), F(1, 3)), "zeta needs b on the chain with denominator 5, got 1/3"),
+    ((5, F(2, 5), F(6, 5)), "zeta needs b on the chain with denominator 5, got 6/5"),
+    ((5, F(2, 5), F(-1, 5)), "zeta needs b on the chain with denominator 5, got -1/5"),
+])
+def test_zeta_error_texts(args, message):
+    # Checked in this order: m, then a, then b.
+    with pytest.raises(SemanticError) as info:
+        zeta(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m, b, message", [
+    (6, F(1, 6), "zeta needs a prime chain size, got 6"),
+    (5, F(1, 3), "zeta needs b on the chain with denominator 5, got 1/3"),
+    (5, F(6, 5), "zeta needs b on the chain with denominator 5, got 6/5"),
+])
+def test_zeta_rule_checks_m_and_b_as_zeta_does(m, b, message):
+    with pytest.raises(SemanticError) as info:
+        chars.zeta_rule(m, b)
+    assert str(info.value) == message
 
 
 def test_zeta_exhaustive_small_primes():

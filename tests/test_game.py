@@ -17,6 +17,7 @@ from mvgames import (App, Const, LogicalGame, MixedProfile, StrategicGame, Subst
                      love_and_hate, new_technology, parse, payoff, pure_ne_scan,
                      relevant_elements, verify_mixed, vickrey)
 from mvgames.algebra import format_rational
+from mvgames.chars import has_pseudo_char
 from mvgames.errors import SemanticError
 from mvgames.formula import Program
 from mvgames.game import (dump_json, format_strategy, game_from_json, game_to_json,
@@ -65,6 +66,66 @@ def test_relevant_elements():
                             (((F(1, 2),),), ((F(1, 2),),)),
                             (parse("v1"), parse("v2")))
     assert relevant_elements(singleton) == (F(1, 2),)
+
+
+def test_strategy_sets_keep_the_first_of_equal_tuples():
+    block = ((1,), (F(1, 2),), (F(0),), (F(1),), (F(2, 4),), (0,), (F(1, 2),))
+    lg = LogicalGame(catalog_lookup("L_4"), (("x",),), (block,), (Var("x"),))
+    assert lg.strategies == (((F(0),), (F(1, 2),), (F(1),)),)
+    assert [tup is block[k] for tup, k in zip(lg.strategies[0], (2, 1, 0))] == [True] * 3
+    relevant = relevant_elements(lg)
+    assert relevant == (F(0), F(1, 2), F(1))
+    assert relevant[2] is block[0][0] and type(relevant[2]) is int
+
+
+# Values of [0, 1] in quarters, some held twice: as an int and a Fraction,
+# or as distinct Fraction objects.
+MIXED_COMPONENTS = [0, F(0), F(1, 4), F(2, 8), F(1, 2), F(3, 4), F(6, 8), 1, F(1), F(4, 4)]
+
+
+@st.composite
+def strategy_blocks(draw):
+    """Unsorted strategy blocks of 1-3 players with repeated tuples."""
+    widths = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    return tuple(tuple(draw(st.lists(st.tuples(*[st.sampled_from(MIXED_COMPONENTS)] * width),
+                                     min_size=1, max_size=6)))
+                 for width in widths)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(strategy_blocks())
+def test_strategy_sets_and_flags_match_the_fraction_set_reference(strategies):
+    variables = tuple(tuple(f"v{i + 1}_{j + 1}" for j in range(len(block[0])))
+                      for i, block in enumerate(strategies))
+    expected = tuple(tuple(sorted(set(block))) for block in strategies)
+    for alg_id in ("L_4", "L_4_C", "G_4", "STD_QL"):
+        alg = catalog_lookup(alg_id)
+        lg = LogicalGame(alg, variables, strategies, (Const(F(0)),) * len(variables))
+        assert lg.strategies == expected
+        assert all(got is want for block, ref in zip(lg.strategies, expected)
+                   for got, want in zip(block, ref))
+        relevant = tuple(sorted({x for block in expected for tup in block for x in tup}))
+        assert relevant_elements(lg) == relevant
+        assert all(got is want for got, want in zip(relevant_elements(lg), relevant))
+        flags = classify(lg)
+        assert flags.relevant == relevant
+        assert flags.expressible == all(alg.has_constant(a) for a in relevant)
+        assert flags.weakly_expressible == (
+            flags.expressible or all(has_pseudo_char(alg, a) for a in relevant))
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ((((0.5,),),), "player 1: strategy component 0.5 is not a rational"),
+    ((((F(1, 2),),), (("1/2",),)), "player 2: strategy component '1/2' is not a rational"),
+    ((((F(0),), (F(1),)), ((1,), (None,))),
+     "player 2: strategy component None is not a rational"),
+])
+def test_a_strategy_component_that_is_not_a_rational_is_a_semantic_error(strategies, message):
+    variables = tuple((f"v{i + 1}",) for i in range(len(strategies)))
+    with pytest.raises(SemanticError) as info:
+        LogicalGame(catalog_lookup("L_2"), variables, strategies,
+                    tuple(Var(block[0]) for block in variables))
+    assert str(info.value) == message
 
 
 def test_classify_nt():

@@ -379,6 +379,26 @@ def test_general_insufficient_anchors():
                           anchors=[F(0), F(1)], payoff_anchors=[F(0), F(1)])
 
 
+@pytest.mark.parametrize("player, codes, message", [
+    (0, ((F(0),),), "player 1: coding must cover every strategy"),
+    (1, ((F(1),), (F(1),)), "player 2: coding must be a bijection onto the target strategies"),
+    (2, ((F(0),), (F(1, 2),)), "player 3: coding must be a bijection onto the target strategies"),
+    (0, ((0.0,), (1.0,)), "player 1: coding must be a bijection onto the target strategies"),
+    (1, (F(0), F(1)), "player 2: coding must be a bijection onto the target strategies"),
+    (0, ((1,), (F(0),)), None),             # equal values as other objects, swapped
+    (2, ((F(0, 5),), (F(4, 4),)), None),
+])
+def test_coding_must_be_a_bijection_onto_the_target_strategies(player, codes, message):
+    rep = NT.representation
+    coding = rep.coding[:player] + (codes,) + rep.coding[player + 1:]
+    if message is None:
+        assert Representation(rep.source, rep.target, coding, rep.g).coding[player] == codes
+        return
+    with pytest.raises(SemanticError) as info:
+        Representation(rep.source, rep.target, coding, rep.g)
+    assert str(info.value) == message
+
+
 def test_table_transform_validation():
     with pytest.raises(SemanticError):
         Table(((F(0), F(1)), (F(1, 2), F(0))))
